@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -702,26 +703,33 @@ def load_checkpoint(path):
     end = blob.find(b"END\n")
     if end < 0:
         raise CheckpointError(f"{path}: missing END marker")
-    header = blob[:end].decode("ascii").splitlines()
     payload = blob[end + 4:]
-    if not header or not header[0].startswith(_CKPT_MAGIC):
-        raise CheckpointError(f"{path}: bad magic")
-    n = int(header[0].split()[1])
-    meta = {}
-    entries = []
-    for line in header[1:]:
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value
-            continue
-        name, shape_s, off_s = line.rsplit(" ", 2)
-        shape = tuple(int(d) for d in shape_s.split(","))
-        entries.append((name, shape, int(off_s)))
+    try:
+        header = blob[:end].decode("ascii").splitlines()
+        if not header or not header[0].startswith(_CKPT_MAGIC):
+            raise CheckpointError(f"{path}: bad magic")
+        n = int(header[0].split()[1])
+        meta = {}
+        entries = []
+        for line in header[1:]:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value
+                continue
+            name, shape_s, off_s = line.rsplit(" ", 2)
+            shape = tuple(int(d) for d in shape_s.split(","))
+            entries.append((name, shape, int(off_s)))
+    except (ValueError, IndexError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest ({exc})") from None
     if len(entries) != n:
         raise CheckpointError(f"{path}: manifest lists {len(entries)} of {n} entries")
     out = {}
     for name, shape, off in entries:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
+        if min(shape) < 0 or off < 0 or off + 4 * count > len(payload):
+            raise CheckpointError(
+                f"{path}: entry {name} {shape} at byte {off} does not fit the "
+                f"{len(payload)}-byte payload (truncated file?)")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
         out[name] = arr.reshape(shape).copy()
     return out, meta

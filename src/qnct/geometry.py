@@ -1,12 +1,12 @@
 """Scan geometry, matched projector pair, FBP, view subsampling, and noise.
 
 The forward projector is ray-driven with Joseph-style bilinear sampling at a
-fixed step of half a pixel; the adjoint replays the identical interpolation
-weights as a scatter, so the pair is a matched transpose by construction.
-FBP uses the spatial-domain ramp kernel realized over a zero-padded FFT
-(even kernel, hence a symmetric filter matrix) and a pixel-driven
-backprojection with its own matched transpose, which makes the whole FBP
-map usable as a differentiable linear op.
+fixed step of half a pixel. It is assembled once per (scan, image size) as a
+sparse matrix A, and the adjoint applies A.T, so the pair is a matched
+transpose by construction. FBP uses the spatial-domain ramp kernel realized
+over a zero-padded FFT (even kernel, hence a symmetric filter matrix) and a
+pixel-driven backprojection B, cached the same way, so the whole FBP map
+dθ·B·ramp(cosw·y) is usable as a differentiable linear op.
 
 Units: image values are attenuation per mm times mm of path, i.e. line
 integrals are in mm when the image holds unit density.
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GeometryError
 from .init import substream
@@ -173,54 +174,80 @@ def paper_geometry(view_subset=None) -> Geometry:
 
 
 # ---------------------------------------------------------------------------
-# sampling tables shared by the projector pair
+# scan matrices
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
+    """CSR matrix with one row per (view, detector) and one column per pixel.
+
+    ``tables(geometry, h, w)`` yields, view by view, (detector, pixel,
+    weight) arrays; repeated (detector, pixel) pairs are summed and zero
+    weights dropped. The matrix is built once over the full view set; a
+    view subset is its row slice, so both share every entry bit for bit.
+    """
+    n_det = geometry.n_det
+    if geometry.n_views < geometry.n_views_full:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # already warned for `geometry`
+            full = replace(geometry, view_subset=None)
+        views = np.asarray(geometry.view_subset)
+        rows = (views[:, None] * n_det + np.arange(n_det)).reshape(-1)
+        return _scan_matrix(tables, full, h, w)[rows]
+    blocks = []
+    for det, pix, wts in tables(geometry, h, w):
+        keep = wts != 0.0
+        # int32 indices; vstack widens them if the whole matrix needs it
+        coords = (det[keep].astype(np.int32), pix[keep].astype(np.int32))
+        blocks.append(sparse.csr_array((wts[keep], coords),
+                                       shape=(n_det, h * w)))
+    return sparse.vstack(blocks, format="csr")
+
 
 def _bilinear_table(fi, fj, h, w):
     """Corner indices and weights for bilinear sampling, zero outside.
 
-    Weights are float64 (shared verbatim by both projector directions, so
-    the pair stays an exact transpose) and indices flat int64.
+    Both are stacked over the four corners: shape (4,) + fi.shape.
     """
-    i0 = np.floor(fi).astype(np.int64)
-    j0 = np.floor(fj).astype(np.int64)
-    di = fi - i0
-    dj = fj - j0
-    idx = []
-    wts = []
-    for oi, ci in ((0, 1.0 - di), (1, di)):
-        for oj, cj in ((0, 1.0 - dj), (1, dj)):
-            ii = i0 + oi
-            jj = j0 + oj
-            valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-            lin = np.where(valid, ii * w + jj, 0)
-            idx.append(lin.reshape(-1))
-            wts.append(np.where(valid, ci * cj, 0.0).reshape(-1))
-    return np.concatenate(idx), np.concatenate(wts)
+    i0, j0 = np.floor(fi), np.floor(fj)
+    di, dj = fi - i0, fj - j0
+    ii = i0.astype(np.int64) + np.array([0, 0, 1, 1])[:, None, None]
+    jj = j0.astype(np.int64) + np.array([0, 1, 0, 1])[:, None, None]
+    valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    wts = np.stack([1.0 - di, 1.0 - di, di, di]) \
+        * np.stack([1.0 - dj, dj, 1.0 - dj, dj])
+    return np.where(valid, ii * w + jj, 0), np.where(valid, wts, 0.0)
 
 
-@functools.lru_cache(maxsize=8)
 def _ray_tables(geometry: Geometry, h: int, w: int):
-    """Per-view Joseph sampling tables: list of (flat indices, weights)."""
+    """Joseph sampling tables, one view at a time: (detector, pixel, weight).
+
+    Every ray is sampled at a fixed step of half a pixel; each sample adds
+    its four bilinear corners, weighted by the step, so a ray's line
+    integral is the weighted sum of its entries.
+    """
     px = geometry.pixel_mm(w)
     step = px / 2.0
     half_diag = 0.5 * px * float(np.hypot(h, w))
     angles = geometry.view_angles()
+    det = np.arange(geometry.n_det)[:, None]
     t_det = (np.arange(geometry.n_det) - (geometry.n_det - 1) / 2.0) \
         * geometry.det_spacing_mm
-    tables = []
+
+    def table(pxs, pys):
+        fj = pxs / px + (w - 1) / 2.0
+        fi = (h - 1) / 2.0 - pys / px
+        idx, wts = _bilinear_table(fi, fj, h, w)
+        return np.broadcast_to(det, idx.shape), idx, wts * step
+
     if geometry.beam == PARALLEL:
         n_s = int(np.ceil(2.0 * (half_diag + px) / step)) + 1
         s = -(half_diag + px) + step * np.arange(n_s)
         for theta in angles:
             tx, ty = np.cos(theta), np.sin(theta)
             dx, dy = -np.sin(theta), np.cos(theta)
-            pxs = t_det[:, None] * tx + s[None, :] * dx
-            pys = t_det[:, None] * ty + s[None, :] * dy
-            fj = pxs / px + (w - 1) / 2.0
-            fi = (h - 1) / 2.0 - pys / px
-            tables.append(_bilinear_table(fi, fj, h, w))
-        return tables, np.float64(step), n_s
+            yield table(t_det[:, None] * tx + s[None, :] * dx,
+                        t_det[:, None] * ty + s[None, :] * dy)
     else:
         sad = geometry.sad_mm
         vspacing = geometry.det_spacing_mm * sad / (sad + geometry.add_mm)
@@ -234,65 +261,27 @@ def _ray_tables(geometry: Geometry, h: int, w: int):
             ey = u_det * tyv - sy
             norm = np.hypot(ex, ey)
             dx, dy = ex / norm, ey / norm
-            pxs = sx + dx[:, None] * s[None, :]
-            pys = sy + dy[:, None] * s[None, :]
-            fj = pxs / px + (w - 1) / 2.0
-            fi = (h - 1) / 2.0 - pys / px
-            tables.append(_bilinear_table(fi, fj, h, w))
-    return tables, np.float64(step), n_s
-
-
-# Above this view count the fused (single gather / scatter) tables would
-# hold too much memory; fall back to the per-view loop.
-_FUSED_VIEW_LIMIT = 64
-
-
-@functools.lru_cache(maxsize=8)
-def _ray_tables_fused(geometry: Geometry, h: int, w: int):
-    tables, step, n_s = _ray_tables(geometry, h, w)
-    idx = np.concatenate([t[0] for t in tables])
-    wts = np.concatenate([t[1] for t in tables])
-    return idx, wts, step, n_s
+            yield table(sx + dx[:, None] * s[None, :],
+                        sy + dy[:, None] * s[None, :])
 
 
 def forward_project(image: Image, geometry: Geometry) -> Sinogram:
     """Discretized line integrals of the image along every geometry ray."""
     _check_image(image, geometry, "forward_project")
-    flat = image.values.reshape(-1).astype(np.float64)
-    n_v, n_d = geometry.n_views, geometry.n_det
-    if n_v <= _FUSED_VIEW_LIMIT:
-        idx, wts, step, n_s = _ray_tables_fused(geometry, image.h, image.w)
-        acc = (wts * flat[idx]).reshape(n_v, 4, n_d, n_s)
-        rows = acc.sum(axis=(1, 3)) * step
-    else:
-        tables, step, n_s = _ray_tables(geometry, image.h, image.w)
-        rows = np.empty((n_v, n_d), dtype=np.float64)
-        for v, (idx, wts) in enumerate(tables):
-            acc = (wts * flat[idx]).reshape(4, n_d, n_s)
-            rows[v] = acc.sum(axis=(0, 2)) * step
-    return Sinogram(rows.astype(image.values.dtype))
+    A = _scan_matrix(_ray_tables, geometry, image.h, image.w)
+    rows = A @ image.values.reshape(-1).astype(np.float64)
+    return Sinogram(rows.reshape(geometry.n_views, geometry.n_det)
+                    .astype(image.values.dtype))
 
 
 def back_project(sino: Sinogram, geometry: Geometry, h: int | None = None,
                  w: int | None = None) -> Image:
-    """Exact transpose of forward_project (same weights, scattered)."""
+    """Exact transpose of forward_project: the same matrix, transposed."""
     _check_sino(sino, geometry, "back_project")
     if h is None or w is None:
         h = w = _default_image_size(geometry)
-    n_v, n_d = geometry.n_views, geometry.n_det
-    if n_v <= _FUSED_VIEW_LIMIT:
-        idx, wts, step, n_s = _ray_tables_fused(geometry, h, w)
-        rows = sino.values.astype(np.float64) * step
-        per_entry = np.broadcast_to(rows[:, None, :, None],
-                                    (n_v, 4, n_d, n_s)).reshape(-1)
-        acc = np.bincount(idx, weights=wts * per_entry, minlength=h * w)
-    else:
-        tables, step, n_s = _ray_tables(geometry, h, w)
-        acc = np.zeros(h * w, dtype=np.float64)
-        rows = sino.values.astype(np.float64) * step
-        for v, (idx, wts) in enumerate(tables):
-            per_entry = np.tile(np.repeat(rows[v], n_s), 4)
-            acc += np.bincount(idx, weights=wts * per_entry, minlength=h * w)
+    A = _scan_matrix(_ray_tables, geometry, h, w)
+    acc = A.T @ sino.values.reshape(-1).astype(np.float64)
     return Image(acc.reshape(h, w).astype(sino.values.dtype),
                  geometry.pixel_mm(w))
 
@@ -341,24 +330,20 @@ def _filter_rows(rows: np.ndarray, spacing: float, window: str) -> np.ndarray:
     return filtered * spacing
 
 
-@functools.lru_cache(maxsize=8)
 def _pixel_tables(geometry: Geometry, h: int, w: int):
-    """Per-view pixel-driven interpolation tables for FBP backprojection.
-
-    Returns per view (d0, frac, valid, pixel_weight) where the detector
-    sample is linear interpolation between bins d0 and d0+1.
-    """
+    """Pixel-driven FBP interpolation, one view at a time, as the transposed
+    backprojection: (detector, pixel, weight), each pixel reading linear
+    interpolation between bins d0 and d0+1, times its distance weight."""
     px = geometry.pixel_mm(w)
     xs = (np.arange(w) - (w - 1) / 2.0) * px
     ys = ((h - 1) / 2.0 - np.arange(h)) * px
     X, Y = np.meshgrid(xs, ys)
     angles = geometry.view_angles()
-    tables = []
     if geometry.beam == PARALLEL:
         for theta in angles:
             t = X * np.cos(theta) + Y * np.sin(theta)
             fd = t / geometry.det_spacing_mm + (geometry.n_det - 1) / 2.0
-            tables.append(_detector_interp(fd, geometry.n_det, 1.0))
+            yield _detector_interp(fd, geometry.n_det, 1.0)
     else:
         sad = geometry.sad_mm
         vspacing = geometry.det_spacing_mm * sad / (sad + geometry.add_mm)
@@ -368,16 +353,17 @@ def _pixel_tables(geometry: Geometry, h: int, w: int):
             u = sad * tau / dp
             fd = u / vspacing + (geometry.n_det - 1) / 2.0
             weight = sad * sad / (dp * dp)
-            tables.append(_detector_interp(fd, geometry.n_det, weight))
-    return tables
+            yield _detector_interp(fd, geometry.n_det, weight)
 
 
 def _detector_interp(fd, n_det, weight):
     d0 = np.floor(fd).astype(np.int64)
     frac = fd - d0
-    valid = (d0 >= 0) & (d0 < n_det - 1)
-    d0 = np.clip(d0, 0, n_det - 2)
-    return d0, frac, valid.astype(np.float64) * weight
+    # bins off the detector get zero weight, so the builder drops them
+    wmask = ((d0 >= 0) & (d0 < n_det - 1)) * weight
+    pix = np.arange(fd.size).reshape(fd.shape)
+    return (np.stack([d0, d0 + 1]), np.stack([pix, pix]),
+            np.stack([(1.0 - frac) * wmask, frac * wmask]))
 
 
 def _fbp_weights(geometry: Geometry):
@@ -404,15 +390,12 @@ def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK,
     if h is None or w is None:
         h = w = _default_image_size(geometry)
     cosw, spacing, dtheta = _fbp_weights(geometry)
-    rows = sino.values.astype(np.float64) * cosw[None, :]
-    q = _filter_rows(rows, spacing, filter)
-    tables = _pixel_tables(geometry, h, w)
-    out = np.zeros((h, w), dtype=np.float64)
-    for v, (d0, frac, wmask) in enumerate(tables):
-        row = q[v]
-        vals = row[d0] * (1.0 - frac) + row[d0 + 1] * frac
-        out += vals * wmask
-    return Image((out * dtheta).astype(sino.values.dtype), geometry.pixel_mm(w))
+    q = _filter_rows(sino.values.astype(np.float64) * cosw[None, :],
+                     spacing, filter)
+    Bt = _scan_matrix(_pixel_tables, geometry, h, w)
+    out = (Bt.T @ q.reshape(-1)) * dtheta
+    return Image(out.reshape(h, w).astype(sino.values.dtype),
+                 geometry.pixel_mm(w))
 
 
 def fbp_transpose(image: Image, geometry: Geometry,
@@ -421,18 +404,10 @@ def fbp_transpose(image: Image, geometry: Geometry,
     _check_image(image, geometry, "fbp_transpose")
     h, w = image.values.shape
     cosw, spacing, dtheta = _fbp_weights(geometry)
-    tables = _pixel_tables(geometry, h, w)
-    x = image.values.astype(np.float64) * dtheta
-    q = np.empty((geometry.n_views, geometry.n_det), dtype=np.float64)
-    for v, (d0, frac, wmask) in enumerate(tables):
-        contrib = (x * wmask).reshape(-1)
-        flat0 = d0.reshape(-1)
-        fr = frac.reshape(-1)
-        q[v] = np.bincount(flat0, weights=contrib * (1.0 - fr),
-                           minlength=geometry.n_det) \
-            + np.bincount(flat0 + 1, weights=contrib * fr,
-                          minlength=geometry.n_det)
-    rows = _filter_rows(q, spacing, filter)  # symmetric filter
+    Bt = _scan_matrix(_pixel_tables, geometry, h, w)
+    q = Bt @ (image.values.reshape(-1).astype(np.float64) * dtheta)
+    rows = _filter_rows(q.reshape(geometry.n_views, geometry.n_det),
+                        spacing, filter)  # symmetric filter
     rows *= cosw[None, :]
     return Sinogram(rows.astype(image.values.dtype))
 

@@ -117,10 +117,12 @@ def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
                 f"the {kernel_size} kernel"
             )
         luminance, cs = _ssim_terms(x, ref, data_range, kernel)
+        # an anti-correlated pair has a negative mean cs, which has no
+        # fractional power; clamp at 0 as reference MS-SSIM code does
         if level == levels - 1:
-            score *= float(np.mean(luminance * cs)) ** weights[level]
+            score *= max(float(np.mean(luminance * cs)), 0.0) ** weights[level]
         else:
-            score *= float(np.mean(cs)) ** weights[level]
+            score *= max(float(np.mean(cs)), 0.0) ** weights[level]
             x = _mean_pool2(x)
             ref = _mean_pool2(ref)
     return float(score)

@@ -86,11 +86,17 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise QnctError(f"{path}: malformed PGM header")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if not 0 < maxval < 65536:
+        raise QnctError(f"{path}: PGM maxval {maxval} outside 1..65535")
     dtype = ">u2" if maxval > 255 else "u1"
     count = width * height
+    if len(blob) - pos < count * np.dtype(dtype).itemsize:
+        raise QnctError(f"{path}: truncated PGM payload")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     return (data.reshape(height, width).astype(np.float32) / maxval)
 

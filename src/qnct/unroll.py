@@ -23,8 +23,8 @@ from . import geometry as geo
 from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
-from .errors import ShapeError
-from .solvers import bfgs_update, symmetry_index
+from .errors import MemoryGuardError, ShapeError
+from .solvers import DENSE_HESSIAN_LIMIT, bfgs_update, symmetry_index
 
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
@@ -275,6 +275,11 @@ class LatentBfgsState:
     @classmethod
     def initial(cls, r: Tensor):
         dim = r.size
+        if dim > DENSE_HESSIAN_LIMIT:
+            raise MemoryGuardError(
+                f"dense latent inverse Hessian for a {dim}-dim latent exceeds "
+                f"the {DENSE_HESSIAN_LIMIT} limit; use a deeper codec (larger k)"
+            )
         return cls(np.eye(dim, dtype=np.float64), r)
 
     def updated(self, s64: np.ndarray, z64: np.ndarray,

@@ -268,3 +268,16 @@ def test_checkpoint_bad_file(tmp_path):
     path.write_bytes(b"garbage")
     with pytest.raises(CheckpointError):
         ad.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_or_malformed(tmp_path):
+    path = tmp_path / "weights.ckpt"
+    ad.save_checkpoint({"w": Tensor(np.ones((4, 3), dtype=np.float32))}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1])  # intact header, payload one byte short
+    with pytest.raises(CheckpointError, match="truncated"):
+        ad.load_checkpoint(path)
+    for line in (b"w 4,3\n", b"w 4,x 0\n", b"w -4,3 0\n"):
+        path.write_bytes(blob.replace(b"w 4,3 0\n", line))
+        with pytest.raises(CheckpointError):
+            ad.load_checkpoint(path)

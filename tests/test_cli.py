@@ -175,6 +175,23 @@ def test_reconstruct_qn_mixer_cold_start_matches_fbp(workspace):
         tio.read_tomo(rec_fbp)[0].tobytes()
 
 
+def test_truncated_checkpoint_is_one_error_line(workspace, capsys):
+    ph = workspace / "ph.tomo"
+    sino = workspace / "s.tomo"
+    run(["phantom", "--out", ph])
+    run(["project", "--image", ph, "--views", "16", "--out", sino])
+    weights = workspace / "cold.ckpt"
+    make_cold_checkpoint(weights)
+    weights.write_bytes(weights.read_bytes()[:-16])
+    capsys.readouterr()
+    code = run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
+                "--views", "16", "--weights", weights,
+                "--out", workspace / "r.tomo"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error CheckpointError:") and err.count("\n") == 1
+
+
 def test_train_writes_checkpoints_and_loss_curve(workspace):
     out_dir = workspace / "run"
     assert run(["train", "--out-dir", out_dir, "--phantoms", "2",

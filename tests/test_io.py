@@ -51,6 +51,21 @@ class TestPgm:
         back = tio.read_pgm(path)
         np.testing.assert_allclose(back, values / values.max(), atol=tol)
 
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_truncated_payload(self, tmp_path, bits):
+        path = tmp_path / "x.pgm"
+        tio.write_pgm(path, np.ones((12, 9), dtype=np.float32), bits=bits)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(QnctError, match="truncated"):
+            tio.read_pgm(path)
+
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        for blob in (b"P5\n12 9\n", b"P5\n12 x9\n255\n", b"P5\n2 2\n0\n\0\0\0\0"):
+            path.write_bytes(blob)
+            with pytest.raises(QnctError):
+                tio.read_pgm(path)
+
     def test_16bit_is_big_endian_per_format(self, tmp_path):
         values = np.array([[0.0, 1.0]], dtype=np.float32)
         path = tmp_path / "x.pgm"

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestMsSsim:
         ref = np.clip(x + rng.normal(0, 0.1, size=(64, 64)), 0, 1)
         score = mt.ms_ssim(x, ref, levels=3)
         assert 0.0 < score < 1.0
+
+    def test_anti_correlated_pair_is_finite(self):
+        # the mean contrast-structure term is negative here; a fractional
+        # power of it would be NaN
+        x = np.random.default_rng(8).uniform(size=(256, 256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = mt.ms_ssim(1.0 - x, x)
+        assert np.isfinite(score) and 0.0 <= score <= 1.0
 
     def test_degrades_with_noise(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ from qnct import geometry as geo
 from qnct import mixer as mx
 from qnct import unroll as ur
 from qnct.autodiff import Tensor
-from qnct.errors import ShapeError
+from qnct.errors import MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.unroll import (
     CodecConfig,
@@ -286,3 +286,12 @@ def test_gradients_reach_weights_but_not_h():
     # H is plain numpy state outside the tape
     assert isinstance(states[-1].H, np.ndarray)
     assert not isinstance(states[-1].H, Tensor)
+
+
+def test_latent_hessian_memory_guard():
+    # the desk latent (16x16) is far below the dense limit
+    state = LatentBfgsState.initial(Tensor(np.zeros((1, 1, 16, 16))))
+    assert state.H.shape == (256, 256)
+    # one row past the classical solver's 128x128 limit is refused
+    with pytest.raises(MemoryGuardError, match="latent"):
+        LatentBfgsState.initial(Tensor(np.zeros((1, 1, 129, 128))))

@@ -103,9 +103,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def is_leaf(self):
-        return self.node is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has shape {self.shape}, expected a scalar")
@@ -113,9 +110,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -145,9 +139,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return scale_const(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __neg__(self):
         return scale_const(self, -1.0)

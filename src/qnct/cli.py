@@ -23,7 +23,7 @@ from . import solvers
 from . import tomo_io as tio
 from . import train as tr
 from . import unroll as ur
-from .errors import QnctError
+from .errors import QnctError, ShapeError
 from .init import substream
 
 
@@ -127,6 +127,13 @@ def _load_sino(path) -> np.ndarray:
     return values
 
 
+def _tomo_files(directory) -> list:
+    files = sorted(Path(directory).glob("*.tomo"))
+    if not files:
+        raise QnctError(f"no .tomo images under {directory}")
+    return files
+
+
 def _geometry(cfg) -> geo.Geometry:
     return cfgmod.geometry_from_config(cfg)
 
@@ -197,15 +204,6 @@ def _check_views(g: geo.Geometry, y: np.ndarray):
         )
 
 
-def _estimate_step(spec, size, seed=0):
-    v = substream(seed, "init").normal(size=(size, size))
-    for _ in range(8):
-        v = spec.op.adjoint(spec.op.forward(v))
-        v /= np.linalg.norm(v)
-    lip = float(np.vdot(v, spec.op.adjoint(spec.op.forward(v))))
-    return 1.0 / (spec.lam * lip + spec.regularizer.mu + 1e-12)
-
-
 def cmd_reconstruct(args):
     cfg = _resolve(args, [_GEOMETRY_FLAGS])
     g = _geometry(cfg)
@@ -241,7 +239,7 @@ def cmd_reconstruct(args):
         x0 = geo.fbp(geo.Sinogram(y), g, cfg["unroll.fbp_filter"],
                      size, size).values.astype(np.float64)
         if args.method == "gd":
-            step = args.step if args.step else _estimate_step(spec, size)
+            step = args.step or solvers.estimate_step(spec, size)
             x, trace = solvers.gradient_descent(spec, x0, step, args.iters)
         else:
             x, trace, _ = solvers.qn_reconstruct(
@@ -270,10 +268,7 @@ def cmd_train(args):
     seed = cfg["seed"]
 
     if args.data_dir:
-        files = sorted(Path(args.data_dir).glob("*.tomo"))
-        if not files:
-            raise QnctError(f"no .tomo images under {args.data_dir}")
-        truths = [_load_image(f, cfg) for f in files]
+        truths = [_load_image(f, cfg) for f in _tomo_files(args.data_dir)]
     else:
         rng = substream(seed, "data")
         truths = [phantoms.random_ellipses(size, rng)
@@ -354,16 +349,22 @@ def cmd_eval(args):
 
 def cmd_nps(args):
     cfg = _resolve(args, [{"size": "image.size"}])
-    files = sorted(Path(args.dir).glob("*.tomo"))
-    if not files:
-        raise QnctError(f"no .tomo images under {args.dir}")
+    files = _tomo_files(args.dir)
     images = [_load_image(f, cfg) for f in files]
     if args.ref_dir:
         refs = {p.name: p for p in Path(args.ref_dir).glob("*.tomo")}
-        images = [img - _load_image(refs[f.name], cfg)
-                  for f, img in zip(files, images) if f.name in refs]
-        if not images:
+        diffs = []
+        for f, img in zip(files, images):
+            if f.name not in refs:
+                continue
+            ref = _load_image(refs[f.name], cfg)
+            if ref.shape != img.shape:
+                raise ShapeError(f"reference {refs[f.name]} is {ref.shape}, "
+                                 f"image {f} is {img.shape}")
+            diffs.append(img - ref)
+        if not diffs:
             raise QnctError("no matching reference images")
+        images = diffs
     size = images[0].shape[0]
     rois, roi_size = mt.paper_roi_layout(size)
     freq, curve, nps2d = mt.nps_radial(images, rois, roi_size)
@@ -379,8 +380,9 @@ def cmd_nps(args):
 
 
 def cmd_ood(args):
-    mapping = dict(_GEOMETRY_FLAGS)
-    cfg = _resolve(args, [mapping])
+    if args.method == "qn-mixer" and not args.weights:
+        raise QnctError("qn-mixer ood requires --weights")
+    cfg = _resolve(args, [_GEOMETRY_FLAGS])
     g = _geometry(cfg)
     size = cfg["image.size"]
     seed = cfg["seed"]
@@ -388,8 +390,7 @@ def cmd_ood(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.data_dir:
-        files = sorted(Path(args.data_dir).glob("*.tomo"))
-        truths = [_load_image(f, cfg) for f in files]
+        truths = [_load_image(f, cfg) for f in _tomo_files(args.data_dir)]
     else:
         rng = substream(seed, "data")
         truths = [phantoms.random_ellipses(size, rng)
@@ -416,7 +417,7 @@ def cmd_ood(args):
             x0 = geo.fbp(y, g, h=size, w=size).values.astype(np.float64)
             if args.method == "gd":
                 x, _ = solvers.gradient_descent(
-                    spec, x0, _estimate_step(spec, size), args.iters)
+                    spec, x0, solvers.estimate_step(spec, size), args.iters)
             else:
                 x, _, _ = solvers.qn_reconstruct(spec, x0, args.iters)
             recon = x.astype(np.float32)

@@ -115,19 +115,9 @@ def parse_config(text: str, base: dict | None = None) -> dict:
     return cfg
 
 
-def load_config(path, base: dict | None = None) -> dict:
-    with open(path) as fh:
-        return parse_config(fh.read(), base)
-
-
 def format_config(cfg: dict) -> str:
     lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
     return "\n".join(lines) + "\n"
-
-
-def write_config(cfg: dict, path):
-    with open(path, "w") as fh:
-        fh.write(format_config(cfg))
 
 
 def geometry_from_config(cfg: dict) -> geo.Geometry:

@@ -6,7 +6,8 @@ sparse matrix A, and the adjoint applies A.T, so the pair is a matched
 transpose by construction. FBP uses the spatial-domain ramp kernel realized
 over a zero-padded FFT (even kernel, hence a symmetric filter matrix) and a
 pixel-driven backprojection B, cached the same way, so the whole FBP map
-dθ·B·ramp(cosw·y) is usable as a differentiable linear op.
+dθ·B·ramp(cosw·y) is usable as a differentiable linear op. ScanOperator
+bundles the four maps for one image size on plain arrays.
 
 Units: image values are attenuation per mm times mm of path, i.e. line
 integrals are in mm when the image holds unit density.
@@ -410,6 +411,40 @@ def fbp_transpose(image: Image, geometry: Geometry,
                         spacing, filter)  # symmetric filter
     rows *= cosw[None, :]
     return Sinogram(rows.astype(image.values.dtype))
+
+
+# ---------------------------------------------------------------------------
+# scan operator object
+# ---------------------------------------------------------------------------
+
+class ScanOperator:
+    """The scan's linear maps for one (geometry, h, w) on plain arrays.
+
+    forward/adjoint are A and Aᵀ; fbp/fbp_transpose are FBP and its exact
+    transpose. Each method calls the module function of the same name, so
+    validation and the cached matrices are shared with direct callers.
+    """
+
+    def __init__(self, geometry: Geometry, h: int, w: int,
+                 filter: str = FILTER_RAM_LAK):
+        self.geometry = geometry
+        self.h, self.w = h, w
+        self.filter = filter
+        self.pixel_mm = geometry.pixel_mm(w)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return forward_project(Image(x, self.pixel_mm), self.geometry).values
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return back_project(Sinogram(y), self.geometry, self.h, self.w).values
+
+    def fbp(self, y: np.ndarray) -> np.ndarray:
+        return fbp(Sinogram(y), self.geometry, self.filter,
+                   self.h, self.w).values
+
+    def fbp_transpose(self, x: np.ndarray) -> np.ndarray:
+        return fbp_transpose(Image(x, self.pixel_mm), self.geometry,
+                             self.filter).values
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,6 @@ class EvalReport:
     def mean_ssim(self) -> float:
         return float(np.mean([r["ssim"] for r in self.rows]))
 
-    @property
-    def std_ssim(self) -> float:
-        return float(np.std([r["ssim"] for r in self.rows]))
-
 
 def evaluate_pair(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
                   msssim_levels: int | None = None) -> dict:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DivergenceError, MemoryGuardError, ShapeError
+from .init import substream
 
 log = logging.getLogger("qnct.solvers")
 
@@ -84,32 +85,6 @@ def _forward_diff_adjoint(u, v):
     return out
 
 
-class TomoOperator:
-    """forward/adjoint pair of the scan geometry for a fixed image size."""
-
-    def __init__(self, geometry: geo.Geometry, h: int, w: int):
-        self.geometry = geometry
-        self.h, self.w = h, w
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        img = geo.Image(x, self.geometry.pixel_mm(self.w))
-        return geo.forward_project(img, self.geometry).values
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        sino = geo.Sinogram(y)
-        return geo.back_project(sino, self.geometry, self.h, self.w).values
-
-
-class IdentityOperator:
-    """Stub operator for tests: A = I on a fixed shape."""
-
-    def forward(self, x):
-        return x
-
-    def adjoint(self, y):
-        return y
-
-
 @dataclass
 class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator."""
@@ -128,7 +103,7 @@ class ObjectiveSpec:
     def for_geometry(cls, geometry: geo.Geometry, sino: geo.Sinogram,
                      h: int, w: int, lam: float = 1.0,
                      regularizer: Regularizer | None = None):
-        return cls(TomoOperator(geometry, h, w), sino.values, lam,
+        return cls(geo.ScanOperator(geometry, h, w), sino.values, lam,
                    regularizer or Regularizer())
 
     def value(self, x: np.ndarray) -> float:
@@ -198,6 +173,16 @@ def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
                 f"J={j:.3e} > 10 * J0={j0:.3e}", trace=trace,
             )
     return x.astype(np.asarray(x0).dtype), trace
+
+
+def estimate_step(spec, size: int, seed: int = 0) -> float:
+    """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus mu."""
+    v = substream(seed, "init").normal(size=(size, size))
+    for _ in range(8):
+        v = spec.op.adjoint(spec.op.forward(v))
+        v /= np.linalg.norm(v)
+    lip = float(np.vdot(v, spec.op.adjoint(spec.op.forward(v))))
+    return 1.0 / (spec.lam * lip + spec.regularizer.mu + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ lambda to zero would erase the data term.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,6 @@ from . import init as pinit
 from .autodiff import Tensor
 from .errors import QnctError, ShapeError
 from .unroll import QnMixerModel, unrolled_forward
-
-log = logging.getLogger("qnct.train")
 
 
 @dataclass
@@ -38,7 +35,6 @@ class TrainConfig:
     max_steps: int | None = None
     checkpoint_dir: str | None = None
     shuffle: bool = True
-    log_every: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -47,16 +43,6 @@ class TrainConfig:
             raise ShapeError("lr decay factor must be in [0, 1]")
         if self.batch_size != 1:
             raise ShapeError("only batch size 1 is supported")
-
-
-def paper_train_config() -> TrainConfig:
-    """Full-scale defaults: 50 epochs, lr 1e-4, decay 0.1 after epoch 40."""
-    return TrainConfig()
-
-
-def desk_train_config(seed: int = 0, max_steps: int = 1000) -> TrainConfig:
-    return TrainConfig(epochs=10_000, lr=1e-3, lr_decay_after_epoch=10_000,
-                       seed=seed, max_steps=max_steps)
 
 
 class TrainingAborted(QnctError):
@@ -127,7 +113,6 @@ def default_optimizer(model: QnMixerModel, config: TrainConfig) -> AdamW:
 class TrainItem:
     truth: np.ndarray
     sino: np.ndarray
-    x0: np.ndarray | None = None
 
 
 def synthesize_dataset(truths, full_geometry: geo.Geometry, n_views: int,
@@ -175,9 +160,6 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     last_ckpt = None
-    for item in items:
-        if item.x0 is None:
-            item.x0 = _initial_image(item.sino, geometry, model, h, w)
     for epoch in range(config.epochs):
         lr = lr0 * (config.lr_decay_factor
                     if epoch >= config.lr_decay_after_epoch else 1.0)
@@ -187,7 +169,7 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
         for idx in order:
             item = items[int(idx)]
             optimizer.zero_grad()
-            x = unrolled_forward(item.sino, geometry, model, h, w, x0=item.x0)
+            x = unrolled_forward(item.sino, geometry, model, h, w)
             loss = mse_loss(x, item.truth)
             value = loss.item()
             if not np.isfinite(value):
@@ -199,8 +181,6 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
             optimizer.step()
             curve.append({"step": step, "epoch": epoch, "loss": value,
                           "lr": lr})
-            if config.log_every and step % config.log_every == 0:
-                log.info("step %d epoch %d loss %.5f", step, epoch, value)
             step += 1
             if config.max_steps is not None and step >= config.max_steps:
                 if ckpt_dir:
@@ -209,14 +189,6 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
         if ckpt_dir:
             last_ckpt = _save(ckpt_dir, model, epoch, step)
     return model, curve
-
-
-def _initial_image(sino, geometry, model, h, w):
-    from .unroll import _Physics
-
-    cfg = model.unroll_config
-    physics = _Physics(geometry, h, w, cfg.pseudo_inverse, cfg.fbp_filter)
-    return physics.x0(np.asarray(sino, dtype=np.float32))
 
 
 def _save(ckpt_dir: Path, model: QnMixerModel, epoch: int, step: int):

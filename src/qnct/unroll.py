@@ -182,71 +182,39 @@ class QnMixerModel:
     def lam(self, t: int) -> Tensor:
         return self.params[f"lambda.{t}"]
 
-    def lambdas(self) -> np.ndarray:
-        T = self.unroll_config.T
-        return np.array([float(self.params[f"lambda.{t}"].data[0])
-                         for t in range(T)])
-
 
 # ---------------------------------------------------------------------------
 # learned gradient and the latent-BFGS iteration
 # ---------------------------------------------------------------------------
 
 class _Physics:
-    """Differentiable wrappers of the scan operators for one geometry."""
+    """Differentiable scan operators for one geometry and image size.
+
+    The pseudo-inverse (FBP, or Aᵀ when ``pseudo_inverse`` is "adjoint")
+    is chosen once here; x0 is its forward map applied to the data.
+    """
 
     def __init__(self, geometry: geo.Geometry, h: int, w: int,
                  pseudo_inverse: str, fbp_filter: str):
-        self.geometry = geometry
+        self.op = geo.ScanOperator(geometry, h, w, fbp_filter)
         self.h, self.w = h, w
-        self.pseudo_inverse = pseudo_inverse
-        self.fbp_filter = fbp_filter
-        self.pixel = geometry.pixel_mm(w)
+        if pseudo_inverse == "adjoint":
+            self._pinv = (self.op.adjoint, self.op.forward, "back_project")
+        else:
+            self._pinv = (self.op.fbp, self.op.fbp_transpose, "fbp")
 
     def project(self, x: Tensor) -> Tensor:
-        def fwd(v):
-            img = geo.Image(v[0, 0], self.pixel)
-            return geo.forward_project(img, self.geometry).values
-
-        def adj(g):
-            img = geo.back_project(geo.Sinogram(g), self.geometry,
-                                   self.h, self.w)
-            return img.values[None, None]
-
-        return ad.linear_operator(x, fwd, adj, name="forward_project")
+        return ad.linear_operator(
+            x, lambda v: self.op.forward(v[0, 0]),
+            lambda g: self.op.adjoint(g)[None, None], name="forward_project")
 
     def pinv(self, r: Tensor) -> Tensor:
-        if self.pseudo_inverse == "adjoint":
-            def fwd(v):
-                img = geo.back_project(geo.Sinogram(v), self.geometry,
-                                       self.h, self.w)
-                return img.values[None, None]
-
-            def adj(g):
-                img = geo.Image(g[0, 0], self.pixel)
-                return geo.forward_project(img, self.geometry).values
-
-            return ad.linear_operator(r, fwd, adj, name="back_project")
-
-        def fwd(v):
-            img = geo.fbp(geo.Sinogram(v), self.geometry, self.fbp_filter,
-                          self.h, self.w)
-            return img.values[None, None]
-
-        def adj(g):
-            img = geo.Image(g[0, 0], self.pixel)
-            return geo.fbp_transpose(img, self.geometry, self.fbp_filter).values
-
-        return ad.linear_operator(r, fwd, adj, name="fbp")
+        fwd, adj, name = self._pinv
+        return ad.linear_operator(r, lambda v: fwd(v)[None, None],
+                                  lambda g: adj(g[0, 0]), name=name)
 
     def x0(self, y: np.ndarray) -> np.ndarray:
-        if self.pseudo_inverse == "adjoint":
-            img = geo.back_project(geo.Sinogram(y), self.geometry,
-                                   self.h, self.w)
-        else:
-            img = geo.fbp(geo.Sinogram(y), self.geometry, self.fbp_filter,
-                          self.h, self.w)
-        return img.values
+        return self._pinv[0](y)
 
 
 def learned_gradient(x: Tensor, y: Tensor, physics: _Physics, model:
@@ -333,9 +301,8 @@ def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
 
 
 def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
-                     model: QnMixerModel, h: int, w: int,
-                     x0: np.ndarray | None = None, collect=None):
-    """Run the unrolled loop on the tape; returns the final image tensor.
+                     model: QnMixerModel, h: int, w: int, collect=None):
+    """Run the unrolled loop from x0 = pinv(y); returns the final image tensor.
 
     collect, when given, receives (t, x_tensor, state_or_None) after every
     iteration for tracing; state is None for the first-order variant.
@@ -345,9 +312,7 @@ def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
     physics = _Physics(geometry, h, w, cfg.pseudo_inverse, cfg.fbp_filter)
     y_arr = np.asarray(y, dtype=dtype)
     y_t = Tensor(y_arr)
-    if x0 is None:
-        x0 = physics.x0(y_arr)
-    x = Tensor(np.asarray(x0, dtype=dtype).reshape(1, 1, h, w))
+    x = Tensor(np.asarray(physics.x0(y_arr), dtype=dtype).reshape(1, 1, h, w))
 
     if cfg.variant == VARIANT_FIRST_ORDER:
         for t in range(cfg.T):

@@ -263,3 +263,37 @@ def test_unknown_flag_exits_nonzero_one_line(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error usage:") and err.count("\n") == 1
+
+
+def test_ood_qn_mixer_requires_weights(workspace, capsys):
+    code = run(["ood", "--out-dir", workspace / "ood", "--method", "qn-mixer",
+                "--count", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error QnctError:") and err.count("\n") == 1
+
+
+def test_ood_empty_data_dir_is_one_error_line(workspace, capsys):
+    empty = workspace / "empty"
+    empty.mkdir()
+    code = run(["ood", "--out-dir", workspace / "ood", "--data-dir", empty])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error QnctError:") and err.count("\n") == 1
+    assert not (workspace / "ood" / "ood.csv").exists()
+
+
+def test_nps_reference_shape_mismatch_is_one_error_line(workspace, capsys):
+    noise_dir = workspace / "noise"
+    ref_dir = workspace / "ref"
+    noise_dir.mkdir()
+    ref_dir.mkdir()
+    tio.write_tomo(noise_dir / "0.tomo", np.zeros((64, 64), np.float32),
+                   tio.KIND_IMAGE)
+    tio.write_tomo(ref_dir / "0.tomo", np.zeros((32, 32), np.float32),
+                   tio.KIND_IMAGE)
+    code = run(["nps", "--dir", noise_dir, "--ref-dir", ref_dir,
+                "--out", workspace / "nps.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error ShapeError:") and err.count("\n") == 1

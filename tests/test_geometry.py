@@ -18,6 +18,22 @@ def subset(n_full, n_v):
     return [int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v)]
 
 
+def projector_pairs(g, n):
+    """(A, Aᵀ) on arrays: the module functions, then ScanOperator."""
+    op = geo.ScanOperator(g, n, n)
+    return [(lambda x: geo.forward_project(make_image(x, g), g).values,
+             lambda y: geo.back_project(geo.Sinogram(y), g, n, n).values),
+            (op.forward, op.adjoint)]
+
+
+def fbp_pairs(g, n):
+    """(FBP, FBPᵀ) on arrays: the module functions, then ScanOperator."""
+    op = geo.ScanOperator(g, n, n)
+    return [(lambda y: geo.fbp(geo.Sinogram(y), g, h=n, w=n).values,
+             lambda x: geo.fbp_transpose(make_image(x, g), g).values),
+            (op.fbp, op.fbp_transpose)]
+
+
 GEOMETRY_MATRIX = [
     geo.desk_geometry("parallel"),
     geo.desk_geometry("fan"),
@@ -71,23 +87,23 @@ def test_forward_projection_linearity():
 @pytest.mark.parametrize("g", GEOMETRY_MATRIX)
 def test_adjoint_dot_test_32bit(g):
     rng = np.random.default_rng(7)
-    x = make_image(rng.normal(size=(64, 64)).astype(np.float32), g)
-    y = geo.Sinogram(rng.normal(size=(g.n_views, g.n_det)).astype(np.float32))
-    ax = geo.forward_project(x, g).values.astype(np.float64)
-    aty = geo.back_project(y, g, 64, 64).values.astype(np.float64)
-    lhs = float(np.vdot(ax, y.values))
-    rhs = float(np.vdot(x.values, aty))
-    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-5
+    x = rng.normal(size=(64, 64)).astype(np.float32)
+    y = rng.normal(size=(g.n_views, g.n_det)).astype(np.float32)
+    for fwd, adj in projector_pairs(g, 64):
+        lhs = float(np.vdot(fwd(x).astype(np.float64), y))
+        rhs = float(np.vdot(x, adj(y).astype(np.float64)))
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-5
 
 
 def test_adjoint_dot_test_64bit():
     g = geo.desk_geometry(view_subset=subset(180, 32))
     rng = np.random.default_rng(11)
-    x = make_image(rng.normal(size=(64, 64)), g)
-    y = geo.Sinogram(rng.normal(size=(g.n_views, g.n_det)))
-    lhs = float(np.vdot(geo.forward_project(x, g).values, y.values))
-    rhs = float(np.vdot(x.values, geo.back_project(y, g, 64, 64).values))
-    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
+    x = rng.normal(size=(64, 64))
+    y = rng.normal(size=(g.n_views, g.n_det))
+    for fwd, adj in projector_pairs(g, 64):
+        lhs = float(np.vdot(fwd(x), y))
+        rhs = float(np.vdot(x, adj(y)))
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
 
 
 def joseph_forward(x, g):
@@ -196,11 +212,32 @@ def test_fbp_transpose_is_exact_adjoint():
     for beam in ("parallel", "fan"):
         g = geo.desk_geometry(beam, view_subset=subset(180, 16))
         rng = np.random.default_rng(3)
-        x = make_image(rng.normal(size=(64, 64)), g)
-        y = geo.Sinogram(rng.normal(size=(16, 96)))
-        lhs = float(np.vdot(geo.fbp(y, g, h=64, w=64).values, x.values))
-        rhs = float(np.vdot(y.values, geo.fbp_transpose(x, g).values))
-        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
+        x = rng.normal(size=(64, 64))
+        y = rng.normal(size=(16, 96))
+        for fbp, fbp_t in fbp_pairs(g, 64):
+            lhs = float(np.vdot(fbp(y), x))
+            rhs = float(np.vdot(y, fbp_t(x)))
+            assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_scan_operator_is_the_module_functions(beam):
+    g = geo.desk_geometry(beam, view_subset=subset(180, 16))
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(64, 64)).astype(np.float32)
+    y = rng.normal(size=(g.n_views, g.n_det)).astype(np.float32)
+    op = geo.ScanOperator(g, 64, 64, geo.FILTER_HANN)
+    img, sino = make_image(x, g), geo.Sinogram(y)
+    pairs = [
+        (op.forward(x), geo.forward_project(img, g).values),
+        (op.adjoint(y), geo.back_project(sino, g, 64, 64).values),
+        (op.fbp(y), geo.fbp(sino, g, geo.FILTER_HANN, 64, 64).values),
+        (op.fbp_transpose(x),
+         geo.fbp_transpose(img, g, geo.FILTER_HANN).values),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSubsampleViews:

@@ -7,7 +7,6 @@ from qnct.errors import DivergenceError, MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.solvers import (
     BfgsState,
-    IdentityOperator,
     ObjectiveSpec,
     Regularizer,
     bfgs_update,
@@ -15,6 +14,16 @@ from qnct.solvers import (
     qn_reconstruct,
     symmetry_index,
 )
+
+
+class IdentityOperator:
+    """Stub operator: A = I on a fixed shape."""
+
+    def forward(self, x):
+        return x
+
+    def adjoint(self, y):
+        return y
 
 
 def subset(n_full, n_v):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ class TestTrainLoop:
         expected = float(np.mean((x_fbp - items[0].truth) ** 2))
         assert curve[0]["loss"] == pytest.approx(expected, rel=1e-6)
 
+    def test_start_image_follows_each_models_pseudo_inverse(self):
+        # a model with another pseudo-inverse, trained on the same items
+        # after an FBP model, must still start from its own A^T y
+        items, g, model = tiny_setup()
+        cfg = tr.TrainConfig(epochs=1, lr=1e-3, lr_decay_after_epoch=10,
+                             seed=0, max_steps=1, shuffle=False)
+        tr.train_unrolled(items, g, model, cfg)
+        adjoint = ur.QnMixerModel.build(
+            32, 32, 0, model.mixer_config,
+            replace(model.unroll_config, pseudo_inverse="adjoint"))
+        _, curve = tr.train_unrolled(items, g, adjoint, cfg)
+        x_adj = geo.back_project(geo.Sinogram(items[0].sino), g, 32, 32).values
+        expected = float(np.mean((x_adj - items[0].truth) ** 2))
+        assert curve[0]["loss"] == pytest.approx(expected, rel=1e-6)
+
     def test_bit_reproducible_under_seed(self):
         def run():
             items, g, model = tiny_setup(seed=3)
@@ -107,8 +124,7 @@ class TestTrainLoop:
         tr.train_unrolled(items, g, model, cfg)
         opt = tr.AdamW(model.params, lr=1e-3)
         opt.zero_grad()
-        x = ur.unrolled_forward(items[0].sino, g, model, 32, 32,
-                                x0=items[0].x0)
+        x = ur.unrolled_forward(items[0].sino, g, model, 32, 32)
         tr.mse_loss(x, items[0].truth).backward()
         for group in ("lambda.0", "encoder.0.conv.w", "decoder.head.w",
                       "patch_embed.w", "expand.conv.w"):

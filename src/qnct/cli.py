@@ -33,73 +33,58 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# flag name -> (config key, help text), shared by geometry-defining commands
+# flag name -> (config key, help text)
+_SIZE_FLAGS = {"size": ("image.size", "image grid size in pixels")}
+
+# shared by geometry-defining commands
 _GEOMETRY_FLAGS = {
-    "beam": "geometry.beam",
-    "views": "geometry.views",
-    "n_views_full": "geometry.n_views_full",
-    "n_det": "geometry.n_det",
-    "det_spacing": "geometry.det_spacing_mm",
-    "extent": "geometry.image_extent_mm",
-    "angular_start": "geometry.angular_start",
-    "angular_end": "geometry.angular_end",
-    "sad": "geometry.sad_mm",
-    "add": "geometry.add_mm",
-    "size": "image.size",
+    "beam": ("geometry.beam", "beam type: parallel or fan"),
+    "views": ("geometry.views", "kept view count (uniform subset of the full set)"),
+    "n_views_full": ("geometry.n_views_full", "full view count before subsampling"),
+    "n_det": ("geometry.n_det", "detector count"),
+    "det_spacing": ("geometry.det_spacing_mm", "detector pitch in mm"),
+    "extent": ("geometry.image_extent_mm", "image field of view in mm"),
+    "angular_start": ("geometry.angular_start", "first view angle in radians"),
+    "angular_end": ("geometry.angular_end", "view angle range end (exclusive) in radians"),
+    "sad": ("geometry.sad_mm", "source-to-axis distance in mm (fan)"),
+    "add": ("geometry.add_mm", "axis-to-detector distance in mm (fan)"),
+    **_SIZE_FLAGS,
 }
 
 _NOISE_FLAGS = {
-    "poisson": "noise.poisson",
-    "gauss_frac": "noise.gauss_frac",
-    "cap": "noise.attenuation_cap",
+    "poisson": ("noise.poisson", "photon intensity for count noise; 0 disables"),
+    "gauss_frac": ("noise.gauss_frac", "gaussian sigma as a fraction of mean |line integral|"),
+    "cap": ("noise.attenuation_cap", "attenuation rescale target before count noise"),
 }
 
-_FLAG_HELP = {
-    "beam": "beam type: parallel or fan",
-    "views": "kept view count (uniform subset of the full set)",
-    "n_views_full": "full view count before subsampling",
-    "n_det": "detector count",
-    "det_spacing": "detector pitch in mm",
-    "extent": "image field of view in mm",
-    "angular_start": "first view angle in radians",
-    "angular_end": "view angle range end (exclusive) in radians",
-    "sad": "source-to-axis distance in mm (fan)",
-    "add": "axis-to-detector distance in mm (fan)",
-    "size": "image grid size in pixels",
-    "poisson": "photon intensity for count noise; 0 disables",
-    "gauss_frac": "gaussian sigma as a fraction of mean |line integral|",
-    "cap": "attenuation rescale target before count noise",
-    "filter": "fbp filter: ram-lak or hann",
-    "epochs": "training epochs",
-    "lr": "learning rate",
-    "weight_decay": "decoupled weight decay",
-    "steps": "hard cap on optimizer steps (0 = epochs only)",
-    "variant": "unrolled update rule: qn or first-order",
-    "unroll_T": "unrolled iteration count",
-    "unroll_k": "codec downsampling stacks (latent factor 2^k)",
-    "mixer_d": "mixer embedding width (divisible by 6)",
-    "msssim_levels": "multi-scale ssim levels (0 = largest feasible)",
-    "data_range": "intensity range for psnr/ssim",
+_TRAIN_FLAGS = {
+    "epochs": ("train.epochs", "training epochs"),
+    "lr": ("train.lr", "learning rate"),
+    "weight_decay": ("train.weight_decay", "decoupled weight decay"),
+    "steps": ("train.max_steps", "hard cap on optimizer steps (0 = epochs only)"),
+    "variant": ("unroll.variant", "unrolled update rule: qn or first-order"),
+    "unroll_T": ("unroll.T", "unrolled iteration count"),
+    "unroll_k": ("unroll.k", "codec downsampling stacks (latent factor 2^k)"),
+    "mixer_d": ("mixer.d", "mixer embedding width (divisible by 6)"),
 }
 
 
-def _add_config_flags(parser, mapping):
-    for flag in mapping:
+def _add_config_flags(parser, *tables):
+    """Add one --flag per config key and record the merged table on args."""
+    flags = {flag: entry for table in tables for flag, entry in table.items()}
+    for flag, (_key, help_text) in flags.items():
         parser.add_argument("--" + flag.replace("_", "-"), dest=f"cfg_{flag}",
-                            default=None, help=_FLAG_HELP.get(flag))
+                            default=None, help=help_text)
+    parser.set_defaults(cfg_flags=flags)
 
 
-def _resolve(args, mappings) -> dict:
+def _resolve(args) -> dict:
     file_text = None
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_text = fh.read()
-    overrides = {}
-    for mapping in mappings:
-        for flag, key in mapping.items():
-            raw = getattr(args, f"cfg_{flag}", None)
-            if raw is not None:
-                overrides[key] = raw
+    overrides = {key: raw for flag, (key, _help) in args.cfg_flags.items()
+                 if (raw := getattr(args, f"cfg_{flag}")) is not None}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = str(args.seed)
     return cfgmod.resolve_config(file_text, overrides)
@@ -134,8 +119,11 @@ def _tomo_files(directory) -> list:
     return files
 
 
-def _geometry(cfg) -> geo.Geometry:
-    return cfgmod.geometry_from_config(cfg)
+def _load_model(path, cfg) -> ur.QnMixerModel:
+    """Load a checkpoint and record its model keys in the resolved config."""
+    model = tr.model_from_checkpoint(path)
+    cfg.update(tr.model_meta(model))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +131,7 @@ def _geometry(cfg) -> geo.Geometry:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args):
-    cfg = _resolve(args, [{"size": "image.size"}])
+    cfg = _resolve(args)
     size = cfg["image.size"]
     if args.kind == "shepp-logan":
         values = phantoms.shepp_logan(size)
@@ -157,8 +145,8 @@ def cmd_phantom(args):
 
 
 def cmd_project(args):
-    cfg = _resolve(args, [_GEOMETRY_FLAGS])
-    g = _geometry(cfg)
+    cfg = _resolve(args)
+    g = cfgmod.geometry_from_config(cfg)
     values = _load_image(args.image, cfg)
     img = geo.Image(values, g.pixel_mm(values.shape[1]))
     sino = geo.forward_project(img, g)
@@ -170,8 +158,8 @@ def cmd_project(args):
 
 
 def cmd_fbp(args):
-    cfg = _resolve(args, [_GEOMETRY_FLAGS, {"filter": "unroll.fbp_filter"}])
-    g = _geometry(cfg)
+    cfg = _resolve(args)
+    g = cfgmod.geometry_from_config(cfg)
     y = _load_sino(args.sino)
     size = cfg["image.size"]
     _check_views(g, y)
@@ -184,7 +172,7 @@ def cmd_fbp(args):
 
 
 def cmd_noise(args):
-    cfg = _resolve(args, [_NOISE_FLAGS])
+    cfg = _resolve(args)
     y = _load_sino(args.sino)
     noisy = geo.simulate_measurement(
         geo.Sinogram(y), cfg["noise.poisson"], cfg["noise.gauss_frac"],
@@ -205,8 +193,8 @@ def _check_views(g: geo.Geometry, y: np.ndarray):
 
 
 def cmd_reconstruct(args):
-    cfg = _resolve(args, [_GEOMETRY_FLAGS])
-    g = _geometry(cfg)
+    cfg = _resolve(args)
+    g = cfgmod.geometry_from_config(cfg)
     y = _load_sino(args.sino)
     _check_views(g, y)
     size = cfg["image.size"]
@@ -215,7 +203,7 @@ def cmd_reconstruct(args):
     if args.method == "qn-mixer":
         if not args.weights:
             raise QnctError("qn-mixer reconstruction requires --weights")
-        model = tr.model_from_checkpoint(args.weights)
+        model = _load_model(args.weights, cfg)
         reference = (tio.read_tomo(args.reference)[0]
                      if args.reference else None)
         img, trace, inter = ur.unrolled_reconstruct(
@@ -253,15 +241,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_train(args):
-    mapping = dict(_GEOMETRY_FLAGS)
-    mapping.update(_NOISE_FLAGS)
-    mapping.update({
-        "epochs": "train.epochs", "lr": "train.lr",
-        "weight_decay": "train.weight_decay", "steps": "train.max_steps",
-        "variant": "unroll.variant", "unroll_T": "unroll.T",
-        "unroll_k": "unroll.k", "mixer_d": "mixer.d",
-    })
-    cfg = _resolve(args, [mapping])
+    cfg = _resolve(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     size = cfg["image.size"]
@@ -282,10 +262,7 @@ def cmd_train(args):
         truths, g_full, n_views, cfg["noise.poisson"],
         cfg["noise.gauss_frac"], seed)
 
-    mixer_config = cfgmod_to_mixer(cfg)
-    unroll_config = cfgmod_to_unroll(cfg)
-    model = ur.QnMixerModel.build(size, size, seed, mixer_config,
-                                  unroll_config)
+    model = ur.QnMixerModel.build(size, size, seed, *tr.model_configs(cfg))
     train_config = tr.TrainConfig(
         epochs=cfg["train.epochs"], lr=cfg["train.lr"],
         weight_decay=cfg["train.weight_decay"],
@@ -301,27 +278,8 @@ def cmd_train(args):
     return 0
 
 
-def cfgmod_to_mixer(cfg):
-    from . import mixer as mx
-
-    base = mx.MixerConfig(patch=cfg["mixer.patch"], d=96,
-                          n_layers=cfg["mixer.n_layers"])
-    return base.scaled(cfg["mixer.d"]) if cfg["mixer.d"] != 96 else base
-
-
-def cfgmod_to_unroll(cfg):
-    return ur.UnrollConfig(
-        T=cfg["unroll.T"],
-        codec=ur.CodecConfig(cfg["unroll.k"], cfg["unroll.codec_width"]),
-        pseudo_inverse=cfg["unroll.pseudo_inverse"],
-        fbp_filter=cfg["unroll.fbp_filter"],
-        variant=cfg["unroll.variant"],
-    )
-
-
 def cmd_eval(args):
-    cfg = _resolve(args, [{"msssim_levels": "eval.msssim_levels",
-                           "data_range": "eval.data_range"}])
+    cfg = _resolve(args)
     recon_dir = Path(args.recon_dir)
     ref_dir = Path(args.ref_dir)
     names = sorted(set(p.name for p in recon_dir.glob("*.tomo"))
@@ -348,7 +306,7 @@ def cmd_eval(args):
 
 
 def cmd_nps(args):
-    cfg = _resolve(args, [{"size": "image.size"}])
+    cfg = _resolve(args)
     files = _tomo_files(args.dir)
     images = [_load_image(f, cfg) for f in files]
     if args.ref_dir:
@@ -382,8 +340,8 @@ def cmd_nps(args):
 def cmd_ood(args):
     if args.method == "qn-mixer" and not args.weights:
         raise QnctError("qn-mixer ood requires --weights")
-    cfg = _resolve(args, [_GEOMETRY_FLAGS])
-    g = _geometry(cfg)
+    cfg = _resolve(args)
+    g = cfgmod.geometry_from_config(cfg)
     size = cfg["image.size"]
     seed = cfg["seed"]
     out_dir = Path(args.out_dir)
@@ -396,7 +354,7 @@ def cmd_ood(args):
         truths = [phantoms.random_ellipses(size, rng)
                   for _ in range(args.count)]
 
-    model = tr.model_from_checkpoint(args.weights) \
+    model = _load_model(args.weights, cfg) \
         if args.method == "qn-mixer" else None
     rng_ood = substream(seed, "ood")
     rows = []
@@ -462,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("shepp-logan", "random-ellipses"),
                    default="shepp-logan")
     p.add_argument("--out", required=True, help="output TOMO1 image")
-    _add_config_flags(p, {"size": None})
+    _add_config_flags(p, _SIZE_FLAGS)
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("project", help="forward-project an image")
@@ -476,8 +434,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _GEOMETRY_FLAGS)
-    _add_config_flags(p, {"filter": None})
+    _add_config_flags(p, _GEOMETRY_FLAGS,
+                      {"filter": ("unroll.fbp_filter", "fbp filter: ram-lak or hann")})
     p.set_defaults(func=cmd_fbp)
 
     p = sub.add_parser("noise", help="simulate measurement noise")
@@ -521,11 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data-dir", help="directory of TOMO1 ground truths")
     p.add_argument("--phantoms", type=int, default=20,
                    help="procedural phantom count when no --data-dir")
-    _add_config_flags(p, _GEOMETRY_FLAGS)
-    _add_config_flags(p, _NOISE_FLAGS)
-    _add_config_flags(p, {"epochs": None, "lr": None, "weight_decay": None,
-                          "steps": None, "variant": None, "unroll_T": None,
-                          "unroll_k": None, "mixer_d": None})
+    _add_config_flags(p, _GEOMETRY_FLAGS, _NOISE_FLAGS, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score reconstructions against references")
@@ -533,7 +487,10 @@ def build_parser() -> _Parser:
     p.add_argument("--recon-dir", required=True)
     p.add_argument("--ref-dir", required=True)
     p.add_argument("--out", required=True, help="metrics CSV")
-    _add_config_flags(p, {"msssim_levels": None, "data_range": None})
+    _add_config_flags(p, {
+        "msssim_levels": ("eval.msssim_levels", "multi-scale ssim levels (0 = largest feasible)"),
+        "data_range": ("eval.data_range", "intensity range for psnr/ssim"),
+    })
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("nps", help="noise power spectrum of noise images")
@@ -542,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ref-dir", help="subtract same-named references")
     p.add_argument("--out", required=True, help="radial curve CSV")
     p.add_argument("--map", help="optional 2-d spectrum TOMO1 output")
-    _add_config_flags(p, {"size": None})
+    _add_config_flags(p, _SIZE_FLAGS)
     p.set_defaults(func=cmd_nps)
 
     p = sub.add_parser("ood", help="white-circle anomaly protocol")

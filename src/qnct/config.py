@@ -5,6 +5,10 @@ names give the grouping. CLI flags override file values, and every run
 writes its fully resolved configuration next to the outputs so a rerun
 from that file reproduces the outputs bit for bit.
 
+The mixer.* and unroll.* keys fix the reconstructor's architecture and are
+also the checkpoint schema: a checkpoint's meta holds exactly these keys
+(plus epoch and step), and loading one rebuilds the model from them.
+
 Schema (defaults in parentheses):
 
   geometry.beam          parallel | fan (parallel)

@@ -36,8 +36,8 @@ class MixerConfig:
             raise ShapeError(
                 f"inception branches {self.branch_channels} must concat to d={self.d}"
             )
-        if self.patch < 1 or self.n_layers < 1:
-            raise ShapeError("patch size and layer count must be >= 1")
+        if self.patch < 1 or self.n_layers < 1 or min(self.branch_channels) < 1:
+            raise ShapeError("patch size, layer count and branch widths must be >= 1")
 
     def check_size(self, h: int, w: int):
         if h % self.patch or w % self.patch:
@@ -58,6 +58,12 @@ class MixerConfig:
 
 def desk_mixer_config() -> MixerConfig:
     return MixerConfig().scaled(48)
+
+
+def image_shape(params: dict, config: MixerConfig) -> tuple:
+    """The (h, w) image size the token MLPs of a parameter set were built for."""
+    return (params["mixer.0.height.w1"].shape[0] * config.patch,
+            params["mixer.0.width.w1"].shape[0] * config.patch)
 
 
 def _conv_param(name, out_c, in_c, k, rng, params, dtype, bias=True):

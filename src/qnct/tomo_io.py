@@ -8,6 +8,7 @@ row-major payload. PGM export is max-normalized to the chosen bit depth.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -43,9 +44,13 @@ def read_tomo(path):
             raise QnctError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise QnctError(f"{path}: unsupported TOMO version {version}")
+        if kind not in (KIND_IMAGE, KIND_SINOGRAM):
+            raise QnctError(f"{path}: unknown TOMO1 kind {kind}")
+        stored = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if stored < rows * cols * 4:
+            raise QnctError(f"{path}: truncated TOMO1 payload: header gives "
+                            f"{rows}x{cols} values, file holds {stored} bytes")
         payload = fh.read(rows * cols * 4)
-    if len(payload) != rows * cols * 4:
-        raise QnctError(f"{path}: truncated TOMO1 payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
     return values, kind
 

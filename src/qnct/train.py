@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import config as cfgmod
 from . import geometry as geo
 from . import init as pinit
+from . import mixer as mx
 from .autodiff import Tensor
-from .errors import QnctError, ShapeError
-from .unroll import QnMixerModel, unrolled_forward
+from .errors import CheckpointError, QnctError, ShapeError
+from .unroll import CodecConfig, QnMixerModel, UnrollConfig, unrolled_forward
 
 
 @dataclass
@@ -199,14 +201,33 @@ def _save(ckpt_dir: Path, model: QnMixerModel, epoch: int, step: int):
     return path
 
 
+# The config keys that fix the architecture; also the checkpoint meta schema.
+MODEL_KEYS = tuple(key for key in cfgmod.default_config()
+                   if key.startswith(("mixer.", "unroll.")))
+
+
+def model_configs(cfg: dict) -> tuple:
+    """(MixerConfig, UnrollConfig) from the mixer.* and unroll.* config keys."""
+    mixer_config = mx.MixerConfig(patch=cfg["mixer.patch"],
+                                  n_layers=cfg["mixer.n_layers"])
+    unroll_config = UnrollConfig(
+        T=cfg["unroll.T"],
+        codec=CodecConfig(cfg["unroll.k"], cfg["unroll.codec_width"]),
+        pseudo_inverse=cfg["unroll.pseudo_inverse"],
+        fbp_filter=cfg["unroll.fbp_filter"],
+        variant=cfg["unroll.variant"],
+    )
+    return mixer_config.scaled(cfg["mixer.d"]), unroll_config
+
+
 def model_meta(model: QnMixerModel) -> dict:
+    """The model's mixer.* and unroll.* config keys (the checkpoint meta)."""
     mc = model.mixer_config
     uc = model.unroll_config
     return {
         "mixer.patch": mc.patch,
         "mixer.d": mc.d,
         "mixer.n_layers": mc.n_layers,
-        "mixer.branch_channels": ",".join(str(c) for c in mc.branch_channels),
         "unroll.T": uc.T,
         "unroll.k": uc.codec.k,
         "unroll.codec_width": uc.codec.width,
@@ -217,27 +238,27 @@ def model_meta(model: QnMixerModel) -> dict:
 
 
 def model_from_checkpoint(path) -> QnMixerModel:
-    """Rebuild a model (configs from the manifest meta, weights bit-exact)."""
-    from . import mixer as mx
-    from .unroll import CodecConfig, UnrollConfig
+    """Rebuild a model: configs from the meta keys, weights bit-exact.
 
+    The weights must have exactly the names and shapes of the architecture
+    the meta describes, at the image size their token MLPs were built for.
+    """
     arrays, meta = ad.load_checkpoint(path)
     try:
-        branch = tuple(int(c) for c in meta["mixer.branch_channels"].split(","))
-        mixer_config = mx.MixerConfig(
-            patch=int(meta["mixer.patch"]), d=int(meta["mixer.d"]),
-            n_layers=int(meta["mixer.n_layers"]), branch_channels=branch,
-        )
-        unroll_config = UnrollConfig(
-            T=int(meta["unroll.T"]),
-            codec=CodecConfig(int(meta["unroll.k"]),
-                              int(meta["unroll.codec_width"])),
-            pseudo_inverse=meta["unroll.pseudo_inverse"],
-            fbp_filter=meta["unroll.fbp_filter"],
-            variant=meta["unroll.variant"],
-        )
+        cfg = cfgmod.parse_config("\n".join(f"{key} = {meta[key]}"
+                                            for key in MODEL_KEYS))
+        mixer_config, unroll_config = model_configs(cfg)
+        h, w = mx.image_shape(arrays, mixer_config)
     except KeyError as exc:
-        raise QnctError(f"checkpoint {path} lacks model meta key {exc}") from exc
+        raise CheckpointError(f"{path}: lacks meta key or weight {exc}") from None
+    reference = QnMixerModel.build(h, w, 0, mixer_config, unroll_config).params
+    want = {name: t.shape for name, t in reference.items()}
+    got = {name: arr.shape for name, arr in arrays.items()}
+    for name in {**want, **got}:
+        if got.get(name) != want.get(name):
+            raise CheckpointError(
+                f"{path}: weight {name!r} is {got.get(name, 'missing')}, the "
+                f"architecture in its meta expects {want.get(name, 'none')}")
     params = {name: Tensor(arr, requires_grad=True)
               for name, arr in arrays.items()}
     return QnMixerModel(mixer_config, unroll_config, params)

@@ -45,6 +45,8 @@ class CodecConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ShapeError("codec needs at least one downsampling stack")
+        if self.width < 1:
+            raise ShapeError("codec width must be >= 1")
 
     @property
     def factor(self) -> int:
@@ -307,6 +309,9 @@ def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
     collect, when given, receives (t, x_tensor, state_or_None) after every
     iteration for tracing; state is None for the first-order variant.
     """
+    mh, mw = mx.image_shape(model.params, model.mixer_config)
+    if (mh, mw) != (h, w):
+        raise ShapeError(f"model is for {mh}x{mw} images, got {h}x{w}")
     cfg = model.unroll_config
     dtype = model.params["expand.conv.w"].dtype
     physics = _Physics(geometry, h, w, cfg.pseudo_inverse, cfg.fbp_filter)

@@ -8,18 +8,15 @@ yet; ROADMAP.md item 4 plans them.
 import time
 
 import numpy as np
-import pytest
 
 from qnct import autodiff as ad
 from qnct import geometry as geo
 from qnct import metrics as mt
 from qnct import mixer as mx
 from qnct import solvers
-from qnct import train as tr
 from qnct import unroll as ur
 from qnct.autodiff import Tensor
-from qnct.init import substream
-from qnct.phantoms import random_ellipses, shepp_logan
+from qnct.phantoms import shepp_logan
 
 from test_metrics import brute_force_ssim
 from test_solvers import random_quadratic

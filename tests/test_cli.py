@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qnct import geometry as geo
 from qnct import mixer as mx
 from qnct import tomo_io as tio
 from qnct import train as tr
 from qnct import unroll as ur
+from qnct.autodiff import load_checkpoint, save_checkpoint
 from qnct.cli import build_parser, main
 
 
@@ -190,6 +190,95 @@ def test_truncated_checkpoint_is_one_error_line(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error CheckpointError:") and err.count("\n") == 1
+
+
+def scan(workspace):
+    ph = workspace / "ph.tomo"
+    sino = workspace / "s.tomo"
+    run(["phantom", "--out", ph])
+    run(["project", "--image", ph, "--views", "16", "--out", sino])
+    return sino
+
+
+def one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error {kind}:") and err.count("\n") == 1, err
+    return err
+
+
+def test_qn_mixer_records_the_checkpoints_model_keys(workspace):
+    sino = scan(workspace)
+    weights = workspace / "cold.ckpt"
+    make_cold_checkpoint(weights, T=2)
+    rec = workspace / "r.tomo"
+    assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
+                "--views", "16", "--weights", weights, "--out", rec]) == 0
+    assert run(["ood", "--out-dir", workspace / "ood", "--method",
+                "qn-mixer", "--weights", weights, "--count", "1",
+                "--views", "16"]) == 0
+    for cfg_path in (workspace / "r.tomo.cfg",
+                     workspace / "ood" / "resolved.cfg"):
+        text = cfg_path.read_text()
+        assert "mixer.d = 12\n" in text and "mixer.n_layers = 1\n" in text
+        assert "unroll.T = 2\n" in text and "unroll.codec_width = 8\n" in text
+
+
+def test_checkpoint_for_another_image_size_names_both(workspace, capsys):
+    sino = scan(workspace)
+    weights = workspace / "small.ckpt"
+    make_cold_checkpoint(weights, size=32)
+    capsys.readouterr()
+    assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
+                "--views", "16", "--weights", weights,
+                "--out", workspace / "r.tomo"]) == 1
+    err = one_error_line(capsys, "ShapeError")
+    assert "model is for 32x32 images, got 64x64" in err
+
+
+@pytest.mark.parametrize("drop,meta_edits,kind", [
+    (("lambda.1",), {}, "CheckpointError"),
+    ((), {"unroll.T": "3"}, "CheckpointError"),
+    ((), {"unroll.codec_width": "4"}, "CheckpointError"),
+    ((), {"mixer.patch": "x"}, "ConfigError"),
+])
+def test_bad_checkpoint_is_one_error_line(workspace, capsys, drop,
+                                          meta_edits, kind):
+    sino = scan(workspace)
+    weights = workspace / "bad.ckpt"
+    make_cold_checkpoint(weights, T=2)
+    arrays, meta = load_checkpoint(weights)
+    meta.update(meta_edits)
+    save_checkpoint({k: v for k, v in arrays.items() if k not in drop},
+                    weights, meta)
+    capsys.readouterr()
+    assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
+                "--views", "16", "--weights", weights,
+                "--out", workspace / "r.tomo"]) == 1
+    one_error_line(capsys, kind)
+    assert not (workspace / "r.tomo").exists()
+
+
+def test_garbled_tomo_header_is_one_error_line(workspace, capsys):
+    sino = scan(workspace)
+    blob = bytearray(sino.read_bytes())
+    blob[8:16] = b"\xff" * 8
+    sino.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(["fbp", "--sino", sino, "--views", "16",
+                "--out", workspace / "r.tomo"]) == 1
+    one_error_line(capsys, "QnctError")
+
+
+@pytest.mark.parametrize("key,value", [("mixer.d", "0"),
+                                       ("unroll.codec_width", "-2")])
+def test_train_with_empty_layers_is_one_error_line(workspace, capsys, key,
+                                                   value):
+    cfg = workspace / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(["train", "--out-dir", workspace / "run", "--phantoms", "1",
+                "--size", "32", "--views", "8", "--steps", "1",
+                "--config", cfg]) == 1
+    one_error_line(capsys, "ShapeError")
 
 
 def test_train_writes_checkpoints_and_loss_curve(workspace):

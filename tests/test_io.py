@@ -40,6 +40,25 @@ class TestTomoFormat:
         with pytest.raises(QnctError, match="kind"):
             tio.write_tomo(tmp_path / "k.tomo", np.zeros((2, 2)), 7)
 
+    @pytest.mark.parametrize("rows,cols", [(0xFFFFFFFF, 0xFFFFFFFF), (2, 4)])
+    def test_header_larger_than_file(self, tmp_path, rows, cols):
+        path = tmp_path / "big.tomo"
+        tio.write_tomo(path, np.zeros((2, 3), np.float32), tio.KIND_IMAGE)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = rows.to_bytes(4, "little") + cols.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(QnctError, match=f"{rows}x{cols} values"):
+            tio.read_tomo(path)
+
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "k.tomo"
+        tio.write_tomo(path, np.zeros((2, 2), np.float32), tio.KIND_IMAGE)
+        blob = bytearray(path.read_bytes())
+        blob[5] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(QnctError, match="kind 7"):
+            tio.read_tomo(path)
+
 
 class TestPgm:
     @pytest.mark.parametrize("bits,tol", [(8, 1.0 / 255), (16, 1.0 / 65535)])

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from qnct import geometry as geo
 from qnct import metrics as mt
 from qnct.errors import ShapeError
 from qnct.phantoms import shepp_logan

@@ -6,7 +6,6 @@ from qnct import solvers
 from qnct.errors import DivergenceError, MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.solvers import (
-    BfgsState,
     ObjectiveSpec,
     Regularizer,
     bfgs_update,

@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qnct import config as cfgmod
 from qnct import geometry as geo
 from qnct import mixer as mx
 from qnct import train as tr
 from qnct import unroll as ur
-from qnct.autodiff import Tensor
-from qnct.errors import ShapeError
+from qnct.autodiff import Tensor, load_checkpoint, save_checkpoint
+from qnct.errors import CheckpointError, ShapeError
 from qnct.init import substream
-from qnct.metrics import psnr
 from qnct.phantoms import random_ellipses
 
 
@@ -183,3 +183,76 @@ def test_loss_trend_over_first_50_steps():
     losses = [c["loss"] for c in curve]
     assert np.mean(losses[40:50]) < np.mean(losses[1:11])
     assert losses[-1] < losses[1]
+
+
+NON_DEFAULT_MODEL = {
+    "mixer.patch": "2", "mixer.d": "12", "mixer.n_layers": "1",
+    "unroll.T": "2", "unroll.k": "3", "unroll.codec_width": "8",
+    "unroll.pseudo_inverse": "adjoint", "unroll.fbp_filter": "hann",
+    "unroll.variant": "first-order",
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, NON_DEFAULT_MODEL],
+                         ids=["defaults", "non-defaults"])
+def test_model_meta_round_trips_the_config_keys(overrides):
+    cfg = cfgmod.resolve_config(None, overrides)
+    model = ur.QnMixerModel.build(16, 16, 0, *tr.model_configs(cfg))
+    assert tr.model_meta(model) == {key: cfg[key] for key in tr.MODEL_KEYS}
+    assert set(tr.MODEL_KEYS) == {key for key in cfg
+                                  if key.startswith(("mixer.", "unroll."))}
+
+
+def tiny_checkpoint(path, T=2, codec_width=8, size=16):
+    cfg = cfgmod.resolve_config(None, {"mixer.d": "12", "mixer.n_layers": "1",
+                                       "unroll.T": str(T),
+                                       "unroll.codec_width": str(codec_width)})
+    model = ur.QnMixerModel.build(size, size, 0, *tr.model_configs(cfg))
+    save_checkpoint(model.params, path, tr.model_meta(model))
+    return model
+
+
+def rewrite_checkpoint(path, drop=(), **meta_edits):
+    arrays, meta = load_checkpoint(path)
+    meta.update(meta_edits)
+    save_checkpoint({k: v for k, v in arrays.items() if k not in drop},
+                    path, meta)
+
+
+def test_checkpoint_with_parent_meta_loads(tmp_path):
+    # checkpoints once carried mixer.branch_channels beside epoch and step
+    path = tmp_path / "old.ckpt"
+    model = tiny_checkpoint(path)
+    rewrite_checkpoint(path, **{"mixer.branch_channels": "2,4,4,2",
+                                "epoch": "0", "step": "1"})
+    reloaded = tr.model_from_checkpoint(path)
+    assert reloaded.mixer_config == model.mixer_config
+    assert reloaded.unroll_config == model.unroll_config
+    for name, t in model.params.items():
+        assert np.array_equal(reloaded.params[name].data, t.data), name
+
+
+@pytest.mark.parametrize("codec_width,drop,meta_edits,match", [
+    (8, ("lambda.1",), {}, "'lambda.1' is missing"),
+    (8, (), {"unroll.T": "3"}, "'lambda.2' is missing"),
+    (32, (), {"unroll.codec_width": "8"}, r"'encoder.0.conv.w' is \(32,"),
+    (8, (), {"mixer.n_layers": "2"}, "'mixer.1.ln1.gamma' is missing"),
+    (8, ("mixer.0.width.w1",), {}, "mixer.0.width.w1"),
+])
+def test_checkpoint_weights_must_match_the_meta(tmp_path, codec_width, drop,
+                                                meta_edits, match):
+    path = tmp_path / "bad.ckpt"
+    tiny_checkpoint(path, codec_width=codec_width)
+    rewrite_checkpoint(path, drop=drop, **meta_edits)
+    with pytest.raises(CheckpointError, match=match):
+        tr.model_from_checkpoint(path)
+
+
+def test_checkpoint_with_unexpected_weight_is_refused(tmp_path):
+    path = tmp_path / "extra.ckpt"
+    model = tiny_checkpoint(path)
+    params = dict(model.params, **{"lambda.9": model.params["lambda.0"]})
+    save_checkpoint(params, path, tr.model_meta(model))
+    with pytest.raises(CheckpointError,
+                       match=r"'lambda.9' is \(1,\), .* expects none"):
+        tr.model_from_checkpoint(path)

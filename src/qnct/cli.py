@@ -98,7 +98,7 @@ def _write_resolved(cfg: dict, out_path: Path, command: str):
         fh.write(cfgmod.format_config(cfg))
 
 
-def _load_image(path, cfg) -> tuple:
+def _load_image(path) -> np.ndarray:
     values, kind = tio.read_tomo(path)
     if kind != tio.KIND_IMAGE:
         raise QnctError(f"{path} holds a sinogram, expected an image")
@@ -147,7 +147,7 @@ def cmd_phantom(args):
 def cmd_project(args):
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
-    values = _load_image(args.image, cfg)
+    values = _load_image(args.image)
     img = geo.Image(values, g.pixel_mm(values.shape[1]))
     sino = geo.forward_project(img, g)
     out = Path(args.out)
@@ -211,9 +211,7 @@ def cmd_reconstruct(args):
             keep_intermediates=bool(args.intermediates_dir))
         tio.write_tomo(out, img.values, tio.KIND_IMAGE)
         if args.trace:
-            tio.write_csv(args.trace, trace,
-                          ("t", "psnr", "si", "secant_residual",
-                           "frobenius_step"))
+            tio.write_csv(args.trace, trace, ur.TRACE_COLUMNS)
         if args.intermediates_dir:
             inter_dir = Path(args.intermediates_dir)
             inter_dir.mkdir(parents=True, exist_ok=True)
@@ -248,7 +246,7 @@ def cmd_train(args):
     seed = cfg["seed"]
 
     if args.data_dir:
-        truths = [_load_image(f, cfg) for f in _tomo_files(args.data_dir)]
+        truths = [_load_image(f) for f in _tomo_files(args.data_dir)]
     else:
         rng = substream(seed, "data")
         truths = [phantoms.random_ellipses(size, rng)
@@ -289,8 +287,8 @@ def cmd_eval(args):
     levels = cfg["eval.msssim_levels"] or None
     rows = []
     for name in names:
-        x = _load_image(recon_dir / name, cfg)
-        ref = _load_image(ref_dir / name, cfg)
+        x = _load_image(recon_dir / name)
+        ref = _load_image(ref_dir / name)
         row = mt.evaluate_pair(x, ref, cfg["eval.data_range"], levels)
         rows.append({"image_id": name, "psnr_db": row["psnr"],
                      "ssim": row["ssim"], "ms_ssim": row["ms_ssim"]})
@@ -308,14 +306,14 @@ def cmd_eval(args):
 def cmd_nps(args):
     cfg = _resolve(args)
     files = _tomo_files(args.dir)
-    images = [_load_image(f, cfg) for f in files]
+    images = [_load_image(f) for f in files]
     if args.ref_dir:
         refs = {p.name: p for p in Path(args.ref_dir).glob("*.tomo")}
         diffs = []
         for f, img in zip(files, images):
             if f.name not in refs:
                 continue
-            ref = _load_image(refs[f.name], cfg)
+            ref = _load_image(refs[f.name])
             if ref.shape != img.shape:
                 raise ShapeError(f"reference {refs[f.name]} is {ref.shape}, "
                                  f"image {f} is {img.shape}")
@@ -348,7 +346,7 @@ def cmd_ood(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.data_dir:
-        truths = [_load_image(f, cfg) for f in _tomo_files(args.data_dir)]
+        truths = [_load_image(f) for f in _tomo_files(args.data_dir)]
     else:
         rng = substream(seed, "data")
         truths = [phantoms.random_ellipses(size, rng)

@@ -5,9 +5,12 @@ refined by the rank-two secant update
 
     H' = (I - rho s z^T) H (I - rho z s^T) + rho s s^T,   rho = 1 / (z^T s),
 
-which satisfies H'z = s exactly and preserves symmetry. Updates with
-non-positive curvature are skipped (logged, never raised) so H stays
-positive definite.
+which satisfies H'z = s exactly. Symmetry comes from the formula itself:
+from an exactly symmetric H (both loops start from the identity) the update
+is exactly symmetric in floating point, with no repair pass, so the
+symmetry index in the traces checks the formula and reports a fault.
+Updates with non-positive curvature are skipped (logged, never raised) so H
+stays positive definite.
 """
 
 from __future__ import annotations
@@ -106,21 +109,21 @@ class ObjectiveSpec:
         return cls(geo.ScanOperator(geometry, h, w), sino.values, lam,
                    regularizer or Regularizer())
 
-    def value(self, x: np.ndarray) -> float:
+    def _residual(self, x: np.ndarray, caller: str) -> np.ndarray:
         r = self.op.forward(x) - self.y
         if r.shape != self.y.shape:
             raise ShapeError(
-                f"objective: operator output {r.shape} vs data {self.y.shape}"
+                f"{caller}: operator output {r.shape} vs data {self.y.shape}"
             )
+        return r
+
+    def value(self, x: np.ndarray) -> float:
+        r = self._residual(x, "objective")
         data = 0.5 * self.lam * float(np.sum(r.astype(np.float64) ** 2))
         return data + self.regularizer.value(x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        r = self.op.forward(x) - self.y
-        if r.shape != self.y.shape:
-            raise ShapeError(
-                f"gradient: operator output {r.shape} vs data {self.y.shape}"
-            )
+        r = self._residual(x, "gradient")
         return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
 
 
@@ -160,13 +163,14 @@ def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
         raise ShapeError("gradient_descent needs step >= 0 and iters >= 1")
     x = np.array(x0, dtype=np.float64, copy=True)
     j0 = spec.value(x)
-    trace = [_trace_row(0, j0, np.linalg.norm(spec.grad(x)))]
+    g = spec.grad(x)
+    trace = [_trace_row(0, j0, np.linalg.norm(g))]
     limit = 10.0 * j0 + 1e-12
     for t in range(1, iters + 1):
-        g = spec.grad(x)
         x = x - step * g
         j = spec.value(x)
-        trace.append(_trace_row(t, j, np.linalg.norm(spec.grad(x)), step))
+        g = spec.grad(x)
+        trace.append(_trace_row(t, j, np.linalg.norm(g), step))
         if j > limit:
             raise DivergenceError(
                 f"gradient_descent diverged at iteration {t}: "
@@ -194,6 +198,11 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
 
     Skips (returning H unchanged) when the curvature z.s falls below
     1e-10 |s||z|, the standard positive-definiteness safeguard.
+
+    H must be exactly symmetric; then so is H'. Entries (i, j) and (j, i)
+    of each term add the same two products in swapped order, and IEEE
+    addition and multiplication are commutative. Nothing symmetrizes the
+    result, so symmetry_index(H') checks this formula.
     """
     H = np.asarray(H, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
@@ -213,7 +222,7 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
     # expanded form of (I - rho s z^T) H (I - rho z s^T) + rho s s^T
     Hp = H - rho * (np.outer(s, Hz) + np.outer(Hz, s)) \
         + (rho * rho * zHz + rho) * np.outer(s, s)
-    return 0.5 * (Hp + Hp.T), True
+    return Hp, True
 
 
 def symmetry_index(M: np.ndarray) -> float:
@@ -229,17 +238,10 @@ def symmetry_index(M: np.ndarray) -> float:
 
 @dataclass
 class BfgsState:
-    """Dense inverse-Hessian approximation plus the last update vectors."""
+    """Dense inverse-Hessian approximation and its count of skipped updates."""
 
     H: np.ndarray
-    s: np.ndarray | None = None
-    z: np.ndarray | None = None
-    rho: float | None = None
     skips: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
 
     @classmethod
     def identity(cls, dim: int):
@@ -361,48 +363,41 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
         )
     search = LINE_SEARCHES[line_search] if isinstance(line_search, str) \
         else line_search
-    shape = x0.shape
-    x = np.array(x0, dtype=np.float64).reshape(-1)
+    x = np.array(x0, dtype=np.float64)
     state = BfgsState.identity(x.size)
-
-    def value(v):
-        return spec.value(v.reshape(shape))
-
-    def grad(v):
-        return spec.grad(v.reshape(shape)).reshape(-1)
-
-    flat_spec = _FlatObjective(value, grad)
-    j = value(x)
-    g = grad(x)
-    j0 = j
-    limit = 10.0 * j0 + 1e-12
-    trace = [_trace_row(0, j, np.linalg.norm(g), si=symmetry_index(state.H))]
+    j = spec.value(x)
+    g = spec.grad(x)
+    limit = 10.0 * j + 1e-12
+    si = 0.0  # the identity start is symmetric
+    trace = [_trace_row(0, j, np.linalg.norm(g), si=si)]
     for t in range(1, iters + 1):
-        d = -(state.H @ g)
-        g0d = float(g @ d)
+        d = -(state.H @ g.reshape(-1)).reshape(x.shape)
+        g0d = float(g.reshape(-1) @ d.reshape(-1))
         if g0d >= 0:
             # H lost descent property (should not happen with skips); reset
             log.warning("direction not a descent direction; resetting H")
-            state = BfgsState.identity(x.size)
+            state, si = BfgsState.identity(x.size), 0.0
             d = -g
-            g0d = float(g @ d)
-        alpha = search(flat_spec, x, d, j, g0d)
+            g0d = float(g.reshape(-1) @ d.reshape(-1))
+        alpha = search(spec, x, d, j, g0d)
         s = alpha * d
         x_new = x + s
-        g_new = grad(x_new)
+        g_new = spec.grad(x_new)
         z = g_new - g
         H_new, accepted = bfgs_update(state.H, s, z)
         if accepted:
-            state = BfgsState(H_new, s, z, 1.0 / float(z @ s), state.skips)
-            secant = float(np.linalg.norm(H_new @ z - s)
+            state = BfgsState(H_new, state.skips)
+            si = symmetry_index(H_new)
+            secant = float(np.linalg.norm(H_new @ z.reshape(-1)
+                                          - s.reshape(-1))
                            / max(np.linalg.norm(s), 1e-300))
         else:
-            state = BfgsState(state.H, s, z, None, state.skips + 1)
+            # H is unchanged, and so is its symmetry index
+            state = BfgsState(state.H, state.skips + 1)
             secant = np.nan
         x, g = x_new, g_new
-        j = value(x)
-        trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant,
-                                symmetry_index(state.H)))
+        j = spec.value(x)
+        trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si))
         if j > limit:
             raise DivergenceError(
                 f"qn_reconstruct diverged at iteration {t}: J={j:.3e}",
@@ -410,10 +405,4 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
             )
         if gtol > 0 and np.linalg.norm(g) < gtol:
             break
-    return x.reshape(shape).astype(x0.dtype), trace, state
-
-
-class _FlatObjective:
-    def __init__(self, value, grad):
-        self.value = value
-        self.grad = grad
+    return x.astype(x0.dtype), trace, state

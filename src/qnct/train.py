@@ -21,7 +21,7 @@ from . import geometry as geo
 from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
-from .errors import CheckpointError, QnctError, ShapeError
+from .errors import CheckpointError, ConfigError, QnctError, ShapeError
 from .unroll import CodecConfig, QnMixerModel, UnrollConfig, unrolled_forward
 
 
@@ -251,6 +251,8 @@ def model_from_checkpoint(path) -> QnMixerModel:
         h, w = mx.image_shape(arrays, mixer_config)
     except KeyError as exc:
         raise CheckpointError(f"{path}: lacks meta key or weight {exc}") from None
+    except (ConfigError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     reference = QnMixerModel.build(h, w, 0, mixer_config, unroll_config).params
     want = {name: t.shape for name, t in reference.items()}
     got = {name: arr.shape for name, arr in arrays.items()}

@@ -29,6 +29,8 @@ from .solvers import DENSE_HESSIAN_LIMIT, bfgs_update, symmetry_index
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
 
+TRACE_COLUMNS = ("t", "psnr", "si", "secant_residual", "frobenius_step")
+
 
 @dataclass(frozen=True)
 class CodecConfig:
@@ -234,9 +236,6 @@ class LatentBfgsState:
 
     H: np.ndarray
     r: Tensor
-    s: np.ndarray | None = None
-    z: np.ndarray | None = None
-    rho: float | None = None
     si: float = 0.0
     secant_residual: float = 0.0
     frobenius_step: float = 0.0
@@ -259,13 +258,12 @@ class LatentBfgsState:
         if accepted:
             secant = float(np.linalg.norm(H_new @ z64 - s64)
                            / max(np.linalg.norm(s64), 1e-300))
-            return LatentBfgsState(H_new, r_next, s64, z64,
-                                   1.0 / float(z64 @ s64),
-                                   symmetry_index(H_new), secant,
+            return LatentBfgsState(H_new, r_next, symmetry_index(H_new),
+                                   secant,
                                    float(np.linalg.norm(H_new - self.H)),
                                    self.skips)
-        return LatentBfgsState(self.H, r_next, s64, z64, None,
-                               symmetry_index(self.H), np.nan, 0.0,
+        # a skipped update leaves H, and so its symmetry index, unchanged
+        return LatentBfgsState(self.H, r_next, self.si, np.nan, 0.0,
                                self.skips + 1)
 
 
@@ -357,8 +355,7 @@ def unrolled_reconstruct(sino: geo.Sinogram, geometry: geo.Geometry,
         if state is not None:
             row.update(hessian_diagnostics(state))
         else:
-            row.update({"si": np.nan, "secant_residual": np.nan,
-                        "frobenius_step": np.nan})
+            row.update(dict.fromkeys(TRACE_COLUMNS[2:], np.nan))
         trace.append(row)
         if keep_intermediates:
             intermediates.append(x_t.data[0, 0].copy())

@@ -172,6 +172,20 @@ class TestGradientDescent:
         assert err.value.trace is not None
         assert len(err.value.trace) >= 2
 
+    def test_one_gradient_per_iterate(self):
+        spec, _ = self.quadratic_spec()
+        calls = []
+
+        class Counting:
+            value = spec.value
+
+            def grad(self, x):
+                calls.append(1)
+                return spec.grad(x)
+
+        gradient_descent(Counting(), np.zeros((10, 10)), 0.5, 7)
+        assert len(calls) == 7 + 1
+
 
 class TestBfgsUpdate:
     def test_identity_fixed_point(self):
@@ -208,6 +222,20 @@ class TestBfgsUpdate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             bfgs_update(np.eye(3), np.ones(2), np.ones(2))
+
+    def test_chained_updates_stay_exactly_symmetric(self):
+        # the formula itself keeps H symmetric bit for bit; nothing repairs it
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            H = np.eye(9)
+            for _ in range(3):
+                s = rng.normal(size=9)
+                z = rng.normal(size=9)
+                if z @ s <= 0:
+                    z = -z
+                H, accepted = bfgs_update(H, s, z)
+                assert accepted
+            assert np.array_equal(H, H.T)
 
 
 class TestSymmetryIndex:

@@ -9,7 +9,7 @@ from qnct import mixer as mx
 from qnct import train as tr
 from qnct import unroll as ur
 from qnct.autodiff import Tensor, load_checkpoint, save_checkpoint
-from qnct.errors import CheckpointError, ShapeError
+from qnct.errors import CheckpointError, ConfigError, ShapeError
 from qnct.init import substream
 from qnct.phantoms import random_ellipses
 
@@ -256,3 +256,17 @@ def test_checkpoint_with_unexpected_weight_is_refused(tmp_path):
     with pytest.raises(CheckpointError,
                        match=r"'lambda.9' is \(1,\), .* expects none"):
         tr.model_from_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value,kind,message", [
+    ("mixer.patch", "x", ConfigError, "mixer.patch: expected integer, got 'x'"),
+    ("unroll.variant", "newton", ShapeError, "unknown unroll variant 'newton'"),
+])
+def test_bad_meta_value_names_the_checkpoint(tmp_path, key, value, kind,
+                                             message):
+    path = tmp_path / "bad.ckpt"
+    tiny_checkpoint(path)
+    rewrite_checkpoint(path, **{key: value})
+    with pytest.raises(kind) as err:
+        tr.model_from_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"

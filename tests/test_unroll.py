@@ -208,6 +208,14 @@ class TestLatentBfgs:
         np.testing.assert_array_equal(new.H, np.eye(3))
         assert np.isnan(hessian_diagnostics(new)["secant_residual"])
 
+    def test_symmetry_index_reports_an_asymmetric_h(self):
+        r = Tensor(np.zeros(4, dtype=np.float32))
+        H = np.eye(4)
+        H[0, 1] = 0.1
+        s = np.array([1.0, 0.5, 0.0, 0.0])
+        new = LatentBfgsState(H, r).updated(s, 2.0 * s, r)
+        assert hessian_diagnostics(new)["si"] > 0.0
+
     def test_run_diagnostics_secant_and_symmetry(self):
         # nonzero weights so the latent updates carry real curvature
         g = small_geometry()

@@ -1,16 +1,25 @@
 """Variational objective, handcrafted regularizers, and classical solvers.
 
-The quasi-Newton reconstructor keeps a dense inverse-Hessian approximation
-refined by the rank-two secant update
+Both quasi-Newton loops refine an inverse-Hessian approximation H by the
+rank-two secant update
 
     H' = (I - rho s z^T) H (I - rho z s^T) + rho s s^T,   rho = 1 / (z^T s),
 
-which satisfies H'z = s exactly. Symmetry comes from the formula itself:
-from an exactly symmetric H (both loops start from the identity) the update
-is exactly symmetric in floating point, with no repair pass, so the
-symmetry index in the traces checks the formula and reports a fault.
-Updates with non-positive curvature are skipped (logged, never raised) so H
-stays positive definite.
+which satisfies H'z = s exactly. Updates with non-positive curvature are
+skipped (logged, never raised) so H stays positive definite.
+
+The classical reconstructor never forms H. It keeps every accepted pair
+(s, z, rho) and applies H v by the two-loop recursion from H0 = I (Nocedal
+1980), which equals the chained dense update in exact arithmetic at O(t n)
+work and memory after t pairs. Its trace diagnostics come from the products
+Hz and Hg alone: the secant residual |Hz - s| / |s|, and as "si" a symmetry
+probe |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|), which is 0 for a symmetric H up
+to round-off.
+
+The latent unrolled model keeps a dense H (bfgs_update). From an exactly
+symmetric H (it starts from the identity) the update is exactly symmetric
+in floating point, with no repair pass, so symmetry_index in its traces
+checks the formula and reports a fault.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ from .init import substream
 
 log = logging.getLogger("qnct.solvers")
 
-DENSE_HESSIAN_LIMIT = 128 * 128
+# bytes of quasi-Newton state either solver may hold: the latent loop's
+# dense H, or the classical solver's curvature pairs
+HESSIAN_BYTE_LIMIT = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +150,9 @@ def gradient(x: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
 # traces
 # ---------------------------------------------------------------------------
 
+# In qn_reconstruct traces "si" is the symmetry probe of the implicit H
+# (secant_diagnostics), not symmetry_index of a matrix as in
+# unroll.TRACE_COLUMNS; gradient descent leaves it and secant_residual NaN.
 TRACE_COLUMNS = ("iteration", "J", "grad_norm", "step", "secant_residual", "si")
 
 
@@ -193,11 +207,21 @@ def estimate_step(spec, size: int, seed: int = 0) -> float:
 # BFGS machinery
 # ---------------------------------------------------------------------------
 
-def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
-    """One inverse-Hessian secant update; returns (H', accepted).
+def _inverse_curvature(s: np.ndarray, z: np.ndarray):
+    """rho = 1 / z.s of a secant pair, or None when the update must be
+    skipped: z.s below 1e-10 |s||z|, the positive-definiteness safeguard."""
+    curvature = float(z @ s)
+    eps = 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(z))
+    if curvature <= eps:
+        log.info("BFGS update skipped: curvature %.3e <= %.3e", curvature, eps)
+        return None
+    return 1.0 / curvature
 
-    Skips (returning H unchanged) when the curvature z.s falls below
-    1e-10 |s||z|, the standard positive-definiteness safeguard.
+
+def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
+    """One dense inverse-Hessian secant update; returns (H', accepted).
+
+    Skips (returning H unchanged) when _inverse_curvature rejects (s, z).
 
     H must be exactly symmetric; then so is H'. Entries (i, j) and (j, i)
     of each term add the same two products in swapped order, and IEEE
@@ -211,12 +235,9 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
         raise ShapeError(
             f"bfgs_update: H {H.shape}, s {s.shape}, z {z.shape}"
         )
-    curvature = float(z @ s)
-    eps = 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(z))
-    if curvature <= eps:
-        log.info("bfgs_update skipped: curvature %.3e <= %.3e", curvature, eps)
+    rho = _inverse_curvature(s, z)
+    if rho is None:
         return H, False
-    rho = 1.0 / curvature
     Hz = H @ z
     zHz = float(z @ Hz)
     # expanded form of (I - rho s z^T) H (I - rho z s^T) + rho s s^T
@@ -238,14 +259,43 @@ def symmetry_index(M: np.ndarray) -> float:
 
 @dataclass
 class BfgsState:
-    """Dense inverse-Hessian approximation and its count of skipped updates."""
+    """Inverse Hessian in product form: every accepted secant pair
+    (s, z, rho), oldest first, and the count of skipped updates.
 
-    H: np.ndarray
+    H is the chain of bfgs_update over the pairs from H0 = I, never formed;
+    apply(v) returns H v by the two-loop recursion in O(t n) for t pairs.
+    """
+
+    pairs: list = field(default_factory=list)
     skips: int = 0
 
-    @classmethod
-    def identity(cls, dim: int):
-        return cls(np.eye(dim, dtype=np.float64))
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        q = np.array(v, dtype=np.float64).reshape(-1)
+        alphas = []
+        for s, z, rho in reversed(self.pairs):
+            a = rho * float(s @ q)
+            q -= a * z
+            alphas.append(a)
+        for (s, z, rho), a in zip(self.pairs, reversed(alphas)):
+            q += (a - rho * float(z @ q)) * s
+        return q.reshape(np.shape(v))
+
+
+def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
+    """(Hg, secant residual, symmetry probe) of an H known by products.
+
+    apply(v) = H v, after H was updated with (s, z). The secant residual
+    |Hz - s| / |s| is 0 when H z = s holds; the probe
+    |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|) is 0 when H is symmetric. Both
+    read round-off for a correct H and cost two products; qn_reconstruct
+    reuses Hg as its next direction.
+    """
+    Hz, Hg = apply(z), apply(g)
+    secant = float(np.linalg.norm(Hz - s) / max(np.linalg.norm(s), 1e-300))
+    gap = abs(float(np.vdot(g, Hz)) - float(np.vdot(z, Hg)))
+    scale = float(np.linalg.norm(g) * np.linalg.norm(Hz)
+                  + np.linalg.norm(z) * np.linalg.norm(Hg))
+    return Hg, secant, gap / max(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +327,41 @@ def armijo(spec, x, d, j0, g0d, c1=1e-4, shrink=0.5, max_iter=40):
 
 
 def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
-    """Bracket and zoom until both strong Wolfe conditions hold."""
+    """Bracket and zoom until both strong Wolfe conditions hold.
+
+    Each trial step is evaluated once: the bracket ends enter _zoom with the
+    value and slope already computed for them, starting from (0, j0, g0d).
+    """
     value, slope = _phi(spec, x, d)
-    a_prev, j_prev = 0.0, j0
+    a_prev, j_prev, sl_prev = 0.0, j0, g0d
     a = 1.0
     a_max = 64.0
     for i in range(max_iter):
         j = value(a)
         if j > j0 + c1 * a * g0d or (i > 0 and j >= j_prev):
-            return _zoom(value, slope, a_prev, a, j0, g0d, c1, c2)
+            return _zoom(value, slope, a_prev, j_prev, sl_prev, a, j,
+                         j0, g0d, c1, c2)
         sl = slope(a)
         if abs(sl) <= -c2 * g0d:
             return a
         if sl >= 0:
-            return _zoom(value, slope, a, a_prev, j0, g0d, c1, c2)
-        a_prev, j_prev = a, j
+            return _zoom(value, slope, a, j, sl, a_prev, j_prev,
+                         j0, g0d, c1, c2)
+        if a == a_max:
+            return a
+        a_prev, j_prev, sl_prev = a, j, sl
         a = min(2.0 * a, a_max)
     return a
 
 
-def _zoom(value, slope, lo, hi, j0, g0d, c1, c2, max_iter=40):
-    j_lo = value(lo)
-    sl_lo = slope(lo)
+def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d, c1, c2,
+          max_iter=40):
+    """Shrink the bracket [lo, hi], whose ends come evaluated: (J, slope)
+    at lo and J at hi."""
     for _ in range(max_iter):
         # safeguarded quadratic interpolation through (lo, j_lo, sl_lo) and
         # (hi, j_hi); exact for quadratic objectives, bisection otherwise
         span = hi - lo
-        j_hi = value(hi)
         denom = j_hi - j_lo - sl_lo * span
         a = lo - 0.5 * sl_lo * span * span / denom if denom != 0 else None
         if a is None or not np.isfinite(a) or \
@@ -312,13 +370,13 @@ def _zoom(value, slope, lo, hi, j0, g0d, c1, c2, max_iter=40):
             a = lo + 0.5 * span
         j = value(a)
         if j > j0 + c1 * a * g0d or j >= j_lo:
-            hi = a
+            hi, j_hi = a, j
         else:
             sl = slope(a)
             if abs(sl) <= -c2 * g0d:
                 return a
             if sl * (hi - lo) >= 0:
-                hi = lo
+                hi, j_hi = lo, j_lo
             lo, j_lo, sl_lo = a, j, sl
         if abs(hi - lo) < 1e-14:
             break
@@ -348,35 +406,39 @@ LINE_SEARCHES = {
 
 def qn_reconstruct(spec, x0: np.ndarray, iters: int,
                    line_search="strong-wolfe", gtol: float = 0.0):
-    """Dense-H BFGS minimization of the objective; returns (x, trace, state).
+    """BFGS minimization of the objective; returns (x, trace, state).
 
-    The search direction is -H grad J with H refined by bfgs_update after
-    every step. Refuses problems above 128x128 unknowns, whose dense H
-    would not fit; use the latent unrolled reconstructor for those.
+    The search direction is -H grad J, with H the full-memory BFGS inverse
+    Hessian from H0 = I held as its curvature pairs (BfgsState), so work and
+    memory grow as iters * x0.size, not x0.size**2. Refuses runs whose
+    pairs could exceed HESSIAN_BYTE_LIMIT, before any projection.
     """
     x0 = np.asarray(x0)
-    if x0.size > DENSE_HESSIAN_LIMIT:
+    pair_bytes = 2 * iters * x0.size * 8
+    if pair_bytes > HESSIAN_BYTE_LIMIT:
         raise MemoryGuardError(
-            f"dense inverse Hessian for {x0.size} unknowns exceeds the "
-            f"{DENSE_HESSIAN_LIMIT} limit; use the latent unrolled "
-            "reconstructor (qnct.unroll) instead"
+            f"curvature pairs for {iters} iterations on {x0.size} unknowns "
+            f"need {pair_bytes} bytes, above the {HESSIAN_BYTE_LIMIT}-byte "
+            "limit; run fewer iterations"
         )
     search = LINE_SEARCHES[line_search] if isinstance(line_search, str) \
         else line_search
     x = np.array(x0, dtype=np.float64)
-    state = BfgsState.identity(x.size)
+    state = BfgsState()
     j = spec.value(x)
     g = spec.grad(x)
+    Hg = g  # H0 = I
     limit = 10.0 * j + 1e-12
     si = 0.0  # the identity start is symmetric
     trace = [_trace_row(0, j, np.linalg.norm(g), si=si)]
     for t in range(1, iters + 1):
-        d = -(state.H @ g.reshape(-1)).reshape(x.shape)
+        d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
         if g0d >= 0:
             # H lost descent property (should not happen with skips); reset
             log.warning("direction not a descent direction; resetting H")
-            state, si = BfgsState.identity(x.size), 0.0
+            state.pairs.clear()
+            si = 0.0
             d = -g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
         alpha = search(spec, x, d, j, g0d)
@@ -384,17 +446,15 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
         x_new = x + s
         g_new = spec.grad(x_new)
         z = g_new - g
-        H_new, accepted = bfgs_update(state.H, s, z)
-        if accepted:
-            state = BfgsState(H_new, state.skips)
-            si = symmetry_index(H_new)
-            secant = float(np.linalg.norm(H_new @ z.reshape(-1)
-                                          - s.reshape(-1))
-                           / max(np.linalg.norm(s), 1e-300))
-        else:
-            # H is unchanged, and so is its symmetry index
-            state = BfgsState(state.H, state.skips + 1)
+        rho = _inverse_curvature(s.reshape(-1), z.reshape(-1))
+        if rho is None:
+            # H is unchanged, and so is its symmetry probe
+            state.skips += 1
+            Hg = state.apply(g_new)
             secant = np.nan
+        else:
+            state.pairs.append((s.reshape(-1), z.reshape(-1), rho))
+            Hg, secant, si = secant_diagnostics(state.apply, s, z, g_new)
         x, g = x_new, g_new
         j = spec.value(x)
         trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si))

@@ -24,7 +24,7 @@ from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
 from .errors import MemoryGuardError, ShapeError
-from .solvers import DENSE_HESSIAN_LIMIT, bfgs_update, symmetry_index
+from .solvers import HESSIAN_BYTE_LIMIT, bfgs_update, symmetry_index
 
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
@@ -244,10 +244,11 @@ class LatentBfgsState:
     @classmethod
     def initial(cls, r: Tensor):
         dim = r.size
-        if dim > DENSE_HESSIAN_LIMIT:
+        if dim * dim * 8 > HESSIAN_BYTE_LIMIT:
             raise MemoryGuardError(
-                f"dense latent inverse Hessian for a {dim}-dim latent exceeds "
-                f"the {DENSE_HESSIAN_LIMIT} limit; use a deeper codec (larger k)"
+                f"dense latent inverse Hessian for a {dim}-dim latent needs "
+                f"{dim * dim * 8} bytes, above the {HESSIAN_BYTE_LIMIT}-byte "
+                "limit; use a deeper codec (larger k)"
             )
         return cls(np.eye(dim, dtype=np.float64), r)
 

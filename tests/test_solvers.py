@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from qnct import solvers
 from qnct.errors import DivergenceError, MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.solvers import (
+    BfgsState,
     ObjectiveSpec,
     Regularizer,
     bfgs_update,
     gradient_descent,
     qn_reconstruct,
+    secant_diagnostics,
+    strong_wolfe,
     symmetry_index,
 )
 
@@ -254,6 +259,99 @@ class TestSymmetryIndex:
             symmetry_index(np.zeros((2, 3)))
 
 
+def quadratic_pairs(rng, dim, count, skip=None):
+    """Secant pairs of a random SPD quadratic; pair `skip` has z = -s."""
+    quad = random_quadratic(rng, dim)
+    pairs = []
+    for k in range(count):
+        s = rng.normal(size=dim)
+        pairs.append((s, -s if k == skip else quad.Q @ s))
+    return pairs
+
+
+class TestBfgsState:
+    def test_apply_equals_chained_dense_updates(self):
+        rng = np.random.default_rng(14)
+        H, state = np.eye(12), BfgsState()
+        for k, (s, z) in enumerate(quadratic_pairs(rng, 12, 7, skip=3)):
+            H, accepted = bfgs_update(H, s, z)
+            rho = solvers._inverse_curvature(s, z)
+            assert accepted == (rho is not None) == (k != 3)
+            if accepted:
+                state.pairs.append((s, z, rho))
+        assert len(state.pairs) == 6
+        for _ in range(5):
+            v = rng.normal(size=12)
+            dense = H @ v
+            assert np.linalg.norm(state.apply(v) - dense) \
+                <= 1e-12 * np.linalg.norm(dense)
+
+    def test_empty_state_is_the_identity(self):
+        v = np.random.default_rng(15).normal(size=(3, 4))
+        np.testing.assert_array_equal(BfgsState().apply(v), v)
+
+
+class TestSecantDiagnostics:
+    def state_and_pair(self):
+        rng = np.random.default_rng(16)
+        state = BfgsState()
+        for s, z in quadratic_pairs(rng, 10, 4):
+            state.pairs.append((s, z, 1.0 / float(z @ s)))
+        return state, s, z, rng.normal(size=10)
+
+    def test_exact_state_reads_round_off(self):
+        state, s, z, g = self.state_and_pair()
+        Hg, secant, si = secant_diagnostics(state.apply, s, z, g)
+        np.testing.assert_array_equal(Hg, state.apply(g))
+        assert secant < 1e-12
+        assert si < 1e-12
+
+    def test_secant_residual_reports_a_wrong_rho(self):
+        state, s, z, g = self.state_and_pair()
+        state.pairs[-1] = (s, z, 1.01 * state.pairs[-1][2])
+        _, secant, _ = secant_diagnostics(state.apply, s, z, g)
+        assert secant > 1e-3
+
+    def test_probe_reports_an_asymmetric_h(self):
+        rng = np.random.default_rng(17)
+        M = np.eye(10) + 0.1 * rng.normal(size=(10, 10))
+        s, z, g = rng.normal(size=(3, 10))
+        _, _, si = secant_diagnostics(lambda v: M @ v, s, z, g)
+        assert si > 0.0
+        _, _, si_sym = secant_diagnostics(lambda v: (M + M.T) @ v, s, z, g)
+        assert si_sym < 1e-12
+
+
+class TestStrongWolfe:
+    def test_each_point_evaluated_once(self):
+        rng = np.random.default_rng(18)
+        spec = ObjectiveSpec(IdentityOperator(), rng.normal(size=(8, 8)),
+                             regularizer=Regularizer("smoothed_tv", mu=0.5))
+        x = rng.normal(size=(8, 8))
+        g = spec.grad(x)
+        seen = {"value": [], "grad": []}
+
+        class Counting:
+            def value(self, x):
+                seen["value"].append(x.tobytes())
+                return spec.value(x)
+
+            def grad(self, x):
+                seen["grad"].append(x.tobytes())
+                return spec.grad(x)
+
+        # short steps bracket by doubling (the shortest up to the cap
+        # a = 64), long ones zoom back from a = 1
+        for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
+            seen["value"].clear()
+            seen["grad"].clear()
+            d = -scale * g
+            strong_wolfe(Counting(), x, d, spec.value(x),
+                         float(g.reshape(-1) @ d.reshape(-1)))
+            for points in seen.values():
+                assert len(points) == len(set(points))
+
+
 class TestQnReconstruct:
     def test_quadratics_match_direct_solve(self):
         # the exact search resolves past the float64 floor of J values
@@ -300,9 +398,10 @@ class TestQnReconstruct:
         quad = random_quadratic(rng, 12)
         _, _, state = qn_reconstruct(quad, np.zeros(12), 20,
                                      line_search="strong-wolfe")
+        assert state.pairs
         for _ in range(10):
             v = rng.normal(size=12)
-            assert v @ state.H @ v > 0.0
+            assert v @ state.apply(v) > 0.0
 
     def test_ct_beats_gradient_descent_head_to_head(self):
         g = geo.Geometry(n_views_full=90, n_det=48, det_spacing_mm=2.0,
@@ -335,6 +434,38 @@ class TestQnReconstruct:
         assert len(trace) == 1
 
     def test_memory_guard(self):
-        quad = random_quadratic(np.random.default_rng(13), 4)
-        with pytest.raises(MemoryGuardError, match="latent"):
-            qn_reconstruct(quad, np.zeros((129, 129)), 1)
+        # a dense H at 160x160 would take 5.2 GB; one iteration's pair fits
+        y = np.random.default_rng(13).normal(size=(160, 160))
+        spec = ObjectiveSpec(IdentityOperator(), y,
+                             regularizer=Regularizer("tikhonov", mu=1.0))
+        _, trace, state = qn_reconstruct(spec, np.zeros((160, 160)), 1)
+        assert len(trace) == 2
+        assert len(state.pairs) == 1
+
+        class Unprojected:
+            def value(self, x):
+                raise AssertionError("projected before the guard")
+
+            grad = value
+
+        # the pairs of a huge iteration count are refused up front
+        with pytest.raises(MemoryGuardError, match="iterations"):
+            qn_reconstruct(Unprojected(), np.zeros((160, 160)), 10**6)
+
+    def test_state_memory_at_64(self):
+        g = geo.desk_geometry(view_subset=subset(180, 32))
+        sino = geo.forward_project(geo.Image(shepp_logan(64), g.pixel_mm(64)),
+                                   g)
+        spec = ObjectiveSpec.for_geometry(
+            g, sino, 64, 64, regularizer=Regularizer("tikhonov", mu=0.1))
+        x0 = geo.fbp(sino, g, h=64, w=64).values.astype(np.float64)
+        spec.grad(x0)  # the cached scan matrix is built outside the count
+        tracemalloc.start()
+        try:
+            _, trace, state = qn_reconstruct(spec, x0, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 4
+        # the dense 4096x4096 H alone would be 128 MiB
+        assert peak < 32 * 2**20

@@ -16,8 +16,10 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+import time
 
 import numpy as np
 from scipy.special import erf
@@ -45,6 +47,67 @@ class no_grad:
     def __exit__(self, *exc):
         _state.grad_enabled = self._prev
         return False
+
+
+class profile:
+    """Context manager that records per-op calls and wall time on this thread.
+
+    Keys are ``OpNode.op``: the primitive's name, or the name given to
+    ``linear_operator``. Forward time runs from the outermost primitive's
+    entry to its ``_result``; backward time is the op's backward closure in
+    the replay of ``backward``. Off by default; when off, each primitive
+    call pays one thread-local lookup.
+
+        with ad.profile() as prof:
+            loss = model(x)
+            loss.backward()
+        prof.stats  # {op: {"calls": n, "forward_ms": f, "backward_ms": b}}
+    """
+
+    def __init__(self):
+        self.stats = {}
+        self._entered = None  # perf_counter() at the outermost primitive entry
+
+    def __enter__(self):
+        self._prev = _profiler()
+        _state.profile = self
+        return self
+
+    def __exit__(self, *exc):
+        _state.profile = self._prev
+        return False
+
+    def _op(self, op):
+        entry = self.stats.get(op)
+        if entry is None:
+            entry = self.stats[op] = {"calls": 0, "forward_ms": 0.0,
+                                      "backward_ms": 0.0}
+        return entry
+
+
+def _profiler():
+    return getattr(_state, "profile", None)
+
+
+def _primitive(fn):
+    """Mark a primitive's entry for an active ``profile``.
+
+    A primitive that calls another (``mul`` swapping its operands) is
+    timed once, as the outer call.
+    """
+
+    @functools.wraps(fn)
+    def marked(*args, **kwargs):
+        prof = _profiler()
+        if prof is None or prof._entered is not None:
+            return fn(*args, **kwargs)
+        prof._entered = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            prof._entered = None
+
+    return marked
 
 
 _debug_finite = False
@@ -156,6 +219,11 @@ def _result(op, out, inputs, backward_fn):
     if _grad_enabled() and any(i.requires_grad for i in inputs):
         t.requires_grad = True
         t.node = OpNode(op, inputs, backward_fn)
+    prof = _profiler()
+    if prof is not None:
+        entry = prof._op(op)
+        entry["calls"] += 1
+        entry["forward_ms"] += 1e3 * (time.perf_counter() - prof._entered)
     return t
 
 
@@ -189,11 +257,18 @@ def backward(out: Tensor):
     ordered = sorted(node_out.values(), key=lambda t: t.node.seq, reverse=True)
 
     grads = {id(out): np.ones_like(out.data)}
+    prof = _profiler()
     for t in ordered:
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        in_grads = t.node.backward_fn(g)
+        if prof is None:
+            in_grads = t.node.backward_fn(g)
+        else:
+            start = time.perf_counter()
+            in_grads = t.node.backward_fn(g)
+            prof._op(t.node.op)["backward_ms"] += \
+                1e3 * (time.perf_counter() - start)
         for inp, ig in zip(t.node.inputs, in_grads):
             if ig is None:
                 continue
@@ -214,6 +289,7 @@ def backward(out: Tensor):
 # primitive ops
 # ---------------------------------------------------------------------------
 
+@_primitive
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("add", a, b)
     if a.shape != b.shape:
@@ -221,6 +297,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
+@_primitive
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("sub", a, b)
     if a.shape != b.shape:
@@ -228,6 +305,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result("sub", a.data - b.data, (a, b), lambda g: (g, -g))
 
 
+@_primitive
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; one operand may be a 0-d/1-element scalar."""
     _same_dtype("mul", a, b)
@@ -247,10 +325,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+@_primitive
 def scale_const(a: Tensor, c: float) -> Tensor:
     return _result("scale_const", a.data * c, (a,), lambda g: (g * c,))
 
 
+@_primitive
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("matmul", a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -263,6 +343,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+@_primitive
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: y[..., o] = x[..., i] w[i, o] (+ b[o])."""
     _same_dtype("linear", *( [x, w] + ([b] if b is not None else []) ))
@@ -303,6 +384,7 @@ def _conv_out_size(op, size, k, stride, padding):
     return span // stride + 1
 
 
+@_primitive
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
     """NCHW cross-correlation with kernel w of shape (out_c, in_c, kh, kw)."""
@@ -353,6 +435,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     return _result("conv2d", out, inputs, bw)
 
 
+@_primitive
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """2x upsampling transposed conv, kernel 2 stride 2, w: (in_c, out_c, 2, 2)."""
     _same_dtype("conv_transpose2d", *( [x, w] + ([b] if b is not None else []) ))
@@ -393,6 +476,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result("conv_transpose2d", out, inputs, bw)
 
 
+@_primitive
 def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
               padding: int = 0) -> Tensor:
     if x.data.ndim != 4:
@@ -427,6 +511,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
     return _result("maxpool2d", out, (x,), bw)
 
 
+@_primitive
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt 2))."""
     xd = x.data
@@ -440,6 +525,7 @@ def gelu(x: Tensor) -> Tensor:
     return _result("gelu", out, (x,), bw)
 
 
+@_primitive
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     """Channelwise parametric ReLU on NCHW input; one slope per channel."""
     if x.data.ndim != 4 or slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
@@ -465,6 +551,7 @@ def _norm_backward(g, xhat, inv_std, axes):
     return inv_std * (g - gsum / m - xhat * gxhat_sum / m)
 
 
+@_primitive
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
@@ -488,6 +575,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _result("layer_norm", out.astype(x.dtype), (x, gamma, beta), bw)
 
 
+@_primitive
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each (sample, channel) plane of NCHW input, then affine."""
     if x.data.ndim != 4:
@@ -513,6 +601,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     return _result("instance_norm", out.astype(x.dtype), (x, gamma, beta), bw)
 
 
+@_primitive
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != x.size:
@@ -522,6 +611,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     )
 
 
+@_primitive
 def permute(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
@@ -535,6 +625,7 @@ def permute(x: Tensor, axes) -> Tensor:
     )
 
 
+@_primitive
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = list(tensors)
     _same_dtype("concat", *tensors)
@@ -556,6 +647,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
     )
 
 
+@_primitive
 def mean(x: Tensor) -> Tensor:
     n = x.size
     return _result(
@@ -566,6 +658,7 @@ def mean(x: Tensor) -> Tensor:
     )
 
 
+@_primitive
 def sum_of_squares(x: Tensor) -> Tensor:
     return _result(
         "sum_of_squares",
@@ -575,6 +668,7 @@ def sum_of_squares(x: Tensor) -> Tensor:
     )
 
 
+@_primitive
 def linear_operator(x: Tensor, fwd, adj, name: str = "linear_operator") -> Tensor:
     """Record an arbitrary linear map with a known adjoint as one node.
 

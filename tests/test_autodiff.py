@@ -281,3 +281,26 @@ def test_checkpoint_truncated_or_malformed(tmp_path):
         path.write_bytes(blob.replace(b"w 4,3 0\n", line))
         with pytest.raises(CheckpointError):
             ad.load_checkpoint(path)
+
+
+def test_profile_counts_calls_and_times_both_passes():
+    x = t64(np.random.default_rng(1).normal(size=(1, 2, 6, 6)))
+    s = t64([0.5])
+    with ad.profile() as prof:
+        y = ad.mul(s, ad.gelu(x))  # mul swaps its operands: one call
+        ad.sum_of_squares(y).backward()
+    assert {op: e["calls"] for op, e in prof.stats.items()} == {
+        "gelu": 1, "mul": 1, "sum_of_squares": 1}
+    for entry in prof.stats.values():
+        assert entry["forward_ms"] > 0.0 and entry["backward_ms"] > 0.0
+    assert ad._profiler() is None
+
+
+def test_profile_keys_named_linear_operators_and_is_off_by_default():
+    x = t64(np.ones(3))
+    assert ad._profiler() is None
+    with ad.profile() as prof:
+        with ad.no_grad():
+            ad.linear_operator(x, lambda v: 2 * v, lambda g: 2 * g, name="A")
+    assert set(prof.stats) == {"A"}
+    assert prof.stats["A"]["calls"] == 1 and prof.stats["A"]["backward_ms"] == 0

@@ -2,18 +2,20 @@
 """Measure the autodiff kernels of a desk training step, parent against change.
 
     python3 scripts/bench_kernels.py --parent DIR --change DIR \
-        [--steps 10] [--pairs train:11-20 gd:11-15 qn:11-15] \
+        [--steps 10] [--rounds 3] [--pairs train:11-20 gd:11-15 qn:11-15] \
         [--out BENCH_train_kernels.json]
 
 DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
-For each side, in a fresh process with one BLAS thread:
+For each side, in ``--rounds`` fresh processes (the sides alternate, and
+each figure is the median over the rounds) with one BLAS thread:
 
   - ``per_op``: the perfbench ``train`` recipe (64², 16 of 180 parallel
     views, d = 48, T = 6, k = 2, codec width 32) runs two warm-up steps,
     then ``--steps`` steps under ``autodiff.profile``; calls, forward ms and
     backward ms are reported per step for every tape op. This needs
-    ``autodiff.profile`` on both sides, so the parent side is the first
-    commit that has the hook.
+    ``autodiff.profile`` on both sides; ``--profile-parent DIR`` names a
+    checkout that has it (the first commit with the hook), if the parent
+    does not.
   - ``conv2d_shapes``: forward and backward ms (median of 30 reps) of each
     conv2d shape a desk train step uses, called directly, so it runs on
     any commit.
@@ -197,13 +199,49 @@ def _child(checkout: Path, seed: int, steps: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def profiles(parent: Path, change: Path, seed: int, steps: int, rounds: int):
+    """Per-op profiles of both sides in alternating rounds; every figure is
+    the median over the rounds."""
+    runs = {"parent": [], "change": []}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 == 0
+                     else ("change", "parent")):
+            runs[side].append(
+                _child(parent if side == "parent" else change, seed, steps))
+    report = {}
+    for side, rs in runs.items():
+        ops = sorted({op for run in rs for op in run["per_op"]})
+        report[side] = {
+            "env": rs[0]["env"],
+            "seed": seed, "steps": steps, "rounds": rounds,
+            "step_ms_profiled": [run["step_ms_profiled"] for run in rs],
+            "per_op": {op: {key: statistics.median(
+                run["per_op"].get(op, {}).get(key, 0.0) for run in rs)
+                for key in ("calls", "forward_ms", "backward_ms")}
+                for op in ops},
+            "profile_off_cost": {key: statistics.median(
+                run["profile_off_cost"][key] for run in rs)
+                for key in rs[0]["profile_off_cost"]},
+            "conv2d_shapes": [
+                {**rows[0], **{key: statistics.median(row[key] for row in rows)
+                               for key in ("forward_ms", "backward_ms")}}
+                for rows in zip(*(run["conv2d_shapes"] for run in rs))],
+        }
+    return report
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", type=Path)
     p.add_argument("--change", type=Path)
+    p.add_argument("--profile-parent", type=Path,
+                   help="parent-side checkout of the per-op profile "
+                        "(default: --parent)")
     p.add_argument("--seed", type=int, default=1,
                    help="perfbench seed of the per-op profile")
     p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--rounds", type=int, default=3,
+                   help="alternating profile runs per side")
     p.add_argument("--pairs", nargs="*", default=["train:11-20"],
                    help="workload:first-last perfbench seeds, e.g. gd:11-15")
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_train_kernels.json")
@@ -218,9 +256,9 @@ def main(argv=None) -> int:
     if not (args.parent and args.change):
         p.error("--parent and --change are required")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    report = {"profile": {side: _child(path.resolve(), args.seed, args.steps)
-                          for side, path in (("parent", args.parent),
-                                             ("change", args.change))},
+    report = {"profile": profiles(
+                  (args.profile_parent or args.parent).resolve(),
+                  args.change.resolve(), args.seed, args.steps, args.rounds),
               "perfbench": {}}
     for spec in filter(None, args.pairs):
         workload, seeds = _seed_range(spec)

@@ -8,6 +8,17 @@ float32 by default with float64 available for finite-difference work.
 
 Conventions:
   - image tensors are NCHW;
+  - conv2d is one GEMM per sample, laid out so it writes NCHW directly:
+    W (oc, c*kh*kw) @ cols (c*kh*kw, oh*ow), where cols has one row per
+    (channel, tap) and one column per output pixel. A 1x1 stride-1 conv
+    uses x itself as cols. Backward is gW = g colsᵀ and gcols = Wᵀ g, the
+    latter added back into the input's channel planes one tap at a time;
+    conv_transpose2d is the same GEMM with the roles of x and g swapped;
+  - a primitive returns outputs and gradients in its inputs' dtype and
+    computes in it: float32 work stays float32, float64 (grad_check) stays
+    float64. Constants in kernels are Python numbers, never numpy scalars,
+    which NumPy 2 promotion (NEP 50) treats as strongly typed: a float64
+    or int64 scalar turns a float32 array expression into float64 work;
   - broadcasting is limited to bias-add and scalar scaling, everything else
     requires explicit reshape/permute;
   - only leaf tensors with ``requires_grad`` receive a ``.grad`` buffer, and
@@ -26,8 +37,9 @@ from scipy.special import erf
 
 from .errors import CheckpointError, FiniteCheckError, ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: they keep float32 kernels in float32.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _state = threading.local()
 
@@ -56,7 +68,7 @@ class profile:
     ``linear_operator``. Forward time runs from the outermost primitive's
     entry to its ``_result``; backward time is the op's backward closure in
     the replay of ``backward``. Off by default; when off, each primitive
-    call pays one thread-local lookup.
+    call pays a wrapper call and two thread-local lookups (under 1 us).
 
         with ad.profile() as prof:
             loss = model(x)
@@ -355,7 +367,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ w.data
     if b is not None:
-        out = out + b.data
+        out += b.data
 
     def bw(g, lead=lead):
         g2 = g.reshape(-1, w.shape[1])
@@ -372,6 +384,15 @@ def _pad_nchw(x, padding):
     if padding == 0:
         return x
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _mm(a, b):
+    """a @ b over the last two axes. An inner size of 1 (a rank-one
+    product) is a broadcast multiply: the same products, which np.matmul
+    computes about 20x slower."""
+    if a.shape[-1] == 1:
+        return a * b
+    return a @ b
 
 
 def _conv_out_size(op, size, k, stride, padding):
@@ -401,35 +422,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     ow = _conv_out_size("conv2d", wd, kw, stride, padding)
 
     xp = _pad_nchw(x.data, padding)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, c, oh, ow, kh, kw)
-    # im2col GEMM: rows are output positions, columns c*kh*kw taps
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, c * kh * kw)
-    wmat = w.data.reshape(oc, c * kh * kw).T
-    out = cols @ wmat
+    k, npix = c * kh * kw, oh * ow
+    if kh == kw == 1 and stride == 1:
+        cols = xp.reshape(n, c, npix)  # x itself is the column matrix
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
+                                                       axis=(2, 3))
+        # (n, c, kh, kw, oh, ow): one output plane per tap, rows c*kh*kw
+        cols = win[:, :, ::stride, ::stride].transpose(
+            0, 1, 4, 5, 2, 3).reshape(n, k, npix)
+    wmat = w.data.reshape(oc, k)
+    out = _mm(wmat, cols)  # (n, oc, oh*ow): NCHW with no transpose
     if b is not None:
-        out = out + b.data
-    out = np.ascontiguousarray(
-        out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+        out += b.data[:, None]
+    out = out.reshape(n, oc, oh, ow)
 
     def bw(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
-            n * oh * ow, oc)
-        gw = (cols.T @ gmat).T.reshape(oc, c, kh, kw)
-        gcols = (gmat @ wmat.T).reshape(n, oh, ow, c, kh, kw)
-        gxp = np.zeros_like(xp)
-        for ki in range(kh):
-            for kj in range(kw):
-                gxp[:, :, ki:ki + oh * stride:stride,
-                    kj:kj + ow * stride:stride] += \
-                    gcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-        if padding:
-            gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+        gmat = g.reshape(n, oc, npix)
+        # one GEMM sums over the batch: (k, n*npix) @ (n*npix, oc)
+        gw = (cols.transpose(1, 0, 2).reshape(k, n * npix)
+              @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T
+        gcols = _mm(wmat.T, gmat)  # (n, k, oh*ow)
+        if kh == kw == 1 and stride == 1:
+            gxp = gcols.reshape(xp.shape)
         else:
-            gx = gxp
-        gb = gmat.sum(axis=0) if b is not None else None
-        return (gx, gw, gb) if b is not None else (gx, gw)
+            gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+            # windows that tile the input (a patchify conv) fill disjoint
+            # pixels: each tap is a copy, with no zeroing and no adds
+            tile = kh == kw == stride and padding == 0
+            gxp = np.empty_like(xp) if tile else np.zeros_like(xp)
+            for ki in range(kh):
+                for kj in range(kw):
+                    dst = gxp[:, :, ki:ki + oh * stride:stride,
+                              kj:kj + ow * stride:stride]
+                    if tile:
+                        dst[...] = gcols[:, :, ki, kj]
+                    else:
+                        dst += gcols[:, :, ki, kj]
+        gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+        gw = gw.reshape(w.shape)  # the (oc, k) transpose, copied
+        if b is None:
+            return gx, gw
+        return gx, gw, gmat.sum(axis=(0, 2))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _result("conv2d", out, inputs, bw)
@@ -447,30 +481,28 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv_transpose2d: input channels {c} vs kernel {ic}")
     if b is not None and b.shape != (oc,):
         raise ShapeError(f"conv_transpose2d: bias {b.shape} vs out channels {oc}")
-    xmat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(
-        n * h * wd, c)
-    out = np.zeros((n, oc, 2 * h, 2 * wd), dtype=x.dtype)
+    npix = h * wd
+    xmat = x.data.reshape(n, c, npix)
+    wmat = w.data.reshape(c, oc * 4)
+    # (n, oc, 2, 2, h, w): one output plane per tap, interleaved 2x2
+    cols = _mm(wmat.T, xmat).reshape(n, oc, 2, 2, h, wd)
+    out = np.empty((n, oc, 2 * h, 2 * wd), dtype=x.dtype)
     for ki in range(2):
         for kj in range(2):
-            piece = (xmat @ w.data[:, :, ki, kj]).reshape(n, h, wd, oc)
-            out[:, :, ki::2, kj::2] = piece.transpose(0, 3, 1, 2)
+            out[:, :, ki::2, kj::2] = cols[:, :, ki, kj]
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data[:, None, None]
 
     def bw(g):
-        gxm = np.zeros_like(xmat)
-        gw = np.zeros_like(w.data)
-        for ki in range(2):
-            for kj in range(2):
-                gpart = np.ascontiguousarray(
-                    g[:, :, ki::2, kj::2].transpose(0, 2, 3, 1)).reshape(
-                    n * h * wd, oc)
-                gxm += gpart @ w.data[:, :, ki, kj].T
-                gw[:, :, ki, kj] = xmat.T @ gpart
-        gx = np.ascontiguousarray(
-            gxm.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
-        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
-        return (gx, gw, gb) if b is not None else (gx, gw)
+        gcols = g.reshape(n, oc, h, 2, wd, 2).transpose(
+            0, 1, 3, 5, 2, 4).reshape(n, oc * 4, npix)
+        gx = _mm(wmat, gcols).reshape(x.shape)
+        gw = (xmat.transpose(1, 0, 2).reshape(c, n * npix)
+              @ gcols.transpose(1, 0, 2).reshape(oc * 4, n * npix).T)
+        gw = gw.reshape(w.shape)
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _result("conv_transpose2d", out, inputs, bw)
@@ -490,23 +522,28 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
                     constant_values=-np.inf)
     else:
         xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, kernel * kernel)
-    arg = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    out = np.ascontiguousarray(out)
+
+    def tap(a, idx):
+        ki, kj = divmod(idx, kernel)
+        return a[:, :, ki:ki + oh * stride:stride, kj:kj + ow * stride:stride]
+
+    # Running max over the taps, and the first tap that holds it. Compare
+    # and select are arithmetic, not masked writes: on random data a
+    # branching select (np.where) mispredicts and runs ~5x slower.
+    out = tap(xp, 0).copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    for idx in range(1, kernel * kernel):
+        v = tap(xp, idx)
+        better = v > out
+        np.maximum(out, v, out=out)  # NaN propagates
+        arg += better * (arg.dtype.type(idx) - arg)
 
     def bw(g):
-        gxp = np.zeros_like(xp, dtype=x.dtype)
-        ki, kj = np.divmod(arg, kernel)
-        ii = (np.arange(oh)[None, None, :, None] * stride + ki)
-        jj = (np.arange(ow)[None, None, None, :] * stride + kj)
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(gxp, (nn, cc, ii, jj), g)
-        if padding:
-            return (gxp[:, :, padding:padding + h, padding:padding + wd],)
-        return (gxp,)
+        gxp = np.zeros_like(xp)
+        for idx in range(kernel * kernel):
+            gtap = tap(gxp, idx)
+            gtap += g * (arg == idx)
+        return (gxp[:, :, padding:padding + h, padding:padding + wd],)
 
     return _result("maxpool2d", out, (x,), bw)
 
@@ -515,12 +552,20 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt 2))."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = (xd * cdf).astype(x.dtype)
+    cdf = erf(xd * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    out = xd * cdf
 
     def bw(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return ((g * (cdf + xd * pdf)).astype(x.dtype),)
+        dy = xd * xd
+        dy *= -0.5
+        np.exp(dy, out=dy)
+        dy *= _INV_SQRT2PI
+        dy *= xd
+        dy += cdf  # d/dx x cdf(x) = cdf + x pdf
+        dy *= g
+        return (dy,)
 
     return _result("gelu", out, (x,), bw)
 
@@ -531,24 +576,47 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if x.data.ndim != 4 or slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
         raise ShapeError(f"prelu: input {x.shape}, slopes {slopes.shape}")
     _same_dtype("prelu", x, slopes)
-    pos = x.data > 0
-    a = slopes.data[None, :, None, None]
-    out = np.where(pos, x.data, a * x.data)
+    # Per-element slope 1 or a, by arithmetic: a branching select
+    # (np.where) on random signs runs ~5x slower. pos + (1 - pos) a is
+    # exactly 1 or exactly a.
+    pos = (x.data > 0).astype(x.dtype)
+    scale = 1.0 - pos
+    scale *= slopes.data[None, :, None, None]
+    scale += pos
+    out = x.data * scale
 
     def bw(g):
-        gx = np.where(pos, g, a * g)
-        ga = np.where(pos, 0.0, g * x.data).sum(axis=(0, 2, 3))
-        return gx.astype(x.dtype), ga.astype(x.dtype)
+        ga = np.einsum("nchw,nchw->c", g, np.minimum(x.data, 0.0))
+        return g * scale, ga
 
     return _result("prelu", out, (x, slopes), bw)
 
 
-def _norm_backward(g, xhat, inv_std, axes):
-    """Shared backward for layer/instance norm over the normalized axes."""
-    m = np.prod([g.shape[ax] for ax in axes])
-    gsum = g.sum(axis=axes, keepdims=True)
-    gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
-    return inv_std * (g - gsum / m - xhat * gxhat_sum / m)
+def _row_sums(a):
+    """Sums along the rows of a 2-D array, as a GEMV with a ones vector:
+    numpy's own reduction is ~5x slower on short rows."""
+    return a @ np.ones(a.shape[1], dtype=a.dtype)
+
+
+def _normalize(x, m, eps):
+    """Each run of m trailing elements of x to zero mean and unit variance.
+
+    Returns xhat as (rows, m) and 1 / sqrt(var + eps) as (rows, 1)."""
+    xhat = x.reshape(-1, m)
+    xhat = xhat - (_row_sums(xhat) / m)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / m
+    inv_std = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= inv_std
+    return xhat, inv_std
+
+
+def _norm_backward(g, xhat, inv_std):
+    """Input gradient of ``_normalize`` for an output gradient g (rows, m)."""
+    m = xhat.shape[1]
+    gx = g - (_row_sums(g) / m)[:, None]
+    gx -= xhat * (np.einsum("ij,ij->i", g, xhat) / m)[:, None]
+    gx *= inv_std
+    return gx
 
 
 @_primitive
@@ -560,19 +628,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: affine {gamma.shape}/{beta.shape} vs feature dim {d}"
         )
     _same_dtype("layer_norm", x, gamma, beta)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = xhat * gamma.data + beta.data
+    xhat, inv_std = _normalize(x.data, d, eps)
+    out = xhat * gamma.data
+    out += beta.data
 
     def bw(g):
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        gbeta = g.reshape(-1, d).sum(axis=0)
-        gx = _norm_backward(g * gamma.data, xhat, inv_std, (-1,))
-        return gx.astype(x.dtype), ggamma.astype(x.dtype), gbeta.astype(x.dtype)
+        g = g.reshape(-1, d)
+        ggamma = (g * xhat).sum(axis=0)
+        gx = _norm_backward(g * gamma.data, xhat, inv_std)
+        return gx.reshape(x.shape), ggamma, g.sum(axis=0)
 
-    return _result("layer_norm", out.astype(x.dtype), (x, gamma, beta), bw)
+    return _result("layer_norm", out.reshape(x.shape), (x, gamma, beta), bw)
 
 
 @_primitive
@@ -580,25 +646,26 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     """Normalize each (sample, channel) plane of NCHW input, then affine."""
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm: input {x.shape}")
-    c = x.shape[1]
+    n, c, h, wd = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"instance_norm: affine {gamma.shape}/{beta.shape} vs channels {c}"
         )
     _same_dtype("instance_norm", x, gamma, beta)
-    mean = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
+    xhat, inv_std = _normalize(x.data, h * wd, eps)
+    xhat = xhat.reshape(x.shape)
+    out = xhat * gamma.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
 
     def bw(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        ggamma = np.einsum("nchw,nchw->c", g, xhat)
         gbeta = g.sum(axis=(0, 2, 3))
-        gx = _norm_backward(g * gamma.data[None, :, None, None], xhat, inv_std, (2, 3))
-        return gx.astype(x.dtype), ggamma.astype(x.dtype), gbeta.astype(x.dtype)
+        gx = _norm_backward(
+            (g * gamma.data[None, :, None, None]).reshape(-1, h * wd),
+            xhat.reshape(-1, h * wd), inv_std)
+        return gx.reshape(x.shape), ggamma, gbeta
 
-    return _result("instance_norm", out.astype(x.dtype), (x, gamma, beta), bw)
+    return _result("instance_norm", out, (x, gamma, beta), bw)
 
 
 @_primitive

@@ -304,3 +304,174 @@ def test_profile_keys_named_linear_operators_and_is_off_by_default():
             ad.linear_operator(x, lambda v: 2 * v, lambda g: 2 * g, name="A")
     assert set(prof.stats) == {"A"}
     assert prof.stats["A"]["calls"] == 1 and prof.stats["A"]["backward_ms"] == 0
+
+
+# ---------------------------------------------------------------------------
+# kernel references: grad_check cannot see a layout bug that forward and
+# backward share, so the layouts are checked against direct loops
+# ---------------------------------------------------------------------------
+
+def vjp(out, g):
+    """Input gradients of the op that produced ``out``, for output grad g."""
+    return out.node.backward_fn(g)
+
+
+def conv2d_reference(x, w, b, stride, padding):
+    """Direct loop over output positions: output, and the gradients of
+    sum(out * g) for x, w (b's is g summed)."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, oc, oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            patch = xp[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            out[:, :, i, j] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3]))
+    out += b[None, :, None, None]
+
+    def grads(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w)
+        for i in range(oh):
+            for j in range(ow):
+                rows = slice(i * stride, i * stride + kh)
+                cols = slice(j * stride, j * stride + kw)
+                gxp[:, :, rows, cols] += np.tensordot(g[:, :, i, j], w, axes=(1, 0))
+                gw += np.tensordot(g[:, :, i, j], xp[:, :, rows, cols], axes=(0, 0))
+        return gxp[:, :, padding:padding + h, padding:padding + wd], gw
+
+    return out, grads
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k,stride,padding,size", [
+    (1, 1, 0, 5), (3, 1, 1, 6), (5, 1, 2, 6), (4, 4, 0, 8)],
+    ids=["1x1", "3x3pad1", "5x5pad2", "4x4stride4"])
+def test_conv2d_matches_direct_loop(n, k, stride, padding, size):
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(n, 3, size, size))
+    w = rng.normal(size=(4, 3, k, k))
+    b = rng.normal(size=4)
+    out = ad.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
+    ref, ref_grads = conv2d_reference(x, w, b, stride, padding)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    g = rng.normal(size=ref.shape)
+    gx, gw, gb = vjp(out, g)
+    rx, rw = ref_grads(g)
+    np.testing.assert_allclose(gx, rx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gw, rw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def maxpool_reference(x, k, stride, padding, g):
+    """Direct loop: window max and its first (row-major) position gets g."""
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c, oh, ow))
+    gxp = np.zeros_like(xp)
+    for s in range(n):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    win = xp[s, ch, i * stride:i * stride + k, j * stride:j * stride + k]
+                    a, bb = divmod(int(np.argmax(win)), k)
+                    out[s, ch, i, j] = win[a, bb]
+                    gxp[s, ch, i * stride + a, j * stride + bb] += g[s, ch, i, j]
+    return out, gxp[:, :, padding:padding + h, padding:padding + wd]
+
+
+@pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 1, 1)])
+def test_maxpool2d_matches_direct_loop_with_ties(k, stride, padding):
+    rng = np.random.default_rng(5)
+    # few distinct values: most windows hold a tie for the max
+    x = rng.integers(0, 3, size=(2, 3, 6, 6)).astype(np.float64)
+    out = ad.maxpool2d(t64(x), k, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    ref, ref_gx = maxpool_reference(x, k, stride, padding, g)
+    np.testing.assert_array_equal(out.data, ref)
+    np.testing.assert_allclose(vjp(out, g)[0], ref_gx, rtol=1e-12, atol=1e-15)
+
+
+BATCHED = {
+    "conv2d": (lambda x, p: ad.conv2d(x, p[0], p[1], padding=1),
+               lambda rng: [(4, 3, 3, 3), (4,)]),
+    "conv_transpose2d": (lambda x, p: ad.conv_transpose2d(x, p[0], p[1]),
+                         lambda rng: [(3, 2, 2, 2), (2,)]),
+    "maxpool2d": (lambda x, p: ad.maxpool2d(x, 3, stride=1, padding=1),
+                  lambda rng: []),
+    "prelu": (lambda x, p: ad.prelu(x, p[0]), lambda rng: [(3,)]),
+    "instance_norm": (lambda x, p: ad.instance_norm(x, p[0], p[1]),
+                      lambda rng: [(3,), (3,)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED))
+def test_batch_of_two_equals_two_single_calls(op):
+    fn, shapes = BATCHED[op]
+    rng = np.random.default_rng(11)
+    params = [t64(rng.normal(size=s)) for s in shapes(rng)]
+    x = rng.normal(size=(2, 3, 6, 6))
+    both = fn(t64(x), params)
+    g = rng.normal(size=both.shape)
+    both_grads = vjp(both, g)
+    singles = [fn(t64(x[i:i + 1]), params) for i in range(2)]
+    single_grads = [vjp(s, g[i:i + 1]) for i, s in enumerate(singles)]
+    np.testing.assert_allclose(
+        both.data, np.concatenate([s.data for s in singles]), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(
+        both_grads[0], np.concatenate([sg[0] for sg in single_grads]),
+        rtol=1e-13, atol=1e-13)
+    for j in range(1, len(both_grads)):  # parameter grads sum over the batch
+        np.testing.assert_allclose(
+            both_grads[j], single_grads[0][j] + single_grads[1][j],
+            rtol=1e-12, atol=1e-12)
+
+
+def _nchw(rng, dt, shape=(2, 3, 4, 4)):
+    return Tensor(rng.normal(size=shape).astype(dt), requires_grad=True)
+
+
+PRIMITIVES = {
+    "add": lambda r, dt: ad.add(_nchw(r, dt), _nchw(r, dt)),
+    "sub": lambda r, dt: ad.sub(_nchw(r, dt), _nchw(r, dt)),
+    "mul": lambda r, dt: ad.mul(_nchw(r, dt), _nchw(r, dt)),
+    "mul_scalar": lambda r, dt: ad.mul(_nchw(r, dt), _nchw(r, dt, (1,))),
+    "scale_const": lambda r, dt: ad.scale_const(_nchw(r, dt), 0.3),
+    "matmul": lambda r, dt: ad.matmul(_nchw(r, dt, (3, 4)), _nchw(r, dt, (4, 2))),
+    "linear": lambda r, dt: ad.linear(_nchw(r, dt), _nchw(r, dt, (4, 5)),
+                                      _nchw(r, dt, (5,))),
+    "conv2d": lambda r, dt: ad.conv2d(_nchw(r, dt), _nchw(r, dt, (2, 3, 3, 3)),
+                                      _nchw(r, dt, (2,)), padding=1),
+    "conv2d_1x1": lambda r, dt: ad.conv2d(_nchw(r, dt), _nchw(r, dt, (1, 3, 1, 1)),
+                                          _nchw(r, dt, (1,))),
+    "conv_transpose2d": lambda r, dt: ad.conv_transpose2d(
+        _nchw(r, dt), _nchw(r, dt, (3, 2, 2, 2)), _nchw(r, dt, (2,))),
+    "maxpool2d": lambda r, dt: ad.maxpool2d(_nchw(r, dt), 2),
+    "gelu": lambda r, dt: ad.gelu(_nchw(r, dt)),
+    "prelu": lambda r, dt: ad.prelu(_nchw(r, dt), _nchw(r, dt, (3,))),
+    "layer_norm": lambda r, dt: ad.layer_norm(_nchw(r, dt), _nchw(r, dt, (4,)),
+                                              _nchw(r, dt, (4,))),
+    "instance_norm": lambda r, dt: ad.instance_norm(
+        _nchw(r, dt), _nchw(r, dt, (3,)), _nchw(r, dt, (3,))),
+    "reshape": lambda r, dt: ad.reshape(_nchw(r, dt), (6, 16)),
+    "permute": lambda r, dt: ad.permute(_nchw(r, dt), (0, 2, 3, 1)),
+    "concat": lambda r, dt: ad.concat([_nchw(r, dt), _nchw(r, dt)], axis=1),
+    "mean": lambda r, dt: ad.mean(_nchw(r, dt)),
+    "sum_of_squares": lambda r, dt: ad.sum_of_squares(_nchw(r, dt)),
+    "linear_operator": lambda r, dt: ad.linear_operator(
+        _nchw(r, dt), lambda v: 2.0 * v[..., ::2], lambda g: np.repeat(g, 2, -1)),
+}
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("op", sorted(PRIMITIVES))
+def test_primitive_keeps_dtype(op, dt):
+    out = PRIMITIVES[op](np.random.default_rng(2), dt)
+    assert out.dtype == dt
+    for grad in vjp(out, np.ones_like(out.data)):
+        assert grad.dtype == dt, op

@@ -83,7 +83,7 @@ def test_checkpoint_meta_and_weight_names_are_validated(valid, data):
     root, _ = valid
     arrays, meta = ad.load_checkpoint(root / "x.ckpt")
     key = data.draw(st.sampled_from(tr.MODEL_KEYS), label="key")
-    meta[key] = data.draw(st.text(alphabet="0123456789-x", max_size=2),
+    meta[key] = data.draw(st.text(alphabet="0123456789-x", max_size=3),
                           label="value")
     drop = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=2),
                      label="drop")

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,26 @@ def test_checkpoint_weights_must_match_the_meta(tmp_path, codec_width, drop,
     rewrite_checkpoint(path, drop=drop, **meta_edits)
     with pytest.raises(CheckpointError, match=match):
         tr.model_from_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value,weight", [
+    ("mixer.patch", "999", "patch_embed.w"),
+    ("mixer.d", "996", "patch_embed.w"),
+    ("mixer.n_layers", "999", "mixer.998.ln1.gamma"),
+    ("unroll.T", "999", "lambda.998"),
+    ("unroll.k", "999", "encoder.998.conv.w"),
+    ("unroll.codec_width", "999", "encoder.0.conv.w"),
+])
+def test_meta_that_sizes_a_large_model_is_refused_before_building(
+        tmp_path, key, value, weight):
+    # a patch of 999 would build ~1 GB of random weights for a 16x16 file
+    path = tmp_path / "crafted.ckpt"
+    tiny_checkpoint(path)
+    rewrite_checkpoint(path, **{key: value})
+    start = time.perf_counter()
+    with pytest.raises(CheckpointError, match=f"'{weight}'"):
+        tr.model_from_checkpoint(path)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_checkpoint_with_unexpected_weight_is_refused(tmp_path):

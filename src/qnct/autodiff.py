@@ -27,6 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import threading
@@ -77,7 +78,8 @@ class profile:
     """
 
     def __init__(self):
-        self.stats = {}
+        self.stats = collections.defaultdict(
+            lambda: {"calls": 0, "forward_ms": 0.0, "backward_ms": 0.0})
         self._entered = None  # perf_counter() at the outermost primitive entry
 
     def __enter__(self):
@@ -88,13 +90,6 @@ class profile:
     def __exit__(self, *exc):
         _state.profile = self._prev
         return False
-
-    def _op(self, op):
-        entry = self.stats.get(op)
-        if entry is None:
-            entry = self.stats[op] = {"calls": 0, "forward_ms": 0.0,
-                                      "backward_ms": 0.0}
-        return entry
 
 
 def _profiler():
@@ -233,7 +228,7 @@ def _result(op, out, inputs, backward_fn):
         t.node = OpNode(op, inputs, backward_fn)
     prof = _profiler()
     if prof is not None:
-        entry = prof._op(op)
+        entry = prof.stats[op]
         entry["calls"] += 1
         entry["forward_ms"] += 1e3 * (time.perf_counter() - prof._entered)
     return t
@@ -279,7 +274,7 @@ def backward(out: Tensor):
         else:
             start = time.perf_counter()
             in_grads = t.node.backward_fn(g)
-            prof._op(t.node.op)["backward_ms"] += \
+            prof.stats[t.node.op]["backward_ms"] += \
                 1e3 * (time.perf_counter() - start)
         for inp, ig in zip(t.node.inputs, in_grads):
             if ig is None:

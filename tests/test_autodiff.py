@@ -397,16 +397,16 @@ def test_maxpool2d_matches_direct_loop_with_ties(k, stride, padding):
     np.testing.assert_allclose(vjp(out, g)[0], ref_gx, rtol=1e-12, atol=1e-15)
 
 
+# op -> (call on x and its parameters, parameter shapes)
 BATCHED = {
     "conv2d": (lambda x, p: ad.conv2d(x, p[0], p[1], padding=1),
-               lambda rng: [(4, 3, 3, 3), (4,)]),
+               [(4, 3, 3, 3), (4,)]),
     "conv_transpose2d": (lambda x, p: ad.conv_transpose2d(x, p[0], p[1]),
-                         lambda rng: [(3, 2, 2, 2), (2,)]),
-    "maxpool2d": (lambda x, p: ad.maxpool2d(x, 3, stride=1, padding=1),
-                  lambda rng: []),
-    "prelu": (lambda x, p: ad.prelu(x, p[0]), lambda rng: [(3,)]),
+                         [(3, 2, 2, 2), (2,)]),
+    "maxpool2d": (lambda x, p: ad.maxpool2d(x, 3, stride=1, padding=1), []),
+    "prelu": (lambda x, p: ad.prelu(x, p[0]), [(3,)]),
     "instance_norm": (lambda x, p: ad.instance_norm(x, p[0], p[1]),
-                      lambda rng: [(3,), (3,)]),
+                      [(3,), (3,)]),
 }
 
 
@@ -414,7 +414,7 @@ BATCHED = {
 def test_batch_of_two_equals_two_single_calls(op):
     fn, shapes = BATCHED[op]
     rng = np.random.default_rng(11)
-    params = [t64(rng.normal(size=s)) for s in shapes(rng)]
+    params = [t64(rng.normal(size=s)) for s in shapes]
     x = rng.normal(size=(2, 3, 6, 6))
     both = fn(t64(x), params)
     g = rng.normal(size=both.shape)

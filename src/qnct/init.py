@@ -36,13 +36,24 @@ def truncated_normal(shape, std: float, rng, dtype=np.float32) -> Tensor:
     return Tensor(data.astype(dtype), requires_grad=True)
 
 
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-
 def full(shape, value: float, dtype=np.float32) -> Tensor:
     return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True)
+
+
+ZEROS = ("const", 0.0)
+ONES = ("const", 1.0)
+
+
+def materialize(layout, rng, dtype=np.float32) -> dict:
+    """The weights of a layout: (name, shape, init) entries, drawn from rng
+    in layout order. init is ("xavier", fan_in, fan_out), ("normal", std)
+    for a truncated normal, or ("const", value)."""
+    params = {}
+    for name, shape, (kind, *args) in layout:
+        if kind == "xavier":
+            params[name] = xavier_uniform(shape, *args, rng, dtype)
+        elif kind == "normal":
+            params[name] = truncated_normal(shape, *args, rng, dtype)
+        else:
+            params[name] = full(shape, *args, dtype)
+    return params

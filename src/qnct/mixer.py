@@ -66,77 +66,79 @@ def image_shape(params: dict, config: MixerConfig) -> tuple:
             params["mixer.0.width.w1"].shape[0] * config.patch)
 
 
-def _conv_param(name, out_c, in_c, k, rng, params, dtype, bias=True):
-    fan_in = in_c * k * k
-    fan_out = out_c * k * k
-    params[name + ".w"] = pinit.xavier_uniform((out_c, in_c, k, k), fan_in,
-                                               fan_out, rng, dtype)
+def _conv_layout(name, out_c, in_c, k, bias=True):
+    yield name + ".w", (out_c, in_c, k, k), ("xavier", in_c * k * k,
+                                             out_c * k * k)
     if bias:
-        params[name + ".b"] = pinit.zeros((out_c,), dtype)
+        yield name + ".b", (out_c,), pinit.ZEROS
 
 
-def _mlp_param(name, d_in, hidden, d_out, rng, params, dtype):
-    params[name + ".w1"] = pinit.truncated_normal((d_in, hidden), 0.02, rng, dtype)
-    params[name + ".b1"] = pinit.zeros((hidden,), dtype)
-    params[name + ".w2"] = pinit.truncated_normal((hidden, d_out), 0.02, rng, dtype)
-    params[name + ".b2"] = pinit.zeros((d_out,), dtype)
+def _mlp_layout(name, d_in, hidden, d_out):
+    yield name + ".w1", (d_in, hidden), ("normal", 0.02)
+    yield name + ".b1", (hidden,), pinit.ZEROS
+    yield name + ".w2", (hidden, d_out), ("normal", 0.02)
+    yield name + ".b2", (d_out,), pinit.ZEROS
 
 
-def _norm_param(name, d, params, dtype):
-    params[name + ".gamma"] = pinit.ones((d,), dtype)
-    params[name + ".beta"] = pinit.zeros((d,), dtype)
+def _norm_layout(name, d):
+    yield name + ".gamma", (d,), pinit.ONES
+    yield name + ".beta", (d,), pinit.ZEROS
 
 
-def init_mixer_params(config: MixerConfig, h: int, w: int, rng,
-                      dtype=np.float32) -> dict:
-    """Deterministic parameter set for an h x w input.
+def mixer_layout(config: MixerConfig, h: int, w: int):
+    """(name, shape, init) of every weight for an h x w input, in init order
+    (see ``init.materialize``).
 
     Convs get Xavier uniform weights, MLPs truncated normal (std 0.02,
     cut at 2 std), biases and the final 1x1 conv start at zero, PReLU
     slopes at 0.25.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = pinit.substream(rng, "init")
     config.check_size(h, w)
     c1, c2, c3, c4 = config.branch_channels
     bottleneck = c1
-    p = {}
-    _conv_param("inception.b1.conv", c1, 1, 1, rng, p, dtype)
-    p["inception.b1.prelu"] = pinit.full((c1,), 0.25, dtype)
-    _conv_param("inception.b2.conv1", bottleneck, 1, 1, rng, p, dtype)
-    p["inception.b2.prelu1"] = pinit.full((bottleneck,), 0.25, dtype)
-    _conv_param("inception.b2.conv2", c2, bottleneck, 3, rng, p, dtype)
-    p["inception.b2.prelu2"] = pinit.full((c2,), 0.25, dtype)
-    _conv_param("inception.b3.conv1", bottleneck, 1, 1, rng, p, dtype)
-    p["inception.b3.prelu1"] = pinit.full((bottleneck,), 0.25, dtype)
-    _conv_param("inception.b3.conv2", c3, bottleneck, 5, rng, p, dtype)
-    p["inception.b3.prelu2"] = pinit.full((c3,), 0.25, dtype)
-    _conv_param("inception.b4.conv", c4, 1, 1, rng, p, dtype)
-    p["inception.b4.prelu"] = pinit.full((c4,), 0.25, dtype)
+    slope = ("const", 0.25)
+    yield from _conv_layout("inception.b1.conv", c1, 1, 1)
+    yield "inception.b1.prelu", (c1,), slope
+    yield from _conv_layout("inception.b2.conv1", bottleneck, 1, 1)
+    yield "inception.b2.prelu1", (bottleneck,), slope
+    yield from _conv_layout("inception.b2.conv2", c2, bottleneck, 3)
+    yield "inception.b2.prelu2", (c2,), slope
+    yield from _conv_layout("inception.b3.conv1", bottleneck, 1, 1)
+    yield "inception.b3.prelu1", (bottleneck,), slope
+    yield from _conv_layout("inception.b3.conv2", c3, bottleneck, 5)
+    yield "inception.b3.prelu2", (c3,), slope
+    yield from _conv_layout("inception.b4.conv", c4, 1, 1)
+    yield "inception.b4.prelu", (c4,), slope
 
-    _conv_param("patch_embed", config.d, config.d, config.patch, rng, p, dtype,
-                bias=False)
+    yield from _conv_layout("patch_embed", config.d, config.d, config.patch,
+                            bias=False)
 
     th, tw = h // config.patch, w // config.patch
     for i in range(config.n_layers):
         base = f"mixer.{i}"
-        _norm_param(base + ".ln1", config.d, p, dtype)
-        _mlp_param(base + ".height", th, config.token_hidden_ratio * th, th,
-                   rng, p, dtype)
-        _mlp_param(base + ".width", tw, config.token_hidden_ratio * tw, tw,
-                   rng, p, dtype)
-        _norm_param(base + ".ln2", config.d, p, dtype)
-        _mlp_param(base + ".channel", config.d,
-                   config.channel_hidden_ratio * config.d, config.d, rng, p,
-                   dtype)
+        yield from _norm_layout(base + ".ln1", config.d)
+        yield from _mlp_layout(base + ".height", th,
+                               config.token_hidden_ratio * th, th)
+        yield from _mlp_layout(base + ".width", tw,
+                               config.token_hidden_ratio * tw, tw)
+        yield from _norm_layout(base + ".ln2", config.d)
+        yield from _mlp_layout(base + ".channel", config.d,
+                               config.channel_hidden_ratio * config.d,
+                               config.d)
 
-    p["expand.linear.w"] = pinit.truncated_normal(
-        (config.d, config.patch * config.patch * config.d), 0.02, rng, dtype
-    )
-    _norm_param("expand.ln", config.d, p, dtype)
-    p["expand.conv.w"] = pinit.zeros((1, config.d, 1, 1), dtype)
-    p["expand.conv.b"] = pinit.zeros((1,), dtype)
-    return p
+    yield ("expand.linear.w", (config.d, config.patch * config.patch * config.d),
+           ("normal", 0.02))
+    yield from _norm_layout("expand.ln", config.d)
+    yield "expand.conv.w", (1, config.d, 1, 1), pinit.ZEROS
+    yield "expand.conv.b", (1,), pinit.ZEROS
+
+
+def init_mixer_params(config: MixerConfig, h: int, w: int, rng,
+                      dtype=np.float32) -> dict:
+    """Deterministic parameter set for an h x w input (``mixer_layout``)."""
+    if isinstance(rng, (int, np.integer)):
+        rng = pinit.substream(rng, "init")
+    return pinit.materialize(mixer_layout(config, h, w), rng, dtype)
 
 
 def _conv_block(x, params, name, padding=0):

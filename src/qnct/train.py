@@ -22,8 +22,7 @@ from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, QnctError, ShapeError
-from .unroll import (VARIANT_QN, CodecConfig, QnMixerModel, UnrollConfig,
-                     unrolled_forward)
+from .unroll import CodecConfig, QnMixerModel, UnrollConfig, unrolled_forward
 
 
 @dataclass
@@ -238,21 +237,6 @@ def model_meta(model: QnMixerModel) -> dict:
     }
 
 
-def _meta_sized_shapes(mixer_config, unroll_config) -> dict:
-    """One weight per meta value that sizes the model, with its shape."""
-    d, p = mixer_config.d, mixer_config.patch
-    shapes = {"patch_embed.w": (d, d, p, p),
-              "expand.linear.w": (d, p * p * d),
-              f"mixer.{mixer_config.n_layers - 1}.ln1.gamma": (d,),
-              f"lambda.{unroll_config.T - 1}": (1,)}
-    if unroll_config.variant == VARIANT_QN:
-        k, width = unroll_config.codec.k, unroll_config.codec.width
-        shapes["encoder.0.conv.w"] = (width, 1, 3, 3)
-        shapes[f"encoder.{k - 1}.conv.w"] = (width, 1 if k == 1 else width,
-                                             3, 3)
-    return shapes
-
-
 def model_from_checkpoint(path) -> QnMixerModel:
     """Rebuild a model: configs from the meta keys, weights bit-exact.
 
@@ -271,21 +255,23 @@ def model_from_checkpoint(path) -> QnMixerModel:
         raise type(exc)(f"{path}: {exc}") from None
     got = {name: arr.shape for name, arr in arrays.items()}
 
-    def compare(want, names):
-        for name in names:
-            if got.get(name) != want.get(name):
-                raise CheckpointError(
-                    f"{path}: weight {name!r} is {got.get(name, 'missing')}, "
-                    f"the architecture in its meta expects "
-                    f"{want.get(name, 'none')}")
+    def mismatch(name, want):
+        return CheckpointError(
+            f"{path}: weight {name!r} is {got.get(name, 'missing')}, "
+            f"the architecture in its meta expects {want}")
 
-    # The weights each meta value sizes come first: a crafted meta (a patch
-    # of 999) must not build a model larger than the file's own weights.
-    sized = _meta_sized_shapes(mixer_config, unroll_config)
-    compare(sized, sized)
-    reference = QnMixerModel.build(h, w, 0, mixer_config, unroll_config).params
-    want = {name: t.shape for name, t in reference.items()}
-    compare(want, {**want, **got})
+    # Shapes only, generated one at a time: a crafted meta (a patch of 999,
+    # a billion layers) is refused at its first weight the file does not
+    # hold, before anything is allocated.
+    expected = set()
+    for name, shape, _ in QnMixerModel.layout(h, w, mixer_config,
+                                              unroll_config):
+        if got.get(name) != shape:
+            raise mismatch(name, shape)
+        expected.add(name)
+    for name in got:
+        if name not in expected:
+            raise mismatch(name, "none")
     params = {name: Tensor(arr, requires_grad=True)
               for name, arr in arrays.items()}
     return QnMixerModel(mixer_config, unroll_config, params)

@@ -82,39 +82,34 @@ class UnrollConfig:
             raise ShapeError(f"unknown unroll variant {self.variant!r}")
 
 
+def codec_layout(config: CodecConfig):
+    """(name, shape, init) of every codec weight, in init order (see
+    ``init.materialize``): Xavier conv weights, zero biases, unit norms,
+    0.25 PReLU slopes."""
+    for side, conv, k in (("encoder", "conv", 3), ("decoder", "convt", 2)):
+        in_c = 1
+        for i in range(config.k):
+            base = f"{side}.{i}"
+            # a conv2d kernel is (out, in, k, k), a transposed one (in, out, k, k)
+            shape = ((config.width, in_c, k, k) if side == "encoder"
+                     else (in_c, config.width, k, k))
+            yield (f"{base}.{conv}.w", shape,
+                   ("xavier", in_c * k * k, config.width * k * k))
+            yield f"{base}.{conv}.b", (config.width,), pinit.ZEROS
+            yield f"{base}.norm.gamma", (config.width,), pinit.ONES
+            yield f"{base}.norm.beta", (config.width,), pinit.ZEROS
+            yield f"{base}.prelu", (config.width,), ("const", 0.25)
+            in_c = config.width
+        yield (f"{side}.head.w", (1, config.width, 1, 1),
+               ("xavier", config.width, 1))
+        yield f"{side}.head.b", (1,), pinit.ZEROS
+
+
 def init_codec_params(config: CodecConfig, rng, dtype=np.float32) -> dict:
-    """Xavier conv weights, zero biases, unit norms, 0.25 PReLU slopes."""
+    """Deterministic codec parameter set (``codec_layout``)."""
     if isinstance(rng, (int, np.integer)):
         rng = pinit.substream(rng, "init")
-    p = {}
-    in_c = 1
-    for i in range(config.k):
-        base = f"encoder.{i}"
-        p[base + ".conv.w"] = pinit.xavier_uniform(
-            (config.width, in_c, 3, 3), in_c * 9, config.width * 9, rng, dtype)
-        p[base + ".conv.b"] = pinit.zeros((config.width,), dtype)
-        p[base + ".norm.gamma"] = pinit.ones((config.width,), dtype)
-        p[base + ".norm.beta"] = pinit.zeros((config.width,), dtype)
-        p[base + ".prelu"] = pinit.full((config.width,), 0.25, dtype)
-        in_c = config.width
-    p["encoder.head.w"] = pinit.xavier_uniform(
-        (1, config.width, 1, 1), config.width, 1, rng, dtype)
-    p["encoder.head.b"] = pinit.zeros((1,), dtype)
-
-    in_c = 1
-    for i in range(config.k):
-        base = f"decoder.{i}"
-        p[base + ".convt.w"] = pinit.xavier_uniform(
-            (in_c, config.width, 2, 2), in_c * 4, config.width * 4, rng, dtype)
-        p[base + ".convt.b"] = pinit.zeros((config.width,), dtype)
-        p[base + ".norm.gamma"] = pinit.ones((config.width,), dtype)
-        p[base + ".norm.beta"] = pinit.zeros((config.width,), dtype)
-        p[base + ".prelu"] = pinit.full((config.width,), 0.25, dtype)
-        in_c = config.width
-    p["decoder.head.w"] = pinit.xavier_uniform(
-        (1, config.width, 1, 1), config.width, 1, rng, dtype)
-    p["decoder.head.b"] = pinit.zeros((1,), dtype)
-    return p
+    return pinit.materialize(codec_layout(config), rng, dtype)
 
 
 def encode_gradient(grad: Tensor, params: dict, config: CodecConfig) -> Tensor:
@@ -175,13 +170,20 @@ class QnMixerModel:
         unroll_config = unroll_config or UnrollConfig()
         rng = seed if isinstance(seed, np.random.Generator) \
             else pinit.substream(seed, "init")
-        params = mx.init_mixer_params(mixer_config, h, w, rng, dtype)
+        layout = cls.layout(h, w, mixer_config, unroll_config)
+        return cls(mixer_config, unroll_config,
+                   pinit.materialize(layout, rng, dtype))
+
+    @staticmethod
+    def layout(h: int, w: int, mixer_config: mx.MixerConfig,
+               unroll_config: UnrollConfig):
+        """(name, shape, init) of every weight, in init order; generated
+        lazily, so a caller can check shapes without allocating any."""
+        yield from mx.mixer_layout(mixer_config, h, w)
         if unroll_config.variant == VARIANT_QN:
-            params.update(init_codec_params(unroll_config.codec, rng, dtype))
+            yield from codec_layout(unroll_config.codec)
         for t in range(unroll_config.T):
-            params[f"lambda.{t}"] = Tensor(np.zeros(1, dtype=dtype),
-                                           requires_grad=True)
-        return cls(mixer_config, unroll_config, params)
+            yield f"lambda.{t}", (1,), pinit.ZEROS
 
     def lam(self, t: int) -> Tensor:
         return self.params[f"lambda.{t}"]

@@ -2,7 +2,7 @@
 """Measure the autodiff kernels of a desk training step, parent against change.
 
     python3 scripts/bench_kernels.py --parent DIR --change DIR \
-        [--steps 10] [--rounds 3] [--pairs train:11-20 gd:11-15 qn:11-15] \
+        [--rounds 3] [--pairs train:11-20 gd:11-15 qn:11-15] \
         [--out BENCH_train_kernels.json]
 
 DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
@@ -10,8 +10,9 @@ For each side, in ``--rounds`` fresh processes (the sides alternate, and
 each figure is the median over the rounds) with one BLAS thread:
 
   - ``per_op``: the perfbench ``train`` recipe (64², 16 of 180 parallel
-    views, d = 48, T = 6, k = 2, codec width 32) runs two warm-up steps,
-    then ``--steps`` steps under ``autodiff.profile``; calls, forward ms and
+    views, d = 48, T = 6, k = 2, codec width 32) at seed ``PROFILE_SEED``
+    runs two warm-up steps, then ``PROFILE_STEPS`` steps under
+    ``autodiff.profile``; calls, forward ms and
     backward ms are reported per step for every tape op. This needs
     ``autodiff.profile`` on both sides; ``--profile-parent DIR`` names a
     checkout that has it (the first commit with the hook), if the parent
@@ -53,6 +54,8 @@ DESK_CONVS = (
     ((1, 32, 16, 16), (1, 32, 1, 1), 1, 0),
     ((1, 32, 64, 64), (1, 32, 1, 1), 1, 0),
 )
+PROFILE_SEED = 1
+PROFILE_STEPS = 10
 
 
 def _import_side(checkout: Path):
@@ -95,21 +98,21 @@ def conv2d_shapes(ad, np, reps=30):
     return rows
 
 
-def profile_side(checkout: Path, seed: int, steps: int) -> dict:
+def profile_side(checkout: Path) -> dict:
     run, workloads, q = _import_side(checkout)
     import numpy as np
 
     ad = q.autodiff
-    wl = workloads.Train(q, workloads.DESK, seed)
+    wl = workloads.Train(q, workloads.DESK, PROFILE_SEED)
     wl.setup(workloads.Phases())
     for i in range(2):
         wl.op(i)
     start = time.perf_counter()
     with ad.profile() as prof:
-        for i in range(2, 2 + steps):
+        for i in range(2, 2 + PROFILE_STEPS):
             wl.op(i)
-    step_ms = 1e3 * (time.perf_counter() - start) / steps
-    per_op = {op: {key: value / steps for key, value in entry.items()}
+    step_ms = 1e3 * (time.perf_counter() - start) / PROFILE_STEPS
+    per_op = {op: {key: value / PROFILE_STEPS for key, value in entry.items()}
               for op, entry in sorted(prof.stats.items())}
     # The profile's cost when off, per primitive call: the entry wrapper
     # (timed around a no-op) plus the lookup in _result.
@@ -126,8 +129,6 @@ def profile_side(checkout: Path, seed: int, steps: int) -> dict:
     off_ms = calls * per_call_ms
     return {
         "env": run.environment(),
-        "seed": seed,
-        "steps": steps,
         "step_ms_profiled": step_ms,
         "per_op": per_op,
         "profile_off_cost": {"calls_per_step": calls,
@@ -191,15 +192,15 @@ def _seed_range(text):
     return workload, range(int(lo), int(hi or lo) + 1)
 
 
-def _child(checkout: Path, seed: int, steps: int) -> dict:
+def _child(checkout: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--profile-side",
-         str(checkout), "--seed", str(seed), "--steps", str(steps)],
+         str(checkout)],
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def profiles(parent: Path, change: Path, seed: int, steps: int, rounds: int):
+def profiles(parent: Path, change: Path, rounds: int):
     """Per-op profiles of both sides in alternating rounds; every figure is
     the median over the rounds."""
     runs = {"parent": [], "change": []}
@@ -207,13 +208,13 @@ def profiles(parent: Path, change: Path, seed: int, steps: int, rounds: int):
         for side in (("parent", "change") if r % 2 == 0
                      else ("change", "parent")):
             runs[side].append(
-                _child(parent if side == "parent" else change, seed, steps))
+                _child(parent if side == "parent" else change))
     report = {}
     for side, rs in runs.items():
         ops = sorted({op for run in rs for op in run["per_op"]})
         report[side] = {
             "env": rs[0]["env"],
-            "seed": seed, "steps": steps, "rounds": rounds,
+            "seed": PROFILE_SEED, "steps": PROFILE_STEPS, "rounds": rounds,
             "step_ms_profiled": [run["step_ms_profiled"] for run in rs],
             "per_op": {op: {key: statistics.median(
                 run["per_op"].get(op, {}).get(key, 0.0) for run in rs)
@@ -237,9 +238,6 @@ def main(argv=None) -> int:
     p.add_argument("--profile-parent", type=Path,
                    help="parent-side checkout of the per-op profile "
                         "(default: --parent)")
-    p.add_argument("--seed", type=int, default=1,
-                   help="perfbench seed of the per-op profile")
-    p.add_argument("--steps", type=int, default=10)
     p.add_argument("--rounds", type=int, default=3,
                    help="alternating profile runs per side")
     p.add_argument("--pairs", nargs="*", default=["train:11-20"],
@@ -250,15 +248,14 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     if args.profile_side:
-        print(json.dumps(profile_side(args.profile_side.resolve(), args.seed,
-                                      args.steps)))
+        print(json.dumps(profile_side(args.profile_side.resolve())))
         return 0
     if not (args.parent and args.change):
         p.error("--parent and --change are required")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     report = {"profile": profiles(
                   (args.profile_parent or args.parent).resolve(),
-                  args.change.resolve(), args.seed, args.steps, args.rounds),
+                  args.change.resolve(), args.rounds),
               "perfbench": {}}
     for spec in filter(None, args.pairs):
         workload, seeds = _seed_range(spec)

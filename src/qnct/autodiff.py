@@ -442,18 +442,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             gxp = gcols.reshape(xp.shape)
         else:
             gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-            # windows that tile the input (a patchify conv) fill disjoint
-            # pixels: each tap is a copy, with no zeroing and no adds
-            tile = kh == kw == stride and padding == 0
-            gxp = np.empty_like(xp) if tile else np.zeros_like(xp)
+            gxp = np.zeros_like(xp)
             for ki in range(kh):
                 for kj in range(kw):
-                    dst = gxp[:, :, ki:ki + oh * stride:stride,
-                              kj:kj + ow * stride:stride]
-                    if tile:
-                        dst[...] = gcols[:, :, ki, kj]
-                    else:
-                        dst += gcols[:, :, ki, kj]
+                    gxp[:, :, ki:ki + oh * stride:stride,
+                        kj:kj + ow * stride:stride] += gcols[:, :, ki, kj]
         gx = gxp[:, :, padding:padding + h, padding:padding + wd]
         gw = gw.reshape(w.shape)  # the (oc, k) transpose, copied
         if b is None:
@@ -534,6 +527,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
         arg += better * (arg.dtype.type(idx) - arg)
 
     def bw(g):
+        # g times a 0/1 mask: a non-finite g turns NaN across its window
         gxp = np.zeros_like(xp)
         for idx in range(kernel * kernel):
             gtap = tap(gxp, idx)
@@ -581,6 +575,7 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     out = x.data * scale
 
     def bw(g):
+        # a non-finite g where x > 0 times min(x, 0) = 0 makes its slope NaN
         ga = np.einsum("nchw,nchw->c", g, np.minimum(x.data, 0.0))
         return g * scale, ga
 

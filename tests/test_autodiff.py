@@ -397,6 +397,29 @@ def test_maxpool2d_matches_direct_loop_with_ties(k, stride, padding):
     np.testing.assert_allclose(vjp(out, g)[0], ref_gx, rtol=1e-12, atol=1e-15)
 
 
+def test_inf_upstream_gradient_spreads_within_its_window_and_channel():
+    # maxpool2d and prelu select by multiplying with 0 or 1, and inf * 0 is
+    # NaN: an inf gradient comes back non-finite across its pooling window
+    # and in its channel's slope gradient. Everything else stays exact.
+    x = np.arange(16.0).reshape(1, 1, 4, 4)  # each window's max is its last tap
+    out = ad.maxpool2d(t64(x), 2)
+    g = np.ones(out.shape)
+    g[0, 0, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        gx = vjp(out, g)[0][0, 0]
+    assert gx[1, 1] == np.inf and np.isnan(gx[:2, :2]).sum() == 3
+    np.testing.assert_array_equal(gx[:, 2:], [[0, 0], [0, 1], [0, 0], [0, 1]])
+    np.testing.assert_array_equal(gx[2:, :2], [[0, 0], [0, 1]])
+
+    x = np.array([1.0, -2.0, 3.0, -4.0]).reshape(1, 2, 1, 2)
+    out = ad.prelu(t64(x), t64([0.25, 0.5]))
+    g = np.array([np.inf, 1.0, 1.0, 1.0]).reshape(x.shape)
+    with np.errstate(invalid="ignore"):
+        gx, ga = vjp(out, g)
+    np.testing.assert_array_equal(gx.ravel(), [np.inf, 0.25, 1.0, 0.5])
+    assert np.isnan(ga[0]) and ga[1] == -4.0
+
+
 # op -> (call on x and its parameters, parameter shapes)
 BATCHED = {
     "conv2d": (lambda x, p: ad.conv2d(x, p[0], p[1], padding=1),

@@ -1,31 +1,27 @@
 """Variational objective, handcrafted regularizers, and classical solvers.
 
-Both quasi-Newton loops refine an inverse-Hessian approximation H by the
-rank-two secant update
+Both quasi-Newton loops, the classical reconstructor here and the latent
+loop of the unrolled model, refine an inverse-Hessian approximation H by
+the rank-two secant update
 
     H' = (I - rho s z^T) H (I - rho z s^T) + rho s s^T,   rho = 1 / (z^T s),
 
 which satisfies H'z = s exactly. Updates with non-positive curvature are
 skipped (logged, never raised) so H stays positive definite.
 
-The classical reconstructor never forms H. It keeps every accepted pair
-(s, z, rho) and applies H v by the two-loop recursion from H0 = I (Nocedal
-1980), which equals the chained dense update in exact arithmetic at O(t n)
-work and memory after t pairs. Its trace diagnostics come from the products
-Hz and Hg alone: the secant residual |Hz - s| / |s|, and as "si" a symmetry
-probe |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|), which is 0 for a symmetric H up
-to round-off.
-
-The latent unrolled model keeps a dense H (bfgs_update). From an exactly
-symmetric H (it starts from the identity) the update is exactly symmetric
-in floating point, with no repair pass, so symmetry_index in its traces
-checks the formula and reports a fault.
+Neither loop forms H. A BfgsState keeps every accepted pair (s, z, rho),
+appended by bfgs_update, and applies H v by the two-loop recursion from
+H0 = I (Nocedal 1980), which equals the chained update in exact arithmetic
+at O(t n) work and memory after t pairs. The trace diagnostics come from
+H-products alone: the secant residual |Hz - s| / |s|, and as "si" the
+symmetry probe symmetry_index, |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|), which
+is 0 for a symmetric H up to round-off.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +31,7 @@ from .init import substream
 
 log = logging.getLogger("qnct.solvers")
 
-# bytes of quasi-Newton state either solver may hold: the latent loop's
-# dense H, or the classical solver's curvature pairs
+# bytes of curvature pairs either quasi-Newton loop may hold
 HESSIAN_BYTE_LIMIT = 2**31
 
 
@@ -150,9 +145,8 @@ def gradient(x: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
 # traces
 # ---------------------------------------------------------------------------
 
-# In qn_reconstruct traces "si" is the symmetry probe of the implicit H
-# (secant_diagnostics), not symmetry_index of a matrix as in
-# unroll.TRACE_COLUMNS; gradient descent leaves it and secant_residual NaN.
+# "si" is symmetry_index of the updated H, as in unroll.TRACE_COLUMNS;
+# gradient descent leaves it and secant_residual NaN.
 TRACE_COLUMNS = ("iteration", "J", "grad_norm", "step", "secant_residual", "si")
 
 
@@ -218,52 +212,14 @@ def _inverse_curvature(s: np.ndarray, z: np.ndarray):
     return 1.0 / curvature
 
 
-def bfgs_update(H: np.ndarray, s: np.ndarray, z: np.ndarray):
-    """One dense inverse-Hessian secant update; returns (H', accepted).
-
-    Skips (returning H unchanged) when _inverse_curvature rejects (s, z).
-
-    H must be exactly symmetric; then so is H'. Entries (i, j) and (j, i)
-    of each term add the same two products in swapped order, and IEEE
-    addition and multiplication are commutative. Nothing symmetrizes the
-    result, so symmetry_index(H') checks this formula.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if H.shape != (s.size, s.size) or s.size != z.size:
-        raise ShapeError(
-            f"bfgs_update: H {H.shape}, s {s.shape}, z {z.shape}"
-        )
-    rho = _inverse_curvature(s, z)
-    if rho is None:
-        return H, False
-    Hz = H @ z
-    zHz = float(z @ Hz)
-    # expanded form of (I - rho s z^T) H (I - rho z s^T) + rho s s^T
-    Hp = H - rho * (np.outer(s, Hz) + np.outer(Hz, s)) \
-        + (rho * rho * zHz + rho) * np.outer(s, s)
-    return Hp, True
-
-
-def symmetry_index(M: np.ndarray) -> float:
-    """Mean absolute asymmetry over off-diagonal pairs; 0 iff symmetric."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeError(f"symmetry_index: matrix must be square, got {M.shape}")
-    n = M.shape[0]
-    if n < 2:
-        return 0.0
-    return float(np.sum(np.abs(M - M.T)) / (n * (n - 1)))
-
-
 @dataclass
 class BfgsState:
     """Inverse Hessian in product form: every accepted secant pair
     (s, z, rho), oldest first, and the count of skipped updates.
 
-    H is the chain of bfgs_update over the pairs from H0 = I, never formed;
-    apply(v) returns H v by the two-loop recursion in O(t n) for t pairs.
+    H is the chain of secant updates over the pairs from H0 = I, never
+    formed; apply(v) returns H v by the two-loop recursion in O(t n) for
+    t pairs. H is symmetric, so apply is also its transpose.
     """
 
     pairs: list = field(default_factory=list)
@@ -281,21 +237,50 @@ class BfgsState:
         return q.reshape(np.shape(v))
 
 
-def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
-    """(Hg, secant residual, symmetry probe) of an H known by products.
+def bfgs_update(state: BfgsState, s: np.ndarray, z: np.ndarray):
+    """One secant update of H; returns (state', accepted).
 
-    apply(v) = H v, after H was updated with (s, z). The secant residual
-    |Hz - s| / |s| is 0 when H z = s holds; the probe
-    |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|) is 0 when H is symmetric. Both
-    read round-off for a correct H and cost two products; qn_reconstruct
-    reuses Hg as its next direction.
+    Appends the pair (s, z, rho), or counts a skip when _inverse_curvature
+    rejects it. The given state is left as it was.
     """
-    Hz, Hg = apply(z), apply(g)
-    secant = float(np.linalg.norm(Hz - s) / max(np.linalg.norm(s), 1e-300))
+    s = np.asarray(s, dtype=np.float64).reshape(-1)
+    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    n = state.pairs[0][0].size if state.pairs else s.size
+    if s.size != n or z.size != n:
+        raise ShapeError(
+            f"bfgs_update: s {s.shape}, z {z.shape} for an H of size {n}"
+        )
+    rho = _inverse_curvature(s, z)
+    if rho is None:
+        return replace(state, skips=state.skips + 1), False
+    return replace(state, pairs=state.pairs + [(s, z, rho)]), True
+
+
+def symmetry_index(g, Hg, z, Hz) -> float:
+    """Symmetry probe |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|) of an H known by
+    its products with g and z: 0 for a symmetric H, up to round-off."""
+    if not np.size(g) == np.size(Hg) == np.size(z) == np.size(Hz):
+        raise ShapeError(
+            f"symmetry_index: H must be square; g {np.shape(g)}, "
+            f"Hg {np.shape(Hg)}, z {np.shape(z)}, Hz {np.shape(Hz)}"
+        )
     gap = abs(float(np.vdot(g, Hz)) - float(np.vdot(z, Hg)))
     scale = float(np.linalg.norm(g) * np.linalg.norm(Hz)
                   + np.linalg.norm(z) * np.linalg.norm(Hg))
-    return Hg, secant, gap / max(scale, 1e-300)
+    return gap / max(scale, 1e-300)
+
+
+def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
+    """(Hg, secant residual, symmetry_index) of an H known by products.
+
+    apply(v) = H v, after H was updated with (s, z). The secant residual
+    |Hz - s| / |s| is 0 when H z = s holds. Both read round-off for a
+    correct H and cost two products; qn_reconstruct reuses Hg as its next
+    direction.
+    """
+    Hz, Hg = apply(z), apply(g)
+    secant = float(np.linalg.norm(Hz - s) / max(np.linalg.norm(s), 1e-300))
+    return Hg, secant, symmetry_index(g, Hg, z, Hz)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +422,7 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
         if g0d >= 0:
             # H lost descent property (should not happen with skips); reset
             log.warning("direction not a descent direction; resetting H")
-            state.pairs.clear()
+            state = replace(state, pairs=[])
             si = 0.0
             d = -g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
@@ -446,15 +431,13 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
         x_new = x + s
         g_new = spec.grad(x_new)
         z = g_new - g
-        rho = _inverse_curvature(s.reshape(-1), z.reshape(-1))
-        if rho is None:
+        state, accepted = bfgs_update(state, s, z)
+        if accepted:
+            Hg, secant, si = secant_diagnostics(state.apply, s, z, g_new)
+        else:
             # H is unchanged, and so is its symmetry probe
-            state.skips += 1
             Hg = state.apply(g_new)
             secant = np.nan
-        else:
-            state.pairs.append((s.reshape(-1), z.reshape(-1), rho))
-            Hg, secant, si = secant_diagnostics(state.apply, s, z, g_new)
         x, g = x_new, g_new
         j = spec.value(x)
         trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si))

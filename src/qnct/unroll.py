@@ -3,10 +3,12 @@
 Each unrolled iteration encodes the current learned gradient into a small
 latent vector r = E(grad J(x)), takes the preconditioned latent step
 s = -H r, decodes it back to image space, and refines H with the rank-two
-secant update using (s, z = r' - r). H lives outside the autodiff tape (the
-step treats it as a constant matrix, and its update runs detached in
-float64); everything else, including the per-iteration data weight and the
-pseudo-inverse path, is differentiable end to end.
+secant update using (s, z = r' - r). H is the classical solver's
+solvers.BfgsState: the accepted curvature pairs, applied by the two-loop
+recursion, never a matrix. It lives outside the autodiff tape (the step
+treats it as a constant symmetric operator, and its update runs detached
+in float64); everything else, including the per-iteration data weight and
+the pseudo-inverse path, is differentiable end to end.
 
 The first-order variant drops H and the codec and steps x - grad J(x)
 directly, which is the equal-budget baseline for the quasi-Newton model.
@@ -14,6 +16,7 @@ directly, which is the equal-budget baseline for the quasi-Newton model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +27,13 @@ from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
 from .errors import MemoryGuardError, ShapeError
-from .solvers import HESSIAN_BYTE_LIMIT, bfgs_update, symmetry_index
+from .solvers import HESSIAN_BYTE_LIMIT, BfgsState, bfgs_update, symmetry_index
 
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
 
+# si and secant_residual mean what they mean in solvers.TRACE_COLUMNS;
+# frobenius_step is |H' - H|_F of the update (0.0 when it was skipped)
 TRACE_COLUMNS = ("t", "psnr", "si", "secant_residual", "frobenius_step")
 
 
@@ -234,55 +239,59 @@ def learned_gradient(x: Tensor, y: Tensor, physics: _Physics, model:
 
 @dataclass
 class LatentBfgsState:
-    """Latent inverse-Hessian state plus diagnostics of the last update."""
+    """Latent inverse Hessian (curvature pairs), the current latent r, and
+    the diagnostics of the last update (TRACE_COLUMNS)."""
 
-    H: np.ndarray
+    bfgs: BfgsState
     r: Tensor
     si: float = 0.0
     secant_residual: float = 0.0
     frobenius_step: float = 0.0
-    skips: int = 0
 
     @classmethod
-    def initial(cls, r: Tensor):
-        dim = r.size
-        if dim * dim * 8 > HESSIAN_BYTE_LIMIT:
+    def initial(cls, r: Tensor, updates: int):
+        """H0 = I; refuses a loop whose pairs could exceed HESSIAN_BYTE_LIMIT."""
+        pair_bytes = 2 * updates * r.size * 8
+        if pair_bytes > HESSIAN_BYTE_LIMIT:
             raise MemoryGuardError(
-                f"dense latent inverse Hessian for a {dim}-dim latent needs "
-                f"{dim * dim * 8} bytes, above the {HESSIAN_BYTE_LIMIT}-byte "
-                "limit; use a deeper codec (larger k)"
+                f"curvature pairs for {updates} updates of a {r.size}-dim "
+                f"latent need {pair_bytes} bytes, above the "
+                f"{HESSIAN_BYTE_LIMIT}-byte limit; use fewer iterations or "
+                "a deeper codec (larger k)"
             )
-        return cls(np.eye(dim, dtype=np.float64), r)
+        return cls(BfgsState(), r)
 
     def updated(self, s64: np.ndarray, z64: np.ndarray,
                 r_next: Tensor) -> "LatentBfgsState":
         """Secant-update H with (s, z) and roll the latent forward."""
-        H_new, accepted = bfgs_update(self.H, s64, z64)
-        if accepted:
-            secant = float(np.linalg.norm(H_new @ z64 - s64)
-                           / max(np.linalg.norm(s64), 1e-300))
-            return LatentBfgsState(H_new, r_next, symmetry_index(H_new),
-                                   secant,
-                                   float(np.linalg.norm(H_new - self.H)),
-                                   self.skips)
-        # a skipped update leaves H, and so its symmetry index, unchanged
-        return LatentBfgsState(self.H, r_next, self.si, np.nan, 0.0,
-                               self.skips + 1)
+        bfgs, accepted = bfgs_update(self.bfgs, s64, z64)
+        if not accepted:
+            # a skipped update leaves H, and so its symmetry index, unchanged
+            return LatentBfgsState(bfgs, r_next, self.si, np.nan, 0.0)
+        r64 = r_next.data.astype(np.float64)
+        Hz, Hr = bfgs.apply(z64), bfgs.apply(r64)
+        secant = float(np.linalg.norm(Hz - s64)
+                       / max(np.linalg.norm(s64), 1e-300))
+        step = _update_norm(s64, z64, self.bfgs.apply(z64), bfgs.pairs[-1][2])
+        return LatentBfgsState(bfgs, r_next, symmetry_index(r64, Hr, z64, Hz),
+                               secant, step)
 
 
-def hessian_diagnostics(state: LatentBfgsState) -> dict:
-    """Constraint surrogates of the last update: SI, secant gap, step size."""
-    return {
-        "si": state.si,
-        "secant_residual": state.secant_residual,
-        "frobenius_step": state.frobenius_step,
-    }
+def _update_norm(s, z, u, rho) -> float:
+    """|H' - H|_F of the secant update with (s, z) and u = H z, in closed
+    form: H' - H = c s s^T - rho (s u^T + u s^T) with c = rho^2 z.u + rho."""
+    ss, uu, su = float(s @ s), float(u @ u), float(s @ u)
+    c = rho * rho * float(z @ u) + rho
+    sq = (2.0 * rho * rho * (ss * uu + su * su) + c * c * ss * ss
+          - 4.0 * rho * c * ss * su)
+    return math.sqrt(max(sq, 0.0))
 
 
-def _latent_step(H: np.ndarray, r: Tensor) -> Tensor:
-    # H is a constant in the differentiation graph; only r carries grads.
-    return ad.linear_operator(r, lambda v: -(H @ v), lambda g: -(H.T @ g),
-                              name="latent_step")
+def _latent_step(bfgs: BfgsState, r: Tensor) -> Tensor:
+    # H is a constant symmetric operator in the differentiation graph; only
+    # r carries grads, and the adjoint of -H is -H.
+    return ad.linear_operator(r, lambda v: -bfgs.apply(v),
+                              lambda g: -bfgs.apply(g), name="latent_step")
 
 
 def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
@@ -290,7 +299,7 @@ def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
                      is_last: bool):
     """One unrolled iteration; skips the H update on the last iteration."""
     codec = model.unroll_config.codec
-    s = _latent_step(state.H, state.r)
+    s = _latent_step(state.bfgs, state.r)
     step_img = decode_direction(s, model.params, codec, physics.h, physics.w)
     x_next = ad.add(x, step_img)
     if is_last:
@@ -330,7 +339,7 @@ def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
 
     grad0 = learned_gradient(x, y_t, physics, model, 0)
     state = LatentBfgsState.initial(encode_gradient(grad0, model.params,
-                                                    cfg.codec))
+                                                    cfg.codec), cfg.T - 1)
     for t in range(cfg.T):
         x, state = qn_mixer_iterate(state, x, y_t, physics, model, t,
                                     is_last=(t == cfg.T - 1))
@@ -355,10 +364,8 @@ def unrolled_reconstruct(sino: geo.Sinogram, geometry: geo.Geometry,
             "psnr": (float(psnr(x_t.data[0, 0], reference))
                      if reference is not None else np.nan),
         }
-        if state is not None:
-            row.update(hessian_diagnostics(state))
-        else:
-            row.update(dict.fromkeys(TRACE_COLUMNS[2:], np.nan))
+        for column in TRACE_COLUMNS[2:]:
+            row[column] = np.nan if state is None else getattr(state, column)
         trace.append(row)
         if keep_intermediates:
             intermediates.append(x_t.data[0, 0].copy())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qnct import geometry as geo
-from qnct import solvers
+from qnct import solvers, unroll
+from qnct.autodiff import Tensor
 from qnct.errors import DivergenceError, MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.solvers import (
@@ -192,71 +193,23 @@ class TestGradientDescent:
         assert len(calls) == 7 + 1
 
 
-class TestBfgsUpdate:
-    def test_identity_fixed_point(self):
-        H = np.eye(2)
-        e1 = np.array([1.0, 0.0])
-        Hp, accepted = bfgs_update(H, e1, e1)
-        assert accepted
-        np.testing.assert_allclose(Hp, np.eye(2), atol=1e-15)
-
-    def test_secant_identity_random(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            dim = int(rng.integers(2, 12))
-            M = rng.normal(size=(dim, dim))
-            H = M @ M.T + np.eye(dim)
-            s = rng.normal(size=dim)
-            z = rng.normal(size=dim)
-            if z @ s <= 0:
-                z = -z
-            Hp, accepted = bfgs_update(H, s, z)
-            assert accepted
-            resid = np.linalg.norm(Hp @ z - s) / np.linalg.norm(s)
-            assert resid < 1e-10
-            assert symmetry_index(Hp) < 1e-10
-
-    def test_nonpositive_curvature_skipped(self):
-        H = np.eye(3) * 2.0
-        s = np.array([1.0, 0.0, 0.0])
-        z = -s
-        Hp, accepted = bfgs_update(H, s, z)
-        assert not accepted
-        np.testing.assert_array_equal(Hp, H)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            bfgs_update(np.eye(3), np.ones(2), np.ones(2))
-
-    def test_chained_updates_stay_exactly_symmetric(self):
-        # the formula itself keeps H symmetric bit for bit; nothing repairs it
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            H = np.eye(9)
-            for _ in range(3):
-                s = rng.normal(size=9)
-                z = rng.normal(size=9)
-                if z @ s <= 0:
-                    z = -z
-                H, accepted = bfgs_update(H, s, z)
-                assert accepted
-            assert np.array_equal(H, H.T)
+def dense_bfgs_update(H, s, z):
+    """Reference: the dense rank-two update (I - rho s z^T) H (I - rho z s^T)
+    + rho s s^T, or H itself when solvers would skip the pair."""
+    rho = solvers._inverse_curvature(s, z)
+    if rho is None:
+        return H
+    V = np.eye(s.size) - rho * np.outer(z, s)
+    return V.T @ H @ V + rho * np.outer(s, s)
 
 
-class TestSymmetryIndex:
-    def test_identity_zero(self):
-        assert symmetry_index(np.eye(5)) == 0.0
-
-    def test_unit_asymmetry(self):
-        assert symmetry_index(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
-
-    def test_random_symmetric(self):
-        M = np.random.default_rng(7).normal(size=(9, 9))
-        assert symmetry_index(M + M.T) < 1e-12
-
-    def test_non_square(self):
-        with pytest.raises(ShapeError):
-            symmetry_index(np.zeros((2, 3)))
+def chained(pairs):
+    """(BfgsState, dense H) after updating both with every pair."""
+    state, H = BfgsState(), np.eye(pairs[0][0].size)
+    for s, z in pairs:
+        state, _ = bfgs_update(state, s, z)
+        H = dense_bfgs_update(H, s, z)
+    return state, H
 
 
 def quadratic_pairs(rng, dim, count, skip=None):
@@ -269,17 +222,92 @@ def quadratic_pairs(rng, dim, count, skip=None):
     return pairs
 
 
+class TestBfgsUpdate:
+    def test_identity_fixed_point(self):
+        e1 = np.array([1.0, 0.0])
+        state, accepted = bfgs_update(BfgsState(), e1, e1)
+        assert accepted
+        for v in np.random.default_rng(5).normal(size=(4, 2)):
+            np.testing.assert_allclose(state.apply(v), v, atol=1e-15)
+
+    def test_secant_identity_random(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            dim = int(rng.integers(2, 12))
+            state, _ = chained(quadratic_pairs(rng, dim, 3))
+            s = rng.normal(size=dim)
+            z = rng.normal(size=dim)
+            if z @ s <= 0:
+                z = -z
+            new, accepted = bfgs_update(state, s, z)
+            assert accepted
+            Hz = new.apply(z)
+            assert np.linalg.norm(Hz - s) / np.linalg.norm(s) < 1e-10
+            g = rng.normal(size=dim)
+            assert symmetry_index(g, new.apply(g), z, Hz) < 1e-10
+
+    def test_nonpositive_curvature_skipped(self):
+        s = np.array([1.0, 0.0, 0.0])
+        state, _ = bfgs_update(BfgsState(), s, 2.0 * s)
+        new, accepted = bfgs_update(state, s, -s)
+        assert not accepted
+        assert new.pairs == state.pairs
+        assert (new.skips, state.skips) == (1, 0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            bfgs_update(BfgsState(), np.ones(3), np.ones(2))
+        state, _ = bfgs_update(BfgsState(), np.ones(3), np.ones(3))
+        with pytest.raises(ShapeError):
+            bfgs_update(state, np.ones(2), np.ones(2))
+
+    def test_chained_updates_read_symmetric_to_round_off(self):
+        # nothing symmetrizes H; the two-loop form is symmetric by
+        # construction, and the probe confirms it on random vectors
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            state = BfgsState()
+            for _ in range(3):
+                s = rng.normal(size=9)
+                z = rng.normal(size=9)
+                if z @ s <= 0:
+                    z = -z
+                state, accepted = bfgs_update(state, s, z)
+                assert accepted
+            g, z = rng.normal(size=(2, 9))
+            assert symmetry_index(g, state.apply(g), z, state.apply(z)) < 1e-14
+
+
+class TestSymmetryIndex:
+    @staticmethod
+    def probe(M, g, z):
+        return symmetry_index(g, M @ g, z, M @ z)
+
+    def test_identity_zero(self):
+        g, z = np.random.default_rng(7).normal(size=(2, 5))
+        assert self.probe(np.eye(5), g, z) == 0.0
+
+    def test_unit_asymmetry(self):
+        M = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert self.probe(M, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+
+    def test_random_symmetric(self):
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(9, 9))
+        g, z = rng.normal(size=(2, 9))
+        assert self.probe(M + M.T, g, z) < 1e-12
+
+    def test_non_square(self):
+        g, z = np.ones((2, 3))
+        with pytest.raises(ShapeError, match="square"):
+            self.probe(np.zeros((2, 3)), g, z)
+
+
 class TestBfgsState:
     def test_apply_equals_chained_dense_updates(self):
         rng = np.random.default_rng(14)
-        H, state = np.eye(12), BfgsState()
-        for k, (s, z) in enumerate(quadratic_pairs(rng, 12, 7, skip=3)):
-            H, accepted = bfgs_update(H, s, z)
-            rho = solvers._inverse_curvature(s, z)
-            assert accepted == (rho is not None) == (k != 3)
-            if accepted:
-                state.pairs.append((s, z, rho))
-        assert len(state.pairs) == 6
+        state, H = chained(quadratic_pairs(rng, 12, 7, skip=3))
+        assert len(state.pairs) == 6 and state.skips == 1
         for _ in range(5):
             v = rng.normal(size=12)
             dense = H @ v
@@ -320,6 +348,65 @@ class TestSecantDiagnostics:
         assert si > 0.0
         _, _, si_sym = secant_diagnostics(lambda v: (M + M.T) @ v, s, z, g)
         assert si_sym < 1e-12
+
+
+class TestLatentDiagnosticsAgainstDenseH:
+    """The latent loop's trace columns, from curvature pairs, against the
+    dense update of the same pairs."""
+
+    def run(self, rng, pairs, state):
+        H = np.eye(pairs[0][0].size)
+        rows = []
+        for s, z in pairs:
+            r_next = Tensor(rng.normal(size=s.size))
+            H_next = dense_bfgs_update(H, s, z)
+            state = state.updated(s, z, r_next)
+            rows.append((state, H, H_next, s, z))
+            H = H_next
+        return rows
+
+    def test_secant_and_step_match_the_dense_update(self):
+        rng = np.random.default_rng(18)
+        pairs = quadratic_pairs(rng, 16, 6, skip=2)
+        start = unroll.LatentBfgsState.initial(Tensor(np.zeros(16)), 6)
+        for k, (state, H, H_next, s, z) in enumerate(self.run(rng, pairs,
+                                                              start)):
+            if k == 2:
+                assert np.isnan(state.secant_residual)
+                assert state.frobenius_step == 0.0
+                assert np.array_equal(H_next, H)
+                continue
+            secant = np.linalg.norm(H_next @ z - s) / np.linalg.norm(s)
+            assert abs(state.secant_residual - secant) <= 1e-12
+            step = np.linalg.norm(H_next - H)
+            assert abs(state.frobenius_step - step) <= 1e-12 * step
+            assert state.si <= 1e-12
+        assert state.bfgs.skips == 1 and len(state.bfgs.pairs) == 5
+
+    def test_asymmetric_product_shows_in_si(self):
+        rng = np.random.default_rng(19)
+        skew = np.triu(0.01 * rng.normal(size=(16, 16)), 1)
+
+        class Skewed(BfgsState):
+            def apply(self, v):
+                return super().apply(v) + skew @ v
+
+        start = unroll.LatentBfgsState(Skewed(), Tensor(np.zeros(16)))
+        rows = self.run(rng, quadratic_pairs(rng, 16, 3), start)
+        assert all(state.si > 1e-3 for state, *_ in rows)
+
+    def test_scaled_newest_rho_shows_in_secant_residual(self, monkeypatch):
+        def faulty(state, s, z):
+            new, accepted = bfgs_update(state, s, z)
+            s_, z_, rho = new.pairs[-1]
+            new.pairs[-1] = (s_, z_, 1.01 * rho)
+            return new, accepted
+
+        monkeypatch.setattr(unroll, "bfgs_update", faulty)
+        rng = np.random.default_rng(20)
+        start = unroll.LatentBfgsState.initial(Tensor(np.zeros(16)), 3)
+        rows = self.run(rng, quadratic_pairs(rng, 16, 3), start)
+        assert all(state.secant_residual > 1e-3 for state, *_ in rows)
 
 
 class TestStrongWolfe:

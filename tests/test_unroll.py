@@ -4,6 +4,7 @@ import pytest
 from qnct import autodiff as ad
 from qnct import geometry as geo
 from qnct import mixer as mx
+from qnct import solvers
 from qnct import unroll as ur
 from qnct.autodiff import Tensor
 from qnct.errors import MemoryGuardError, ShapeError
@@ -15,7 +16,6 @@ from qnct.unroll import (
     UnrollConfig,
     decode_direction,
     encode_gradient,
-    hessian_diagnostics,
     init_codec_params,
     unrolled_reconstruct,
 )
@@ -187,34 +187,45 @@ class TestColdStart:
         assert np.array_equal(img.values, x_bp.values)
 
 
+def diagnostics(state):
+    return tuple(getattr(state, c) for c in ur.TRACE_COLUMNS[2:])
+
+
 class TestLatentBfgs:
     def test_fixed_point_diagnostics_are_zero(self):
         r = Tensor(np.zeros(4, dtype=np.float32))
-        state = LatentBfgsState.initial(r)
+        state = LatentBfgsState.initial(r, 1)
         e1 = np.zeros(4)
         e1[0] = 1.0
         new = state.updated(e1, e1, r)
-        diag = hessian_diagnostics(new)
-        assert diag == {"si": 0.0, "secant_residual": 0.0,
-                        "frobenius_step": 0.0}
-        np.testing.assert_array_equal(new.H, np.eye(4))
+        assert diagnostics(new) == (0.0, 0.0, 0.0)
+        assert len(new.bfgs.pairs) == 1
+        v = np.random.default_rng(2).normal(size=4)
+        np.testing.assert_array_equal(new.bfgs.apply(v), v)
 
     def test_curvature_skip_keeps_h(self):
         r = Tensor(np.zeros(3, dtype=np.float32))
-        state = LatentBfgsState.initial(r)
+        state = LatentBfgsState.initial(r, 1)
         e1 = np.array([1.0, 0.0, 0.0])
         new = state.updated(e1, -e1, r)
-        assert new.skips == 1
-        np.testing.assert_array_equal(new.H, np.eye(3))
-        assert np.isnan(hessian_diagnostics(new)["secant_residual"])
+        assert new.bfgs.skips == 1
+        assert new.bfgs.pairs == []
+        si, secant, step = diagnostics(new)
+        assert np.isnan(secant) and step == 0.0 and si == state.si
 
     def test_symmetry_index_reports_an_asymmetric_h(self):
-        r = Tensor(np.zeros(4, dtype=np.float32))
-        H = np.eye(4)
-        H[0, 1] = 0.1
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 0.1
+
+        class Skewed(solvers.BfgsState):
+            def apply(self, v):
+                return super().apply(v) + skew @ v
+
+        r = Tensor(np.array([0.0, 1.0, 0.0, 0.0], dtype=np.float32))
         s = np.array([1.0, 0.5, 0.0, 0.0])
-        new = LatentBfgsState(H, r).updated(s, 2.0 * s, r)
-        assert hessian_diagnostics(new)["si"] > 0.0
+        new = LatentBfgsState(Skewed(), r).updated(s, 2.0 * s, r)
+        assert isinstance(new.bfgs, Skewed)
+        assert new.si > 1e-3
 
     def test_run_diagnostics_secant_and_symmetry(self):
         # nonzero weights so the latent updates carry real curvature
@@ -241,15 +252,19 @@ class TestLatentBfgs:
         assert np.isfinite([row["frobenius_step"] for row in trace]).all()
 
     def test_memory_scales_with_latent_size(self):
-        # latent grid (256 / 2^k)^2 and H stores its square in float64
+        # latent grid (256 / 2^k)^2; each accepted pair stores s and z in
+        # float64, so the state grows as 2 * 8 * dim bytes per update
+        rng = np.random.default_rng(4)
         for k in (2, 3, 4, 5):
             side = 256 // 2 ** k
             dim = side * side
             state = LatentBfgsState.initial(
-                Tensor(np.zeros(dim, dtype=np.float32)))
-            assert state.H.shape == (dim, dim)
-            assert state.H.nbytes == dim * dim * 8
-            del state
+                Tensor(np.zeros(dim, dtype=np.float32)), 3)
+            for _ in range(3):
+                s = rng.normal(size=dim)
+                state = state.updated(s, 2.0 * s, state.r)
+            held = sum(s.nbytes + z.nbytes for s, z, _ in state.bfgs.pairs)
+            assert held == 3 * 2 * dim * 8
 
 
 class TestConfigValidation:
@@ -291,15 +306,28 @@ def test_gradients_reach_weights_but_not_h():
     assert np.any(model.params["encoder.0.conv.w"].grad != 0.0)
     assert np.any(model.params["decoder.head.w"].grad != 0.0)
     assert np.any(model.params["patch_embed.w"].grad != 0.0)
-    # H is plain numpy state outside the tape
-    assert isinstance(states[-1].H, np.ndarray)
-    assert not isinstance(states[-1].H, Tensor)
+    # H is plain numpy state outside the tape: the update got arrays
+    pairs = states[0].bfgs.pairs
+    assert pairs
+    assert all(type(s) is np.ndarray and type(z) is np.ndarray
+               for s, z, _ in pairs)
+    # and the latent step's backward is its exact adjoint (H is symmetric)
+    rng = np.random.default_rng(10)
+    r = Tensor(rng.normal(size=pairs[0][0].size), requires_grad=True)
+    w = rng.normal(size=r.size)
+    out = ur._latent_step(states[0].bfgs, r)
+    ad.mean(ad.mul(out, Tensor(w))).backward()
+    adjoint_w = r.grad * r.size
+    assert abs(adjoint_w @ r.data - w @ out.data) \
+        <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(out.data)
 
 
 def test_latent_hessian_memory_guard():
-    # the desk latent (16x16) is far below the dense limit
-    state = LatentBfgsState.initial(Tensor(np.zeros((1, 1, 16, 16))))
-    assert state.H.shape == (256, 256)
-    # one row past the classical solver's 128x128 limit is refused
+    # the paper's k = 1 latent (128x128) with T = 6 holds 5 pairs, 1.3 MB
+    r = Tensor(np.zeros(128 * 128))
+    assert LatentBfgsState.initial(r, 5).bfgs.pairs == []
+    # 2 * updates * dim * 8 bytes: 8192 updates reach the limit exactly,
+    # one more is refused before any pair is stored
+    LatentBfgsState.initial(r, 8192)
     with pytest.raises(MemoryGuardError, match="latent"):
-        LatentBfgsState.initial(Tensor(np.zeros((1, 1, 129, 128))))
+        LatentBfgsState.initial(r, 8193)

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import geometry as geo
 from .errors import ConfigError
 
@@ -132,8 +130,6 @@ def geometry_from_config(cfg: dict) -> geo.Geometry:
     views = cfg["geometry.views"] or n_full
     if views > n_full:
         raise ConfigError("geometry.views exceeds geometry.n_views_full")
-    subset = tuple(int(np.floor(i * n_full / views + 0.5))
-                   for i in range(views))
     kwargs = dict(
         beam=beam,
         n_views_full=n_full,
@@ -142,7 +138,7 @@ def geometry_from_config(cfg: dict) -> geo.Geometry:
                        cfg["geometry.angular_end"]),
         det_spacing_mm=cfg["geometry.det_spacing_mm"],
         image_extent_mm=cfg["geometry.image_extent_mm"],
-        view_subset=subset,
+        view_subset=geo.uniform_view_subset(n_full, views),
     )
     if beam == geo.FAN:
         kwargs.update(sad_mm=cfg["geometry.sad_mm"], add_mm=cfg["geometry.add_mm"])

@@ -451,8 +451,14 @@ class ScanOperator:
 # view subsampling and measurement noise
 # ---------------------------------------------------------------------------
 
+def uniform_view_subset(n_full: int, n_v: int) -> tuple:
+    """Indices of n_v uniformly spread views of n_full: round(i n_full / n_v),
+    halves rounded up."""
+    return tuple(int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v))
+
+
 def subsample_views(sino: Sinogram, geometry: Geometry, n_v: int):
-    """Keep n_v uniformly spread views: indices round(i * n_full / n_v)."""
+    """Keep the n_v views of uniform_view_subset."""
     if n_v < 1 or n_v > geometry.n_views_full:
         raise GeometryError(
             f"cannot keep {n_v} of {geometry.n_views_full} views"
@@ -460,10 +466,9 @@ def subsample_views(sino: Sinogram, geometry: Geometry, n_v: int):
     if geometry.n_views != geometry.n_views_full:
         raise GeometryError("subsample_views expects a full-view sinogram")
     _check_sino(sino, geometry, "subsample_views")
-    full = geometry.n_views_full
-    keep = [int(np.floor(i * full / n_v + 0.5)) for i in range(n_v)]
-    sub_geometry = replace(geometry, view_subset=tuple(keep))
-    return Sinogram(sino.values[keep].copy()), sub_geometry
+    keep = uniform_view_subset(geometry.n_views_full, n_v)
+    sub_geometry = replace(geometry, view_subset=keep)
+    return Sinogram(sino.values[list(keep)].copy()), sub_geometry
 
 
 def simulate_measurement(sino: Sinogram, poisson_intensity: float,

@@ -21,23 +21,36 @@ from .autodiff import Tensor
 from .errors import ShapeError
 
 
+# Fixed by the architecture, not by a checkpoint: the token MLP hidden width
+# is TOKEN_HIDDEN_RATIO times the token count, the channel MLP's
+# CHANNEL_HIDDEN_RATIO times d, and LAYER_NORM_EPS guards every layer norm.
+TOKEN_HIDDEN_RATIO = 4
+CHANNEL_HIDDEN_RATIO = 4
+LAYER_NORM_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class MixerConfig:
+    """The three numbers a checkpoint records (mixer.patch, mixer.d,
+    mixer.n_layers); the inception branch widths split d 1:2:2:1."""
+
     patch: int = 4
     d: int = 96
     n_layers: int = 2
-    branch_channels: tuple = (16, 32, 32, 16)
-    token_hidden_ratio: int = 4  # hidden width = ratio * token count
-    channel_hidden_ratio: int = 4  # hidden width = ratio * d
-    eps: float = 1e-5
 
     def __post_init__(self):
-        if sum(self.branch_channels) != self.d:
+        if self.patch < 1 or self.n_layers < 1:
+            raise ShapeError("patch size and layer count must be >= 1")
+        if self.d < 6 or self.d % 6:
             raise ShapeError(
-                f"inception branches {self.branch_channels} must concat to d={self.d}"
+                f"d={self.d} must be a positive multiple of 6 to split the "
+                "inception branches 1:2:2:1"
             )
-        if self.patch < 1 or self.n_layers < 1 or min(self.branch_channels) < 1:
-            raise ShapeError("patch size, layer count and branch widths must be >= 1")
+
+    @property
+    def branch_channels(self) -> tuple:
+        unit = self.d // 6
+        return unit, 2 * unit, 2 * unit, unit
 
     def check_size(self, h: int, w: int):
         if h % self.patch or w % self.patch:
@@ -46,14 +59,8 @@ class MixerConfig:
             )
 
     def scaled(self, d: int) -> "MixerConfig":
-        """Same layout at a different width; branches keep the 1:2:2:1 split."""
-        if d % 6:
-            raise ShapeError("d must be divisible by 6 to keep the branch split")
-        unit = d // 6
-        return MixerConfig(self.patch, d, self.n_layers,
-                           (unit, 2 * unit, 2 * unit, unit),
-                           self.token_hidden_ratio, self.channel_hidden_ratio,
-                           self.eps)
+        """Same layout at a different width."""
+        return MixerConfig(self.patch, d, self.n_layers)
 
 
 def desk_mixer_config() -> MixerConfig:
@@ -118,12 +125,12 @@ def mixer_layout(config: MixerConfig, h: int, w: int):
         base = f"mixer.{i}"
         yield from _norm_layout(base + ".ln1", config.d)
         yield from _mlp_layout(base + ".height", th,
-                               config.token_hidden_ratio * th, th)
+                               TOKEN_HIDDEN_RATIO * th, th)
         yield from _mlp_layout(base + ".width", tw,
-                               config.token_hidden_ratio * tw, tw)
+                               TOKEN_HIDDEN_RATIO * tw, tw)
         yield from _norm_layout(base + ".ln2", config.d)
         yield from _mlp_layout(base + ".channel", config.d,
-                               config.channel_hidden_ratio * config.d,
+                               CHANNEL_HIDDEN_RATIO * config.d,
                                config.d)
 
     yield ("expand.linear.w", (config.d, config.patch * config.patch * config.d),
@@ -185,7 +192,7 @@ def mixer_layer(e: Tensor, params: dict, config: MixerConfig, idx: int) -> Tenso
             f"mixer_layer: token grid {th}x{tw} does not match parameters"
         )
     v = ad.layer_norm(e, params[base + ".ln1.gamma"], params[base + ".ln1.beta"],
-                      config.eps)
+                      LAYER_NORM_EPS)
     v = ad.permute(v, (0, 3, 2, 1))  # (n, d, tw, th): height tokens last
     v = _mlp(v, params, base + ".height")
     v = ad.permute(v, (0, 1, 3, 2))  # (n, d, th, tw): width tokens last
@@ -193,7 +200,7 @@ def mixer_layer(e: Tensor, params: dict, config: MixerConfig, idx: int) -> Tenso
     v = ad.permute(v, (0, 2, 3, 1))  # back to (n, th, tw, d)
     e = ad.add(e, v)
     u = ad.layer_norm(e, params[base + ".ln2.gamma"], params[base + ".ln2.beta"],
-                      config.eps)
+                      LAYER_NORM_EPS)
     u = _mlp(u, params, base + ".channel")
     return ad.add(e, u)
 
@@ -205,7 +212,7 @@ def patch_expand(e: Tensor, params: dict, config: MixerConfig) -> Tensor:
     y = ad.linear(e, params["expand.linear.w"])  # (n, th, tw, p*p*d), no bias
     y = ad.reshape(y, (n, th, tw, pch, pch, d))
     y = ad.layer_norm(y, params["expand.ln.gamma"], params["expand.ln.beta"],
-                      config.eps)
+                      LAYER_NORM_EPS)
     y = ad.permute(y, (0, 5, 1, 3, 2, 4))  # (n, d, th, p, tw, p)
     y = ad.reshape(y, (n, d, th * pch, tw * pch))
     return ad.conv2d(y, params["expand.conv.w"], params["expand.conv.b"])

@@ -28,10 +28,6 @@ def verdict(n, ok, detail):
     assert ok, line
 
 
-def subset(n_full, n_v):
-    return [int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v)]
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: operator adjointness across the geometry matrix
 # ---------------------------------------------------------------------------
@@ -47,7 +43,8 @@ def test_criterion_1_adjointness():
         matrix.append(geo.Geometry(beam=beam, angular_range=span,
                                    **fan_kwargs))
         matrix.append(geo.Geometry(beam=beam, angular_range=span,
-                                   view_subset=subset(180, 32), **fan_kwargs))
+                                   view_subset=geo.uniform_view_subset(180, 32),
+                                   **fan_kwargs))
         matrix.append(geo.Geometry(beam=beam, angular_range=limited,
                                    n_views_full=45, **fan_kwargs))
     worst = 0.0
@@ -132,8 +129,7 @@ def test_criterion_3_gradient_fidelity():
     err_a = float(np.abs(analytic - numeric).max() / np.abs(numeric).max())
 
     # (b) the full regularization network at the tiny configuration
-    cfg = mx.MixerConfig(patch=4, d=12, n_layers=1,
-                         branch_channels=(2, 4, 4, 2))
+    cfg = mx.MixerConfig(patch=4, d=12, n_layers=1)
     params = mx.init_mixer_params(cfg, 16, 16, 11, dtype=np.float64)
     for name, t in params.items():
         if name.endswith((".w1", ".w2", ".w")) or ".linear" in name:
@@ -177,7 +173,7 @@ def test_criterion_3_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_cold_start():
-    g = geo.desk_geometry(view_subset=subset(180, 16))
+    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 16))
     ph = shepp_logan(64)
     sino = geo.forward_project(geo.Image(ph, g.pixel_mm(64)), g)
     noisy = geo.simulate_measurement(sino, 1e6, 0.05, seed=4)
@@ -238,7 +234,7 @@ def test_criterion_8_protocols():
     forced = int(mask.sum()) == brute == 81
 
     # cropped-region scoring end to end on a reconstruction fixture
-    g = geo.desk_geometry(view_subset=subset(180, 32))
+    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
     sino = geo.forward_project(geo.Image(a, g.pixel_mm(64)), g)
     recon = geo.fbp(sino, g, h=64, w=64).values
     crop = mt.eval_ood_crop(recon, a, mask_a)

@@ -148,8 +148,7 @@ def test_reconstruct_qn_mixer_requires_weights(workspace, capsys):
 
 
 def make_cold_checkpoint(path, size=64, views=16, T=1):
-    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1,
-                               branch_channels=(2, 4, 4, 2))
+    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1)
     unroll_cfg = ur.UnrollConfig(T=T, codec=ur.CodecConfig(2, 8))
     model = ur.QnMixerModel.build(size, size, 0, mixer_cfg, unroll_cfg)
     from qnct.autodiff import save_checkpoint

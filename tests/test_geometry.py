@@ -261,6 +261,11 @@ class TestSubsampleViews:
         assert sub.n_v == 128
         assert gs.view_subset == tuple(range(0, 512, 4))
 
+    def test_rule_matches_the_reference(self):
+        for n_full, n_v in ((180, 16), (180, 32), (512, 23), (7, 7), (90, 1)):
+            assert geo.uniform_view_subset(n_full, n_v) == \
+                tuple(subset(n_full, n_v))
+
     def test_bounds(self):
         g = geo.desk_geometry()
         y = geo.Sinogram(np.zeros((180, 96), dtype=np.float32))

@@ -142,6 +142,11 @@ class TestConfig:
         g = cfgmod.geometry_from_config(cfg)
         assert g.n_views == 32
         assert g.view_subset[:3] == (0, 6, 11)
+        # the same subset subsample_views keeps from a full-view scan
+        full = cfgmod.geometry_from_config({**cfg, "geometry.views": 0})
+        _, sub = geo.subsample_views(
+            geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), full, 32)
+        assert g == sub
         cfg["geometry.views"] = 300
         with pytest.raises(ConfigError, match="exceeds"):
             cfgmod.geometry_from_config(cfg)

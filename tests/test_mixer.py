@@ -8,12 +8,18 @@ from qnct.errors import ShapeError
 
 
 def tiny_config():
-    return mx.MixerConfig(patch=4, d=12, n_layers=1, branch_channels=(2, 4, 4, 2))
+    return mx.MixerConfig(patch=4, d=12, n_layers=1)
 
 
 def test_config_branches_must_sum_to_d():
-    with pytest.raises(ShapeError, match="concat"):
-        mx.MixerConfig(d=96, branch_channels=(16, 16, 16, 16))
+    # the branches split d 1:2:2:1, so d must be a positive multiple of 6
+    assert mx.MixerConfig().branch_channels == (16, 32, 32, 16)
+    assert sum(mx.MixerConfig(d=48).branch_channels) == 48
+    for d in (0, -6, 10, 100):
+        with pytest.raises(ShapeError, match="multiple of 6"):
+            mx.MixerConfig(d=d)
+    with pytest.raises(ShapeError, match="multiple of 6"):
+        mx.desk_mixer_config().scaled(50)
 
 
 def test_inception_output_shape_and_zero_response():

@@ -31,10 +31,6 @@ class IdentityOperator:
         return y
 
 
-def subset(n_full, n_v):
-    return [int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v)]
-
-
 def fd_gradient(spec, x, eps=1e-6):
     g = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -153,7 +149,7 @@ class TestGradientDescent:
         np.testing.assert_array_equal(x, x0)
 
     def test_ct_monotone_run(self):
-        g = geo.desk_geometry(view_subset=subset(180, 32))
+        g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
         ph = shepp_logan(64)
         sino = geo.forward_project(geo.Image(ph, g.pixel_mm(64)), g)
         spec = ObjectiveSpec.for_geometry(
@@ -493,7 +489,7 @@ class TestQnReconstruct:
     def test_ct_beats_gradient_descent_head_to_head(self):
         g = geo.Geometry(n_views_full=90, n_det=48, det_spacing_mm=2.0,
                          image_extent_mm=64.0,
-                         view_subset=subset(90, 16))
+                         view_subset=geo.uniform_view_subset(90, 16))
         ph = shepp_logan(32)
         sino = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
         spec = ObjectiveSpec.for_geometry(
@@ -540,7 +536,7 @@ class TestQnReconstruct:
             qn_reconstruct(Unprojected(), np.zeros((160, 160)), 10**6)
 
     def test_state_memory_at_64(self):
-        g = geo.desk_geometry(view_subset=subset(180, 32))
+        g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
         sino = geo.forward_project(geo.Image(shepp_logan(64), g.pixel_mm(64)),
                                    g)
         spec = ObjectiveSpec.for_geometry(

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,7 @@ def tiny_setup(n_items=3, seed=0, variant="qn", T=2, size=32):
     truths = [random_ellipses(size, rng) for _ in range(n_items)]
     items, g_sparse = tr.synthesize_dataset(truths, g_full, 12, 1e6, 0.05,
                                             seed=seed)
-    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1,
-                               branch_channels=(2, 4, 4, 2))
+    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1)
     unroll_cfg = ur.UnrollConfig(T=T, codec=ur.CodecConfig(2, 8),
                                  variant=variant)
     model = ur.QnMixerModel.build(size, size, seed, mixer_cfg, unroll_cfg)
@@ -202,6 +201,9 @@ def test_model_meta_round_trips_the_config_keys(overrides):
     assert tr.model_meta(model) == {key: cfg[key] for key in tr.MODEL_KEYS}
     assert set(tr.MODEL_KEYS) == {key for key in cfg
                                   if key.startswith(("mixer.", "unroll."))}
+    # every MixerConfig field is a key the checkpoint records
+    assert {f"mixer.{f.name}" for f in fields(mx.MixerConfig)} == \
+        {key for key in tr.MODEL_KEYS if key.startswith("mixer.")}
 
 
 def tiny_checkpoint(path, T=2, codec_width=8, size=16):

@@ -21,18 +21,14 @@ from qnct.unroll import (
 )
 
 
-def subset(n_full, n_v):
-    return [int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v)]
-
-
 def small_geometry(n_v=12):
     return geo.Geometry(n_views_full=48, n_det=48, det_spacing_mm=2.0,
-                        image_extent_mm=64.0, view_subset=subset(48, n_v))
+                        image_extent_mm=64.0,
+                        view_subset=geo.uniform_view_subset(48, n_v))
 
 
 def tiny_model(h=32, w=32, seed=1, variant="qn", T=3, dtype=np.float32):
-    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1,
-                               branch_channels=(2, 4, 4, 2))
+    mixer_cfg = mx.MixerConfig(patch=4, d=12, n_layers=1)
     unroll_cfg = UnrollConfig(T=T, codec=CodecConfig(2, 8), variant=variant)
     return QnMixerModel.build(h, w, seed, mixer_cfg, unroll_cfg, dtype=dtype)
 
@@ -178,8 +174,7 @@ class TestColdStart:
         cfg = UnrollConfig(T=2, codec=CodecConfig(2, 8),
                            pseudo_inverse="adjoint")
         model = QnMixerModel.build(
-            32, 32, 1, mx.MixerConfig(patch=4, d=12, n_layers=1,
-                                      branch_channels=(2, 4, 4, 2)), cfg)
+            32, 32, 1, mx.MixerConfig(patch=4, d=12, n_layers=1), cfg)
         ph = shepp_logan(32)
         y = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
         x_bp = geo.back_project(y, g, 32, 32)

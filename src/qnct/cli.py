@@ -23,7 +23,7 @@ from . import solvers
 from . import tomo_io as tio
 from . import train as tr
 from . import unroll as ur
-from .errors import QnctError, ShapeError
+from .errors import ConfigError, QnctError, ShapeError
 from .init import substream
 
 
@@ -117,6 +117,16 @@ def _tomo_files(directory) -> list:
     if not files:
         raise QnctError(f"no .tomo images under {directory}")
     return files
+
+
+def _truths(data_dir, count: int, flag: str, size: int, seed: int) -> list:
+    """The .tomo images under data_dir, or else count procedural phantoms."""
+    if data_dir:
+        return [_load_image(f) for f in _tomo_files(data_dir)]
+    if count < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {count}")
+    rng = substream(seed, "data")
+    return [phantoms.random_ellipses(size, rng) for _ in range(count)]
 
 
 def _load_model(path, cfg) -> ur.QnMixerModel:
@@ -244,13 +254,7 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     size = cfg["image.size"]
     seed = cfg["seed"]
-
-    if args.data_dir:
-        truths = [_load_image(f) for f in _tomo_files(args.data_dir)]
-    else:
-        rng = substream(seed, "data")
-        truths = [phantoms.random_ellipses(size, rng)
-                  for _ in range(args.phantoms)]
+    truths = _truths(args.data_dir, args.phantoms, "--phantoms", size, seed)
 
     full_cfg = dict(cfg)
     full_cfg["geometry.views"] = 0  # full-view projection before subsampling
@@ -344,13 +348,7 @@ def cmd_ood(args):
     seed = cfg["seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.data_dir:
-        truths = [_load_image(f) for f in _tomo_files(args.data_dir)]
-    else:
-        rng = substream(seed, "data")
-        truths = [phantoms.random_ellipses(size, rng)
-                  for _ in range(args.count)]
+    truths = _truths(args.data_dir, args.count, "--count", size, seed)
 
     model = _load_model(args.weights, cfg) \
         if args.method == "qn-mixer" else None

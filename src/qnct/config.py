@@ -159,4 +159,7 @@ def resolve_config(file_text: str | None, overrides: dict) -> dict:
     cfg = default_config(probe["geometry.beam"])
     if file_text:
         cfg = parse_config(file_text, cfg)
-    return parse_config(override_text, cfg)
+    cfg = parse_config(override_text, cfg)
+    if cfg["image.size"] < 1:
+        raise ConfigError(f"image.size must be >= 1, got {cfg['image.size']}")
+    return cfg

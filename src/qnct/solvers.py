@@ -398,6 +398,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     memory grow as iters * x0.size, not x0.size**2. Refuses runs whose
     pairs could exceed HESSIAN_BYTE_LIMIT, before any projection.
     """
+    if iters < 0:
+        raise ShapeError(f"qn_reconstruct needs iters >= 0, got {iters}")
     x0 = np.asarray(x0)
     pair_bytes = 2 * iters * x0.size * 8
     if pair_bytes > HESSIAN_BYTE_LIMIT:

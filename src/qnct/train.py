@@ -39,6 +39,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ShapeError(f"epochs must be >= 0, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ShapeError(
+                f"max_steps must be >= 1 (or None), got {self.max_steps}")
         if self.lr <= 0:
             raise ShapeError("lr must be > 0")
         if not 0.0 <= self.lr_decay_factor <= 1.0:

@@ -280,6 +280,25 @@ def test_train_with_empty_layers_is_one_error_line(workspace, capsys, key,
     one_error_line(capsys, "ShapeError")
 
 
+@pytest.mark.parametrize("argv,kind,output", [
+    (["train", "--phantoms", "0"], "ConfigError", "run/loss.csv"),
+    (["train", "--epochs", "-1"], "ShapeError", "run/loss.csv"),
+    (["train", "--steps", "-3"], "ShapeError", "run/loss.csv"),
+    (["ood", "--count", "0"], "ConfigError", "ood/ood.csv"),
+    (["phantom", "--size", "-4"], "ConfigError", "p.tomo"),
+], ids=["phantoms", "epochs", "steps", "count", "size"])
+def test_bad_count_or_size_is_one_error_line(workspace, capsys, argv, kind,
+                                             output):
+    command, *bad = argv
+    setup = {"train": ["--out-dir", workspace / "run", "--phantoms", "1",
+                       "--size", "32", "--views", "8", "--mixer-d", "12"],
+             "ood": ["--out-dir", workspace / "ood", "--size", "32"],
+             "phantom": ["--out", workspace / "p.tomo"]}[command]
+    assert run([command, *setup, *bad]) == 1
+    one_error_line(capsys, kind)
+    assert not (workspace / output).exists()
+
+
 def test_train_writes_checkpoints_and_loss_curve(workspace):
     out_dir = workspace / "run"
     assert run(["train", "--out-dir", out_dir, "--phantoms", "2",

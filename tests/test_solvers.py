@@ -515,6 +515,8 @@ class TestQnReconstruct:
         x, trace, _ = qn_reconstruct(quad, x0, 0)
         np.testing.assert_array_equal(x, x0)
         assert len(trace) == 1
+        with pytest.raises(ShapeError, match="iters >= 0"):
+            qn_reconstruct(quad, x0, -2)
 
     def test_memory_guard(self):
         # a dense H at 160x160 would take 5.2 GB; one iteration's pair fits

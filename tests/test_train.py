@@ -66,6 +66,13 @@ class TestAdamW:
             tr.TrainConfig(lr_decay_factor=1.5)
         with pytest.raises(ShapeError):
             tr.TrainConfig(batch_size=2)
+        with pytest.raises(ShapeError, match="epochs"):
+            tr.TrainConfig(epochs=-1)
+        for steps in (0, -3):
+            with pytest.raises(ShapeError, match="max_steps"):
+                tr.TrainConfig(max_steps=steps)
+        # no epochs is a valid (empty) run
+        assert tr.TrainConfig(epochs=0, max_steps=None).epochs == 0
 
 
 class TestTrainLoop:

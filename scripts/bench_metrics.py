@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Measure the evaluation metrics and the classical solvers, parent against
+change.
+
+    python3 scripts/bench_metrics.py --parent DIR --change DIR \
+        [--rounds 3] [--pairs qn:21-30 gd:21-25 train:21-25] \
+        [--out BENCH_metrics.json]
+
+DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
+For each side, in ``--rounds`` fresh processes (the sides alternate, and
+each figure is the median over the rounds) with one BLAS thread,
+``metrics.evaluate_pair``, ``metrics.ssim`` and ``metrics.ms_ssim`` are
+timed on a seeded 64² and 256² pair (a Shepp-Logan phantom and a noisy
+copy; the median of ``SIZES[n]`` reps). The scores are recorded too, so
+the report shows how far the two sides' values are apart.
+
+Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed,
+alternating which side goes first, at the run length ``BENCHMARK.json``
+sets (the pair runner and quartiles of ``bench_kernels.py``).
+``--pairs ''`` skips this part.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from bench_kernels import _import_side, _median_ms, _seed_range, pairs
+
+ROOT = Path(__file__).resolve().parent.parent
+# image side -> timing reps
+SIZES = {64: 30, 256: 5}
+SEED = 0
+
+
+def measure_side(checkout: Path) -> dict:
+    run, _, q = _import_side(checkout)
+    import numpy as np
+
+    mt = q.metrics
+    report = {"env": run.environment(), "sizes": {}}
+    for n, reps in SIZES.items():
+        ref = q.phantoms.shepp_logan(n).astype(np.float64)
+        rng = np.random.default_rng(SEED)
+        x = np.clip(ref + rng.normal(0.0, 0.05, ref.shape), 0.0, 1.0)
+        levels = mt.max_msssim_levels(x.shape)
+        report["sizes"][str(n)] = {
+            "ms_ssim_levels": levels,
+            "scores": mt.evaluate_pair(x, ref),
+            "evaluate_pair_ms": _median_ms(
+                lambda: mt.evaluate_pair(x, ref), reps),
+            "ssim_ms": _median_ms(lambda: mt.ssim(x, ref), reps),
+            "ms_ssim_ms": _median_ms(
+                lambda: mt.ms_ssim(x, ref, levels=levels), reps),
+            "reps": reps,
+        }
+    return report
+
+
+def _child(checkout: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure-side",
+         str(checkout)],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def metric_timings(parent: Path, change: Path, rounds: int) -> dict:
+    runs = {"parent": [], "change": []}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 == 0
+                     else ("change", "parent")):
+            runs[side].append(
+                _child(parent if side == "parent" else change))
+    report = {}
+    for side, rs in runs.items():
+        report[side] = {"env": rs[0]["env"], "rounds": rounds, "sizes": {
+            n: {**entry, **{key: statistics.median(
+                run["sizes"][n][key] for run in rs)
+                for key in ("evaluate_pair_ms", "ssim_ms", "ms_ssim_ms")}}
+            for n, entry in rs[0]["sizes"].items()}}
+    report["score_gap"] = {
+        n: {key: abs(report["change"]["sizes"][n]["scores"][key]
+                     - report["parent"]["sizes"][n]["scores"][key])
+            for key in ("psnr", "ssim", "ms_ssim")}
+        for n in report["parent"]["sizes"]}
+    return report
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--rounds", type=int, default=3,
+                   help="alternating metric-timing runs per side")
+    p.add_argument("--pairs", nargs="*",
+                   default=["qn:21-30", "gd:21-25", "train:21-25"],
+                   help="workload:first-last perfbench seeds, e.g. qn:21-30")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_metrics.json")
+    p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    if args.measure_side:
+        print(json.dumps(measure_side(args.measure_side.resolve())))
+        return 0
+    if not (args.parent and args.change):
+        p.error("--parent and --change are required")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    report = {"metrics": metric_timings(args.parent.resolve(),
+                                        args.change.resolve(), args.rounds),
+              "perfbench": {}}
+    for spec in filter(None, args.pairs):
+        workload, seeds = _seed_range(spec)
+        report["perfbench"][workload] = pairs(
+            args.parent.resolve(), args.change.resolve(), workload, seeds,
+            seconds)
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Image quality metrics and evaluation protocols.
 
-PSNR, windowed SSIM and its multi-scale product, radially averaged noise
-power spectra over a standard two-circle ROI layout, and the white-circle
-anomaly protocol with cropped-region scoring.
+PSNR, windowed SSIM (a separable Gaussian window) and its multi-scale
+product, radially averaged noise power spectra over a standard two-circle
+ROI layout, and the white-circle anomaly protocol with cropped-region
+scoring.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ShapeError
 log = logging.getLogger("qnct.metrics")
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
+SSIM_WINDOW = 11  # Gaussian window side, sigma 1.5 (Wang et al. 2004)
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
@@ -32,41 +34,36 @@ def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     return 10.0 * np.log10(data_range * data_range / mse)
 
 
-def gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
+    """Normalized 1-D Gaussian taps; the SSIM window is their outer
+    product, so filtering rows and then columns with them applies it."""
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
     g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _windows(x: np.ndarray, size: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(x, (size, size))
-
-
-def _local_stats(x, y, kernel):
-    size = kernel.shape[0]
-    wx = _windows(x, size)
-    wy = _windows(y, size)
-    mu_x = np.einsum("hwij,ij->hw", wx, kernel, optimize=True)
-    mu_y = np.einsum("hwij,ij->hw", wy, kernel, optimize=True)
-    xx = np.einsum("hwij,ij->hw", wx * wx, kernel, optimize=True)
-    yy = np.einsum("hwij,ij->hw", wy * wy, kernel, optimize=True)
-    xy = np.einsum("hwij,ij->hw", wx * wy, kernel, optimize=True)
+def _local_stats(x, y, taps):
+    """Gaussian-weighted means, variances and covariance over every valid
+    window: one separable pass over the stacked (x, y, x², y², xy) maps."""
+    windows = np.lib.stride_tricks.sliding_window_view
+    maps = np.stack([x, y, x * x, y * y, x * y])
+    rows = windows(maps, taps.size, axis=-1) @ taps
+    mu_x, mu_y, xx, yy, xy = windows(rows, taps.size, axis=-2) @ taps
     return mu_x, mu_y, xx - mu_x ** 2, yy - mu_y ** 2, xy - mu_x * mu_y
 
 
-def _ssim_terms(x, y, data_range, kernel):
+def _ssim_terms(x, y, data_range, taps):
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, kernel)
+    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, taps)
     luminance = (2 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
     cs = (2 * cov + c2) / (var_x + var_y + c2)
     return luminance, cs
 
 
 def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-         kernel_size: int = 11, sigma: float = 1.5) -> float:
+         kernel_size: int = SSIM_WINDOW, sigma: float = 1.5) -> float:
     """Mean windowed structural similarity (Gaussian 11x11, sigma 1.5)."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -76,8 +73,8 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
         raise ShapeError(
             f"ssim: image {x.shape} smaller than the {kernel_size} kernel"
         )
-    kernel = gaussian_kernel(kernel_size, sigma)
-    luminance, cs = _ssim_terms(x, ref, data_range, kernel)
+    taps = gaussian_kernel(kernel_size, sigma)
+    luminance, cs = _ssim_terms(x, ref, data_range, taps)
     return float(np.mean(luminance * cs))
 
 
@@ -87,7 +84,7 @@ def _mean_pool2(x: np.ndarray) -> np.ndarray:
     return x.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def max_msssim_levels(shape, kernel_size: int = 11) -> int:
+def max_msssim_levels(shape, kernel_size: int = SSIM_WINDOW) -> int:
     levels = 0
     size = min(shape)
     while size >= kernel_size and levels < 5:
@@ -97,8 +94,8 @@ def max_msssim_levels(shape, kernel_size: int = 11) -> int:
 
 
 def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-            levels: int = 5, kernel_size: int = 11, sigma: float = 1.5,
-            weights=MS_SSIM_WEIGHTS) -> float:
+            levels: int = 5, kernel_size: int = SSIM_WINDOW,
+            sigma: float = 1.5, weights=MS_SSIM_WEIGHTS) -> float:
     """Multi-scale SSIM: contrast/structure across scales, luminance at the
     coarsest; scales connect by 2x2 mean pooling."""
     x = np.asarray(x, dtype=np.float64)
@@ -107,7 +104,7 @@ def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
         raise ShapeError(f"ms_ssim: shapes {x.shape} vs {ref.shape}")
     if levels < 1 or levels > len(weights):
         raise ShapeError(f"ms_ssim: levels must be in 1..{len(weights)}")
-    kernel = gaussian_kernel(kernel_size, sigma)
+    taps = gaussian_kernel(kernel_size, sigma)
     weights = np.asarray(weights[:levels], dtype=np.float64)
     score = 1.0
     for level in range(levels):
@@ -116,7 +113,7 @@ def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
                 f"ms_ssim: level {level + 1} image {x.shape} smaller than "
                 f"the {kernel_size} kernel"
             )
-        luminance, cs = _ssim_terms(x, ref, data_range, kernel)
+        luminance, cs = _ssim_terms(x, ref, data_range, taps)
         # an anti-correlated pair has a negative mean cs, which has no
         # fractional power; clamp at 0 as reference MS-SSIM code does
         if level == levels - 1:
@@ -233,9 +230,26 @@ def add_circle_ood(image: np.ndarray, seed=None, value: float = 1.0,
     return img, mask
 
 
+def _widen(lo: int, hi: int, size: int, limit: int):
+    """[lo, hi) grown about its center to at least size wide, kept inside
+    [0, limit); a side that meets the border passes its share on."""
+    short = size - (hi - lo)
+    if short <= 0:
+        return lo, hi
+    lo -= short // 2
+    hi += short - short // 2
+    if lo < 0:
+        lo, hi = 0, hi - lo
+    if hi > limit:
+        lo, hi = max(0, lo - (hi - limit)), limit
+    return lo, hi
+
+
 def eval_ood_crop(x: np.ndarray, ref: np.ndarray, mask: np.ndarray,
                   pad: int = 4, data_range: float = 1.0) -> dict:
-    """PSNR/SSIM on the padded bounding box of the anomaly mask."""
+    """PSNR/SSIM on the padded bounding box of the anomaly mask, widened
+    to the SSIM window where the image allows (small disks on small
+    images)."""
     x = np.asarray(x)
     ref = np.asarray(ref)
     if x.shape != ref.shape or x.shape != mask.shape:
@@ -252,6 +266,8 @@ def eval_ood_crop(x: np.ndarray, ref: np.ndarray, mask: np.ndarray,
     c0 = max(0, c0 - pad)
     r1 = min(mask.shape[0], r1 + 1 + pad)
     c1 = min(mask.shape[1], c1 + 1 + pad)
+    r0, r1 = _widen(r0, r1, SSIM_WINDOW, mask.shape[0])
+    c0, c1 = _widen(c0, c1, SSIM_WINDOW, mask.shape[1])
     xc = x[r0:r1, c0:c1]
     rc = ref[r0:r1, c0:c1]
     return {

@@ -286,29 +286,36 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
 # ---------------------------------------------------------------------------
 # line searches
 # ---------------------------------------------------------------------------
+#
+# A line search returns (alpha, J, grad) for the accepted point x + alpha d,
+# with J or grad None where it did not evaluate them there; qn_reconstruct
+# computes only what is missing.
 
 def _phi(spec, x, d):
     def value(a):
         return spec.value(x + a * d)
 
     def slope(a):
-        return float(spec.grad(x + a * d).reshape(-1) @ d.reshape(-1))
+        """(grad J . d, grad J) at x + a d."""
+        g = spec.grad(x + a * d)
+        return float(g.reshape(-1) @ d.reshape(-1)), g
 
     return value, slope
 
 
 def fixed_step(spec, x, d, j0, g0d):
-    return 1.0
+    return 1.0, None, None
 
 
 def armijo(spec, x, d, j0, g0d, c1=1e-4, shrink=0.5, max_iter=40):
     value, _ = _phi(spec, x, d)
     a = 1.0
     for _ in range(max_iter):
-        if value(a) <= j0 + c1 * a * g0d:
-            return a
+        j = value(a)
+        if j <= j0 + c1 * a * g0d:
+            return a, j, None
         a *= shrink
-    return a
+    return a, None, None
 
 
 def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
@@ -326,17 +333,17 @@ def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
         if j > j0 + c1 * a * g0d or (i > 0 and j >= j_prev):
             return _zoom(value, slope, a_prev, j_prev, sl_prev, a, j,
                          j0, g0d, c1, c2)
-        sl = slope(a)
+        sl, g = slope(a)
         if abs(sl) <= -c2 * g0d:
-            return a
+            return a, j, g
         if sl >= 0:
             return _zoom(value, slope, a, j, sl, a_prev, j_prev,
                          j0, g0d, c1, c2)
         if a == a_max:
-            return a
+            return a, j, g
         a_prev, j_prev, sl_prev = a, j, sl
         a = min(2.0 * a, a_max)
-    return a
+    return a, None, None
 
 
 def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d, c1, c2,
@@ -357,25 +364,25 @@ def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d, c1, c2,
         if j > j0 + c1 * a * g0d or j >= j_lo:
             hi, j_hi = a, j
         else:
-            sl = slope(a)
+            sl, g = slope(a)
             if abs(sl) <= -c2 * g0d:
-                return a
+                return a, j, g
             if sl * (hi - lo) >= 0:
                 hi, j_hi = lo, j_lo
             lo, j_lo, sl_lo = a, j, sl
         if abs(hi - lo) < 1e-14:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), None, None
 
 
 def exact_quadratic(spec, x, d, j0, g0d):
     """Exact minimizer along d for quadratic J: slope is linear in alpha."""
     _, slope = _phi(spec, x, d)
-    s1 = slope(1.0)
+    s1, _ = slope(1.0)
     denom = s1 - g0d
     if denom <= 0:
-        return 1.0
-    return -g0d / denom
+        return 1.0, None, None
+    return -g0d / denom, None, None
 
 LINE_SEARCHES = {
     "fixed": fixed_step,
@@ -397,6 +404,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     Hessian from H0 = I held as its curvature pairs (BfgsState), so work and
     memory grow as iters * x0.size, not x0.size**2. Refuses runs whose
     pairs could exceed HESSIAN_BYTE_LIMIT, before any projection.
+    line_search is a LINE_SEARCHES name or a function with their
+    (alpha, J, grad) return; J and grad at the accepted point are reused.
     """
     if iters < 0:
         raise ShapeError(f"qn_reconstruct needs iters >= 0, got {iters}")
@@ -428,10 +437,11 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
             si = 0.0
             d = -g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
-        alpha = search(spec, x, d, j, g0d)
+        alpha, j_new, g_new = search(spec, x, d, j, g0d)
         s = alpha * d
-        x_new = x + s
-        g_new = spec.grad(x_new)
+        x_new = x + s  # the point the search formed, bit for bit
+        if g_new is None:
+            g_new = spec.grad(x_new)
         z = g_new - g
         state, accepted = bfgs_update(state, s, z)
         if accepted:
@@ -441,7 +451,7 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
             Hg = state.apply(g_new)
             secant = np.nan
         x, g = x_new, g_new
-        j = spec.value(x)
+        j = spec.value(x) if j_new is None else j_new
         trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si))
         if j > limit:
             raise DivergenceError(

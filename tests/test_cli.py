@@ -364,6 +364,18 @@ def test_ood_protocol_reproducible(workspace):
                             "crop_psnr", "crop_ssim"}
 
 
+def test_ood_small_images_score_every_crop(workspace):
+    # on 16x16 images the disks are small and the padded box meets the
+    # border; the crop widens to the 11-pixel SSIM window
+    out = workspace / "ood16"
+    assert run(["ood", "--out-dir", out, "--method", "fbp", "--size", "16",
+                "--count", "6"]) == 0
+    rows = read_rows(out / "ood.csv")
+    assert len(rows) == 6
+    for row in rows:
+        assert 0.0 < float(row["crop_ssim"]) <= 1.0
+
+
 def test_unknown_flag_exits_nonzero_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phantom", "--nope", "--out", "x.tomo"])

@@ -9,13 +9,22 @@ from qnct.errors import ShapeError
 from qnct.phantoms import shepp_logan
 
 
-def brute_force_ssim(x, ref, data_range=1.0, size=11, sigma=1.5):
-    """Windowed SSIM via explicit loops, the independent oracle."""
-    kernel = mt.gaussian_kernel(size, sigma)
+def gaussian_window(size=11, sigma=1.5):
+    """The 2-D SSIM window, built here and not from mt.gaussian_kernel."""
+    half = (size - 1) / 2.0
+    window = np.array([[np.exp(-((i - half) ** 2 + (j - half) ** 2)
+                               / (2.0 * sigma * sigma))
+                        for j in range(size)] for i in range(size)])
+    return window / window.sum()
+
+
+def brute_force_terms(x, ref, data_range=1.0, size=11, sigma=1.5):
+    """(mean luminance * cs, mean cs) over every window, via explicit loops."""
+    kernel = gaussian_window(size, sigma)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     h, w = x.shape
-    vals = []
+    ssims, css = [], []
     for i in range(h - size + 1):
         for j in range(w - size + 1):
             wx = x[i:i + size, j:j + size]
@@ -25,10 +34,37 @@ def brute_force_ssim(x, ref, data_range=1.0, size=11, sigma=1.5):
             var_x = float((kernel * wx * wx).sum()) - mu_x ** 2
             var_y = float((kernel * wy * wy).sum()) - mu_y ** 2
             cov = float((kernel * wx * wy).sum()) - mu_x * mu_y
-            vals.append(((2 * mu_x * mu_y + c1) * (2 * cov + c2))
-                        / ((mu_x ** 2 + mu_y ** 2 + c1)
-                           * (var_x + var_y + c2)))
-    return float(np.mean(vals))
+            cs = (2 * cov + c2) / (var_x + var_y + c2)
+            css.append(cs)
+            ssims.append(cs * (2 * mu_x * mu_y + c1)
+                         / (mu_x ** 2 + mu_y ** 2 + c1))
+    return float(np.mean(ssims)), float(np.mean(css))
+
+
+def brute_force_ssim(x, ref, data_range=1.0, size=11, sigma=1.5):
+    """Windowed SSIM via explicit loops, the independent oracle."""
+    return brute_force_terms(x, ref, data_range, size, sigma)[0]
+
+
+def brute_force_ms_ssim(x, ref, levels, weights=mt.MS_SSIM_WEIGHTS):
+    """MS-SSIM from the brute-force terms at every level, 2x2 mean pooled
+    between levels."""
+    score = 1.0
+    for level in range(levels):
+        full, cs = brute_force_terms(x, ref)
+        term = full if level == levels - 1 else cs
+        score *= max(term, 0.0) ** weights[level]
+        h, w = (n - n % 2 for n in x.shape)
+        x = (x[0:h:2, 0:w:2] + x[1:h:2, 0:w:2]
+             + x[0:h:2, 1:w:2] + x[1:h:2, 1:w:2]) / 4.0
+        ref = (ref[0:h:2, 0:w:2] + ref[1:h:2, 0:w:2]
+               + ref[0:h:2, 1:w:2] + ref[1:h:2, 1:w:2]) / 4.0
+    return score
+
+
+def noisy_pair(rng, shape, sigma=0.15):
+    x = rng.uniform(size=shape)
+    return x, np.clip(x + rng.normal(0, sigma, size=shape), 0, 1)
 
 
 class TestPsnr:
@@ -82,6 +118,21 @@ class TestSsim:
         with pytest.raises(ShapeError, match="kernel"):
             mt.ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    @pytest.mark.parametrize("shape", [(11, 11), (13, 29), (29, 13),
+                                       (40, 64), (17, 17)])
+    def test_brute_force_oracle_on_rectangular_and_odd_shapes(self, shape):
+        x, ref = noisy_pair(np.random.default_rng(sum(shape)), shape)
+        assert mt.ssim(x, ref) == pytest.approx(
+            brute_force_ssim(x, ref), abs=1e-6)
+
+    def test_kernel_is_separable_gaussian(self):
+        taps = mt.gaussian_kernel(11, 1.5)
+        assert taps.shape == (11,)
+        assert taps.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(taps, taps[::-1], rtol=0, atol=0)
+        np.testing.assert_allclose(np.outer(taps, taps), gaussian_window(),
+                                   rtol=1e-14, atol=0)
+
 
 class TestMsSsim:
     def test_identical_is_one(self):
@@ -110,6 +161,14 @@ class TestMsSsim:
             warnings.simplefilter("error")
             score = mt.ms_ssim(1.0 - x, x)
         assert np.isfinite(score) and 0.0 <= score <= 1.0
+
+    @pytest.mark.parametrize("shape, levels", [((64, 64), 3),
+                                               ((48, 80), 2),
+                                               ((45, 23), 2)])
+    def test_matches_brute_force_oracle(self, shape, levels):
+        x, ref = noisy_pair(np.random.default_rng(levels), shape, 0.1)
+        assert mt.ms_ssim(x, ref, levels=levels) == pytest.approx(
+            brute_force_ms_ssim(x, ref, levels), abs=1e-6)
 
     def test_degrades_with_noise(self):
         rng = np.random.default_rng(7)
@@ -214,6 +273,37 @@ class TestOodCrop:
             mt.eval_ood_crop(np.zeros((16, 16)), np.zeros((16, 16)),
                              np.zeros((16, 16), dtype=bool))
 
+    def test_narrow_box_widens_to_the_window(self):
+        # a radius-1 disk with pad 1 boxes 5x5, and with pad 4 at the
+        # border 7x7, both narrower than the 11 window; the box grows about
+        # its center, and at the border into the image
+        rng = np.random.default_rng(12)
+        x, ref = noisy_pair(rng, (16, 16))
+        for (cx, cy), pad, bbox in (((8, 7), 1, (2, 3, 13, 14)),
+                                    ((1, 14), 4, (5, 0, 16, 11))):
+            mask = mt.circle_mask(16, 16, cx=cx, cy=cy, radius=1)
+            out = mt.eval_ood_crop(x, ref, mask, pad=pad)
+            assert out["bbox"] == bbox
+            r0, c0, r1, c1 = bbox
+            assert out["ssim"] == mt.ssim(x[r0:r1, c0:c1], ref[r0:r1, c0:c1])
+
+    def test_box_of_window_size_unchanged(self):
+        rng = np.random.default_rng(13)
+        x, ref = noisy_pair(rng, (64, 64))
+        for radius, pad in ((5, 4), (1, 4), (2, 3)):
+            mask = mt.circle_mask(64, 64, cx=30, cy=20, radius=radius)
+            side = 2 * radius + 1 + 2 * pad
+            out = mt.eval_ood_crop(x, ref, mask, pad=pad)
+            assert out["bbox"] == (20 - radius - pad, 30 - radius - pad,
+                                   20 - radius - pad + side,
+                                   30 - radius - pad + side)
+
+    def test_image_smaller_than_window_rejected(self):
+        mask = np.zeros((8, 12), dtype=bool)
+        mask[4, 6] = True
+        with pytest.raises(ShapeError, match="kernel"):
+            mt.eval_ood_crop(np.zeros((8, 12)), np.zeros((8, 12)), mask)
+
     def test_crop_scores_below_full_image_on_anomaly_failure_fixture(self):
         # fixture mimicking a model that reconstructs familiar anatomy well
         # but misses the unseen disk: good everywhere, wrong inside the
@@ -226,6 +316,16 @@ class TestOodCrop:
         crop = mt.eval_ood_crop(recon, stamped, mask)
         assert crop["psnr"] < mt.psnr(recon, stamped)
         assert crop["ssim"] < mt.ssim(recon, stamped)
+
+
+def test_scores_pinned_on_seeded_desk_pair():
+    # values of the 2-D window einsum this filter replaced
+    rng = np.random.default_rng(12)
+    ref = shepp_logan(64).astype(np.float64)
+    x = np.clip(ref + rng.normal(0, 0.05, ref.shape), 0, 1)
+    assert mt.ssim(x, ref) == pytest.approx(0.645672428936646, abs=1e-12)
+    assert mt.ms_ssim(x, ref, levels=3) == pytest.approx(
+        0.9719446632243337, abs=1e-12)
 
 
 def test_evaluate_pair_row():

@@ -405,6 +405,22 @@ class TestLatentDiagnosticsAgainstDenseH:
         assert all(state.secant_residual > 1e-3 for state, *_ in rows)
 
 
+class CountingObjective:
+    """Wraps an objective and records the bytes of every x it is given."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.seen = {"value": [], "grad": []}
+
+    def value(self, x):
+        self.seen["value"].append(x.tobytes())
+        return self.spec.value(x)
+
+    def grad(self, x):
+        self.seen["grad"].append(x.tobytes())
+        return self.spec.grad(x)
+
+
 class TestStrongWolfe:
     def test_each_point_evaluated_once(self):
         rng = np.random.default_rng(18)
@@ -412,27 +428,87 @@ class TestStrongWolfe:
                              regularizer=Regularizer("smoothed_tv", mu=0.5))
         x = rng.normal(size=(8, 8))
         g = spec.grad(x)
-        seen = {"value": [], "grad": []}
-
-        class Counting:
-            def value(self, x):
-                seen["value"].append(x.tobytes())
-                return spec.value(x)
-
-            def grad(self, x):
-                seen["grad"].append(x.tobytes())
-                return spec.grad(x)
-
         # short steps bracket by doubling (the shortest up to the cap
         # a = 64), long ones zoom back from a = 1
         for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
-            seen["value"].clear()
-            seen["grad"].clear()
+            counting = CountingObjective(spec)
             d = -scale * g
-            strong_wolfe(Counting(), x, d, spec.value(x),
-                         float(g.reshape(-1) @ d.reshape(-1)))
-            for points in seen.values():
+            a, j, grad = strong_wolfe(counting, x, d, spec.value(x),
+                                      float(g.reshape(-1) @ d.reshape(-1)))
+            for points in counting.seen.values():
                 assert len(points) == len(set(points))
+            # the accepted point's J and gradient, as qn_reconstruct forms it
+            assert j == spec.value(x + a * d)
+            np.testing.assert_array_equal(grad, spec.grad(x + a * d))
+
+
+def ct_tikhonov(n=32, views=16):
+    """(spec, FBP start) of a parallel-beam Tikhonov problem on n² pixels."""
+    g = geo.Geometry(n_views_full=90, n_det=48, det_spacing_mm=2.0,
+                     image_extent_mm=64.0,
+                     view_subset=geo.uniform_view_subset(90, views))
+    sino = geo.forward_project(geo.Image(shepp_logan(n), g.pixel_mm(n)), g)
+    spec = ObjectiveSpec.for_geometry(
+        g, sino, n, n, lam=1.0, regularizer=Regularizer("tikhonov", mu=0.05))
+    return spec, geo.fbp(sino, g, h=n, w=n).values.astype(np.float64)
+
+
+def reevaluating_qn(spec, x0, iters, line_search):
+    """qn_reconstruct as it was before line searches returned their accepted
+    point: J and grad J are evaluated again at x + alpha d."""
+    search = solvers.LINE_SEARCHES[line_search]
+    x = np.array(x0, dtype=np.float64)
+    state = BfgsState()
+    j, g = spec.value(x), spec.grad(x)
+    Hg, si = g, 0.0
+    trace = [solvers._trace_row(0, j, np.linalg.norm(g), si=si)]
+    for t in range(1, iters + 1):
+        d = -Hg
+        g0d = float(g.reshape(-1) @ d.reshape(-1))
+        assert g0d < 0
+        alpha = search(spec, x, d, j, g0d)[0]
+        s = alpha * d
+        x_new = x + s
+        g_new = spec.grad(x_new)
+        z = g_new - g
+        state, accepted = bfgs_update(state, s, z)
+        if accepted:
+            Hg, secant, si = secant_diagnostics(state.apply, s, z, g_new)
+        else:
+            Hg, secant = state.apply(g_new), np.nan
+        x, g = x_new, g_new
+        j = spec.value(x)
+        trace.append(solvers._trace_row(t, j, np.linalg.norm(g), alpha,
+                                        secant, si))
+    return x, trace
+
+
+class TestAcceptedPointReuse:
+    @pytest.mark.parametrize("line_search", ["strong-wolfe", "armijo"])
+    def test_no_point_evaluated_twice(self, line_search):
+        spec, x0 = ct_tikhonov()
+        counting = CountingObjective(spec)
+        qn_reconstruct(counting, x0, 3, line_search=line_search)
+        for points in counting.seen.values():
+            assert points and len(points) == len(set(points))
+
+    @pytest.mark.parametrize("line_search", sorted(solvers.LINE_SEARCHES))
+    def test_bit_identical_to_reevaluating_loop(self, line_search):
+        rng = np.random.default_rng(21)
+        # curvature in [0.5, 1.5], where a unit step from H0 = I converges
+        mild = QuadraticObjective(np.diag(rng.uniform(0.5, 1.5, 12)),
+                                  rng.normal(size=12))
+        problems = [(mild, np.zeros(12))]
+        if line_search != "fixed":  # a unit step diverges on the CT problem
+            problems.append(ct_tikhonov())
+        for spec, x0 in problems:
+            x, trace, _ = qn_reconstruct(spec, x0, 4, line_search=line_search)
+            x_ref, trace_ref = reevaluating_qn(spec, x0, 4, line_search)
+            assert x.tobytes() == x_ref.tobytes()
+            np.testing.assert_array_equal(
+                [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace],
+                [[row[c] for c in solvers.TRACE_COLUMNS]
+                 for row in trace_ref])
 
 
 class TestQnReconstruct:
@@ -487,16 +563,7 @@ class TestQnReconstruct:
             assert v @ state.apply(v) > 0.0
 
     def test_ct_beats_gradient_descent_head_to_head(self):
-        g = geo.Geometry(n_views_full=90, n_det=48, det_spacing_mm=2.0,
-                         image_extent_mm=64.0,
-                         view_subset=geo.uniform_view_subset(90, 16))
-        ph = shepp_logan(32)
-        sino = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
-        spec = ObjectiveSpec.for_geometry(
-            g, sino, 32, 32, lam=1.0,
-            regularizer=Regularizer("tikhonov", mu=0.05),
-        )
-        x0 = geo.fbp(sino, g, h=32, w=32).values.astype(np.float64)
+        spec, x0 = ct_tikhonov()
         xq, trace_q, _ = qn_reconstruct(spec, x0, 30, line_search="strong-wolfe")
         v = np.random.default_rng(11).normal(size=(32, 32))
         for _ in range(12):

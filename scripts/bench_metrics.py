@@ -12,7 +12,11 @@ each figure is the median over the rounds) with one BLAS thread,
 ``metrics.evaluate_pair``, ``metrics.ssim`` and ``metrics.ms_ssim`` are
 timed on a seeded 64² and 256² pair (a Shepp-Logan phantom and a noisy
 copy; the median of ``SIZES[n]`` reps). The scores are recorded too, so
-the report shows how far the two sides' values are apart.
+the report shows how far the two sides' values are apart. In the same
+processes, one op of the perfbench ``gd`` and ``qn`` workloads (desk
+scale, seed ``SOLVER_SEED``, after one warm-up op) runs with
+``geometry.forward_project`` and ``geometry.back_project`` wrapped; their
+calls and wall ms are reported per workload.
 
 Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed,
 alternating which side goes first, at the run length ``BENCHMARK.json``
@@ -26,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from bench_kernels import _import_side, _median_ms, _seed_range, pairs
@@ -34,14 +39,56 @@ ROOT = Path(__file__).resolve().parent.parent
 # image side -> timing reps
 SIZES = {64: 30, 256: 5}
 SEED = 0
+SOLVER_SEED = 1
+PROJECTORS = ("forward_project", "back_project")
+
+
+def count_projections(geo, solve) -> dict:
+    """{name: {"calls", "ms"}} of each PROJECTORS function of the geometry
+    module ``geo`` while ``solve()`` runs. The module attributes are
+    wrapped for the call, as perfbench's tracer does, so every caller that
+    looks them up in the module is counted."""
+    counts = {name: {"calls": 0, "ms": 0.0} for name in PROJECTORS}
+    originals = {name: getattr(geo, name) for name in PROJECTORS}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts[name]["calls"] += 1
+                counts[name]["ms"] += 1e3 * (time.perf_counter() - start)
+        return wrapper
+
+    for name, fn in originals.items():
+        setattr(geo, name, timed(name, fn))
+    try:
+        solve()
+    finally:
+        for name, fn in originals.items():
+            setattr(geo, name, fn)
+    return counts
+
+
+def solver_projections(workloads, q) -> dict:
+    """count_projections of one op of each classical-solver workload."""
+    report = {}
+    for cls in (workloads.GradientDescent, workloads.QuasiNewton):
+        wl = cls(q, workloads.DESK, SOLVER_SEED)
+        wl.setup(workloads.Phases())
+        wl.op(0)
+        report[wl.name] = count_projections(q.geometry, lambda: wl.op(0))
+    return report
 
 
 def measure_side(checkout: Path) -> dict:
-    run, _, q = _import_side(checkout)
+    run, workloads, q = _import_side(checkout)
     import numpy as np
 
     mt = q.metrics
-    report = {"env": run.environment(), "sizes": {}}
+    report = {"env": run.environment(), "sizes": {},
+              "solvers": solver_projections(workloads, q)}
     for n, reps in SIZES.items():
         ref = q.phantoms.shepp_logan(n).astype(np.float64)
         rng = np.random.default_rng(SEED)
@@ -81,7 +128,11 @@ def metric_timings(parent: Path, change: Path, rounds: int) -> dict:
             n: {**entry, **{key: statistics.median(
                 run["sizes"][n][key] for run in rs)
                 for key in ("evaluate_pair_ms", "ssim_ms", "ms_ssim_ms")}}
-            for n, entry in rs[0]["sizes"].items()}}
+            for n, entry in rs[0]["sizes"].items()},
+            "solvers": {w: {name: {key: statistics.median(
+                run["solvers"][w][name][key] for run in rs)
+                for key in ("calls", "ms")} for name in PROJECTORS}
+                for w in rs[0]["solvers"]}}
     report["score_gap"] = {
         n: {key: abs(report["change"]["sizes"][n]["scores"][key]
                      - report["parent"]["sizes"][n]["scores"][key])

@@ -53,10 +53,13 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in (REG_NONE, REG_TIKHONOV, REG_SMOOTHED_TV):
             raise ShapeError(f"unknown regularizer {self.kind!r}")
-        if self.mu < 0:
-            raise ShapeError("regularizer weight mu must be >= 0")
-        if self.kind == REG_SMOOTHED_TV and self.delta <= 0:
-            raise ShapeError("smoothed TV needs delta > 0")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ShapeError(
+                f"regularizer weight mu must be finite and >= 0, got {self.mu}")
+        if self.kind == REG_SMOOTHED_TV and not (np.isfinite(self.delta)
+                                                 and self.delta > 0):
+            raise ShapeError(
+                f"smoothed TV needs a finite delta > 0, got {self.delta}")
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == REG_NONE or self.mu == 0.0:
@@ -94,19 +97,32 @@ def _forward_diff_adjoint(u, v):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveSpec:
-    """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator."""
+    """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
+
+    value(x) and grad(x) share one forward projection per point: the spec
+    keeps the residual A x - y of the last x it projected, and reuses it
+    while x has the same dtype, shape and bytes. It keeps a copy of that x,
+    so an x mutated in place is projected afresh. Fields cannot be
+    reassigned and y is a read-only copy, so the residual cannot go stale.
+    """
 
     op: object
     y: np.ndarray
     lam: float = 1.0
     regularizer: Regularizer = field(default_factory=Regularizer)
+    # (dtype, shape, bytes) of the last x projected, and its residual
+    _memo: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ShapeError("data weight lam must be >= 0")
-        self.y = np.asarray(self.y)
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ShapeError(
+                f"data weight lam must be finite and >= 0, got {self.lam}")
+        y = np.array(self.y)
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
 
     @classmethod
     def for_geometry(cls, geometry: geo.Geometry, sino: geo.Sinogram,
@@ -116,11 +132,18 @@ class ObjectiveSpec:
                    regularizer or Regularizer())
 
     def _residual(self, x: np.ndarray, caller: str) -> np.ndarray:
+        x = np.asarray(x)
+        key = (x.dtype, x.shape, x.tobytes())
+        seen, r = self._memo
+        if seen == key:
+            return r
         r = self.op.forward(x) - self.y
         if r.shape != self.y.shape:
             raise ShapeError(
                 f"{caller}: operator output {r.shape} vs data {self.y.shape}"
             )
+        r.flags.writeable = False
+        object.__setattr__(self, "_memo", (key, r))
         return r
 
     def value(self, x: np.ndarray) -> float:
@@ -167,8 +190,11 @@ def _trace_row(iteration, J, grad_norm, step=np.nan, secant=np.nan, si=np.nan):
 
 def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
     """Fixed-step descent x <- x - step * grad J(x); returns (x, trace)."""
-    if step < 0 or iters < 1:
-        raise ShapeError("gradient_descent needs step >= 0 and iters >= 1")
+    if not (np.isfinite(step) and step >= 0):
+        raise ShapeError(
+            f"gradient_descent needs a finite step >= 0, got {step}")
+    if iters < 1:
+        raise ShapeError(f"gradient_descent needs iters >= 1, got {iters}")
     x = np.array(x0, dtype=np.float64, copy=True)
     j0 = spec.value(x)
     g = spec.grad(x)

@@ -416,3 +416,22 @@ def test_nps_reference_shape_mismatch_is_one_error_line(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error ShapeError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--method", "gd", "--step", "nan"], "step"),
+    (["--method", "gd", "--step", "inf"], "step"),
+    (["--method", "gd", "--lam", "nan"], "lam"),
+    (["--method", "gd", "--mu", "inf"], "mu"),
+    (["--method", "qn", "--mu", "nan"], "mu"),
+    (["--method", "qn", "--reg", "smoothed_tv", "--delta", "nan"], "delta"),
+], ids=["step-nan", "step-inf", "lam", "mu-gd", "mu-qn", "delta"])
+def test_non_finite_solver_parameter_is_one_error_line(workspace, capsys,
+                                                       argv, name):
+    sino = scan(workspace)
+    capsys.readouterr()
+    rec = workspace / "r.tomo"
+    assert run(["reconstruct", "--sino", sino, "--views", "16",
+                "--iters", "2", "--out", rec, *argv]) == 1
+    assert name in one_error_line(capsys, "ShapeError")
+    assert not rec.exists()

@@ -621,3 +621,148 @@ class TestQnReconstruct:
         assert len(trace) == 4
         # the dense 4096x4096 H alone would be 128 MiB
         assert peak < 32 * 2**20
+
+
+class CountingOperator:
+    """Wraps an operator and records the bytes of every x it projects."""
+
+    def __init__(self, op):
+        self.op = op
+        self.projected = []
+
+    def forward(self, x):
+        self.projected.append(x.tobytes())
+        return self.op.forward(x)
+
+    def adjoint(self, y):
+        return self.op.adjoint(y)
+
+
+def counting_ct_tikhonov():
+    spec, x0 = ct_tikhonov()
+    op = CountingOperator(spec.op)
+    return ObjectiveSpec(op, spec.y, spec.lam, spec.regularizer), op, x0
+
+
+class ReprojectingSpec:
+    """ObjectiveSpec as it was before the residual was kept: every value and
+    every grad projects x again."""
+
+    def __init__(self, spec):
+        self.op, self.y = spec.op, spec.y
+        self.lam, self.regularizer = spec.lam, spec.regularizer
+
+    def value(self, x):
+        r = self.op.forward(x) - self.y
+        data = 0.5 * self.lam * float(np.sum(r.astype(np.float64) ** 2))
+        return data + self.regularizer.value(x)
+
+    def grad(self, x):
+        r = self.op.forward(x) - self.y
+        return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
+
+
+class TestResidualReuse:
+    def test_gradient_descent_projects_once_per_iterate(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        gradient_descent(spec, x0, 1e-3, 6)
+        assert len(op.projected) == 6 + 1
+
+    def test_strong_wolfe_projects_each_distinct_point_once(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        counting = CountingObjective(spec)
+        qn_reconstruct(counting, x0, 3, line_search="strong-wolfe")
+        points = set(counting.seen["value"]) | set(counting.seen["grad"])
+        assert len(op.projected) == len(points)
+        assert len(counting.seen["value"]) + len(counting.seen["grad"]) \
+            > len(points)
+
+    def test_x_mutated_in_place_is_projected_again(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        x = x0.copy()
+        spec.value(x)
+        x[3, 4] += 1.0
+        g = spec.grad(x)
+        assert len(op.projected) == 2
+        np.testing.assert_array_equal(g, ReprojectingSpec(spec).grad(x))
+
+    def test_equal_values_of_another_dtype_are_projected_again(self):
+        y = np.random.default_rng(30).normal(size=(6, 6))
+        op = CountingOperator(IdentityOperator())
+        spec = ObjectiveSpec(op, y)
+        x = np.arange(36.0).reshape(6, 6)  # exact in float32 as well
+        spec.value(x)
+        g32 = spec.grad(x.astype(np.float32))
+        assert len(op.projected) == 2
+        np.testing.assert_array_equal(
+            g32, ReprojectingSpec(spec).grad(x.astype(np.float32)))
+
+    def test_data_and_fields_cannot_change_under_the_residual(self):
+        y = np.zeros((4, 4))
+        spec = ObjectiveSpec(IdentityOperator(), y)
+        x = np.ones((4, 4))
+        j = spec.value(x)
+        y[:] = 5.0  # the caller's array, not the spec's copy
+        assert spec.value(x) == j
+        assert not spec.y.flags.writeable
+        with pytest.raises(ValueError):
+            spec.y[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            spec.y = y
+        with pytest.raises(AttributeError):
+            spec.op = IdentityOperator()
+
+    def test_kept_residual_is_not_part_of_equality_or_repr(self):
+        # one-element data, so comparing the y arrays has a truth value
+        spec = ObjectiveSpec(IdentityOperator(), np.zeros(1))
+        fresh = ObjectiveSpec(spec.op, np.zeros(1))
+        spec.value(np.ones(1))
+        assert spec == fresh
+        assert repr(spec) == repr(fresh)
+
+    @pytest.mark.parametrize("line_search", sorted(solvers.LINE_SEARCHES))
+    def test_qn_bit_identical_to_reprojecting_spec(self, line_search):
+        spec, x0 = ct_tikhonov()
+        runs = []
+        for s in (spec, ReprojectingSpec(spec)):
+            try:
+                x, trace, _ = qn_reconstruct(s, x0, 4, line_search=line_search)
+            except DivergenceError as err:  # a unit step on the CT problem
+                x, trace = None, err.trace
+            runs.append((None if x is None else x.tobytes(),
+                         [[row[c] for c in solvers.TRACE_COLUMNS]
+                          for row in trace]))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    def test_gradient_descent_bit_identical_to_reprojecting_spec(self):
+        spec, x0 = ct_tikhonov()
+        step = solvers.estimate_step(spec, 32)
+        x, trace = gradient_descent(spec, x0, step, 12)
+        x_ref, trace_ref = gradient_descent(ReprojectingSpec(spec), x0, step, 12)
+        assert x.tobytes() == x_ref.tobytes()
+        np.testing.assert_array_equal(
+            [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace],
+            [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace_ref])
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_regularizer_weight_and_corner(self, bad):
+        with pytest.raises(ShapeError, match="mu"):
+            Regularizer("tikhonov", mu=bad)
+        with pytest.raises(ShapeError, match="delta"):
+            Regularizer("smoothed_tv", mu=0.1, delta=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_data_weight(self, bad):
+        with pytest.raises(ShapeError, match="lam"):
+            ObjectiveSpec(IdentityOperator(), np.zeros((2, 2)), lam=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gradient_descent_step_refused_before_projecting(self, bad):
+        op = CountingOperator(IdentityOperator())
+        spec = ObjectiveSpec(op, np.zeros((3, 3)))
+        with pytest.raises(ShapeError, match="step"):
+            gradient_descent(spec, np.ones((3, 3)), bad, 4)
+        assert op.projected == []

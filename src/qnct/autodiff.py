@@ -36,7 +36,7 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from .errors import CheckpointError, FiniteCheckError, ShapeError
+from .errors import CheckpointError, ShapeError
 
 # Python floats, not numpy scalars: they keep float32 kernels in float32.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -117,15 +117,6 @@ def _primitive(fn):
     return marked
 
 
-_debug_finite = False
-
-
-def set_debug_checks(enabled: bool):
-    """Toggle the NaN/Inf check that runs after every primitive op."""
-    global _debug_finite
-    _debug_finite = bool(enabled)
-
-
 _seq_counter = 0
 
 
@@ -178,14 +169,8 @@ class Tensor:
             raise ShapeError(f"item: tensor has shape {self.shape}, expected a scalar")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         self.grad = None
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``."""
@@ -198,30 +183,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar used throughout the network code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale_const(self, float(other))
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale_const(self, -1.0)
-
-
-def _check_finite(op, out):
-    if _debug_finite and not np.all(np.isfinite(out)):
-        raise FiniteCheckError(f"{op}: non-finite values in output")
-
 
 def _result(op, out, inputs, backward_fn):
     """Wrap a primitive output, recording a node when the tape is active."""
-    _check_finite(op, out)
     t = Tensor(out)
     if _grad_enabled() and any(i.requires_grad for i in inputs):
         t.requires_grad = True
@@ -329,24 +293,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
     return _result(
         "mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data)
-    )
-
-
-@_primitive
-def scale_const(a: Tensor, c: float) -> Tensor:
-    return _result("scale_const", a.data * c, (a,), lambda g: (g * c,))
-
-
-@_primitive
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("matmul", a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} vs {b.shape}")
-    return _result(
-        "matmul",
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
     )
 
 

@@ -136,6 +136,25 @@ def _load_model(path, cfg) -> ur.QnMixerModel:
     return model
 
 
+def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram,
+               iters: int, lam: float, reg: solvers.Regularizer,
+               step: float = 0.0, line_search: str = "strong-wolfe"):
+    """FBP with the unroll.fbp_filter key, then gd or qn from it ("fbp"
+    stops at FBP); returns (float32 image, trace). A step of 0 is estimated."""
+    size = cfg["image.size"]
+    spec = solvers.ObjectiveSpec.for_geometry(g, sino, size, size, lam, reg)
+    x = geo.fbp(sino, g, cfg["unroll.fbp_filter"], size, size).values
+    trace = []
+    if method == "gd":
+        x, trace = solvers.gradient_descent(
+            spec, x.astype(np.float64),
+            step or solvers.estimate_step(spec, size), iters)
+    elif method == "qn":
+        x, trace, _ = solvers.qn_reconstruct(
+            spec, x.astype(np.float64), iters, line_search=line_search)
+    return x.astype(np.float32), trace
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -230,17 +249,9 @@ def cmd_reconstruct(args):
                                tio.KIND_IMAGE)
     else:
         reg = solvers.Regularizer(args.reg, mu=args.mu, delta=args.delta)
-        spec = solvers.ObjectiveSpec.for_geometry(
-            g, geo.Sinogram(y), size, size, lam=args.lam, regularizer=reg)
-        x0 = geo.fbp(geo.Sinogram(y), g, cfg["unroll.fbp_filter"],
-                     size, size).values.astype(np.float64)
-        if args.method == "gd":
-            step = args.step or solvers.estimate_step(spec, size)
-            x, trace = solvers.gradient_descent(spec, x0, step, args.iters)
-        else:
-            x, trace, _ = solvers.qn_reconstruct(
-                spec, x0, args.iters, line_search=args.line_search)
-        tio.write_tomo(out, x.astype(np.float32), tio.KIND_IMAGE)
+        x, trace = _classical(args.method, cfg, g, geo.Sinogram(y), args.iters,
+                              args.lam, reg, args.step, args.line_search)
+        tio.write_tomo(out, x, tio.KIND_IMAGE)
         if args.trace:
             tio.write_csv(args.trace, trace, solvers.TRACE_COLUMNS)
     _write_resolved(cfg, out, f"reconstruct {args.method}")
@@ -362,19 +373,9 @@ def cmd_ood(args):
         if args.method == "qn-mixer":
             rec, _, _ = ur.unrolled_reconstruct(y, g, model, size, size)
             recon = rec.values
-        elif args.method == "fbp":
-            recon = geo.fbp(y, g, h=size, w=size).values
         else:
-            spec = solvers.ObjectiveSpec.for_geometry(
-                g, y, size, size, lam=1.0,
-                regularizer=solvers.Regularizer("tikhonov", mu=0.05))
-            x0 = geo.fbp(y, g, h=size, w=size).values.astype(np.float64)
-            if args.method == "gd":
-                x, _ = solvers.gradient_descent(
-                    spec, x0, solvers.estimate_step(spec, size), args.iters)
-            else:
-                x, _, _ = solvers.qn_reconstruct(spec, x0, args.iters)
-            recon = x.astype(np.float32)
+            recon, _ = _classical(args.method, cfg, g, y, args.iters, 1.0,
+                                  solvers.Regularizer("tikhonov", mu=0.05))
         crop = mt.eval_ood_crop(recon, stamped, mask)
         rows.append({
             "image_id": f"{idx:03d}",

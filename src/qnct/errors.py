@@ -13,10 +13,6 @@ class GeometryError(QnctError):
     """Scan description is inconsistent or incompatible with the data."""
 
 
-class FiniteCheckError(QnctError):
-    """A debug finite-value check caught NaN/Inf after a primitive op."""
-
-
 class DivergenceError(QnctError):
     """Iterative solve diverged; carries the trace collected so far."""
 

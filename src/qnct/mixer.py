@@ -140,14 +140,6 @@ def mixer_layout(config: MixerConfig, h: int, w: int):
     yield "expand.conv.b", (1,), pinit.ZEROS
 
 
-def init_mixer_params(config: MixerConfig, h: int, w: int, rng,
-                      dtype=np.float32) -> dict:
-    """Deterministic parameter set for an h x w input (``mixer_layout``)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = pinit.substream(rng, "init")
-    return pinit.materialize(mixer_layout(config, h, w), rng, dtype)
-
-
 def _conv_block(x, params, name, padding=0):
     return ad.conv2d(x, params[name + ".w"], params[name + ".b"],
                      padding=padding)

@@ -35,6 +35,17 @@ log = logging.getLogger("qnct.solvers")
 HESSIAN_BYTE_LIMIT = 2**31
 
 
+def check_pair_budget(updates: int, n: int, where: str, remedy: str):
+    """Refuse a quasi-Newton loop whose curvature pairs, two float64
+    n-vectors per update, could exceed HESSIAN_BYTE_LIMIT."""
+    pair_bytes = 2 * updates * n * 8
+    if pair_bytes > HESSIAN_BYTE_LIMIT:
+        raise MemoryGuardError(
+            f"curvature pairs for {updates} updates on {where} need "
+            f"{pair_bytes} bytes, above the {HESSIAN_BYTE_LIMIT}-byte limit; "
+            f"{remedy}")
+
+
 # ---------------------------------------------------------------------------
 # objective specification
 # ---------------------------------------------------------------------------
@@ -124,6 +135,14 @@ class ObjectiveSpec:
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
+    def __eq__(self, other):
+        """Field equality with y compared by value; the residual is left out."""
+        if not isinstance(other, ObjectiveSpec):
+            return NotImplemented
+        return ((self.op, self.lam, self.regularizer)
+                == (other.op, other.lam, other.regularizer)
+                and np.array_equal(self.y, other.y))
+
     @classmethod
     def for_geometry(cls, geometry: geo.Geometry, sino: geo.Sinogram,
                      h: int, w: int, lam: float = 1.0,
@@ -154,14 +173,6 @@ class ObjectiveSpec:
     def grad(self, x: np.ndarray) -> np.ndarray:
         r = self._residual(x, "gradient")
         return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
-
-
-def objective(x: np.ndarray, spec: ObjectiveSpec) -> float:
-    return spec.value(np.asarray(x))
-
-
-def gradient(x: np.ndarray, spec: ObjectiveSpec) -> np.ndarray:
-    return spec.grad(np.asarray(x))
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +447,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     if iters < 0:
         raise ShapeError(f"qn_reconstruct needs iters >= 0, got {iters}")
     x0 = np.asarray(x0)
-    pair_bytes = 2 * iters * x0.size * 8
-    if pair_bytes > HESSIAN_BYTE_LIMIT:
-        raise MemoryGuardError(
-            f"curvature pairs for {iters} iterations on {x0.size} unknowns "
-            f"need {pair_bytes} bytes, above the {HESSIAN_BYTE_LIMIT}-byte "
-            "limit; run fewer iterations"
-        )
+    check_pair_budget(iters, x0.size, f"{x0.size} unknowns",
+                      "run fewer iterations")
     search = LINE_SEARCHES[line_search] if isinstance(line_search, str) \
         else line_search
     x = np.array(x0, dtype=np.float64)

@@ -32,11 +32,9 @@ class TrainConfig:
     weight_decay: float = 1e-2
     lr_decay_factor: float = 0.1
     lr_decay_after_epoch: int = 40
-    batch_size: int = 1
     seed: int = 0
     max_steps: int | None = None
     checkpoint_dir: str | None = None
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -48,8 +46,6 @@ class TrainConfig:
             raise ShapeError("lr must be > 0")
         if not 0.0 <= self.lr_decay_factor <= 1.0:
             raise ShapeError("lr decay factor must be in [0, 1]")
-        if self.batch_size != 1:
-            raise ShapeError("only batch size 1 is supported")
 
 
 class TrainingAborted(QnctError):
@@ -171,9 +167,7 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
         lr = lr0 * (config.lr_decay_factor
                     if epoch >= config.lr_decay_after_epoch else 1.0)
         optimizer.lr = lr
-        order = (order_rng.permutation(len(items)) if config.shuffle
-                 else np.arange(len(items)))
-        for idx in order:
+        for idx in order_rng.permutation(len(items)):
             item = items[int(idx)]
             optimizer.zero_grad()
             x = unrolled_forward(item.sino, geometry, model, h, w)

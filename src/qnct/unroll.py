@@ -26,8 +26,8 @@ from . import geometry as geo
 from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
-from .errors import MemoryGuardError, ShapeError
-from .solvers import HESSIAN_BYTE_LIMIT, BfgsState, bfgs_update, symmetry_index
+from .errors import ShapeError
+from .solvers import BfgsState, bfgs_update, check_pair_budget, symmetry_index
 
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
@@ -108,13 +108,6 @@ def codec_layout(config: CodecConfig):
         yield (f"{side}.head.w", (1, config.width, 1, 1),
                ("xavier", config.width, 1))
         yield f"{side}.head.b", (1,), pinit.ZEROS
-
-
-def init_codec_params(config: CodecConfig, rng, dtype=np.float32) -> dict:
-    """Deterministic codec parameter set (``codec_layout``)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = pinit.substream(rng, "init")
-    return pinit.materialize(codec_layout(config), rng, dtype)
 
 
 def encode_gradient(grad: Tensor, params: dict, config: CodecConfig) -> Tensor:
@@ -240,25 +233,21 @@ def learned_gradient(x: Tensor, y: Tensor, physics: _Physics, model:
 @dataclass
 class LatentBfgsState:
     """Latent inverse Hessian (curvature pairs), the current latent r, and
-    the diagnostics of the last update (TRACE_COLUMNS)."""
+    the diagnostics of the last update (TRACE_COLUMNS). Hr is H r in
+    float64 when the last update formed it for the si probe, else None."""
 
     bfgs: BfgsState
     r: Tensor
     si: float = 0.0
     secant_residual: float = 0.0
     frobenius_step: float = 0.0
+    Hr: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, r: Tensor, updates: int):
         """H0 = I; refuses a loop whose pairs could exceed HESSIAN_BYTE_LIMIT."""
-        pair_bytes = 2 * updates * r.size * 8
-        if pair_bytes > HESSIAN_BYTE_LIMIT:
-            raise MemoryGuardError(
-                f"curvature pairs for {updates} updates of a {r.size}-dim "
-                f"latent need {pair_bytes} bytes, above the "
-                f"{HESSIAN_BYTE_LIMIT}-byte limit; use fewer iterations or "
-                "a deeper codec (larger k)"
-            )
+        check_pair_budget(updates, r.size, f"a {r.size}-dim latent",
+                          "use fewer iterations or a deeper codec (larger k)")
         return cls(BfgsState(), r)
 
     def updated(self, s64: np.ndarray, z64: np.ndarray,
@@ -274,7 +263,7 @@ class LatentBfgsState:
                        / max(np.linalg.norm(s64), 1e-300))
         step = _update_norm(s64, z64, self.bfgs.apply(z64), bfgs.pairs[-1][2])
         return LatentBfgsState(bfgs, r_next, symmetry_index(r64, Hr, z64, Hz),
-                               secant, step)
+                               secant, step, Hr)
 
 
 def _update_norm(s, z, u, rho) -> float:
@@ -287,11 +276,13 @@ def _update_norm(s, z, u, rho) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def _latent_step(bfgs: BfgsState, r: Tensor) -> Tensor:
+def _latent_step(bfgs: BfgsState, r: Tensor, Hr=None) -> Tensor:
     # H is a constant symmetric operator in the differentiation graph; only
-    # r carries grads, and the adjoint of -H is -H.
-    return ad.linear_operator(r, lambda v: -bfgs.apply(v),
-                              lambda g: -bfgs.apply(g), name="latent_step")
+    # r carries grads, and the adjoint of -H is -H. The forward reuses Hr,
+    # the H r an accepted update already formed, when there is one.
+    return ad.linear_operator(
+        r, lambda v: -(bfgs.apply(v) if Hr is None else Hr),
+        lambda g: -bfgs.apply(g), name="latent_step")
 
 
 def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
@@ -299,7 +290,7 @@ def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
                      is_last: bool):
     """One unrolled iteration; skips the H update on the last iteration."""
     codec = model.unroll_config.codec
-    s = _latent_step(state.bfgs, state.r)
+    s = _latent_step(state.bfgs, state.r, state.Hr)
     step_img = decode_direction(s, model.params, codec, physics.h, physics.w)
     x_next = ad.add(x, step_img)
     if is_last:

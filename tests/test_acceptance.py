@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete. Criteria 5 (learning trend) and 6 (latent-size trend) have no test
-yet; ROADMAP.md item 4 plans them.
+yet; ROADMAP.md item 1 plans them.
 """
 
 import time
@@ -16,6 +16,7 @@ from qnct import mixer as mx
 from qnct import solvers
 from qnct import unroll as ur
 from qnct.autodiff import Tensor
+from qnct.init import materialize, substream
 from qnct.phantoms import shepp_logan
 
 from test_metrics import brute_force_ssim
@@ -130,7 +131,8 @@ def test_criterion_3_gradient_fidelity():
 
     # (b) the full regularization network at the tiny configuration
     cfg = mx.MixerConfig(patch=4, d=12, n_layers=1)
-    params = mx.init_mixer_params(cfg, 16, 16, 11, dtype=np.float64)
+    params = materialize(mx.mixer_layout(cfg, 16, 16), substream(11, "init"),
+                         np.float64)
     for name, t in params.items():
         if name.endswith((".w1", ".w2", ".w")) or ".linear" in name:
             t.data[...] = rng.normal(0.0, 0.3, size=t.shape)
@@ -147,7 +149,8 @@ def test_criterion_3_gradient_fidelity():
 
     # (c) the latent codec
     ccfg = ur.CodecConfig(k=2, width=6)
-    cparams = ur.init_codec_params(ccfg, 5, dtype=np.float64)
+    cparams = materialize(ur.codec_layout(ccfg), substream(5, "init"),
+                          np.float64)
     gin = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
                  dtype=np.float64)
 
@@ -250,7 +253,7 @@ def test_criterion_8_protocols():
 
 def test_criterion_9_shapes_and_counts():
     cfg = mx.MixerConfig()  # patch 4, d 96, N 2 at 256x256
-    params = mx.init_mixer_params(cfg, 256, 256, 9)
+    params = materialize(mx.mixer_layout(cfg, 256, 256), substream(9, "init"))
     x = Tensor(np.random.default_rng(9).normal(size=(1, 1, 256, 256))
                .astype(np.float32))
     f = mx.inception_forward(x, params, cfg)

@@ -3,7 +3,7 @@ import pytest
 
 from qnct import autodiff as ad
 from qnct.autodiff import Tensor
-from qnct.errors import CheckpointError, FiniteCheckError, ShapeError
+from qnct.errors import CheckpointError, ShapeError
 
 
 def t64(arr, requires_grad=True):
@@ -74,11 +74,6 @@ class TestPrimitiveGradients:
         a = t64(self.rng.normal(size=(5,)))
         s = t64([0.7])
         self.check(lambda: ad.sum_of_squares(ad.mul(a, s)), [a, s])
-
-    def test_matmul(self):
-        a = t64(self.rng.normal(size=(3, 4)))
-        b = t64(self.rng.normal(size=(4, 2)))
-        self.check(lambda: ad.sum_of_squares(ad.matmul(a, b)), [a, b])
 
     def test_linear(self):
         x = t64(self.rng.normal(size=(2, 3, 5)))
@@ -212,8 +207,6 @@ def test_shape_errors_name_op():
         ad.add(Tensor([1.0]), Tensor([1.0, 2.0]))
     with pytest.raises(ShapeError, match="conv2d"):
         ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
-    with pytest.raises(ShapeError, match="matmul"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_pool_and_conv_reject_uneven_division():
@@ -222,16 +215,6 @@ def test_pool_and_conv_reject_uneven_division():
         ad.maxpool2d(x, 2, stride=2)
     with pytest.raises(ShapeError, match="conv2d"):
         ad.conv2d(x, Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), stride=2)
-
-
-def test_debug_finite_check():
-    ad.set_debug_checks(True)
-    try:
-        x = Tensor(np.array([1.0, np.inf], dtype=np.float32))
-        with pytest.raises(FiniteCheckError, match="add"):
-            ad.add(x, x)
-    finally:
-        ad.set_debug_checks(False)
 
 
 def test_no_grad_blocks_recording():
@@ -464,8 +447,6 @@ PRIMITIVES = {
     "sub": lambda r, dt: ad.sub(_nchw(r, dt), _nchw(r, dt)),
     "mul": lambda r, dt: ad.mul(_nchw(r, dt), _nchw(r, dt)),
     "mul_scalar": lambda r, dt: ad.mul(_nchw(r, dt), _nchw(r, dt, (1,))),
-    "scale_const": lambda r, dt: ad.scale_const(_nchw(r, dt), 0.3),
-    "matmul": lambda r, dt: ad.matmul(_nchw(r, dt, (3, 4)), _nchw(r, dt, (4, 2))),
     "linear": lambda r, dt: ad.linear(_nchw(r, dt), _nchw(r, dt, (4, 5)),
                                       _nchw(r, dt, (5,))),
     "conv2d": lambda r, dt: ad.conv2d(_nchw(r, dt), _nchw(r, dt, (2, 3, 3, 3)),

@@ -435,3 +435,27 @@ def test_non_finite_solver_parameter_is_one_error_line(workspace, capsys,
                 "--iters", "2", "--out", rec, *argv]) == 1
     assert name in one_error_line(capsys, "ShapeError")
     assert not rec.exists()
+
+
+@pytest.mark.parametrize("method", ["fbp", "gd", "qn"])
+def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
+    # ood's FBP, and the gd/qn start image, use unroll.fbp_filter as
+    # reconstruct does: one iteration of each from the same truth matches
+    cfg = workspace / "hann.cfg"
+    cfg.write_text("unroll.fbp_filter = hann\n")
+    flags = ["--size", "32", "--views", "16"]
+    out = workspace / "ood"
+    assert run(["ood", "--out-dir", out, "--method", method, "--count", "1",
+                "--iters", "1", "--config", cfg, *flags]) == 0
+    sino = workspace / "s.tomo"
+    assert run(["project", "--image", out / "000_truth.tomo", "--out", sino,
+                *flags]) == 0
+    rec = workspace / "r.tomo"
+    if method == "fbp":
+        argv = ["fbp", "--sino", sino, "--out", rec, "--config", cfg]
+    else:
+        argv = ["reconstruct", "--method", method, "--sino", sino,
+                "--out", rec, "--iters", "1", "--config", cfg]
+    assert run([*argv, *flags]) == 0
+    assert tio.read_tomo(out / "000_recon.tomo")[0].tobytes() == \
+        tio.read_tomo(rec)[0].tobytes()

@@ -1,6 +1,6 @@
 """Fuzz the file boundary: garbled input may only raise QnctError subclasses.
 
-Valid files (a TOMO1 image, a 16-bit PGM, a small checkpoint) are truncated
+Valid files (a TOMO1 image, a small checkpoint) are truncated
 or have bytes flipped, and garbled text is fed to the config parser. Any
 exception other than a QnctError fails the test. Runs are derandomized and
 short so they stay in the tier-1 time budget.
@@ -28,14 +28,13 @@ def valid(tmp_path_factory):
     rng = np.random.default_rng(0)
     tio.write_tomo(root / "x.tomo", rng.uniform(size=(4, 5)).astype(np.float32),
                    tio.KIND_IMAGE)
-    tio.write_pgm(root / "x.pgm", rng.uniform(size=(4, 5)), bits=16)
     cfg = cfgmod.resolve_config(None, {"mixer.d": "12", "mixer.n_layers": "1",
                                        "unroll.T": "2",
                                        "unroll.codec_width": "8"})
     model = ur.QnMixerModel.build(16, 16, 0, *tr.model_configs(cfg))
     ad.save_checkpoint(model.params, root / "x.ckpt", tr.model_meta(model))
     blobs = {ext: (root / f"x.{ext}").read_bytes()
-             for ext in ("tomo", "pgm", "ckpt")}
+             for ext in ("tomo", "ckpt")}
     return root, blobs
 
 
@@ -61,10 +60,9 @@ def only_qnct_errors(fn, path):
 
 @pytest.mark.parametrize("ext,reader", [
     ("tomo", tio.read_tomo),
-    ("pgm", tio.read_pgm),
     ("ckpt", ad.load_checkpoint),
     ("ckpt", tr.model_from_checkpoint),
-], ids=["read_tomo", "read_pgm", "load_checkpoint", "model_from_checkpoint"])
+], ids=["read_tomo", "load_checkpoint", "model_from_checkpoint"])
 @FUZZ
 @given(data=st.data())
 def test_garbled_file_raises_only_qnct_errors(valid, ext, reader, data):

@@ -1,6 +1,8 @@
-"""Every import in src/ and tests/ is used (no linter ships with the project)."""
+"""Every import in src/ and tests/ is used, and every definition in src/
+has a caller (no linter ships with the project)."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +37,70 @@ def test_no_unused_imports():
              for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# top-level definitions in src/qnct that only tests call, kept on purpose
+ONLY_TESTS_CALL = {
+    "read_csv": "reads back what write_csv writes",
+    "count_params": "the per-stage parameter counts of acceptance criterion 9",
+    "nps_integral": "the NPS integral of acceptance criterion 7",
+    "paper_geometry": "the paper-scale scan, for a paper-scale workload",
+    "sum_of_squares": "the reference loss of the autodiff gradient checks",
+    "grad_check": "the finite-difference check of acceptance criterion 3",
+    "disk": "the analytic phantom of the projector's chord-length test",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def names_read(node) -> set:
+    """Names a syntax tree reads: bare names, attributes, and the parts of
+    dotted-name strings (tracer targets such as "unroll.bfgs_update")."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and _DOTTED.fullmatch(sub.value):
+            found.update(sub.value.split("."))
+    return found
+
+
+def uncalled(sources: dict, package: str) -> list:
+    """(path, line, name) of each top-level def or class in a path under
+    ``package`` that no code in ``sources`` (path -> text) names outside
+    the definition itself."""
+    tops = [(path, node, names_read(node)) for path, text in sources.items()
+            for node in ast.parse(text).body]
+    return [(path, node.lineno, node.name) for path, node, _ in tops
+            if path.startswith(package)
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in names
+                        for _, other, names in tops if other is not node)]
+
+
+def test_dead_code_finder_flags_only_unnamed_definitions():
+    sources = {
+        "src/qnct/m.py": ("def used(): ...\ndef unused(): ...\n"
+                          "def recursive(): return recursive()\n"
+                          "def traced(): ...\nclass Kept: ...\n"),
+        "perfbench/run.py": ("from qnct import m\nm.used()\n"
+                             "TARGET = 'm.traced'\nx: 'Kept'\n"),
+    }
+    assert uncalled(sources, "src/") == [("src/qnct/m.py", 2, "unused"),
+                                         ("src/qnct/m.py", 3, "recursive")]
+
+
+def test_every_definition_in_src_has_a_caller():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text()
+               for top in ("src", "scripts", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    found = {name: f"{path}:{line}: {name}"
+             for path, line, name in uncalled(sources, "src/qnct/")}
+    assert set(ONLY_TESTS_CALL) <= set(found), \
+        f"allowlisted but called: {sorted(set(ONLY_TESTS_CALL) - set(found))}"
+    dead = [where for name, where in found.items()
+            if name not in ONLY_TESTS_CALL]
+    assert not dead, "definitions no code calls:\n" + "\n".join(dead)

@@ -60,43 +60,6 @@ class TestTomoFormat:
             tio.read_tomo(path)
 
 
-class TestPgm:
-    @pytest.mark.parametrize("bits,tol", [(8, 1.0 / 255), (16, 1.0 / 65535)])
-    def test_round_trip_max_normalized(self, tmp_path, bits, tol):
-        rng = np.random.default_rng(1)
-        values = rng.uniform(0, 0.8, size=(12, 9)).astype(np.float32)
-        path = tmp_path / "x.pgm"
-        tio.write_pgm(path, values, bits=bits)
-        back = tio.read_pgm(path)
-        np.testing.assert_allclose(back, values / values.max(), atol=tol)
-
-    @pytest.mark.parametrize("bits", [8, 16])
-    def test_truncated_payload(self, tmp_path, bits):
-        path = tmp_path / "x.pgm"
-        tio.write_pgm(path, np.ones((12, 9), dtype=np.float32), bits=bits)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(QnctError, match="truncated"):
-            tio.read_pgm(path)
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "x.pgm"
-        for blob in (b"P5\n12 9\n", b"P5\n12 x9\n255\n", b"P5\n2 2\n0\n\0\0\0\0"):
-            path.write_bytes(blob)
-            with pytest.raises(QnctError):
-                tio.read_pgm(path)
-
-    def test_16bit_is_big_endian_per_format(self, tmp_path):
-        values = np.array([[0.0, 1.0]], dtype=np.float32)
-        path = tmp_path / "x.pgm"
-        tio.write_pgm(path, values, bits=16)
-        blob = path.read_bytes()
-        assert blob.endswith(b"\x00\x00\xff\xff")
-
-    def test_bad_bits(self, tmp_path):
-        with pytest.raises(QnctError, match="bits"):
-            tio.write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), bits=12)
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": -1.0}]

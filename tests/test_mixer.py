@@ -5,6 +5,7 @@ from qnct import autodiff as ad
 from qnct import mixer as mx
 from qnct.autodiff import Tensor
 from qnct.errors import ShapeError
+from qnct.init import materialize, substream
 
 
 def tiny_config():
@@ -24,7 +25,7 @@ def test_config_branches_must_sum_to_d():
 
 def test_inception_output_shape_and_zero_response():
     cfg = mx.MixerConfig()
-    params = mx.init_mixer_params(cfg, 64, 64, 0)
+    params = materialize(mx.mixer_layout(cfg, 64, 64), substream(0, "init"))
     x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 64, 64)).astype(np.float32))
     out = mx.inception_forward(x, params, cfg)
     assert out.shape == (1, 96, 64, 64)
@@ -35,7 +36,7 @@ def test_inception_output_shape_and_zero_response():
 
 def test_paper_parameter_counts():
     cfg = mx.MixerConfig()
-    params = mx.init_mixer_params(cfg, 256, 256, 0)
+    params = materialize(mx.mixer_layout(cfg, 256, 256), substream(0, "init"))
     counts = mx.count_params(params)
     # the per-layer mixer total and the expansion stage land exactly on the
     # reference values; inception within 1%
@@ -48,7 +49,7 @@ def test_paper_parameter_counts():
 
 def test_mixer_layer_zero_params_is_identity():
     cfg = tiny_config()
-    params = mx.init_mixer_params(cfg, 16, 16, 0)
+    params = materialize(mx.mixer_layout(cfg, 16, 16), substream(0, "init"))
     for name, t in params.items():
         if name.startswith("mixer."):
             t.data[...] = 0.0
@@ -64,7 +65,7 @@ def test_mixer_layer_axis_sharing_commutes_with_permutation():
     rng = np.random.default_rng(3)
 
     def permuted_commutes(zero_names, axis):
-        params = mx.init_mixer_params(cfg, 16, 16, 5)
+        params = materialize(mx.mixer_layout(cfg, 16, 16), substream(5, "init"))
         for name, t in params.items():
             if any(z in name for z in zero_names):
                 t.data[...] = 0.0
@@ -83,7 +84,7 @@ def test_mixer_layer_axis_sharing_commutes_with_permutation():
 def test_forward_shape_for_divisible_sizes():
     cfg = tiny_config()
     for h, w in ((16, 16), (32, 16), (24, 40)):
-        params = mx.init_mixer_params(cfg, h, w, 0)
+        params = materialize(mx.mixer_layout(cfg, h, w), substream(0, "init"))
         x = Tensor(np.random.default_rng(4).normal(size=(1, 1, h, w)).astype(np.float32))
         out = mx.incept_mixer_forward(x, params, cfg)
         assert out.shape == (1, 1, h, w)
@@ -92,8 +93,8 @@ def test_forward_shape_for_divisible_sizes():
 def test_forward_rejects_indivisible_size():
     cfg = tiny_config()
     with pytest.raises(ShapeError, match="divisible"):
-        mx.init_mixer_params(cfg, 18, 16, 0)
-    params = mx.init_mixer_params(cfg, 16, 16, 0)
+        materialize(mx.mixer_layout(cfg, 18, 16), substream(0, "init"))
+    params = materialize(mx.mixer_layout(cfg, 16, 16), substream(0, "init"))
     with pytest.raises(ShapeError, match="divisible"):
         mx.incept_mixer_forward(Tensor(np.zeros((1, 1, 18, 16), np.float32)),
                                 params, cfg)
@@ -101,7 +102,7 @@ def test_forward_rejects_indivisible_size():
 
 def test_forward_is_deterministic_and_pure():
     cfg = tiny_config()
-    params = mx.init_mixer_params(cfg, 16, 16, 0)
+    params = materialize(mx.mixer_layout(cfg, 16, 16), substream(0, "init"))
     x = np.random.default_rng(5).normal(size=(1, 1, 16, 16)).astype(np.float32)
     a = mx.incept_mixer_forward(Tensor(x), params, cfg).data
     b = mx.incept_mixer_forward(Tensor(x.copy()), params, cfg).data
@@ -111,15 +112,16 @@ def test_forward_is_deterministic_and_pure():
 class TestInit:
     def test_same_seed_bit_identical(self):
         cfg = mx.MixerConfig()
-        a = mx.init_mixer_params(cfg, 64, 64, 42)
-        b = mx.init_mixer_params(cfg, 64, 64, 42)
+        a = materialize(mx.mixer_layout(cfg, 64, 64), substream(42, "init"))
+        b = materialize(mx.mixer_layout(cfg, 64, 64), substream(42, "init"))
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
 
     def test_mlp_std_near_002(self):
         cfg = mx.MixerConfig()
-        params = mx.init_mixer_params(cfg, 256, 256, 7)
+        params = materialize(mx.mixer_layout(cfg, 256, 256),
+                             substream(7, "init"))
         w = params["mixer.0.channel.w1"].data  # 96 x 384 = 36864 samples
         assert w.size >= 10_000
         assert 0.017 < w.std() < 0.023
@@ -127,7 +129,7 @@ class TestInit:
 
     def test_prelu_and_final_conv_init(self):
         cfg = mx.MixerConfig()
-        params = mx.init_mixer_params(cfg, 64, 64, 0)
+        params = materialize(mx.mixer_layout(cfg, 64, 64), substream(0, "init"))
         np.testing.assert_array_equal(params["inception.b2.prelu2"].data, 0.25)
         np.testing.assert_array_equal(params["expand.conv.w"].data, 0.0)
         np.testing.assert_array_equal(params["expand.conv.b"].data, 0.0)
@@ -139,7 +141,8 @@ def test_gradient_check_tiny_config():
     # init leaves token-MLP gradients at the FD noise floor, which probes
     # nothing; the backward itself is scale-free
     cfg = tiny_config()
-    params = mx.init_mixer_params(cfg, 16, 16, 11, dtype=np.float64)
+    params = materialize(mx.mixer_layout(cfg, 16, 16), substream(11, "init"),
+                         np.float64)
     rng = np.random.default_rng(12)
     for name, t in params.items():
         if name.endswith((".w1", ".w2", ".w")) or ".linear" in name:

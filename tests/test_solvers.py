@@ -75,19 +75,19 @@ class TestObjective:
     def test_identity_residual_zero(self):
         y = np.random.default_rng(0).normal(size=(8, 8))
         spec = ObjectiveSpec(IdentityOperator(), y, lam=1.0)
-        assert solvers.objective(y, spec) == 0.0
+        assert spec.value(y) == 0.0
 
     def test_tikhonov_value(self):
         x = np.zeros((4, 4))
         x[0, 0] = 3.0  # ||x||^2 = 9
         spec = ObjectiveSpec(IdentityOperator(), np.zeros((4, 4)), lam=0.0,
                              regularizer=Regularizer("tikhonov", mu=2.0))
-        assert solvers.objective(x, spec) == pytest.approx(9.0)
+        assert spec.value(x) == pytest.approx(9.0)
 
     def test_all_zero_weights(self):
         rng = np.random.default_rng(1)
         spec = ObjectiveSpec(IdentityOperator(), rng.normal(size=(5, 5)), lam=0.0)
-        assert solvers.objective(rng.normal(size=(5, 5)), spec) == 0.0
+        assert spec.value(rng.normal(size=(5, 5))) == 0.0
 
     def test_lam_negative_rejected(self):
         with pytest.raises(ShapeError):
@@ -100,7 +100,7 @@ class TestGradient:
         x = rng.normal(size=(6, 6))
         y = rng.normal(size=(6, 6))
         spec = ObjectiveSpec(IdentityOperator(), y, lam=1.0)
-        np.testing.assert_allclose(solvers.gradient(x, spec), x - y, atol=1e-12)
+        np.testing.assert_allclose(spec.grad(x), x - y, atol=1e-12)
 
     def test_finite_difference_ct_instance(self):
         g = geo.Geometry(n_views_full=24, n_det=24, det_spacing_mm=2.0,
@@ -711,6 +711,15 @@ class TestResidualReuse:
             spec.y = y
         with pytest.raises(AttributeError):
             spec.op = IdentityOperator()
+
+    def test_specs_over_array_data_compare_by_value(self):
+        # 4x4 data: the y arrays have no single truth value to compare by
+        y = np.arange(16.0).reshape(4, 4)
+        spec = ObjectiveSpec(IdentityOperator(), y)
+        assert spec == ObjectiveSpec(spec.op, y.copy())
+        assert spec != ObjectiveSpec(spec.op, y + 1.0)
+        assert spec != ObjectiveSpec(spec.op, y, lam=2.0)
+        assert spec != ObjectiveSpec(IdentityOperator(), y)
 
     def test_kept_residual_is_not_part_of_equality_or_repr(self):
         # one-element data, so comparing the y arrays has a truth value

@@ -8,15 +8,16 @@ from qnct import solvers
 from qnct import unroll as ur
 from qnct.autodiff import Tensor
 from qnct.errors import MemoryGuardError, ShapeError
+from qnct.init import materialize, substream
 from qnct.phantoms import shepp_logan
 from qnct.unroll import (
     CodecConfig,
     LatentBfgsState,
     QnMixerModel,
     UnrollConfig,
+    codec_layout,
     decode_direction,
     encode_gradient,
-    init_codec_params,
     unrolled_reconstruct,
 )
 
@@ -44,7 +45,7 @@ class TestCodec:
     def test_round_trip_shapes(self):
         for k, h, w in ((1, 16, 16), (2, 64, 64), (3, 32, 64)):
             cfg = CodecConfig(k=k, width=8)
-            params = init_codec_params(cfg, 0)
+            params = materialize(codec_layout(cfg), substream(0, "init"))
             g = Tensor(np.random.default_rng(0).normal(
                 size=(1, 1, h, w)).astype(np.float32))
             r = encode_gradient(g, params, cfg)
@@ -54,7 +55,7 @@ class TestCodec:
 
     def test_zero_gradient_zero_biases_encode_to_zero(self):
         cfg = CodecConfig(k=2, width=8)
-        params = init_codec_params(cfg, 3)
+        params = materialize(codec_layout(cfg), substream(3, "init"))
         r = encode_gradient(Tensor(np.zeros((1, 1, 32, 32), np.float32)),
                             params, cfg)
         np.testing.assert_array_equal(r.data, 0.0)
@@ -63,7 +64,8 @@ class TestCodec:
 
     def test_gradient_check_64bit(self):
         cfg = CodecConfig(k=2, width=6)
-        params = init_codec_params(cfg, 5, dtype=np.float64)
+        params = materialize(codec_layout(cfg), substream(5, "init"),
+                             np.float64)
         rng = np.random.default_rng(6)
         g = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
                    dtype=np.float64)
@@ -245,6 +247,37 @@ class TestLatentBfgs:
         for row in accepted:
             assert row["secant_residual"] < 1e-5
         assert np.isfinite([row["frobenius_step"] for row in trace]).all()
+
+    def test_one_h_product_per_latent_update(self, monkeypatch):
+        # T = 6 with every update accepted: the first step forms H r, and
+        # each update forms H z, H r and H_old z, so 1 + 5 * 3; the step
+        # after an update reuses that update's H r
+        calls = []
+        apply = solvers.BfgsState.apply
+
+        def counting(self, v):
+            calls.append(1)
+            return apply(self, v)
+
+        monkeypatch.setattr(solvers.BfgsState, "apply", counting)
+        g = small_geometry()
+        model = tiny_model(seed=3, T=6)
+        rng = np.random.default_rng(8)
+        model.params["expand.conv.w"].data[...] = rng.normal(
+            0, 0.05, size=model.params["expand.conv.w"].shape)
+        for t in range(6):
+            model.params[f"lambda.{t}"].data[:] = 0.3
+        ph = shepp_logan(32)
+        y = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
+        states = []
+        with ad.no_grad():
+            ur.unrolled_forward(y.values, g, model, 32, 32,
+                                collect=lambda t, x, st: states.append(st))
+        assert len(states[-1].bfgs.pairs) == 5 and states[-1].bfgs.skips == 0
+        assert len(calls) == 16
+        # the carried H r is the product the step would form, bit for bit
+        for state in states[:-1]:
+            assert np.array_equal(state.Hr, apply(state.bfgs, state.r.data))
 
     def test_memory_scales_with_latent_size(self):
         # latent grid (256 / 2^k)^2; each accepted pair stores s and z in

@@ -2,12 +2,14 @@
 
 The forward projector is ray-driven with Joseph-style bilinear sampling at a
 fixed step of half a pixel. It is assembled once per (scan, image size) as a
-sparse matrix A, and the adjoint applies A.T, so the pair is a matched
-transpose by construction. FBP uses the spatial-domain ramp kernel realized
-over a zero-padded FFT (even kernel, hence a symmetric filter matrix) and a
-pixel-driven backprojection B, cached the same way, so the whole FBP map
-dθ·B·ramp(cosw·y) is usable as a differentiable linear op. ScanOperator
-bundles the four maps for one image size on plain arrays.
+sparse matrix A and cached with its transposed view Aᵀ, built once per cache
+entry and sharing A's arrays; the adjoint applies that view, so the pair is
+a matched transpose by construction. FBP uses the spatial-domain ramp kernel
+realized over a zero-padded FFT (even kernel, hence a symmetric filter
+matrix) and a pixel-driven backprojection B, cached the same way (Bᵀ and its
+view B), so the whole FBP map dθ·B·ramp(cosw·y) is usable as a
+differentiable linear op. ScanOperator bundles the four maps for one image
+size on plain arrays.
 
 Units: image values are attenuation per mm times mm of path, i.e. line
 integrals are in mm when the image holds unit density.
@@ -180,12 +182,15 @@ def paper_geometry(view_subset=None) -> Geometry:
 
 @functools.lru_cache(maxsize=16)
 def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
-    """CSR matrix with one row per (view, detector) and one column per pixel.
+    """(M, M.T): the CSR matrix with one row per (view, detector) and one
+    column per pixel, and its transposed CSC view.
 
     ``tables(geometry, h, w)`` yields, view by view, (detector, pixel,
     weight) arrays; repeated (detector, pixel) pairs are summed and zero
     weights dropped. The matrix is built once over the full view set; a
     view subset is its row slice, so both share every entry bit for bit.
+    The view shares the matrix's data, indices and indptr, so it costs no
+    memory, and it lives and is evicted with the matrix in this one entry.
     """
     n_det = geometry.n_det
     if geometry.n_views < geometry.n_views_full:
@@ -194,7 +199,8 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
             full = replace(geometry, view_subset=None)
         views = np.asarray(geometry.view_subset)
         rows = (views[:, None] * n_det + np.arange(n_det)).reshape(-1)
-        return _scan_matrix(tables, full, h, w)[rows]
+        matrix = _scan_matrix(tables, full, h, w)[0][rows]
+        return matrix, matrix.T
     blocks = []
     for det, pix, wts in tables(geometry, h, w):
         keep = wts != 0.0
@@ -202,7 +208,8 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
         coords = (det[keep].astype(np.int32), pix[keep].astype(np.int32))
         blocks.append(sparse.csr_array((wts[keep], coords),
                                        shape=(n_det, h * w)))
-    return sparse.vstack(blocks, format="csr")
+    matrix = sparse.vstack(blocks, format="csr")
+    return matrix, matrix.T
 
 
 def _bilinear_table(fi, fj, h, w):
@@ -269,8 +276,8 @@ def _ray_tables(geometry: Geometry, h: int, w: int):
 def forward_project(image: Image, geometry: Geometry) -> Sinogram:
     """Discretized line integrals of the image along every geometry ray."""
     _check_image(image, geometry, "forward_project")
-    A = _scan_matrix(_ray_tables, geometry, image.h, image.w)
-    rows = A @ image.values.reshape(-1).astype(np.float64)
+    A, _ = _scan_matrix(_ray_tables, geometry, image.h, image.w)
+    rows = A @ image.values.reshape(-1).astype(np.float64, copy=False)
     return Sinogram(rows.reshape(geometry.n_views, geometry.n_det)
                     .astype(image.values.dtype))
 
@@ -281,8 +288,8 @@ def back_project(sino: Sinogram, geometry: Geometry, h: int | None = None,
     _check_sino(sino, geometry, "back_project")
     if h is None or w is None:
         h = w = _default_image_size(geometry)
-    A = _scan_matrix(_ray_tables, geometry, h, w)
-    acc = A.T @ sino.values.reshape(-1).astype(np.float64)
+    _, At = _scan_matrix(_ray_tables, geometry, h, w)
+    acc = At @ sino.values.reshape(-1).astype(np.float64, copy=False)
     return Image(acc.reshape(h, w).astype(sino.values.dtype),
                  geometry.pixel_mm(w))
 
@@ -326,7 +333,7 @@ def _filter_rows(rows: np.ndarray, spacing: float, window: str) -> np.ndarray:
     """Ramp-filter each row; symmetric as a matrix (even circular kernel)."""
     n_d = rows.shape[1]
     response, length = _ramp_response(n_d, float(spacing), window)
-    spec = np.fft.rfft(rows.astype(np.float64), n=length, axis=1)
+    spec = np.fft.rfft(rows.astype(np.float64, copy=False), n=length, axis=1)
     filtered = np.fft.irfft(spec * response, n=length, axis=1)[:, :n_d]
     return filtered * spacing
 
@@ -367,19 +374,24 @@ def _detector_interp(fd, n_det, weight):
             np.stack([(1.0 - frac) * wmask, frac * wmask]))
 
 
+@functools.lru_cache(maxsize=16)
 def _fbp_weights(geometry: Geometry):
-    """Cosine pre-weights per detector (fan) and the angular step weight."""
+    """Cosine pre-weights per detector (fan, read-only), detector spacing
+    and the angular step weight."""
     start, end = geometry.angular_range
     dtheta = (end - start) / geometry.n_views
     if geometry.full_circle():
         dtheta *= 0.5  # every line is measured twice over a full turn
     if geometry.beam == FAN:
         sad = geometry.sad_mm
-        vspacing = geometry.det_spacing_mm * sad / (sad + geometry.add_mm)
-        u = (np.arange(geometry.n_det) - (geometry.n_det - 1) / 2.0) * vspacing
+        spacing = geometry.det_spacing_mm * sad / (sad + geometry.add_mm)
+        u = (np.arange(geometry.n_det) - (geometry.n_det - 1) / 2.0) * spacing
         cosw = sad / np.sqrt(sad * sad + u * u)
-        return cosw, vspacing, dtheta
-    return np.ones(geometry.n_det), geometry.det_spacing_mm, dtheta
+    else:
+        spacing = geometry.det_spacing_mm
+        cosw = np.ones(geometry.n_det)
+    cosw.flags.writeable = False  # cached: shared by every caller
+    return cosw, spacing, dtheta
 
 
 def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK,
@@ -391,10 +403,10 @@ def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK,
     if h is None or w is None:
         h = w = _default_image_size(geometry)
     cosw, spacing, dtheta = _fbp_weights(geometry)
-    q = _filter_rows(sino.values.astype(np.float64) * cosw[None, :],
-                     spacing, filter)
-    Bt = _scan_matrix(_pixel_tables, geometry, h, w)
-    out = (Bt.T @ q.reshape(-1)) * dtheta
+    q = _filter_rows(sino.values.astype(np.float64, copy=False)
+                     * cosw[None, :], spacing, filter)
+    _, B = _scan_matrix(_pixel_tables, geometry, h, w)
+    out = (B @ q.reshape(-1)) * dtheta
     return Image(out.reshape(h, w).astype(sino.values.dtype),
                  geometry.pixel_mm(w))
 
@@ -405,8 +417,8 @@ def fbp_transpose(image: Image, geometry: Geometry,
     _check_image(image, geometry, "fbp_transpose")
     h, w = image.values.shape
     cosw, spacing, dtheta = _fbp_weights(geometry)
-    Bt = _scan_matrix(_pixel_tables, geometry, h, w)
-    q = Bt @ (image.values.reshape(-1).astype(np.float64) * dtheta)
+    Bt, _ = _scan_matrix(_pixel_tables, geometry, h, w)
+    q = Bt @ (image.values.reshape(-1).astype(np.float64, copy=False) * dtheta)
     rows = _filter_rows(q.reshape(geometry.n_views, geometry.n_det),
                         spacing, filter)  # symmetric filter
     rows *= cosw[None, :]
@@ -422,7 +434,11 @@ class ScanOperator:
 
     forward/adjoint are A and Aᵀ; fbp/fbp_transpose are FBP and its exact
     transpose. Each method calls the module function of the same name, so
-    validation and the cached matrices are shared with direct callers.
+    validation and the cached matrices are shared with direct callers: A
+    and Aᵀ (and FBP's backprojection) are one cached matrix and its
+    transposed view, built once per cache entry, not per call. Each method
+    refuses an array that is not (h, w) or (n_views, n_det) before any
+    matrix is built.
     """
 
     def __init__(self, geometry: Geometry, h: int, w: int,
@@ -432,8 +448,14 @@ class ScanOperator:
         self.filter = filter
         self.pixel_mm = geometry.pixel_mm(w)
 
+    def _image(self, x: np.ndarray, op: str) -> Image:
+        if np.shape(x) != (self.h, self.w):
+            raise GeometryError(f"{op}: image {np.shape(x)} is not "
+                                f"({self.h}, {self.w})")
+        return Image(x, self.pixel_mm)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return forward_project(Image(x, self.pixel_mm), self.geometry).values
+        return forward_project(self._image(x, "forward"), self.geometry).values
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return back_project(Sinogram(y), self.geometry, self.h, self.w).values
@@ -443,7 +465,7 @@ class ScanOperator:
                    self.h, self.w).values
 
     def fbp_transpose(self, x: np.ndarray) -> np.ndarray:
-        return fbp_transpose(Image(x, self.pixel_mm), self.geometry,
+        return fbp_transpose(self._image(x, "fbp_transpose"), self.geometry,
                              self.filter).values
 
 

@@ -167,7 +167,8 @@ class ObjectiveSpec:
 
     def value(self, x: np.ndarray) -> float:
         r = self._residual(x, "objective")
-        data = 0.5 * self.lam * float(np.sum(r.astype(np.float64) ** 2))
+        r64 = r.astype(np.float64, copy=False)
+        data = 0.5 * self.lam * float(np.sum(r64 ** 2))
         return data + self.regularizer.value(x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:

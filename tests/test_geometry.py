@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse._base import _spbase
 
 from qnct import geometry as geo
 from qnct.errors import GeometryError
@@ -238,6 +239,55 @@ def test_scan_operator_is_the_module_functions(beam):
     for got, want in pairs:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("method,shape", [
+    ("forward", (32, 64)), ("forward", (64, 64, 1)),
+    ("fbp_transpose", (32, 64)), ("adjoint", (16, 96)), ("fbp", (180, 95)),
+])
+def test_scan_operator_refuses_other_shapes(method, shape):
+    # a (32, 64) image has the geometry's extent at 64 columns, so the
+    # module functions would project it with a 32×64 matrix
+    op = geo.ScanOperator(geo.desk_geometry(), 64, 64)
+    misses = geo._scan_matrix.cache_info().misses
+    with pytest.raises(GeometryError):
+        getattr(op, method)(np.zeros(shape, dtype=np.float32))
+    assert geo._scan_matrix.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("view_subset", [None, subset(180, 16)])
+def test_scan_matrix_view_shares_the_matrix(view_subset):
+    g = geo.desk_geometry("fan", view_subset=view_subset)
+    for tables in (geo._ray_tables, geo._pixel_tables):
+        matrix, view = geo._scan_matrix(tables, g, 64, 64)
+        assert view.shape == matrix.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, name),
+                                    getattr(matrix, name))
+    cosw, _, _ = geo._fbp_weights(g)
+    assert not cosw.flags.writeable
+    assert geo._fbp_weights(g)[0] is cosw
+
+
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_repeated_adjoint_and_fbp_build_no_sparse_object(beam, monkeypatch):
+    g = geo.desk_geometry(beam, view_subset=subset(180, 16))
+    sino = geo.Sinogram(np.ones((g.n_views, g.n_det), dtype=np.float32))
+    geo.back_project(sino, g, 64, 64)
+    geo.fbp(sino, g, h=64, w=64)
+    built = []
+    init = _spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counted)
+    misses = geo._scan_matrix.cache_info().misses
+    geo.back_project(sino, g, 64, 64)
+    geo.fbp(sino, g, h=64, w=64)
+    assert built == []
+    assert geo._scan_matrix.cache_info().misses == misses
 
 
 class TestSubsampleViews:

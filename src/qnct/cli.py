@@ -221,7 +221,17 @@ def _check_views(g: geo.Geometry, y: np.ndarray):
         )
 
 
+# reconstruct flags that only the unrolled model reads
+_QN_MIXER_FLAGS = ("weights", "reference", "intermediates_dir")
+
+
 def cmd_reconstruct(args):
+    if args.method != "qn-mixer":
+        given = [f"--{name.replace('_', '-')}" for name in _QN_MIXER_FLAGS
+                 if getattr(args, name)]
+        if given:
+            raise ConfigError(f"{', '.join(given)} only apply to --method "
+                              f"qn-mixer, not {args.method}")
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
     y = _load_sino(args.sino)

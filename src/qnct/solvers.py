@@ -16,6 +16,11 @@ at O(t n) work and memory after t pairs. The trace diagnostics come from
 H-products alone: the secant residual |Hz - s| / |s|, and as "si" the
 symmetry probe symmetry_index, |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|), which
 is 0 for a symmetric H up to round-off.
+
+The line searches see J only along the search line, through _phi. For an
+ObjectiveSpec, whose operator is linear, that restriction projects the
+direction once: A(x + a d) - y = r + a Ad, so no trial step is projected.
+Any other objective with value/grad is evaluated at x + a d as given.
 """
 
 from __future__ import annotations
@@ -113,10 +118,14 @@ class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
 
     value(x) and grad(x) share one forward projection per point: the spec
-    keeps the residual A x - y of the last x it projected, and reuses it
+    keeps the residual A x - y of the last x it evaluated, and reuses it
     while x has the same dtype, shape and bytes. It keeps a copy of that x,
     so an x mutated in place is projected afresh. Fields cannot be
     reassigned and y is a read-only copy, so the residual cannot go stale.
+
+    line(x, d) restricts J to x + a d with one projection of d: the residual
+    there is r(x) + a Ad, and it becomes the kept residual, so value and
+    grad at that point project nothing more.
     """
 
     op: object
@@ -150,13 +159,16 @@ class ObjectiveSpec:
         return cls(geo.ScanOperator(geometry, h, w), sino.values, lam,
                    regularizer or Regularizer())
 
-    def _residual(self, x: np.ndarray, caller: str) -> np.ndarray:
+    def _residual(self, x: np.ndarray, caller: str,
+                  known=None) -> np.ndarray:
+        """A x - y, kept for the last x; known() gives it without a
+        projection when the caller can form it."""
         x = np.asarray(x)
         key = (x.dtype, x.shape, x.tobytes())
         seen, r = self._memo
         if seen == key:
             return r
-        r = self.op.forward(x) - self.y
+        r = self.op.forward(x) - self.y if known is None else known()
         if r.shape != self.y.shape:
             raise ShapeError(
                 f"{caller}: operator output {r.shape} vs data {self.y.shape}"
@@ -174,6 +186,29 @@ class ObjectiveSpec:
     def grad(self, x: np.ndarray) -> np.ndarray:
         r = self._residual(x, "gradient")
         return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
+
+    def line(self, x: np.ndarray, d: np.ndarray):
+        """(value, slope) of J on x + a d, as _phi returns them.
+
+        d is projected once; the residual at x + a d is r(x) + a Ad, not a
+        new projection, so it can differ from A(x + a d) - y by round-off.
+        """
+        r0 = self._residual(x, "line search")
+        Ad = self.op.forward(d)
+
+        def point(a):
+            xa = x + a * d
+            self._residual(xa, "line search", lambda: r0 + a * Ad)
+            return xa
+
+        def value(a):
+            return self.value(point(a))
+
+        def slope(a):
+            g = self.grad(point(a))
+            return float(g.reshape(-1) @ d.reshape(-1)), g
+
+        return value, slope
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +363,16 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
 # A line search returns (alpha, J, grad) for the accepted point x + alpha d,
 # with J or grad None where it did not evaluate them there; qn_reconstruct
 # computes only what is missing.
+#
+# _phi restricts J to the line x + a d. An ObjectiveSpec gives its own
+# restriction (ObjectiveSpec.line), which projects d once for every trial
+# step and leaves the last trial as its kept residual; any other objective
+# is evaluated at x + a d through its value and grad.
 
 def _phi(spec, x, d):
+    if isinstance(spec, ObjectiveSpec):
+        return spec.line(x, d)
+
     def value(a):
         return spec.value(x + a * d)
 

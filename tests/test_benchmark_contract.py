@@ -65,11 +65,12 @@ def test_solvers_and_unrolled_step_call_the_traced_geometry_functions():
     sino = geo.forward_project(geo.Image(shepp_logan(16), g.pixel_mm(16)), g)
     spec = solvers.ObjectiveSpec.for_geometry(
         g, sino, 16, 16, regularizer=solvers.Regularizer("tikhonov", mu=0.1))
-    # x0 and every strong-Wolfe trial are projected once; the gradient is
-    # formed at x0 and at the three accepted points
+    # x0 and each iteration's direction d are projected once, and every
+    # strong-Wolfe trial reuses A d; the gradient is formed at x0 and at
+    # the three accepted points
     assert traced_geometry_calls(
         lambda: solvers.qn_reconstruct(spec, np.zeros((16, 16)), 3)) == {
-        "geometry.forward_project.calls": 8,
+        "geometry.forward_project.calls": 4,
         "geometry.back_project.calls": 4}
 
     model = ur.QnMixerModel.build(

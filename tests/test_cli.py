@@ -437,6 +437,25 @@ def test_non_finite_solver_parameter_is_one_error_line(workspace, capsys,
     assert not rec.exists()
 
 
+@pytest.mark.parametrize("method,names", [
+    ("gd", ["reference"]), ("qn", ["weights"]), ("gd", ["intermediates-dir"]),
+    ("qn", ["reference", "weights", "intermediates-dir"]),
+], ids=["reference", "weights", "intermediates", "all"])
+def test_classical_reconstruct_refuses_qn_mixer_flags(workspace, capsys,
+                                                      method, names):
+    sino = scan(workspace)
+    capsys.readouterr()
+    rec = workspace / "r.tomo"
+    # none of the named paths exists, and none may be created
+    flags = [a for name in names for a in (f"--{name}", workspace / name)]
+    assert run(["reconstruct", "--method", method, "--sino", sino,
+                "--views", "16", "--iters", "1", "--out", rec, *flags]) == 1
+    err = one_error_line(capsys, "ConfigError")
+    assert all(f"--{name}" in err for name in names)
+    assert not rec.exists()
+    assert not any((workspace / name).exists() for name in names)
+
+
 @pytest.mark.parametrize("method", ["fbp", "gd", "qn"])
 def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     # ood's FBP, and the gd/qn start image, use unroll.fbp_filter as

@@ -12,6 +12,7 @@ from qnct.solvers import (
     BfgsState,
     ObjectiveSpec,
     Regularizer,
+    armijo,
     bfgs_update,
     gradient_descent,
     qn_reconstruct,
@@ -731,18 +732,31 @@ class TestResidualReuse:
 
     @pytest.mark.parametrize("line_search", sorted(solvers.LINE_SEARCHES))
     def test_qn_bit_identical_to_reprojecting_spec(self, line_search):
+        """Bit-identical where no trial value comes from the line's r + a Ad
+        (fixed, exact-quadratic); within round-off where one does."""
         spec, x0 = ct_tikhonov()
         runs = []
         for s in (spec, ReprojectingSpec(spec)):
             try:
-                x, trace, _ = qn_reconstruct(s, x0, 4, line_search=line_search)
+                x, trace, state = qn_reconstruct(s, x0, 4,
+                                                 line_search=line_search)
+                updates = (len(state.pairs), state.skips)
             except DivergenceError as err:  # a unit step on the CT problem
-                x, trace = None, err.trace
-            runs.append((None if x is None else x.tobytes(),
-                         [[row[c] for c in solvers.TRACE_COLUMNS]
-                          for row in trace]))
-        assert runs[0][0] == runs[1][0]
-        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+                x, trace, updates = None, err.trace, None
+            runs.append((x, [[row[c] for c in solvers.TRACE_COLUMNS]
+                             for row in trace], updates))
+        (x, rows, updates), (x_ref, rows_ref, updates_ref) = runs
+        if line_search in ("fixed", "exact-quadratic"):
+            assert (x is None) == (x_ref is None)
+            assert x is None or x.tobytes() == x_ref.tobytes()
+            np.testing.assert_array_equal(rows, rows_ref)
+            return
+        assert updates == updates_ref
+        assert len(rows) == len(rows_ref)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        j = solvers.TRACE_COLUMNS.index("J")
+        np.testing.assert_allclose([r[j] for r in rows],
+                                   [r[j] for r in rows_ref], rtol=1e-12, atol=0)
 
     def test_gradient_descent_bit_identical_to_reprojecting_spec(self):
         spec, x0 = ct_tikhonov()
@@ -753,6 +767,97 @@ class TestResidualReuse:
         np.testing.assert_array_equal(
             [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace],
             [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace_ref])
+
+
+class TestLineRestriction:
+    """ObjectiveSpec.line: trial steps reuse one projection of d."""
+
+    @pytest.mark.parametrize("line_search", ["strong-wolfe", "armijo"])
+    def test_qn_projects_x0_and_one_direction_per_iteration(self,
+                                                            line_search):
+        spec, op, x0 = counting_ct_tikhonov()
+        qn_reconstruct(spec, x0, 3, line_search=line_search)
+        assert len(op.projected) == 1 + 3
+        assert op.projected[0] == x0.tobytes()
+
+    @pytest.mark.parametrize("search", [strong_wolfe, armijo])
+    def test_search_and_accepted_point_project_only_the_direction(self,
+                                                                  search):
+        spec, op, x0 = counting_ct_tikhonov()
+        j0, g = spec.value(x0), spec.grad(x0)
+        d = -g
+        op.projected.clear()
+        a, j, grad = search(spec, x0, d, j0,
+                            float(g.reshape(-1) @ d.reshape(-1)))
+        assert a > 0 and j is not None
+        xa = x0 + a * d
+        assert spec.value(xa) == j
+        g_new = spec.grad(xa)
+        if grad is not None:
+            np.testing.assert_array_equal(g_new, grad)
+        assert op.projected == [d.tobytes()]
+
+    @pytest.mark.parametrize("regularizer", [
+        Regularizer("tikhonov", mu=0.05),
+        Regularizer("smoothed_tv", mu=0.05, delta=1e-2)],
+        ids=["tikhonov", "tv"])
+    @pytest.mark.parametrize("kind", ["identity", "ct"])
+    def test_trial_values_and_slopes_match_a_reprojection(
+            self, kind, regularizer, monkeypatch):
+        if kind == "identity":
+            rng = np.random.default_rng(40)
+            spec = ObjectiveSpec(IdentityOperator(), rng.normal(size=(8, 8)),
+                                 regularizer=regularizer)
+            x = rng.normal(size=(8, 8))
+        else:
+            ct, x = ct_tikhonov()
+            spec = ObjectiveSpec(ct.op, ct.y, ct.lam, regularizer)
+        # (d, a, J or None, (slope, grad) or None) of every trial evaluated
+        trials = []
+        line, zoom, zooms = ObjectiveSpec.line, solvers._zoom, []
+
+        def recording_line(self, x, d):
+            value, slope = line(self, x, d)
+
+            def recorded_value(a):
+                trials.append((d, a, value(a), None))
+                return trials[-1][2]
+
+            def recorded_slope(a):
+                trials.append((d, a, None, slope(a)))
+                return trials[-1][3]
+
+            return recorded_value, recorded_slope
+
+        def counted_zoom(*args):
+            zooms.append(args)
+            return zoom(*args)
+
+        monkeypatch.setattr(ObjectiveSpec, "line", recording_line)
+        monkeypatch.setattr(solvers, "_zoom", counted_zoom)
+        g = spec.grad(x)
+        # short steps bracket by doubling, long ones zoom or shrink
+        for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
+            d = -scale * g
+            g0d = float(g.reshape(-1) @ d.reshape(-1))
+            for search in (strong_wolfe, armijo):
+                search(spec, x, d, spec.value(x), g0d)
+        assert zooms and len(trials) > 20
+        reference = ReprojectingSpec(spec)
+        # gradients relative to the one at x: a search can land where the
+        # gradient cancels to round-off
+        g_norm = np.linalg.norm(g)
+        for d, a, j, slope in trials:
+            xa = x + a * d
+            if slope is None:
+                j_ref = reference.value(xa)
+                assert abs(j - j_ref) <= 1e-12 * abs(j_ref)
+            else:
+                sl, grad = slope
+                g_ref = reference.grad(xa)
+                assert np.linalg.norm(grad - g_ref) <= 1e-12 * g_norm
+                assert abs(sl - float(g_ref.reshape(-1) @ d.reshape(-1))) \
+                    <= 1e-12 * g_norm * np.linalg.norm(d)
 
 
 class TestNonFiniteParameters:

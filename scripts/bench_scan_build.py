@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""Measure scan-matrix builds, desk and paper scale, parent against change.
+
+    python3 scripts/bench_scan_build.py --parent DIR --change DIR \
+        [--rounds 3] [--pairs gd:31-40 qn:31-40 train:31-35] \
+        [--out BENCH_scan_build.json]
+
+DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
+Every case runs in a fresh process with one BLAS thread, and the sides
+alternate which goes first:
+
+  - ``builds``: the first ``forward_project`` and the first ``fbp`` on a
+    Shepp-Logan phantom, each timed with the matrix it builds, for every
+    scan in ``CASES``. The matrix cache is cleared between the two, so each
+    build's peak is its own. ``ru_maxrss`` is read after each step, and
+    the number of A's entries and a hash of the sinogram are recorded.
+  - ``cli``: the wall time of ``qnct reconstruct --method qn`` on a
+    desk fan scan of ``CLI_VIEWS`` views (``--iters`` at its default),
+    with a hash of the written image.
+  - ``paper_inference``: one unrolled inference of a freshly built
+    paper-size model (256², d = 96, T = 6) on the paper fan scan of
+    ``PAPER_VIEWS`` of 512 views: the wall time of the projection that
+    makes its sinogram (and builds A) and of the inference (which builds
+    FBP's matrix), ``ru_maxrss``, and whether the cold start equals FBP
+    bit for bit.
+
+Desk cases and the CLI run ``--rounds`` times per side (each figure is the
+median); the paper-scale cases run once per side, since each takes tens
+of seconds. Then ``perfbench/run.py --trace 0`` runs on each listed
+workload and seed with the pair runner of ``bench_kernels.py``.
+``--pairs ''`` skips this part.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from bench_kernels import _import_side, _seed_range, pairs
+
+ROOT = Path(__file__).resolve().parent.parent
+# case -> (scan, beam, full view count, kept views)
+CASES = {
+    "desk parallel 16/180": ("desk", "parallel", 180, 16),
+    "desk fan 32/180": ("desk", "fan", 180, 32),
+    "desk fan 180/180": ("desk", "fan", 180, 180),
+    "paper fan 64/512": ("paper", "fan", 512, 64),
+}
+CLI_VIEWS = 32
+PAPER_VIEWS = 64
+PAPER_SIZE = 256
+DESK_SIZE = 64
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _scan(geo, case):
+    scan, beam, n_full, n_v = CASES[case]
+    views = geo.uniform_view_subset(n_full, n_v)
+    if scan == "paper":
+        return geo.paper_geometry(views), PAPER_SIZE
+    return geo.desk_geometry(beam, views), DESK_SIZE
+
+
+def build_case(q, case) -> dict:
+    geo = q.geometry
+    g, n = _scan(geo, case)
+    image = geo.Image(q.phantoms.shepp_logan(n), g.pixel_mm(n))
+    report = {"rss_before_mb": _peak_rss_mb()}
+    start = time.perf_counter()
+    sino = geo.forward_project(image, g)
+    report["forward_project_s"] = time.perf_counter() - start
+    report["rss_after_forward_mb"] = _peak_rss_mb()
+    A, _ = geo._scan_matrix(geo._ray_tables, g, n, n)
+    report["a_entries"] = int(A.nnz)
+    del A
+    geo._scan_matrix.cache_clear()
+    start = time.perf_counter()
+    geo.fbp(sino, g, h=n, w=n)
+    report["fbp_s"] = time.perf_counter() - start
+    report["peak_rss_mb"] = _peak_rss_mb()
+    report["sino_sha256"] = hashlib.sha256(sino.values.tobytes()).hexdigest()
+    return report
+
+
+def paper_inference(q) -> dict:
+    geo, ur = q.geometry, q.unroll
+    g = geo.paper_geometry(geo.uniform_view_subset(512, PAPER_VIEWS))
+    n = PAPER_SIZE
+    image = geo.Image(q.phantoms.shepp_logan(n), g.pixel_mm(n))
+    model = ur.QnMixerModel.build(n, n, 0, q.mixer.MixerConfig(d=96),
+                                  ur.UnrollConfig(T=6))
+    start = time.perf_counter()
+    sino = geo.forward_project(image, g)
+    project_s = time.perf_counter() - start
+    start = time.perf_counter()
+    rec, _, _ = ur.unrolled_reconstruct(sino, g, model, n, n)
+    inference_s = time.perf_counter() - start
+    fbp = geo.fbp(sino, g, h=n, w=n).values
+    return {"size": n, "views": PAPER_VIEWS, "d": 96, "T": 6,
+            "project_s": project_s, "inference_s": inference_s,
+            "peak_rss_mb": _peak_rss_mb(),
+            "cold_start_equals_fbp": rec.values.tobytes() == fbp.tobytes()}
+
+
+def measure(checkout: Path, case: str) -> dict:
+    run, _, q = _import_side(checkout)
+    result = paper_inference(q) if case == "paper inference" \
+        else build_case(q, case)
+    return {"env": run.environment(), **result}
+
+
+def _child(checkout: Path, case: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure-side",
+         str(checkout), "--case", case],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cli_wall(checkout: Path) -> dict:
+    """Wall time of one ``qnct reconstruct --method qn`` process."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    geometry = ["--beam", "fan", "--views", str(CLI_VIEWS)]
+    with tempfile.TemporaryDirectory() as tmp:
+        def qnct(*argv):
+            subprocess.run([sys.executable, "-m", "qnct.cli", *argv],
+                           cwd=tmp, env=env, check=True,
+                           capture_output=True)
+
+        qnct("phantom", "--out", "ph.tomo")
+        qnct("project", "--image", "ph.tomo", "--out", "s.tomo", *geometry)
+        start = time.perf_counter()
+        qnct("reconstruct", "--method", "qn", "--sino", "s.tomo",
+             "--out", "r.tomo", *geometry)
+        wall = time.perf_counter() - start
+        digest = hashlib.sha256(Path(tmp, "r.tomo").read_bytes()).hexdigest()
+    return {"wall_s": wall, "out_sha256": digest}
+
+
+def alternate(parent: Path, change: Path, rounds: int, fn) -> dict:
+    """{side: [fn(checkout) per round]}, the sides alternating."""
+    runs = {"parent": [], "change": []}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 == 0
+                     else ("change", "parent")):
+            runs[side].append(fn(parent if side == "parent" else change))
+    return runs
+
+
+def _medians(rs: list) -> dict:
+    return {key: statistics.median(run[key] for run in rs)
+            if isinstance(rs[0][key], float) else rs[0][key]
+            for key in rs[0] if key != "env"}
+
+
+def report(parent: Path, change: Path, rounds: int) -> dict:
+    out = {"builds": {}, "rounds": rounds}
+    for case, (scan, *_) in CASES.items():
+        runs = alternate(parent, change, 1 if scan == "paper" else rounds,
+                         lambda side: _child(side, case))
+        out["builds"][case] = {side: _medians(rs) for side, rs in runs.items()}
+        print(f"{case}: " + ", ".join(
+            f"{side} {r['forward_project_s']:.2f} s "
+            f"{r['peak_rss_mb']:.0f} MB"
+            for side, r in out["builds"][case].items()), file=sys.stderr)
+    runs = alternate(parent, change, rounds, cli_wall)
+    out["cli"] = {"command": f"reconstruct --method qn --beam fan --views "
+                             f"{CLI_VIEWS}",
+                  **{side: _medians(rs) for side, rs in runs.items()}}
+    runs = alternate(parent, change, 1,
+                     lambda side: _child(side, "paper inference"))
+    out["paper_inference"] = {side: rs[0] for side, rs in runs.items()}
+    out["env"] = out["paper_inference"]["change"].pop("env")
+    out["paper_inference"]["parent"].pop("env")
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--rounds", type=int, default=3,
+                   help="alternating desk and CLI runs per side")
+    p.add_argument("--pairs", nargs="*",
+                   default=["gd:31-40", "qn:31-40", "train:31-35"],
+                   help="workload:first-last perfbench seeds, e.g. gd:31-40")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_scan_build.json")
+    p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--case", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    if args.measure_side:
+        print(json.dumps(measure(args.measure_side.resolve(), args.case)))
+        return 0
+    if not (args.parent and args.change):
+        p.error("--parent and --change are required")
+    parent, change = args.parent.resolve(), args.change.resolve()
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    out = report(parent, change, args.rounds)
+    out["perfbench"] = {}
+    for spec in filter(None, args.pairs):
+        workload, seeds = _seed_range(spec)
+        out["perfbench"][workload] = pairs(parent, change, workload, seeds,
+                                           seconds)
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

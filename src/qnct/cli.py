@@ -221,17 +221,21 @@ def _check_views(g: geo.Geometry, y: np.ndarray):
         )
 
 
-# reconstruct flags that only the unrolled model reads
+# flags that only the unrolled model reads (ood has only --weights)
 _QN_MIXER_FLAGS = ("weights", "reference", "intermediates_dir")
 
 
-def cmd_reconstruct(args):
+def _refuse_qn_mixer_flags(args):
     if args.method != "qn-mixer":
         given = [f"--{name.replace('_', '-')}" for name in _QN_MIXER_FLAGS
-                 if getattr(args, name)]
+                 if getattr(args, name, None)]
         if given:
             raise ConfigError(f"{', '.join(given)} only apply to --method "
                               f"qn-mixer, not {args.method}")
+
+
+def cmd_reconstruct(args):
+    _refuse_qn_mixer_flags(args)
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
     y = _load_sino(args.sino)
@@ -361,6 +365,7 @@ def cmd_nps(args):
 
 
 def cmd_ood(args):
+    _refuse_qn_mixer_flags(args)
     if args.method == "qn-mixer" and not args.weights:
         raise QnctError("qn-mixer ood requires --weights")
     cfg = _resolve(args)

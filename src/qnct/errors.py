@@ -13,6 +13,10 @@ class GeometryError(QnctError):
     """Scan description is inconsistent or incompatible with the data."""
 
 
+class NonFiniteError(GeometryError):
+    """An image or sinogram holds NaN or infinity."""
+
+
 class DivergenceError(QnctError):
     """Iterative solve diverged; carries the trace collected so far."""
 

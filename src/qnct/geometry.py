@@ -2,12 +2,13 @@
 
 The forward projector is ray-driven with Joseph-style bilinear sampling at a
 fixed step of half a pixel. It is assembled once per (scan, image size) as a
-sparse matrix A and cached with its transposed view Aᵀ, built once per cache
-entry and sharing A's arrays; the adjoint applies that view, so the pair is
-a matched transpose by construction. FBP uses the spatial-domain ramp kernel
-realized over a zero-padded FFT (even kernel, hence a symmetric filter
-matrix) and a pixel-driven backprojection B, cached the same way (Bᵀ and its
-view B), so the whole FBP map dθ·B·ramp(cosw·y) is usable as a
+sparse matrix A over the scan's own views (a view subset never builds the
+full-view matrix) and cached with its transposed view Aᵀ, built once per
+cache entry and sharing A's arrays; the adjoint applies that view, so the
+pair is a matched transpose by construction. FBP uses the spatial-domain
+ramp kernel realized over a zero-padded FFT (even kernel, hence a symmetric
+filter matrix) and a pixel-driven backprojection B, cached the same way (Bᵀ
+and its view B), so the whole FBP map dθ·B·ramp(cosw·y) is usable as a
 differentiable linear op. ScanOperator bundles the four maps for one image
 size on plain arrays.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .errors import GeometryError
+from .errors import GeometryError, NonFiniteError
 from .init import substream
 
 PARALLEL = "parallel"
@@ -115,7 +116,7 @@ class Image:
         if self.values.ndim != 2:
             raise GeometryError(f"image must be 2-d, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
-            raise GeometryError("image contains non-finite values")
+            raise NonFiniteError("image contains non-finite values")
 
     @property
     def h(self) -> int:
@@ -143,7 +144,7 @@ class Sinogram:
                 f"sinogram must be 2-d, got shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise GeometryError("sinogram contains non-finite values")
+            raise NonFiniteError("sinogram contains non-finite values")
 
     @property
     def n_v(self) -> int:
@@ -185,22 +186,16 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     """(M, M.T): the CSR matrix with one row per (view, detector) and one
     column per pixel, and its transposed CSC view.
 
-    ``tables(geometry, h, w)`` yields, view by view, (detector, pixel,
-    weight) arrays; repeated (detector, pixel) pairs are summed and zero
-    weights dropped. The matrix is built once over the full view set; a
-    view subset is its row slice, so both share every entry bit for bit.
-    The view shares the matrix's data, indices and indptr, so it costs no
-    memory, and it lives and is evicted with the matrix in this one entry.
+    ``tables(geometry, h, w)`` yields, for each of the geometry's own views
+    in order, (detector, pixel, weight) arrays; repeated (detector, pixel)
+    pairs are summed and zero weights dropped. A view's rows depend only on
+    its angle, so a view subset's matrix holds the full-view matrix's rows
+    for those views bit for bit, and no full-view matrix is built for it.
+    The transposed view shares the matrix's data, indices and indptr, so it
+    costs no memory, and it lives and is evicted with the matrix in this one
+    entry.
     """
     n_det = geometry.n_det
-    if geometry.n_views < geometry.n_views_full:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # already warned for `geometry`
-            full = replace(geometry, view_subset=None)
-        views = np.asarray(geometry.view_subset)
-        rows = (views[:, None] * n_det + np.arange(n_det)).reshape(-1)
-        matrix = _scan_matrix(tables, full, h, w)[0][rows]
-        return matrix, matrix.T
     blocks = []
     for det, pix, wts in tables(geometry, h, w):
         keep = wts != 0.0

@@ -21,7 +21,8 @@ from . import geometry as geo
 from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, QnctError, ShapeError
+from .errors import (CheckpointError, ConfigError, NonFiniteError, QnctError,
+                     ShapeError)
 from .unroll import CodecConfig, QnMixerModel, UnrollConfig, unrolled_forward
 
 
@@ -60,8 +61,9 @@ class AdamW:
     """Adaptive moments with decoupled weight decay.
 
     beta1 0.9, beta2 0.999, eps 1e-8; decay multiplies the weight by
-    (1 - lr * wd) independently of the gradient step. Parameters named in
-    no_decay keep wd = 0.
+    (1 - lr * wd) independently of the gradient step. A parameter keeps
+    wd = 0 when a dotted part of its name starts with an entry of no_decay,
+    so "prelu" exempts "inception.b2.prelu1" as well as "encoder.0.prelu".
     """
 
     def __init__(self, params: dict, lr: float, weight_decay: float = 0.0,
@@ -77,7 +79,7 @@ class AdamW:
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
 
     def _decays(self, name: str) -> bool:
-        return not any(name.startswith(p) or name.endswith(p)
+        return not any(part.startswith(p) for part in name.split(".")
                        for p in self.no_decay)
 
     def zero_grad(self):
@@ -104,7 +106,7 @@ class AdamW:
             p.data -= (self.lr * update).astype(p.data.dtype)
 
 
-NO_DECAY = ("lambda.", ".prelu")
+NO_DECAY = ("lambda", "prelu")
 
 
 def default_optimizer(model: QnMixerModel, config: TrainConfig) -> AdamW:
@@ -150,8 +152,9 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
     """Optimize the model on TrainItems; returns (model, loss_curve).
 
     Deterministic under config.seed (data order included). Checkpoints are
-    written per epoch when checkpoint_dir is set; a non-finite loss aborts
-    with the last good checkpoint attached.
+    written per epoch when checkpoint_dir is set; a non-finite loss, or a
+    non-finite iterate in the forward pass, aborts with the last good
+    checkpoint attached.
     """
     h, w = items[0].truth.shape
     optimizer = optimizer or default_optimizer(model, config)
@@ -170,7 +173,13 @@ def train_unrolled(items, geometry: geo.Geometry, model: QnMixerModel,
         for idx in order_rng.permutation(len(items)):
             item = items[int(idx)]
             optimizer.zero_grad()
-            x = unrolled_forward(item.sino, geometry, model, h, w)
+            try:
+                x = unrolled_forward(item.sino, geometry, model, h, w)
+            except NonFiniteError as err:  # an iterate reached the projector
+                raise TrainingAborted(
+                    f"unrolled forward became non-finite at step {step}",
+                    checkpoint_path=last_ckpt,
+                ) from err
             loss = mse_loss(x, item.truth)
             value = loss.item()
             if not np.isfinite(value):

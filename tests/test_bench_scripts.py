@@ -3,12 +3,13 @@
 import importlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qnct import geometry as geo
-from qnct import solvers
+from qnct import phantoms, solvers
 from qnct.phantoms import shepp_logan
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -38,3 +39,22 @@ def test_count_projections_of_a_small_solve(bench_metrics):
     # the module functions are put back afterwards
     assert geo.forward_project.__name__ == "forward_project"
     assert geo.back_project.__name__ == "back_project"
+
+
+@pytest.fixture
+def bench_scan_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    yield importlib.import_module("bench_scan_build")
+    for name in ("bench_scan_build", "bench_kernels"):
+        sys.modules.pop(name, None)
+
+
+def test_scan_build_case_of_a_desk_subset(bench_scan_build):
+    q = SimpleNamespace(geometry=geo, phantoms=phantoms)
+    report = bench_scan_build.build_case(q, "desk parallel 16/180")
+    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 16))
+    assert report["a_entries"] == \
+        geo._scan_matrix(geo._ray_tables, g, 64, 64)[0].nnz
+    assert report["forward_project_s"] > 0 and report["fbp_s"] > 0
+    assert report["peak_rss_mb"] >= report["rss_after_forward_mb"] \
+        >= report["rss_before_mb"] > 0

@@ -457,6 +457,16 @@ def test_classical_reconstruct_refuses_qn_mixer_flags(workspace, capsys,
 
 
 @pytest.mark.parametrize("method", ["fbp", "gd", "qn"])
+def test_classical_ood_refuses_weights(workspace, capsys, method):
+    out_dir = workspace / "o"
+    assert run(["ood", "--out-dir", out_dir, "--method", method,
+                "--weights", workspace / "nope.ckpt", "--count", "1",
+                "--iters", "1", "--size", "32", "--views", "16"]) == 1
+    assert "--weights" in one_error_line(capsys, "ConfigError")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("method", ["fbp", "gd", "qn"])
 def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     # ood's FBP, and the gd/qn start image, use unroll.fbp_filter as
     # reconstruct does: one iteration of each from the same truth matches

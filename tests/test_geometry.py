@@ -152,6 +152,42 @@ def test_view_subset_is_row_slice_of_full_scan(beam):
     np.testing.assert_array_equal(part, whole[list(sub.view_subset)])
 
 
+def counting(tables, yielded):
+    """``tables`` with each view it yields appended to ``yielded``; a fresh
+    function, so ``_scan_matrix`` builds anew for it."""
+    def wrapped(geometry, h, w):
+        for view in tables(geometry, h, w):
+            yielded.append(view)
+            yield view
+    return wrapped
+
+
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_view_subset_builds_only_its_own_views(beam):
+    g = geo.desk_geometry(beam, view_subset=subset(180, 16))
+    for tables in (geo._ray_tables, geo._pixel_tables):
+        yielded = []
+        geo._scan_matrix(counting(tables, yielded), g, 64, 64)
+        assert len(yielded) == 16
+
+
+@pytest.mark.parametrize("views", [subset(180, 16), subset(180, 32),
+                                   (0, 3, 7, 50, 51, 179)])
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_view_subset_matrix_is_full_matrix_rows(beam, views):
+    full = geo.desk_geometry(beam)
+    sub = geo.desk_geometry(beam, view_subset=views)
+    rows = (np.asarray(views)[:, None] * full.n_det
+            + np.arange(full.n_det)).reshape(-1)
+    for tables in (geo._ray_tables, geo._pixel_tables):
+        want = geo._scan_matrix(tables, full, 64, 64)[0][rows]
+        got = geo._scan_matrix(tables, sub, 64, 64)[0]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+
 def test_zero_sinogram_backprojects_to_zero():
     g = geo.desk_geometry()
     img = geo.back_project(geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), g)

@@ -44,7 +44,6 @@ ONLY_TESTS_CALL = {
     "read_csv": "reads back what write_csv writes",
     "count_params": "the per-stage parameter counts of acceptance criterion 9",
     "nps_integral": "the NPS integral of acceptance criterion 7",
-    "paper_geometry": "the paper-scale scan, for a paper-scale workload",
     "sum_of_squares": "the reference loss of the autodiff gradient checks",
     "grad_check": "the finite-difference check of acceptance criterion 3",
     "disk": "the analytic phantom of the projector's chord-length test",

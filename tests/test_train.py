@@ -52,6 +52,24 @@ class TestAdamW:
         np.testing.assert_array_equal(params["inception.b1.prelu"].data, 0.25)
         np.testing.assert_allclose(params["mixer.0.channel.w1"].data, 0.95)
 
+    def test_model_decay_exempts_every_prelu_and_lambda(self):
+        model = ur.QnMixerModel.build(64, 64, 0)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        cfg = tr.TrainConfig(lr=0.1, weight_decay=0.5)
+        tr.default_optimizer(model, cfg).step()  # every gradient is zero
+        exempt = [name for name in before
+                  if name.startswith("lambda.")
+                  or name.split(".")[-1].startswith("prelu")]
+        assert len(exempt) == 6 + 6 + 4  # lambda_t, inception, codec
+        for name, p in model.params.items():
+            if name in exempt:
+                np.testing.assert_array_equal(p.data, before[name], name)
+            else:
+                np.testing.assert_array_equal(
+                    p.data, before[name] * (1.0 - 0.1 * 0.5), name)
+                if np.any(before[name]):
+                    assert np.abs(p.data).sum() < np.abs(before[name]).sum()
+
     def test_moves_against_gradient(self):
         params = {"w": Tensor(np.zeros(3, np.float32), requires_grad=True)}
         params["w"].grad = np.array([1.0, -1.0, 2.0], dtype=np.float32)

@@ -25,6 +25,11 @@ Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed,
 alternating which side goes first, at the run length ``BENCHMARK.json``
 sets. For every end-to-end metric the report gives each side's median and
 quartiles, and the pairs the change won. ``--pairs ''`` skips this part.
+
+The other ``bench_*.py`` scripts share this script's parent/change harness:
+``alternate`` (sides taking turns going first), ``child`` (a fresh
+process), ``bench_parser``, ``parse_args``, ``checkouts`` and
+``write_report`` (the perfbench pairs and the JSON report).
 """
 
 import argparse
@@ -192,23 +197,75 @@ def _seed_range(text):
     return workload, range(int(lo), int(hi or lo) + 1)
 
 
-def _child(checkout: Path) -> dict:
+def child(script, *argv) -> dict:
+    """The last stdout line, read as JSON, of ``script argv...`` run in a
+    fresh process."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--profile-side",
-         str(checkout)],
+        [sys.executable, str(Path(script).resolve()), *map(str, argv)],
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def alternate(parent: Path, change: Path, rounds: int, fn) -> dict:
+    """{side: [fn(checkout) per round]}, the sides alternating which goes
+    first."""
+    runs = {"parent": [], "change": []}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 == 0
+                     else ("change", "parent")):
+            runs[side].append(fn(parent if side == "parent" else change))
+    return runs
+
+
+def bench_parser(doc: str, rounds_help: str, pairs_default: list,
+                 out: str) -> argparse.ArgumentParser:
+    """The flags of every parent/change script."""
+    p = argparse.ArgumentParser(description=doc.split("\n")[0])
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--rounds", type=int, default=3, help=rounds_help)
+    p.add_argument("--pairs", nargs="*", default=pairs_default,
+                   help="workload:first-last perfbench seeds, e.g. "
+                        + pairs_default[0])
+    p.add_argument("--out", type=Path, default=ROOT / out)
+    return p
+
+
+def parse_args(p: argparse.ArgumentParser, argv):
+    """Parse argv, and give this process and its children one BLAS thread."""
+    args = p.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    return args
+
+
+def checkouts(p: argparse.ArgumentParser, args) -> tuple:
+    """The resolved --parent and --change; both are required."""
+    if not (args.parent and args.change):
+        p.error("--parent and --change are required")
+    return args.parent.resolve(), args.change.resolve()
+
+
+def write_report(args, parent: Path, change: Path, report: dict) -> int:
+    """Add the perfbench pairs of each --pairs spec to report, at the run
+    length BENCHMARK.json sets, and write it to --out."""
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    report["perfbench"] = {}
+    for spec in filter(None, args.pairs):
+        workload, seeds = _seed_range(spec)
+        report["perfbench"][workload] = pairs(parent, change, workload, seeds,
+                                              seconds)
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
 
 
 def profiles(parent: Path, change: Path, rounds: int):
     """Per-op profiles of both sides in alternating rounds; every figure is
     the median over the rounds."""
-    runs = {"parent": [], "change": []}
-    for r in range(rounds):
-        for side in (("parent", "change") if r % 2 == 0
-                     else ("change", "parent")):
-            runs[side].append(
-                _child(parent if side == "parent" else change))
+    runs = alternate(parent, change, rounds,
+                     lambda checkout: child(__file__, "--profile-side",
+                                            checkout))
     report = {}
     for side, rs in runs.items():
         ops = sorted({op for run in rs for op in run["per_op"]})
@@ -232,39 +289,20 @@ def profiles(parent: Path, change: Path, rounds: int):
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", type=Path)
-    p.add_argument("--change", type=Path)
+    p = bench_parser(__doc__, "alternating profile runs per side",
+                     ["train:11-20"], "BENCH_train_kernels.json")
     p.add_argument("--profile-parent", type=Path,
                    help="parent-side checkout of the per-op profile "
                         "(default: --parent)")
-    p.add_argument("--rounds", type=int, default=3,
-                   help="alternating profile runs per side")
-    p.add_argument("--pairs", nargs="*", default=["train:11-20"],
-                   help="workload:first-last perfbench seeds, e.g. gd:11-15")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_train_kernels.json")
     p.add_argument("--profile-side", type=Path, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+    args = parse_args(p, argv)
     if args.profile_side:
         print(json.dumps(profile_side(args.profile_side.resolve())))
         return 0
-    if not (args.parent and args.change):
-        p.error("--parent and --change are required")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    parent, change = checkouts(p, args)
     report = {"profile": profiles(
-                  (args.profile_parent or args.parent).resolve(),
-                  args.change.resolve(), args.rounds),
-              "perfbench": {}}
-    for spec in filter(None, args.pairs):
-        workload, seeds = _seed_range(spec)
-        report["perfbench"][workload] = pairs(
-            args.parent.resolve(), args.change.resolve(), workload, seeds,
-            seconds)
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+        (args.profile_parent or parent).resolve(), change, args.rounds)}
+    return write_report(args, parent, change, report)
 
 
 if __name__ == "__main__":

@@ -26,16 +26,14 @@ sets (the pair runner and quartiles of ``bench_kernels.py``).
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_kernels import _import_side, _median_ms, _seed_range, pairs
+from bench_kernels import (_import_side, _median_ms, alternate, bench_parser,
+                           checkouts, child, parse_args, write_report)
 
-ROOT = Path(__file__).resolve().parent.parent
 # image side -> timing reps
 SIZES = {64: 30, 256: 5}
 SEED = 0
@@ -107,21 +105,10 @@ def measure_side(checkout: Path) -> dict:
     return report
 
 
-def _child(checkout: Path) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure-side",
-         str(checkout)],
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def metric_timings(parent: Path, change: Path, rounds: int) -> dict:
-    runs = {"parent": [], "change": []}
-    for r in range(rounds):
-        for side in (("parent", "change") if r % 2 == 0
-                     else ("change", "parent")):
-            runs[side].append(
-                _child(parent if side == "parent" else change))
+    runs = alternate(parent, change, rounds,
+                     lambda checkout: child(__file__, "--measure-side",
+                                            checkout))
     report = {}
     for side, rs in runs.items():
         report[side] = {"env": rs[0]["env"], "rounds": rounds, "sizes": {
@@ -142,36 +129,17 @@ def metric_timings(parent: Path, change: Path, rounds: int) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", type=Path)
-    p.add_argument("--change", type=Path)
-    p.add_argument("--rounds", type=int, default=3,
-                   help="alternating metric-timing runs per side")
-    p.add_argument("--pairs", nargs="*",
-                   default=["qn:21-30", "gd:21-25", "train:21-25"],
-                   help="workload:first-last perfbench seeds, e.g. qn:21-30")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_metrics.json")
+    p = bench_parser(__doc__, "alternating metric-timing runs per side",
+                     ["qn:21-30", "gd:21-25", "train:21-25"],
+                     "BENCH_metrics.json")
     p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+    args = parse_args(p, argv)
     if args.measure_side:
         print(json.dumps(measure_side(args.measure_side.resolve())))
         return 0
-    if not (args.parent and args.change):
-        p.error("--parent and --change are required")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    report = {"metrics": metric_timings(args.parent.resolve(),
-                                        args.change.resolve(), args.rounds),
-              "perfbench": {}}
-    for spec in filter(None, args.pairs):
-        workload, seeds = _seed_range(spec)
-        report["perfbench"][workload] = pairs(
-            args.parent.resolve(), args.change.resolve(), workload, seeds,
-            seconds)
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    parent, change = checkouts(p, args)
+    return write_report(args, parent, change, {
+        "metrics": metric_timings(parent, change, args.rounds)})
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_kernels import _import_side, _seed_range, pairs
+from bench_kernels import (_import_side, alternate, bench_parser, checkouts,
+                           child, parse_args, write_report)
 
-ROOT = Path(__file__).resolve().parent.parent
 # case -> (scan, beam, full view count, kept views)
 CASES = {
     "desk parallel 16/180": ("desk", "parallel", 180, 16),
@@ -119,14 +119,6 @@ def measure(checkout: Path, case: str) -> dict:
     return {"env": run.environment(), **result}
 
 
-def _child(checkout: Path, case: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure-side",
-         str(checkout), "--case", case],
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def cli_wall(checkout: Path) -> dict:
     """Wall time of one ``qnct reconstruct --method qn`` process."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -147,16 +139,6 @@ def cli_wall(checkout: Path) -> dict:
     return {"wall_s": wall, "out_sha256": digest}
 
 
-def alternate(parent: Path, change: Path, rounds: int, fn) -> dict:
-    """{side: [fn(checkout) per round]}, the sides alternating."""
-    runs = {"parent": [], "change": []}
-    for r in range(rounds):
-        for side in (("parent", "change") if r % 2 == 0
-                     else ("change", "parent")):
-            runs[side].append(fn(parent if side == "parent" else change))
-    return runs
-
-
 def _medians(rs: list) -> dict:
     return {key: statistics.median(run[key] for run in rs)
             if isinstance(rs[0][key], float) else rs[0][key]
@@ -167,7 +149,8 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
     out = {"builds": {}, "rounds": rounds}
     for case, (scan, *_) in CASES.items():
         runs = alternate(parent, change, 1 if scan == "paper" else rounds,
-                         lambda side: _child(side, case))
+                         lambda checkout: child(__file__, "--measure-side",
+                                                checkout, "--case", case))
         out["builds"][case] = {side: _medians(rs) for side, rs in runs.items()}
         print(f"{case}: " + ", ".join(
             f"{side} {r['forward_project_s']:.2f} s "
@@ -178,7 +161,9 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
                              f"{CLI_VIEWS}",
                   **{side: _medians(rs) for side, rs in runs.items()}}
     runs = alternate(parent, change, 1,
-                     lambda side: _child(side, "paper inference"))
+                     lambda checkout: child(__file__, "--measure-side",
+                                            checkout, "--case",
+                                            "paper inference"))
     out["paper_inference"] = {side: rs[0] for side, rs in runs.items()}
     out["env"] = out["paper_inference"]["change"].pop("env")
     out["paper_inference"]["parent"].pop("env")
@@ -186,36 +171,18 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", type=Path)
-    p.add_argument("--change", type=Path)
-    p.add_argument("--rounds", type=int, default=3,
-                   help="alternating desk and CLI runs per side")
-    p.add_argument("--pairs", nargs="*",
-                   default=["gd:31-40", "qn:31-40", "train:31-35"],
-                   help="workload:first-last perfbench seeds, e.g. gd:31-40")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_scan_build.json")
+    p = bench_parser(__doc__, "alternating desk and CLI runs per side",
+                     ["gd:31-40", "qn:31-40", "train:31-35"],
+                     "BENCH_scan_build.json")
     p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--case", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+    args = parse_args(p, argv)
     if args.measure_side:
         print(json.dumps(measure(args.measure_side.resolve(), args.case)))
         return 0
-    if not (args.parent and args.change):
-        p.error("--parent and --change are required")
-    parent, change = args.parent.resolve(), args.change.resolve()
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    out = report(parent, change, args.rounds)
-    out["perfbench"] = {}
-    for spec in filter(None, args.pairs):
-        workload, seeds = _seed_range(spec)
-        out["perfbench"][workload] = pairs(parent, change, workload, seeds,
-                                           seconds)
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    parent, change = checkouts(p, args)
+    return write_report(args, parent, change,
+                        report(parent, change, args.rounds))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ One executable, subcommand per protocol step. Every command accepts
 --config (flat key=value file) with flags overriding file values, writes
 its fully resolved configuration next to the outputs, and exits 0 on
 success or nonzero after printing one machine-parsable line
-``error <Kind>: <message>`` to stderr.
+``error <Kind>: <message>`` to stderr. Every flag that changes an output
+sets a config key, so a rerun with the resolved configuration, the same
+paths and --method reproduces the outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # flag name -> (config key, help text)
+_COMMON_FLAGS = {"seed": ("seed", "master seed (substreams: noise, init, ood, data)")}
+
 _SIZE_FLAGS = {"size": ("image.size", "image grid size in pixels")}
 
 # shared by geometry-defining commands
@@ -66,12 +70,34 @@ _TRAIN_FLAGS = {
     "unroll_T": ("unroll.T", "unrolled iteration count"),
     "unroll_k": ("unroll.k", "codec downsampling stacks (latent factor 2^k)"),
     "mixer_d": ("mixer.d", "mixer embedding width (divisible by 6)"),
+    "phantoms": ("train.phantoms", "procedural phantom count when no --data-dir"),
 }
+
+_ITERS_FLAGS = {"iters": ("solver.iters", "iteration count (gd/qn)")}
+
+_SOLVER_FLAGS = {
+    **_ITERS_FLAGS,
+    "step": ("solver.step", "gd step size; 0 estimates 1/L by power iteration"),
+    "line_search": ("solver.line_search",
+                    "qn line search: fixed, armijo, strong-wolfe or exact-quadratic"),
+    "lam": ("solver.lam", "data fidelity weight"),
+    "reg": ("solver.reg", "regularizer: none, tikhonov or smoothed_tv"),
+    "mu": ("solver.mu", "regularizer weight"),
+    "delta": ("solver.delta", "smoothed TV corner rounding"),
+}
+
+# config key -> the values it accepts, checked for every command
+_CHOICES = {"solver.line_search": tuple(solvers.LINE_SEARCHES),
+            "solver.reg": (solvers.REG_NONE, solvers.REG_TIKHONOV, solvers.REG_SMOOTHED_TV),
+            "phantom.kind": ("shepp-logan", "random-ellipses")}
 
 
 def _add_config_flags(parser, *tables):
-    """Add one --flag per config key and record the merged table on args."""
-    flags = {flag: entry for table in tables for flag, entry in table.items()}
+    """Add --config and one --flag per config key (--seed and the tables'),
+    and record the merged table on args."""
+    parser.add_argument("--config", help="flat key=value config file")
+    flags = {flag: entry for table in (_COMMON_FLAGS, *tables)
+             for flag, entry in table.items()}
     for flag, (_key, help_text) in flags.items():
         parser.add_argument("--" + flag.replace("_", "-"), dest=f"cfg_{flag}",
                             default=None, help=help_text)
@@ -80,14 +106,17 @@ def _add_config_flags(parser, *tables):
 
 def _resolve(args) -> dict:
     file_text = None
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_text = fh.read()
     overrides = {key: raw for flag, (key, _help) in args.cfg_flags.items()
                  if (raw := getattr(args, f"cfg_{flag}")) is not None}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    return cfgmod.resolve_config(file_text, overrides)
+    cfg = cfgmod.resolve_config(file_text, overrides)
+    for key, choices in _CHOICES.items():
+        if cfg[key] not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+                              f"got {cfg[key]!r}")
+    return cfg
 
 
 def _write_resolved(cfg: dict, out_path: Path, command: str):
@@ -119,14 +148,14 @@ def _tomo_files(directory) -> list:
     return files
 
 
-def _truths(data_dir, count: int, flag: str, size: int, seed: int) -> list:
-    """The .tomo images under data_dir, or else count procedural phantoms."""
+def _truths(data_dir, cfg, key: str) -> list:
+    """The .tomo images under data_dir, or else cfg[key] procedural phantoms."""
     if data_dir:
         return [_load_image(f) for f in _tomo_files(data_dir)]
-    if count < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {count}")
-    rng = substream(seed, "data")
-    return [phantoms.random_ellipses(size, rng) for _ in range(count)]
+    if cfg[key] < 1:
+        raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    rng = substream(cfg["seed"], "data")
+    return [phantoms.random_ellipses(cfg["image.size"], rng) for _ in range(cfg[key])]
 
 
 def _load_model(path, cfg) -> ur.QnMixerModel:
@@ -136,22 +165,26 @@ def _load_model(path, cfg) -> ur.QnMixerModel:
     return model
 
 
-def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram,
-               iters: int, lam: float, reg: solvers.Regularizer,
-               step: float = 0.0, line_search: str = "strong-wolfe"):
-    """FBP with the unroll.fbp_filter key, then gd or qn from it ("fbp"
-    stops at FBP); returns (float32 image, trace). A step of 0 is estimated."""
+def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram):
+    """FBP with the unroll.fbp_filter key, then gd or qn from it with the
+    solver.* keys ("fbp" stops at FBP); returns (float32 image, trace). A
+    solver.step of 0 is estimated."""
     size = cfg["image.size"]
-    spec = solvers.ObjectiveSpec.for_geometry(g, sino, size, size, lam, reg)
+    reg = solvers.Regularizer(cfg["solver.reg"], mu=cfg["solver.mu"],
+                              delta=cfg["solver.delta"])
+    spec = solvers.ObjectiveSpec.for_geometry(g, sino, size, size,
+                                              cfg["solver.lam"], reg)
     x = geo.fbp(sino, g, cfg["unroll.fbp_filter"], size, size).values
     trace = []
     if method == "gd":
         x, trace = solvers.gradient_descent(
             spec, x.astype(np.float64),
-            step or solvers.estimate_step(spec, size), iters)
+            cfg["solver.step"] or solvers.estimate_step(spec, size),
+            cfg["solver.iters"])
     elif method == "qn":
         x, trace, _ = solvers.qn_reconstruct(
-            spec, x.astype(np.float64), iters, line_search=line_search)
+            spec, x.astype(np.float64), cfg["solver.iters"],
+            line_search=cfg["solver.line_search"])
     return x.astype(np.float32), trace
 
 
@@ -162,14 +195,15 @@ def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram,
 def cmd_phantom(args):
     cfg = _resolve(args)
     size = cfg["image.size"]
-    if args.kind == "shepp-logan":
+    kind = cfg["phantom.kind"]
+    if kind == "shepp-logan":
         values = phantoms.shepp_logan(size)
     else:
         values = phantoms.random_ellipses(size, substream(cfg["seed"], "data"))
     out = Path(args.out)
     tio.write_tomo(out, values, tio.KIND_IMAGE)
     _write_resolved(cfg, out, "phantom")
-    print(f"wrote {out} ({size}x{size} {args.kind})")
+    print(f"wrote {out} ({size}x{size} {kind})")
     return 0
 
 
@@ -262,9 +296,7 @@ def cmd_reconstruct(args):
                 tio.write_tomo(inter_dir / f"iter{t:03d}.tomo", x_t,
                                tio.KIND_IMAGE)
     else:
-        reg = solvers.Regularizer(args.reg, mu=args.mu, delta=args.delta)
-        x, trace = _classical(args.method, cfg, g, geo.Sinogram(y), args.iters,
-                              args.lam, reg, args.step, args.line_search)
+        x, trace = _classical(args.method, cfg, g, geo.Sinogram(y))
         tio.write_tomo(out, x, tio.KIND_IMAGE)
         if args.trace:
             tio.write_csv(args.trace, trace, solvers.TRACE_COLUMNS)
@@ -279,7 +311,7 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     size = cfg["image.size"]
     seed = cfg["seed"]
-    truths = _truths(args.data_dir, args.phantoms, "--phantoms", size, seed)
+    truths = _truths(args.data_dir, cfg, "train.phantoms")
 
     full_cfg = dict(cfg)
     full_cfg["geometry.views"] = 0  # full-view projection before subsampling
@@ -371,26 +403,24 @@ def cmd_ood(args):
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
     size = cfg["image.size"]
-    seed = cfg["seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truths = _truths(args.data_dir, args.count, "--count", size, seed)
+    truths = _truths(args.data_dir, cfg, "ood.count")
 
     model = _load_model(args.weights, cfg) \
         if args.method == "qn-mixer" else None
-    rng_ood = substream(seed, "ood")
+    rng_ood = substream(cfg["seed"], "ood")
     rows = []
     for idx, truth in enumerate(truths):
         stamped, mask = mt.add_circle_ood(truth, rng=rng_ood,
-                                          value=args.value)
+                                          value=cfg["ood.value"])
         img = geo.Image(stamped, g.pixel_mm(size))
         y = geo.forward_project(img, g)  # noise-free per the protocol
         if args.method == "qn-mixer":
             rec, _, _ = ur.unrolled_reconstruct(y, g, model, size, size)
             recon = rec.values
         else:
-            recon, _ = _classical(args.method, cfg, g, y, args.iters, 1.0,
-                                  solvers.Regularizer("tikhonov", mu=0.05))
+            recon, _ = _classical(args.method, cfg, g, y)
         crop = mt.eval_ood_crop(recon, stamped, mask)
         rows.append({
             "image_id": f"{idx:03d}",
@@ -422,28 +452,20 @@ def build_parser() -> _Parser:
                      description="sparse-view CT reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (substreams: "
-                       "noise, init, ood, data)")
-
     p = sub.add_parser("phantom", help="generate a test object")
-    common(p)
-    p.add_argument("--kind", choices=("shepp-logan", "random-ellipses"),
-                   default="shepp-logan")
     p.add_argument("--out", required=True, help="output TOMO1 image")
-    _add_config_flags(p, _SIZE_FLAGS)
+    _add_config_flags(p, _SIZE_FLAGS, {
+        "kind": ("phantom.kind", "test object: shepp-logan or random-ellipses"),
+    })
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("project", help="forward-project an image")
-    common(p)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True, help="output TOMO1 sinogram")
     _add_config_flags(p, _GEOMETRY_FLAGS)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("fbp", help="filtered backprojection")
-    common(p)
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, _GEOMETRY_FLAGS,
@@ -451,14 +473,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fbp)
 
     p = sub.add_parser("noise", help="simulate measurement noise")
-    common(p)
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, _NOISE_FLAGS)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("reconstruct", help="reconstruct from a sinogram")
-    common(p)
     p.add_argument("--method", choices=("gd", "qn", "qn-mixer"),
                    required=True)
     p.add_argument("--sino", required=True)
@@ -468,34 +488,16 @@ def build_parser() -> _Parser:
     p.add_argument("--intermediates-dir",
                    help="dump per-iteration images (qn-mixer)")
     p.add_argument("--reference", help="reference image for trace PSNR")
-    p.add_argument("--iters", type=int, default=30,
-                   help="iteration count (gd/qn)")
-    p.add_argument("--step", type=float, default=0.0,
-                   help="gd step size; 0 estimates 1/L by power iteration")
-    p.add_argument("--line-search", default="strong-wolfe",
-                   choices=tuple(solvers.LINE_SEARCHES))
-    p.add_argument("--lam", type=float, default=1.0,
-                   help="data fidelity weight")
-    p.add_argument("--reg", default="tikhonov",
-                   choices=("none", "tikhonov", "smoothed_tv"))
-    p.add_argument("--mu", type=float, default=0.05,
-                   help="regularizer weight")
-    p.add_argument("--delta", type=float, default=1e-3,
-                   help="smoothed TV corner rounding")
-    _add_config_flags(p, _GEOMETRY_FLAGS)
+    _add_config_flags(p, _GEOMETRY_FLAGS, _SOLVER_FLAGS)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("train", help="train the unrolled reconstructor")
-    common(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--data-dir", help="directory of TOMO1 ground truths")
-    p.add_argument("--phantoms", type=int, default=20,
-                   help="procedural phantom count when no --data-dir")
     _add_config_flags(p, _GEOMETRY_FLAGS, _NOISE_FLAGS, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score reconstructions against references")
-    common(p)
     p.add_argument("--recon-dir", required=True)
     p.add_argument("--ref-dir", required=True)
     p.add_argument("--out", required=True, help="metrics CSV")
@@ -506,7 +508,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("nps", help="noise power spectrum of noise images")
-    common(p)
     p.add_argument("--dir", required=True, help="directory of TOMO1 images")
     p.add_argument("--ref-dir", help="subtract same-named references")
     p.add_argument("--out", required=True, help="radial curve CSV")
@@ -515,17 +516,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_nps)
 
     p = sub.add_parser("ood", help="white-circle anomaly protocol")
-    common(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--weights", help="checkpoint (qn-mixer)")
     p.add_argument("--method",
                    choices=("fbp", "gd", "qn", "qn-mixer"), default="fbp")
     p.add_argument("--data-dir", help="directory of TOMO1 ground truths")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--value", type=float, default=1.0,
-                   help="stamped disk intensity")
-    p.add_argument("--iters", type=int, default=30)
-    _add_config_flags(p, _GEOMETRY_FLAGS)
+    _add_config_flags(p, _GEOMETRY_FLAGS, _ITERS_FLAGS, {
+        "count": ("ood.count", "procedural phantom count when no --data-dir"),
+        "value": ("ood.value", "stamped disk intensity"),
+    })
     p.set_defaults(func=cmd_ood)
 
     return parser

@@ -33,6 +33,17 @@ Schema (defaults in parentheses):
   train.epochs / train.lr / train.weight_decay (50 / 1e-4 / 1e-2)
   train.lr_decay_factor / train.lr_decay_after_epoch (0.1 / 40)
   train.max_steps        0 means unlimited (0)
+  train.phantoms         procedural phantoms without a data dir (20)
+  solver.iters           gd/qn iterations (30)
+  solver.step            gd step, 0 estimates 1/L (0.0)
+  solver.line_search     qn line search: fixed | armijo | strong-wolfe |
+                         exact-quadratic (strong-wolfe)
+  solver.lam             data fidelity weight (1.0)
+  solver.reg             none | tikhonov | smoothed_tv (tikhonov)
+  solver.mu / solver.delta  regularizer weight / smoothed TV corner
+                         (0.05 / 1e-3)
+  phantom.kind           shepp-logan | random-ellipses (shepp-logan)
+  ood.count / ood.value  stamped phantoms / disk intensity (5 / 1.0)
   eval.msssim_levels     0 means auto (0)
   eval.data_range        (1.0)
   seed                   master seed (0)
@@ -78,6 +89,17 @@ def default_config(beam: str = "parallel") -> dict:
         "train.lr_decay_factor": 0.1,
         "train.lr_decay_after_epoch": 40,
         "train.max_steps": 0,
+        "train.phantoms": 20,
+        "solver.iters": 30,
+        "solver.step": 0.0,
+        "solver.line_search": "strong-wolfe",
+        "solver.lam": 1.0,
+        "solver.reg": "tikhonov",
+        "solver.mu": 0.05,
+        "solver.delta": 1e-3,
+        "phantom.kind": "shepp-logan",
+        "ood.count": 5,
+        "ood.value": 1.0,
         "eval.msssim_levels": 0,
         "eval.data_range": 1.0,
         "seed": 0,

@@ -478,23 +478,22 @@ LINE_SEARCHES = {
 # ---------------------------------------------------------------------------
 
 def qn_reconstruct(spec, x0: np.ndarray, iters: int,
-                   line_search="strong-wolfe", gtol: float = 0.0):
+                   line_search: str = "strong-wolfe", gtol: float = 0.0):
     """BFGS minimization of the objective; returns (x, trace, state).
 
     The search direction is -H grad J, with H the full-memory BFGS inverse
     Hessian from H0 = I held as its curvature pairs (BfgsState), so work and
     memory grow as iters * x0.size, not x0.size**2. Refuses runs whose
     pairs could exceed HESSIAN_BYTE_LIMIT, before any projection.
-    line_search is a LINE_SEARCHES name or a function with their
-    (alpha, J, grad) return; J and grad at the accepted point are reused.
+    line_search is a LINE_SEARCHES name; J and grad at the point it
+    accepts are reused.
     """
     if iters < 0:
         raise ShapeError(f"qn_reconstruct needs iters >= 0, got {iters}")
     x0 = np.asarray(x0)
     check_pair_budget(iters, x0.size, f"{x0.size} unknowns",
                       "run fewer iterations")
-    search = LINE_SEARCHES[line_search] if isinstance(line_search, str) \
-        else line_search
+    search = LINE_SEARCHES[line_search]
     x = np.array(x0, dtype=np.float64)
     state = BfgsState()
     j = spec.value(x)

@@ -1,6 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
+from qnct import config as cfgmod
 from qnct import mixer as mx
 from qnct import tomo_io as tio
 from qnct import train as tr
@@ -488,3 +491,134 @@ def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     assert run([*argv, *flags]) == 0
     assert tio.read_tomo(out / "000_recon.tomo")[0].tobytes() == \
         tio.read_tomo(rec)[0].tobytes()
+
+
+# options that set no config key, each with the reason a rerun from the
+# resolved config passes it again or does without it
+NOT_CONFIG_FLAGS = {
+    "--help": "prints usage and exits",
+    "--config": "the config file itself",
+    "--method": "names the command's path; a rerun passes it again",
+    "--trace": "an output path",
+    "--out": "an output path",
+    "--out-dir": "an output directory",
+    "--map": "an output path",
+    "--intermediates-dir": "an output directory",
+    "--image": "an input path",
+    "--sino": "an input path",
+    "--weights": "an input checkpoint, whose model keys are recorded",
+    "--reference": "an input image",
+    "--data-dir": "an input directory",
+    "--recon-dir": "an input directory",
+    "--ref-dir": "an input directory",
+    "--dir": "an input directory",
+}
+
+
+def subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_option_sets_a_config_key_or_names_a_path():
+    keys = cfgmod.default_config()
+    bypass, seen = [], set()
+    for command, parser in subcommands().items():
+        table = parser.get_default("cfg_flags")
+        for action in parser._actions:
+            named = set(action.option_strings) & set(NOT_CONFIG_FLAGS)
+            seen |= named
+            flag = action.dest.removeprefix("cfg_")
+            if not named and not (action.dest == f"cfg_{flag}"
+                                  and table[flag][0] in keys):
+                bypass.append(f"{command} {action.option_strings[-1]}")
+    assert not bypass, "flags the resolved config does not record: " + \
+        ", ".join(bypass)
+    assert seen == set(NOT_CONFIG_FLAGS), "allowlisted but absent: " + \
+        ", ".join(sorted(set(NOT_CONFIG_FLAGS) - seen))
+
+
+def outputs(path):
+    """name -> bytes of an output file and its resolved config, or of every
+    file under an output directory."""
+    if path.is_dir():
+        return {p.relative_to(path).as_posix(): p.read_bytes()
+                for p in sorted(path.rglob("*")) if p.is_file()}
+    return {suffix: path.with_name(path.name + suffix).read_bytes()
+            for suffix in ("", ".cfg")}
+
+
+@pytest.mark.parametrize("argv,out_flag,given", [
+    (["phantom", "--kind", "random-ellipses", "--seed", "7", "--size", "32"],
+     "--out", []),
+    (["reconstruct", "--iters", "7", "--lam", "2", "--reg", "smoothed_tv",
+      "--mu", "0.02", "--delta", "0.01", "--views", "16"],
+     "--out", ["--method", "gd", "--sino"]),
+    (["reconstruct", "--iters", "5", "--line-search", "armijo", "--mu", "0.1",
+      "--views", "16"], "--out", ["--method", "qn", "--sino"]),
+    (["reconstruct", "--iters", "4", "--step", "1e-5", "--views", "16"],
+     "--out", ["--method", "gd", "--sino"]),
+    (["ood", "--count", "2", "--value", "0.7", "--iters", "3", "--size", "32",
+      "--views", "16"], "--out-dir", ["--method", "qn"]),
+    (["train", "--phantoms", "3", "--steps", "2", "--size", "16", "--views",
+      "8", "--unroll-T", "2", "--mixer-d", "12"], "--out-dir", []),
+], ids=["phantom", "gd-smoothed-tv", "qn-armijo", "gd-step", "ood-qn",
+        "train"])
+def test_every_command_reruns_from_its_resolved_config(workspace, argv,
+                                                       out_flag, given):
+    # a rerun passes only its paths and --method; every other value comes
+    # from the resolved config the first run wrote
+    command, *flags = argv
+    if given[-1:] == ["--sino"]:
+        given = [*given, scan(workspace)]
+    first, again = workspace / "first", workspace / "again"
+    if out_flag == "--out":
+        first, again = first.with_suffix(".tomo"), again.with_suffix(".tomo")
+    assert run([command, *flags, *given, out_flag, first]) == 0
+    cfg = first / "resolved.cfg" if first.is_dir() \
+        else first.with_name(first.name + ".cfg")
+    assert run([command, *given, "--config", cfg, out_flag, again]) == 0
+    assert outputs(again) == outputs(first)
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["reconstruct", "--method", "gd", "--line-search", "nope"],
+     "solver.line_search"),
+    (["reconstruct", "--method", "qn", "--line-search", "nope"],
+     "solver.line_search"),
+    (["reconstruct", "--method", "gd", "--reg", "nope"], "solver.reg"),
+    (["reconstruct", "--method", "gd", "--iters", "abc"], "solver.iters"),
+    (["phantom", "--kind", "nope"], "phantom.kind"),
+], ids=["line-search-gd", "line-search-qn", "reg", "iters", "kind"])
+def test_bad_solver_or_phantom_value_is_one_error_line(workspace, capsys,
+                                                       argv, key):
+    out = workspace / "out.tomo"
+    if argv[0] == "reconstruct":
+        argv = [*argv, "--sino", scan(workspace), "--views", "16"]
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    assert key in one_error_line(capsys, "ConfigError")
+    assert not out.exists()
+    assert not out.with_name(out.name + ".cfg").exists()
+
+
+def test_solver_keys_come_from_the_config_file_and_flags_override(workspace):
+    sino = scan(workspace)
+    cfg = workspace / "mu.cfg"
+    cfg.write_text("solver.mu = 0.5\n")
+
+    def reconstruct(name, *flags):
+        out = workspace / name
+        assert run(["reconstruct", "--method", "gd", "--sino", sino,
+                    "--views", "16", "--iters", "3", "--out", out,
+                    *flags]) == 0
+        return out.read_bytes()
+
+    from_file = reconstruct("file.tomo", "--config", cfg)
+    assert "solver.mu = 0.5\n" in (workspace / "file.tomo.cfg").read_text()
+    assert from_file == reconstruct("flag.tomo", "--mu", "0.5")
+    overridden = reconstruct("over.tomo", "--config", cfg, "--mu", "0.05")
+    assert overridden == reconstruct("default.tomo")
+    assert overridden != from_file

@@ -28,13 +28,15 @@ quartiles, and the pairs the change won. ``--pairs ''`` skips this part.
 
 The other ``bench_*.py`` scripts share this script's parent/change harness:
 ``alternate`` (sides taking turns going first), ``child`` (a fresh
-process), ``bench_parser``, ``parse_args``, ``checkouts`` and
-``write_report`` (the perfbench pairs and the JSON report).
+process), ``medians`` (of a side's rounds), ``peak_rss_mb``,
+``bench_parser``, ``parse_args``, ``checkouts`` and ``write_report`` (the
+perfbench pairs and the JSON report).
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,7 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LOWER_IS_BETTER = {"setup_s": True, "op_ms_p50": True, "ops_per_s": False,
-                   "peak_rss_mb": True}
+                   "peak_rss_mb": True, "train_loss": True}
 
 # (x shape, w shape, stride, padding) of every conv2d in a desk train step:
 # the inception branches at d = 48 (8, 16, 16, 8 channels), the 4x4 patch
@@ -119,8 +121,19 @@ def profile_side(checkout: Path) -> dict:
     step_ms = 1e3 * (time.perf_counter() - start) / PROFILE_STEPS
     per_op = {op: {key: value / PROFILE_STEPS for key, value in entry.items()}
               for op, entry in sorted(prof.stats.items())}
-    # The profile's cost when off, per primitive call: the entry wrapper
-    # (timed around a no-op) plus the lookup in _result.
+    return {
+        "env": run.environment(),
+        "step_ms_profiled": step_ms,
+        "per_op": per_op,
+        "profile_off_cost": profile_off_cost(ad, per_op, step_ms),
+        "conv2d_shapes": conv2d_shapes(ad, np),
+    }
+
+
+def profile_off_cost(ad, per_op: dict, step_ms: float) -> dict:
+    """The profile's cost when off, for a step with per_op's calls: per
+    primitive call, the entry wrapper (timed around a no-op) plus the
+    lookup in _result."""
     def noop():
         return None
 
@@ -132,16 +145,8 @@ def profile_side(checkout: Path) -> dict:
                    - loop_ms[noop]) / reps
     calls = sum(entry["calls"] for entry in per_op.values())
     off_ms = calls * per_call_ms
-    return {
-        "env": run.environment(),
-        "step_ms_profiled": step_ms,
-        "per_op": per_op,
-        "profile_off_cost": {"calls_per_step": calls,
-                             "us_per_call": 1e3 * per_call_ms,
-                             "ms_per_step": off_ms,
-                             "frac_of_step": off_ms / step_ms},
-        "conv2d_shapes": conv2d_shapes(ad, np),
-    }
+    return {"calls_per_step": calls, "us_per_call": 1e3 * per_call_ms,
+            "ms_per_step": off_ms, "frac_of_step": off_ms / step_ms}
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float):
@@ -180,11 +185,15 @@ def pairs(parent: Path, change: Path, workload: str, seeds, seconds):
                   f"op_ms_p50 {metrics['op_ms_p50']:.1f}", file=sys.stderr)
     summary = {}
     for name, lower in LOWER_IS_BETTER.items():
+        if name not in runs["parent"][0]:
+            continue  # train_loss is the train workload's alone
         p = [m[name] for m in runs["parent"]]
         c = [m[name] for m in runs["change"]]
         wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
         summary[name] = {"parent": _quartiles(p), "change": _quartiles(c),
-                         "change_wins": wins, "pairs": len(p)}
+                         "change_wins": wins,
+                         "equal_pairs": sum(pv == cv for pv, cv in zip(p, c)),
+                         "pairs": len(p)}
     summary["failed_frac_max"] = max(m["failed_frac"]
                                      for side in runs.values() for m in side)
     return {"seeds": list(seeds), "seconds": seconds, "env": envs,
@@ -215,6 +224,18 @@ def alternate(parent: Path, change: Path, rounds: int, fn) -> dict:
                      else ("change", "parent")):
             runs[side].append(fn(parent if side == "parent" else change))
     return runs
+
+
+def medians(rs: list) -> dict:
+    """Per key of a side's rounds: the median of a float, else the first
+    round's value."""
+    return {key: statistics.median(run[key] for run in rs)
+            if isinstance(rs[0][key], float) else rs[0][key]
+            for key in rs[0] if key != "env"}
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def bench_parser(doc: str, rounds_help: str, pairs_default: list,

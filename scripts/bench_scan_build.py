@@ -35,8 +35,6 @@ import argparse
 import hashlib
 import json
 import os
-import resource
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -44,7 +42,8 @@ import time
 from pathlib import Path
 
 from bench_kernels import (_import_side, alternate, bench_parser, checkouts,
-                           child, parse_args, write_report)
+                           child, medians, parse_args, peak_rss_mb,
+                           write_report)
 
 # case -> (scan, beam, full view count, kept views)
 CASES = {
@@ -59,10 +58,6 @@ PAPER_SIZE = 256
 DESK_SIZE = 64
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def _scan(geo, case):
     scan, beam, n_full, n_v = CASES[case]
     views = geo.uniform_view_subset(n_full, n_v)
@@ -75,11 +70,11 @@ def build_case(q, case) -> dict:
     geo = q.geometry
     g, n = _scan(geo, case)
     image = geo.Image(q.phantoms.shepp_logan(n), g.pixel_mm(n))
-    report = {"rss_before_mb": _peak_rss_mb()}
+    report = {"rss_before_mb": peak_rss_mb()}
     start = time.perf_counter()
     sino = geo.forward_project(image, g)
     report["forward_project_s"] = time.perf_counter() - start
-    report["rss_after_forward_mb"] = _peak_rss_mb()
+    report["rss_after_forward_mb"] = peak_rss_mb()
     A, _ = geo._scan_matrix(geo._ray_tables, g, n, n)
     report["a_entries"] = int(A.nnz)
     del A
@@ -87,7 +82,7 @@ def build_case(q, case) -> dict:
     start = time.perf_counter()
     geo.fbp(sino, g, h=n, w=n)
     report["fbp_s"] = time.perf_counter() - start
-    report["peak_rss_mb"] = _peak_rss_mb()
+    report["peak_rss_mb"] = peak_rss_mb()
     report["sino_sha256"] = hashlib.sha256(sino.values.tobytes()).hexdigest()
     return report
 
@@ -108,7 +103,7 @@ def paper_inference(q) -> dict:
     fbp = geo.fbp(sino, g, h=n, w=n).values
     return {"size": n, "views": PAPER_VIEWS, "d": 96, "T": 6,
             "project_s": project_s, "inference_s": inference_s,
-            "peak_rss_mb": _peak_rss_mb(),
+            "peak_rss_mb": peak_rss_mb(),
             "cold_start_equals_fbp": rec.values.tobytes() == fbp.tobytes()}
 
 
@@ -139,19 +134,13 @@ def cli_wall(checkout: Path) -> dict:
     return {"wall_s": wall, "out_sha256": digest}
 
 
-def _medians(rs: list) -> dict:
-    return {key: statistics.median(run[key] for run in rs)
-            if isinstance(rs[0][key], float) else rs[0][key]
-            for key in rs[0] if key != "env"}
-
-
 def report(parent: Path, change: Path, rounds: int) -> dict:
     out = {"builds": {}, "rounds": rounds}
     for case, (scan, *_) in CASES.items():
         runs = alternate(parent, change, 1 if scan == "paper" else rounds,
                          lambda checkout: child(__file__, "--measure-side",
                                                 checkout, "--case", case))
-        out["builds"][case] = {side: _medians(rs) for side, rs in runs.items()}
+        out["builds"][case] = {side: medians(rs) for side, rs in runs.items()}
         print(f"{case}: " + ", ".join(
             f"{side} {r['forward_project_s']:.2f} s "
             f"{r['peak_rss_mb']:.0f} MB"
@@ -159,7 +148,7 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
     runs = alternate(parent, change, rounds, cli_wall)
     out["cli"] = {"command": f"reconstruct --method qn --beam fan --views "
                              f"{CLI_VIEWS}",
-                  **{side: _medians(rs) for side, rs in runs.items()}}
+                  **{side: medians(rs) for side, rs in runs.items()}}
     runs = alternate(parent, change, 1,
                      lambda checkout: child(__file__, "--measure-side",
                                             checkout, "--case",

@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Measure the autodiff tape's memory in a training step, parent against change.
+
+    python3 scripts/bench_tape.py --parent DIR --change DIR \
+        [--rounds 3] [--pairs train:61-72 gd:61-65 qn:61-65] \
+        [--out BENCH_tape_memory.json]
+
+DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
+Every measurement runs in a fresh process with one BLAS thread, and the
+sides alternate which goes first:
+
+  - ``tape``: the perfbench ``train`` recipe (64², 16 of 180 parallel
+    views, d = 48, T = 6) at seed ``PROFILE_SEED`` runs two warm-up steps
+    and times three more. Then one step's forward pass runs under
+    ``autodiff.profile``, and ``tape_bytes`` walks its tape from the loss,
+    from outside: the node count and, per op, the bytes of the nodes'
+    outputs and of the arrays their backward closures reference. The walk
+    reads only ``Tensor.node`` and the closures, so it measures any
+    commit. Where the profile reports ``kept_bytes`` (the change), those
+    are given per op as well, with the profile's cost when off.
+  - ``train_steps``: ``train_unrolled`` for 1 and for 3 steps on a
+    parallel 16-of-180-view scan with n_det = 1.5 n, T = 6, k = 2 and
+    codec width 32, at each (n, d) of ``STEP_SIZES``: ``ru_maxrss`` before
+    the first step and at the end, seconds per step, and each step's loss
+    (bit patterns, to compare the sides). Desk scale runs ``--rounds``
+    times per side (each figure is the median), 128² once.
+  - ``paper_step``: the same at 256², d = 96, for ``PAPER_STEPS`` steps, on
+    the change side only: by the earlier extrapolation the parent's two
+    tapes need about 8 GB, more than the 7 GB host.
+
+Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed
+with the pair runner of ``bench_kernels.py``. ``--pairs ''`` skips this
+part.
+"""
+
+import argparse
+import collections
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from bench_kernels import (PROFILE_SEED, _import_side, alternate, bench_parser,
+                           checkouts, child, medians, parse_args, peak_rss_mb,
+                           profile_off_cost, write_report)
+
+STEP_SIZES = ((64, 48), (128, 96))
+STEP_COUNTS = (1, 3)
+PAPER_SIZE = (256, 96)
+PAPER_STEPS = 2
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(ad, fn):
+    """The arrays fn references through its closure cells and defaults,
+    and through the Tensors, tuples and lists among them."""
+    values = [cell.cell_contents for cell in fn.__closure__ or ()]
+    values += fn.__defaults__ or ()
+    while values:
+        v = values.pop()
+        if isinstance(v, ad.Tensor):
+            v = v.data
+        if isinstance(v, (tuple, list)):
+            values.extend(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+def tape_bytes(ad, loss) -> dict:
+    """The memory the tape recorded up to ``loss`` holds, per op: each
+    node's output and the arrays its backward closure references. Each
+    buffer counts once, for the oldest node that holds it; leaves' data
+    (weights, constants) is not counted."""
+    found, seen, counted = [], set(), set()
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is None:
+            counted.add(id(_owner(t.data)))  # a leaf's: not the tape's
+        elif id(t.node) not in seen:
+            seen.add(id(t.node))
+            found.append(t)
+            stack.extend(t.node.inputs)
+    found.sort(key=lambda t: t.node.seq)
+    per_op = collections.defaultdict(
+        lambda: {"nodes": 0, "output_bytes": 0, "closure_bytes": 0})
+    for t in found:
+        entry = per_op[t.node.op]
+        entry["nodes"] += 1
+        for key, arrays in (("output_bytes", [t.data]),
+                            ("closure_bytes",
+                             _closure_arrays(ad, t.node.backward_fn))):
+            for a in arrays:
+                buf = _owner(a)
+                if id(buf) not in counted:
+                    counted.add(id(buf))
+                    entry[key] += buf.nbytes
+    return {"nodes": len(found),
+            "total_bytes": sum(e["output_bytes"] + e["closure_bytes"]
+                               for e in per_op.values()),
+            "per_op": dict(sorted(per_op.items()))}
+
+
+def tape_side(checkout: Path, scale: str = "DESK") -> dict:
+    run, workloads, q = _import_side(checkout)
+    ad = q.autodiff
+    scale = getattr(workloads, scale)
+    wl = workloads.Train(q, scale, PROFILE_SEED)
+    wl.setup(workloads.Phases())
+    for i in range(2):
+        wl.op(i)
+    times = []
+    for i in range(2, 5):
+        start = time.perf_counter()
+        wl.op(i)
+        times.append(1e3 * (time.perf_counter() - start))
+    step_ms = statistics.median(times)
+    item = wl._item(5)
+    n = scale.size
+    with ad.profile() as prof:
+        x = q.unroll.unrolled_forward(item.sino, wl.geometry, wl.model, n, n)
+        loss = q.train.mse_loss(x, item.truth)
+        walk = tape_bytes(ad, loss)
+        loss.backward()
+    kept = {op: entry["kept_bytes"] for op, entry in sorted(prof.stats.items())
+            if "kept_bytes" in entry}
+    return {"env": run.environment(), "step_ms": step_ms, "walk": walk,
+            "profile_kept_bytes": kept or None,
+            "profile_off_cost": profile_off_cost(ad, prof.stats, step_ms)}
+
+
+def step_recipe(q, n: int, d: int):
+    """Three noisy scans of seeded phantoms on a parallel 16-of-180-view
+    geometry with n_det = 1.5 n, and a fresh T = 6, k = 2 model."""
+    geo = q.geometry
+    g = geo.Geometry(n_det=3 * n // 2, det_spacing_mm=128.0 / n,
+                     view_subset=geo.uniform_view_subset(180, 16))
+    rng = q.init.substream(0, "data")
+    items = []
+    for idx in range(3):
+        truth = q.phantoms.random_ellipses(n, rng).astype(np.float32)
+        sino = geo.forward_project(geo.Image(truth, g.pixel_mm(n)), g)
+        sino = geo.simulate_measurement(sino, 1e6, 0.05, seed=idx)
+        items.append(q.train.TrainItem(truth, sino.values))
+    geo.fbp(geo.Sinogram(items[0].sino), g, h=n, w=n)  # builds FBP's matrix
+    model = q.unroll.QnMixerModel.build(
+        n, n, 0, q.mixer.MixerConfig().scaled(d),
+        q.unroll.UnrollConfig(T=6, codec=q.unroll.CodecConfig(2, 32)))
+    return items, g, model
+
+
+def train_steps(q, n: int, d: int, steps: int) -> dict:
+    items, g, model = step_recipe(q, n, d)
+    rss_before = peak_rss_mb()
+    start = time.perf_counter()
+    _, curve = q.train.train_unrolled(
+        items, g, model,
+        q.train.TrainConfig(epochs=1, lr=1e-3, seed=0, max_steps=steps))
+    wall = time.perf_counter() - start
+    return {"size": n, "d": d, "steps": steps,
+            "rss_before_mb": rss_before, "peak_rss_mb": peak_rss_mb(),
+            "s_per_step": wall / steps,
+            "losses": [float(c["loss"]).hex() for c in curve]}
+
+
+def measure(checkout: Path, case: str) -> dict:
+    if case == "tape":
+        return tape_side(checkout)
+    run, _, q = _import_side(checkout)
+    return {"env": run.environment(),
+            **train_steps(q, *map(int, case.split()))}
+
+
+def report(parent: Path, change: Path, rounds: int) -> dict:
+    out = {"rounds": rounds}
+    runs = alternate(parent, change, 1,
+                     lambda checkout: child(__file__, "--measure-side",
+                                            checkout, "--case", "tape"))
+    out["tape"] = {side: rs[0] for side, rs in runs.items()}
+    out["env"] = out["tape"]["change"].pop("env")
+    out["tape"]["parent"].pop("env")
+    out["train_steps"] = {}
+    for n, d in STEP_SIZES:
+        for steps in STEP_COUNTS:
+            case = f"{n} {d} {steps}"
+            runs = alternate(parent, change, rounds if n == 64 else 1,
+                             lambda checkout: child(
+                                 __file__, "--measure-side", checkout,
+                                 "--case", case))
+            row = {side: medians(rs) for side, rs in runs.items()}
+            row["same_losses"] = \
+                row["parent"]["losses"] == row["change"]["losses"]
+            out["train_steps"][f"{n}² d={d} steps={steps}"] = row
+            print(f"{case}: " + ", ".join(
+                f"{side} {row[side]['peak_rss_mb']:.0f} MB "
+                f"{row[side]['s_per_step']:.2f} s/step"
+                for side in ("parent", "change")), file=sys.stderr)
+    n, d = PAPER_SIZE
+    paper = child(__file__, "--measure-side", change, "--case",
+                  f"{n} {d} {PAPER_STEPS}")
+    paper.pop("env")
+    out["paper_step"] = {"change": paper}
+    return out
+
+
+def main(argv=None) -> int:
+    p = bench_parser(__doc__, "alternating desk training runs per side",
+                     ["train:61-72", "gd:61-65", "qn:61-65"],
+                     "BENCH_tape_memory.json")
+    p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--case", help=argparse.SUPPRESS)
+    args = parse_args(p, argv)
+    if args.measure_side:
+        print(json.dumps(measure(args.measure_side.resolve(), args.case)))
+        return 0
+    parent, change = checkouts(p, args)
+    return write_report(args, parent, change,
+                        report(parent, change, args.rounds))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

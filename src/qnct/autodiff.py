@@ -12,7 +12,10 @@ Conventions:
     W (oc, c*kh*kw) @ cols (c*kh*kw, oh*ow), where cols has one row per
     (channel, tap) and one column per output pixel. A 1x1 stride-1 conv
     uses x itself as cols. Backward is gW = g colsᵀ and gcols = Wᵀ g, the
-    latter added back into the input's channel planes one tap at a time;
+    latter added back into the input's channel planes one tap at a time.
+    The tape keeps no column matrix: backward rebuilds cols from x (an
+    input the node already holds) with the forward's own padding and
+    strided copy, which costs less than the GEMM it feeds;
     conv_transpose2d is the same GEMM with the roles of x and g swapped;
   - a primitive returns outputs and gradients in its inputs' dtype and
     computes in it: float32 work stays float32, float64 (grad_check) stays
@@ -22,7 +25,14 @@ Conventions:
   - broadcasting is limited to bias-add and scalar scaling, everything else
     requires explicit reshape/permute;
   - only leaf tensors with ``requires_grad`` receive a ``.grad`` buffer, and
-    grads accumulate across backward calls until ``zero_grad``.
+    grads accumulate across backward calls until ``zero_grad``;
+  - a backward closure keeps only what it cannot rebuild for less than a
+    GEMM: prelu rebuilds its per-element slopes from x and the slopes;
+  - ``backward`` releases each node right after replaying it (its closure
+    and its inputs), so the tape's memory returns while backward runs. A
+    graph supports one backward: a second one through a released node
+    raises ``GraphReleasedError``; rebuild the graph to differentiate it
+    again.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, GraphReleasedError, ShapeError
 
 # Python floats, not numpy scalars: they keep float32 kernels in float32.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -63,23 +73,30 @@ class no_grad:
 
 
 class profile:
-    """Context manager that records per-op calls and wall time on this thread.
+    """Context manager that records per-op calls, wall time and the bytes
+    kept for backward, on this thread.
 
     Keys are ``OpNode.op``: the primitive's name, or the name given to
     ``linear_operator``. Forward time runs from the outermost primitive's
     entry to its ``_result``; backward time is the op's backward closure in
-    the replay of ``backward``. Off by default; when off, each primitive
-    call pays a wrapper call and two thread-local lookups (under 1 us).
+    the replay of ``backward``. ``kept_bytes`` sums, over the op's recorded
+    nodes, the arrays its backward closure references that are neither its
+    inputs' data nor its output (``_kept_bytes``): what the tape holds
+    for this op beyond the activations. Off by default; when off, each
+    primitive call pays a wrapper call and two thread-local lookups (under
+    1 us).
 
         with ad.profile() as prof:
             loss = model(x)
             loss.backward()
-        prof.stats  # {op: {"calls": n, "forward_ms": f, "backward_ms": b}}
+        prof.stats  # {op: {"calls": n, "forward_ms": f, "backward_ms": b,
+                    #       "kept_bytes": k}}
     """
 
     def __init__(self):
         self.stats = collections.defaultdict(
-            lambda: {"calls": 0, "forward_ms": 0.0, "backward_ms": 0.0})
+            lambda: {"calls": 0, "forward_ms": 0.0, "backward_ms": 0.0,
+                     "kept_bytes": 0})
         self._entered = None  # perf_counter() at the outermost primitive entry
 
     def __enter__(self):
@@ -195,7 +212,38 @@ def _result(op, out, inputs, backward_fn):
         entry = prof.stats[op]
         entry["calls"] += 1
         entry["forward_ms"] += 1e3 * (time.perf_counter() - prof._entered)
+        if t.node is not None:
+            entry["kept_bytes"] += _kept_bytes(backward_fn, inputs, t.data)
     return t
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _kept_bytes(backward_fn, inputs, out: np.ndarray) -> int:
+    """Bytes of the arrays ``backward_fn`` references, through its closure
+    cells and defaults (and the Tensors, tuples and lists among them), that
+    are neither an input's data nor ``out``; each buffer counted once.
+    Functions it calls (a linear operator's maps) are not followed."""
+    skip = {id(_buffer(t.data)) for t in inputs} | {id(_buffer(out))}
+    values = [cell.cell_contents for cell in backward_fn.__closure__ or ()]
+    values += backward_fn.__defaults__ or ()
+    kept = {}
+    while values:
+        v = values.pop()
+        if isinstance(v, Tensor):
+            v = v.data
+        if isinstance(v, (tuple, list)):
+            values.extend(v)
+        elif isinstance(v, np.ndarray):
+            buf = _buffer(v)
+            if id(buf) not in skip:
+                kept[id(buf)] = buf.nbytes
+    return sum(kept.values())
 
 
 def _same_dtype(op, *tensors):
@@ -213,34 +261,47 @@ def backward(out: Tensor):
                 out.grad = np.zeros_like(out.data)
             out.grad += np.ones_like(out.data)
         return
-    # Walk back from `out` to map each recorded node to its output tensor,
+    # Walk back from `out` to collect each recorded node's output tensor,
     # then replay newest-first: the exact reverse of execution order, which
     # keeps every reduction deterministic.
-    node_out = {}
+    seen = set()
+    ordered = []
     stack = [out]
     while stack:
         t = stack.pop()
-        if t.node is None or id(t.node) in node_out:
+        node = t.node
+        if node is None or id(node) in seen:
             continue
-        node_out[id(t.node)] = t
-        for inp in t.node.inputs:
-            stack.append(inp)
-    ordered = sorted(node_out.values(), key=lambda t: t.node.seq, reverse=True)
+        if node.backward_fn is None:
+            raise GraphReleasedError(
+                f"backward: the {node.op} node was released by an earlier "
+                "backward; rebuild the graph to differentiate it again")
+        seen.add(id(node))
+        ordered.append(t)
+        stack.extend(node.inputs)
+    ordered.sort(key=lambda t: t.node.seq)
 
     grads = {id(out): np.ones_like(out.data)}
     prof = _profiler()
-    for t in ordered:
+    while ordered:
+        # popping drops this function's reference to t; releasing the node
+        # drops the tape's, so t's output and the arrays its closure kept
+        # return once nothing outside the graph holds them
+        t = ordered.pop()
+        node = t.node
+        backward_fn, inputs = node.backward_fn, node.inputs
+        node.backward_fn, node.inputs = None, ()
         g = grads.pop(id(t), None)
         if g is None:
             continue
         if prof is None:
-            in_grads = t.node.backward_fn(g)
+            in_grads = backward_fn(g)
         else:
             start = time.perf_counter()
-            in_grads = t.node.backward_fn(g)
-            prof.stats[t.node.op]["backward_ms"] += \
+            in_grads = backward_fn(g)
+            prof.stats[node.op]["backward_ms"] += \
                 1e3 * (time.perf_counter() - start)
-        for inp, ig in zip(t.node.inputs, in_grads):
+        for inp, ig in zip(inputs, in_grads):
             if ig is None:
                 continue
             if inp.node is None:
@@ -346,6 +407,20 @@ def _conv_out_size(op, size, k, stride, padding):
     return span // stride + 1
 
 
+def _columns(x, kh, kw, stride, padding, npix):
+    """The (n, c*kh*kw, npix) column matrix of NCHW x: one row per
+    (channel, tap), one column per output pixel. A 1x1 stride-1 kernel's
+    is the (padded) x itself."""
+    xp = _pad_nchw(x, padding)
+    n, c = x.shape[:2]
+    if kh == kw == 1 and stride == 1:
+        return xp.reshape(n, c, npix)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    # (n, c, kh, kw, oh, ow): one output plane per tap, rows c*kh*kw
+    return win[:, :, ::stride, ::stride].transpose(
+        0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, npix)
+
+
 @_primitive
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
@@ -362,33 +437,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     oh = _conv_out_size("conv2d", h, kh, stride, padding)
     ow = _conv_out_size("conv2d", wd, kw, stride, padding)
 
-    xp = _pad_nchw(x.data, padding)
     k, npix = c * kh * kw, oh * ow
-    if kh == kw == 1 and stride == 1:
-        cols = xp.reshape(n, c, npix)  # x itself is the column matrix
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
-                                                       axis=(2, 3))
-        # (n, c, kh, kw, oh, ow): one output plane per tap, rows c*kh*kw
-        cols = win[:, :, ::stride, ::stride].transpose(
-            0, 1, 4, 5, 2, 3).reshape(n, k, npix)
     wmat = w.data.reshape(oc, k)
-    out = _mm(wmat, cols)  # (n, oc, oh*ow): NCHW with no transpose
+    # (n, oc, oh*ow): NCHW with no transpose
+    out = _mm(wmat, _columns(x.data, kh, kw, stride, padding, npix))
     if b is not None:
         out += b.data[:, None]
     out = out.reshape(n, oc, oh, ow)
 
     def bw(g):
         gmat = g.reshape(n, oc, npix)
+        cols = _columns(x.data, kh, kw, stride, padding, npix)
         # one GEMM sums over the batch: (k, n*npix) @ (n*npix, oc)
         gw = (cols.transpose(1, 0, 2).reshape(k, n * npix)
               @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T
+        del cols
         gcols = _mm(wmat.T, gmat)  # (n, k, oh*ow)
+        padded = (n, c, h + 2 * padding, wd + 2 * padding)
         if kh == kw == 1 and stride == 1:
-            gxp = gcols.reshape(xp.shape)
+            gxp = gcols.reshape(padded)
         else:
             gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(padded, dtype=x.dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     gxp[:, :, ki:ki + oh * stride:stride,
@@ -505,25 +575,29 @@ def gelu(x: Tensor) -> Tensor:
     return _result("gelu", out, (x,), bw)
 
 
+def _prelu_scale(x, slopes):
+    """Per-element slope 1 or a, by arithmetic: a branching select
+    (np.where) on random signs runs ~5x slower. pos + (1 - pos) a is
+    exactly 1 or exactly a."""
+    pos = (x > 0).astype(x.dtype)
+    scale = 1.0 - pos
+    scale *= slopes[None, :, None, None]
+    scale += pos
+    return scale
+
+
 @_primitive
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     """Channelwise parametric ReLU on NCHW input; one slope per channel."""
     if x.data.ndim != 4 or slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
         raise ShapeError(f"prelu: input {x.shape}, slopes {slopes.shape}")
     _same_dtype("prelu", x, slopes)
-    # Per-element slope 1 or a, by arithmetic: a branching select
-    # (np.where) on random signs runs ~5x slower. pos + (1 - pos) a is
-    # exactly 1 or exactly a.
-    pos = (x.data > 0).astype(x.dtype)
-    scale = 1.0 - pos
-    scale *= slopes.data[None, :, None, None]
-    scale += pos
-    out = x.data * scale
+    out = x.data * _prelu_scale(x.data, slopes.data)
 
     def bw(g):
         # a non-finite g where x > 0 times min(x, 0) = 0 makes its slope NaN
         ga = np.einsum("nchw,nchw->c", g, np.minimum(x.data, 0.0))
-        return g * scale, ga
+        return g * _prelu_scale(x.data, slopes.data), ga
 
     return _result("prelu", out, (x, slopes), bw)
 

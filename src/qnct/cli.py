@@ -307,8 +307,7 @@ def cmd_reconstruct(args):
 
 def cmd_train(args):
     cfg = _resolve(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir)  # train_unrolled creates it
     size = cfg["image.size"]
     seed = cfg["seed"]
     truths = _truths(args.data_dir, cfg, "train.phantoms")
@@ -403,12 +402,11 @@ def cmd_ood(args):
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
     size = cfg["image.size"]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     truths = _truths(args.data_dir, cfg, "ood.count")
-
     model = _load_model(args.weights, cfg) \
         if args.method == "qn-mixer" else None
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng_ood = substream(cfg["seed"], "ood")
     rows = []
     for idx, truth in enumerate(truths):

@@ -35,3 +35,7 @@ class CheckpointError(QnctError):
 
 class ConfigError(QnctError):
     """Run configuration file or key is invalid."""
+
+
+class GraphReleasedError(QnctError):
+    """backward reached a node an earlier backward already released."""

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from qnct import autodiff as ad
 from qnct.autodiff import Tensor
-from qnct.errors import CheckpointError, ShapeError
+from qnct.errors import CheckpointError, GraphReleasedError, ShapeError
 
 
 def t64(arr, requires_grad=True):
@@ -287,6 +289,87 @@ def test_profile_keys_named_linear_operators_and_is_off_by_default():
             ad.linear_operator(x, lambda v: 2 * v, lambda g: 2 * g, name="A")
     assert set(prof.stats) == {"A"}
     assert prof.stats["A"]["calls"] == 1 and prof.stats["A"]["backward_ms"] == 0
+
+
+@ad._primitive
+def square_keeping_a_copy(x: Tensor) -> Tensor:
+    """x², with a backward closure that keeps 2x, an array backward could
+    rebuild from x: the fault the profile's kept_bytes must show."""
+    twice = 2.0 * x.data
+    return ad._result("square_keeping_a_copy", x.data * x.data, (x,),
+                      lambda g: (g * twice,))
+
+
+@ad._primitive
+def square(x: Tensor) -> Tensor:
+    return ad._result("square", x.data * x.data, (x,),
+                      lambda g: (2.0 * g * x.data,))
+
+
+def test_profile_reports_the_bytes_a_closure_keeps():
+    x = t64(np.ones((4, 5)))
+    with ad.profile() as prof:
+        ad.mean(ad.add(square_keeping_a_copy(x), square(x))).backward()
+    assert prof.stats["square_keeping_a_copy"]["kept_bytes"] == 4 * 5 * 8
+    assert prof.stats["square"]["kept_bytes"] == 0
+    assert prof.stats["add"]["kept_bytes"] == 0
+    with ad.profile() as prof, ad.no_grad():
+        square_keeping_a_copy(x)  # nothing recorded, nothing kept
+    assert prof.stats["square_keeping_a_copy"]["kept_bytes"] == 0
+
+
+def test_conv2d_and_prelu_keep_nothing_beyond_their_inputs():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    slopes = Tensor(np.full(4, 0.25, dtype=np.float32), requires_grad=True)
+    with ad.profile() as prof:
+        for k, stride, padding in ((1, 1, 0), (1, 1, 1), (3, 1, 1),
+                                   (4, 4, 0)):
+            w = Tensor(rng.normal(size=(4, 3, k, k)).astype(np.float32),
+                       requires_grad=True)
+            b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+            ad.prelu(ad.conv2d(x, w, b, stride=stride, padding=padding),
+                     slopes)
+    assert prof.stats["conv2d"]["calls"] == 4
+    assert prof.stats["conv2d"]["kept_bytes"] == 0
+    assert prof.stats["prelu"]["kept_bytes"] == 0
+    # the check can fail: gelu keeps its cdf
+    with ad.profile() as prof:
+        ad.gelu(x)
+    assert prof.stats["gelu"]["kept_bytes"] == x.data.nbytes
+
+
+def test_backward_frees_intermediate_outputs():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32),
+               requires_grad=True)
+    h = ad.conv2d(x, w, padding=1)
+    y = ad.gelu(h)
+    refs = [weakref.ref(h.data), weakref.ref(y.data)]
+    loss = ad.mean(ad.mul(y, y))
+    del h, y
+    assert all(ref() is not None for ref in refs)  # the tape holds them
+    loss.backward()
+    assert all(ref() is None for ref in refs)
+    assert x.grad is not None and w.grad is not None
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = t64([1.0, -2.0, 0.5])
+    out = ad.sum_of_squares(ad.gelu(x))
+    out.backward()
+    once = x.grad.copy()
+    with pytest.raises(GraphReleasedError, match="sum_of_squares"):
+        out.backward()
+    np.testing.assert_array_equal(x.grad, once)
+    # a shared subgraph is released by the first backward through it
+    h = ad.gelu(x)
+    ad.sum_of_squares(h).backward()
+    with pytest.raises(GraphReleasedError, match="gelu"):
+        ad.mean(h).backward()
 
 
 # ---------------------------------------------------------------------------

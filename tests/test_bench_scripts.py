@@ -8,11 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qnct import autodiff as ad
 from qnct import geometry as geo
+from qnct import init as pinit
+from qnct import mixer as mx
 from qnct import phantoms, solvers
+from qnct import train as tr
+from qnct import unroll as ur
 from qnct.phantoms import shepp_logan
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
@@ -58,3 +64,39 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
     assert report["forward_project_s"] > 0 and report["fbp_s"] > 0
     assert report["peak_rss_mb"] >= report["rss_after_forward_mb"] \
         >= report["rss_before_mb"] > 0
+
+
+@pytest.fixture
+def bench_tape(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    yield importlib.import_module("bench_tape")
+    for name in ("bench_tape", "bench_kernels", "run", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_tape_walk_counts_outputs_and_what_closures_keep(bench_tape):
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    loss = ad.mean(ad.gelu(ad.conv2d(x, w, padding=1)))
+    walk = bench_tape.tape_bytes(ad, loss)
+    plane = 3 * 8 * 8 * 8  # one float64 (1, 3, 8, 8) array
+    assert walk["nodes"] == 3
+    assert walk["per_op"]["conv2d"] == {"nodes": 1, "output_bytes": plane,
+                                        "closure_bytes": 0}
+    assert walk["per_op"]["gelu"] == {"nodes": 1, "output_bytes": plane,
+                                      "closure_bytes": plane}  # its cdf
+    assert walk["total_bytes"] == 3 * plane + loss.data.nbytes
+
+
+def test_tape_and_train_steps_at_tiny_scale(bench_tape):
+    report = bench_tape.tape_side(ROOT, "TINY")
+    assert report["walk"]["nodes"] > 0
+    kept = report["profile_kept_bytes"]
+    assert kept["conv2d"] == 0 and kept["prelu"] == 0
+    assert report["profile_off_cost"]["calls_per_step"] > 0
+    q = SimpleNamespace(geometry=geo, phantoms=phantoms, init=pinit,
+                        train=tr, unroll=ur, mixer=mx)
+    row = bench_tape.train_steps(q, 16, 12, 2)
+    assert len(row["losses"]) == 2 and row["s_per_step"] > 0
+    assert row["peak_rss_mb"] >= row["rss_before_mb"] > 0

@@ -302,6 +302,22 @@ def test_bad_count_or_size_is_one_error_line(workspace, capsys, argv, kind,
     assert not (workspace / output).exists()
 
 
+@pytest.mark.parametrize("argv,kind", [
+    (["train", "--mixer-d", "12", "--variant", "nope"], "ShapeError"),
+    (["train", "--mixer-d", "12", "--phantoms", "0"], "ConfigError"),
+    (["ood", "--count", "0"], "ConfigError"),
+    (["ood", "--method", "qn-mixer", "--weights", "missing.ckpt"],
+     "FileNotFoundError"),
+], ids=["train-variant", "train-phantoms", "ood-count", "ood-weights"])
+def test_refused_run_leaves_no_output_dir(workspace, capsys, monkeypatch,
+                                          argv, kind):
+    monkeypatch.chdir(workspace)
+    assert run([*argv, "--out-dir", "run", "--size", "16", "--views",
+                "8"]) == 1
+    one_error_line(capsys, kind)
+    assert not (workspace / "run").exists()
+
+
 def test_train_writes_checkpoints_and_loss_curve(workspace):
     out_dir = workspace / "run"
     assert run(["train", "--out-dir", out_dir, "--phantoms", "2",

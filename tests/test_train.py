@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -181,6 +182,24 @@ class TestTrainLoop:
         b = ur.unrolled_reconstruct(geo.Sinogram(items[0].sino), g, reloaded,
                                     32, 32)[0]
         assert np.array_equal(a.values, b.values)
+
+
+def test_a_step_never_overlaps_the_last_steps_tape():
+    # backward frees the tape as it runs, so the loss and image still bound
+    # from step k hold no graph while step k + 1 records its own
+    items, g, model = tiny_setup()
+
+    def peak(steps):
+        cfg = tr.TrainConfig(epochs=1, lr=1e-3, seed=0, max_steps=steps)
+        tracemalloc.start()
+        try:
+            tr.train_unrolled(items, g, model, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the scan matrices every later step reuses
+    assert peak(3) <= 1.15 * peak(1)
 
 
 def test_synthesize_dataset_deterministic():

@@ -17,9 +17,9 @@ each figure is the median over the rounds) with one BLAS thread:
     ``autodiff.profile`` on both sides; ``--profile-parent DIR`` names a
     checkout that has it (the first commit with the hook), if the parent
     does not.
-  - ``conv2d_shapes``: forward and backward ms (median of 30 reps) of each
-    conv2d shape a desk train step uses, called directly, so it runs on
-    any commit.
+  - ``conv2d_shapes`` and ``maxpool2d_shapes``: forward and backward ms
+    (median of 30 reps) of each conv2d and maxpool2d shape a desk train
+    step uses, called directly, so they run on any commit.
 
 Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed,
 alternating which side goes first, at the run length ``BENCHMARK.json``
@@ -61,6 +61,13 @@ DESK_CONVS = (
     ((1, 32, 16, 16), (1, 32, 1, 1), 1, 0),
     ((1, 32, 64, 64), (1, 32, 1, 1), 1, 0),
 )
+# (x shape, kernel, stride, padding) of every maxpool2d in a desk train
+# step: the inception's pooling branch and the two codec downsamplings.
+DESK_POOLS = (
+    ((1, 1, 64, 64), 3, 1, 1),
+    ((1, 32, 64, 64), 2, 2, 0),
+    ((1, 32, 32, 32), 2, 2, 0),
+)
 PROFILE_SEED = 1
 PROFILE_STEPS = 10
 
@@ -83,26 +90,39 @@ def _median_ms(fn, reps):
     return statistics.median(times)
 
 
-def conv2d_shapes(ad, np, reps=30):
+def _shape_ms(ad, np, rng, xs, call, reps) -> dict:
+    """Forward and backward ms of ``call`` on a random float32 x of shape
+    xs, the backward closure called directly on a random gradient."""
+    x = ad.Tensor(rng.normal(size=xs).astype(np.float32), requires_grad=True)
+    out = call(x)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    return {"forward_ms": _median_ms(lambda: call(x), reps),
+            "backward_ms": _median_ms(lambda: out.node.backward_fn(g), reps)}
+
+
+def conv2d_shapes(ad, np, reps=30, shapes=DESK_CONVS):
     rng = np.random.default_rng(0)
     rows = []
-    for xs, ws, stride, padding in DESK_CONVS:
-        x = ad.Tensor(rng.normal(size=xs).astype(np.float32),
-                      requires_grad=True)
+    for xs, ws, stride, padding in shapes:
         w = ad.Tensor(rng.normal(size=ws).astype(np.float32),
                       requires_grad=True)
         b = ad.Tensor(np.zeros(ws[0], dtype=np.float32), requires_grad=True)
-        out = ad.conv2d(x, w, b, stride=stride, padding=padding)
-        g = rng.normal(size=out.shape).astype(np.float32)
         rows.append({
             "x": list(xs), "w": list(ws), "stride": stride,
             "padding": padding,
-            "forward_ms": _median_ms(
-                lambda: ad.conv2d(x, w, b, stride=stride, padding=padding),
-                reps),
-            "backward_ms": _median_ms(lambda: out.node.backward_fn(g), reps),
+            **_shape_ms(ad, np, rng, xs, lambda x: ad.conv2d(
+                x, w, b, stride=stride, padding=padding), reps),
         })
     return rows
+
+
+def maxpool2d_shapes(ad, np, reps=30, shapes=DESK_POOLS):
+    rng = np.random.default_rng(0)
+    return [{"x": list(xs), "kernel": kernel, "stride": stride,
+             "padding": padding,
+             **_shape_ms(ad, np, rng, xs, lambda x: ad.maxpool2d(
+                 x, kernel, stride=stride, padding=padding), reps)}
+            for xs, kernel, stride, padding in shapes]
 
 
 def profile_side(checkout: Path) -> dict:
@@ -127,6 +147,7 @@ def profile_side(checkout: Path) -> dict:
         "per_op": per_op,
         "profile_off_cost": profile_off_cost(ad, per_op, step_ms),
         "conv2d_shapes": conv2d_shapes(ad, np),
+        "maxpool2d_shapes": maxpool2d_shapes(ad, np),
     }
 
 
@@ -301,10 +322,11 @@ def profiles(parent: Path, change: Path, rounds: int):
             "profile_off_cost": {key: statistics.median(
                 run["profile_off_cost"][key] for run in rs)
                 for key in rs[0]["profile_off_cost"]},
-            "conv2d_shapes": [
+            **{shapes: [
                 {**rows[0], **{key: statistics.median(row[key] for row in rows)
                                for key in ("forward_ms", "backward_ms")}}
-                for rows in zip(*(run["conv2d_shapes"] for run in rs))],
+                for rows in zip(*(run[shapes] for run in rs))]
+               for shapes in ("conv2d_shapes", "maxpool2d_shapes")},
         }
     return report
 

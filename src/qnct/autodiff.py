@@ -8,14 +8,22 @@ float32 by default with float64 available for finite-difference work.
 
 Conventions:
   - image tensors are NCHW;
-  - conv2d is one GEMM per sample, laid out so it writes NCHW directly:
-    W (oc, c*kh*kw) @ cols (c*kh*kw, oh*ow), where cols has one row per
-    (channel, tap) and one column per output pixel. A 1x1 stride-1 conv
-    uses x itself as cols. Backward is gW = g colsᵀ and gcols = Wᵀ g, the
-    latter added back into the input's channel planes one tap at a time.
-    The tape keeps no column matrix: backward rebuilds cols from x (an
-    input the node already holds) with the forward's own padding and
-    strided copy, which costs less than the GEMM it feeds;
+  - conv2d is one GEMM per sample, W (oc, c*kh*kw) @ cols, with one row
+    of cols per (channel, tap), so it writes NCHW directly. Its stride
+    picks one of two layouts, and any other stride is a ShapeError:
+      * stride 1, any kernel and padding: x is padded once into flat
+        planes of width wp = w + 2p (one spare row), where tap (ki, kj) is
+        the contiguous slice from ki*wp + kj of length oh*wp. The GEMM
+        output is oh rows of wp pixels; the last kw - 1 of each row are
+        dropped. Backward forms Wᵀ g on the same wide grid (g zero-padded
+        to wp columns) and adds each tap back as a contiguous slice. A
+        1x1 conv with no padding uses x itself;
+      * stride = kernel, no padding (a patch embedding): cols is one
+        reshape and transpose of x, and the input gradient the inverse
+        transpose of Wᵀ g;
+    gW is one GEMM over the batch with the compact (c*kh*kw, n*oh*ow)
+    columns, rebuilt tap by tap from x (an input the node already holds):
+    the tape keeps no column matrix;
     conv_transpose2d is the same GEMM with the roles of x and g swapped;
   - a primitive returns outputs and gradients in its inputs' dtype and
     computes in it: float32 work stays float32, float64 (grad_check) stays
@@ -382,12 +390,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result("linear", out.reshape(*lead, w.shape[1]), inputs, bw)
 
 
-def _pad_nchw(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
 def _mm(a, b):
     """a @ b over the last two axes. An inner size of 1 (a rank-one
     product) is a broadcast multiply: the same products, which np.matmul
@@ -407,24 +409,43 @@ def _conv_out_size(op, size, k, stride, padding):
     return span // stride + 1
 
 
-def _columns(x, kh, kw, stride, padding, npix):
-    """The (n, c*kh*kw, npix) column matrix of NCHW x: one row per
-    (channel, tap), one column per output pixel. A 1x1 stride-1 kernel's
-    is the (padded) x itself."""
-    xp = _pad_nchw(x, padding)
-    n, c = x.shape[:2]
-    if kh == kw == 1 and stride == 1:
-        return xp.reshape(n, c, npix)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (n, c, kh, kw, oh, ow): one output plane per tap, rows c*kh*kw
-    return win[:, :, ::stride, ::stride].transpose(
-        0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, npix)
+def _flat_grid(x, kw, padding):
+    """NCHW x zero-padded into flat (n, c, rows * wp) planes of width
+    wp = w + 2 padding, with one spare row when kw > 1. Tap (ki, kj) of a
+    stride-1 conv is then the contiguous slice from ki wp + kj of length
+    oh wp: each output row's ow pixels, then kw - 1 that run past the row
+    and are dropped. With no padding and kw = 1 the planes are x itself.
+    Returns (planes, rows, wp)."""
+    n, c, h, wd = x.shape
+    wp = wd + 2 * padding
+    rows = h + 2 * padding + (kw > 1)
+    if rows == h:
+        return x.reshape(n, c, h * wd), rows, wp
+    xp = np.zeros((n, c, rows, wp), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    return xp.reshape(n, c, rows * wp), rows, wp
+
+
+def _tap_starts(kh, kw, wp):
+    """Where each tap (ki, kj), row-major, starts on flat planes of width wp."""
+    return [ki * wp + kj for ki in range(kh) for kj in range(kw)]
+
+
+def _patches(x, kh, kw, axes):
+    """The (n, c, oh, kh, ow, kw) windows of a stride-kernel conv, a view
+    of NCHW x, transposed to ``axes``: (0, 1, 3, 5, 2, 4) gives the
+    per-sample columns, (1, 3, 5, 0, 2, 4) the batch-wide ones."""
+    n, c, h, wd = x.shape
+    return x.reshape(n, c, h // kh, kh, wd // kw, kw).transpose(axes)
 
 
 @_primitive
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """NCHW cross-correlation with kernel w of shape (out_c, in_c, kh, kw)."""
+    """NCHW cross-correlation with kernel w of shape (out_c, in_c, kh, kw).
+
+    Stride 1 takes any kernel and padding; a stride equal to the kernel
+    (a patch embedding) takes no padding. Any other stride is refused."""
     _same_dtype("conv2d", *( [x, w] + ([b] if b is not None else []) ))
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernel {w.shape}")
@@ -434,37 +455,89 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         raise ShapeError(f"conv2d: input channels {c} vs kernel channels {ic}")
     if b is not None and b.shape != (oc,):
         raise ShapeError(f"conv2d: bias {b.shape} vs out channels {oc}")
+    patch = stride != 1
+    if patch and not (stride == kh == kw and padding == 0):
+        raise ShapeError(
+            f"conv2d: stride {stride} with a {kh}x{kw} kernel and padding "
+            f"{padding}; only stride 1, or a stride equal to a square "
+            "kernel with no padding, is supported")
     oh = _conv_out_size("conv2d", h, kh, stride, padding)
     ow = _conv_out_size("conv2d", wd, kw, stride, padding)
 
     k, npix = c * kh * kw, oh * ow
     wmat = w.data.reshape(oc, k)
-    # (n, oc, oh*ow): NCHW with no transpose
-    out = _mm(wmat, _columns(x.data, kh, kw, stride, padding, npix))
+    # Each layout gives the forward output and two backward helpers:
+    # weight_columns(), the (c*kh*kw, n*oh*ow) columns of gW's GEMM rebuilt
+    # from x, and input_grad(gmat), gx for the (n, oc, oh*ow) output grad.
+    if patch:
+        out = _mm(wmat, _patches(x.data, kh, kw, (0, 1, 3, 5, 2, 4))
+                  .reshape(n, k, npix)).reshape(n, oc, oh, ow)
+
+        def weight_columns():
+            return _patches(x.data, kh, kw, (1, 3, 5, 0, 2, 4)).reshape(
+                k, n * npix)
+
+        def input_grad(gmat):
+            return _mm(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow).transpose(
+                0, 1, 4, 2, 5, 3).reshape(x.shape)
+    else:
+        planes, rows, wp = _flat_grid(x.data, kw, padding)
+        span = oh * wp
+        if kh * kw == 1:
+            cols = planes
+        else:
+            cols = np.empty((n, c, kh * kw, span), dtype=x.dtype)
+            for t, start in enumerate(_tap_starts(kh, kw, wp)):
+                cols[:, :, t] = planes[:, :, start:start + span]
+        del planes
+        # (n, oc, oh, wp): NCHW with no transpose, kw - 1 columns too wide
+        out = _mm(wmat, cols.reshape(n, k, span)).reshape(n, oc, oh, wp)
+        del cols
+        if wp != ow:
+            out = np.ascontiguousarray(out[..., :ow])
+
+        def weight_columns():
+            if kh * kw == 1 and padding == 0:
+                return x.data.transpose(1, 0, 2, 3).reshape(k, n * npix)
+            grid = _flat_grid(x.data, kw, padding)[0].reshape(n, c, rows, wp)
+            cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+            for ki in range(kh):
+                for kj in range(kw):
+                    cols[:, ki, kj] = grid[:, :, ki:ki + oh,
+                                           kj:kj + ow].transpose(1, 0, 2, 3)
+            return cols.reshape(k, n * npix)
+
+        def input_grad(gmat):
+            if wp == ow:
+                gwide = gmat
+            else:
+                # g on the wide grid: zeros where the forward dropped columns
+                gwide = np.zeros((n, oc, oh, wp), dtype=x.dtype)
+                gwide[..., :ow] = gmat.reshape(n, oc, oh, ow)
+                gwide = gwide.reshape(n, oc, span)
+            gcols = _mm(wmat.T, gwide)  # (n, k, oh*wp)
+            del gwide
+            if kh * kw == 1:
+                gplanes = gcols
+            else:
+                # each tap's slice adds back where the forward read it; the
+                # columns that ran past a row carry zeros
+                gcols = gcols.reshape(n, c, kh * kw, span)
+                gplanes = np.zeros((n, c, rows * wp), dtype=x.dtype)
+                for t, start in enumerate(_tap_starts(kh, kw, wp)):
+                    gplanes[:, :, start:start + span] += gcols[:, :, t]
+            return gplanes.reshape(n, c, rows, wp)[
+                :, :, padding:padding + h, padding:padding + wd]
     if b is not None:
-        out += b.data[:, None]
-    out = out.reshape(n, oc, oh, ow)
+        out += b.data[:, None, None]
 
     def bw(g):
         gmat = g.reshape(n, oc, npix)
-        cols = _columns(x.data, kh, kw, stride, padding, npix)
         # one GEMM sums over the batch: (k, n*npix) @ (n*npix, oc)
-        gw = (cols.transpose(1, 0, 2).reshape(k, n * npix)
+        gw = (weight_columns()
               @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T
-        del cols
-        gcols = _mm(wmat.T, gmat)  # (n, k, oh*ow)
-        padded = (n, c, h + 2 * padding, wd + 2 * padding)
-        if kh == kw == 1 and stride == 1:
-            gxp = gcols.reshape(padded)
-        else:
-            gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros(padded, dtype=x.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, :, ki:ki + oh * stride:stride,
-                        kj:kj + ow * stride:stride] += gcols[:, :, ki, kj]
-        gx = gxp[:, :, padding:padding + h, padding:padding + wd]
         gw = gw.reshape(w.shape)  # the (oc, k) transpose, copied
+        gx = input_grad(gmat)
         if b is None:
             return gx, gw
         return gx, gw, gmat.sum(axis=(0, 2))
@@ -526,6 +599,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
                     constant_values=-np.inf)
     else:
         xp = x.data
+    hp, wp = xp.shape[2:]
 
     def tap(a, idx):
         ki, kj = divmod(idx, kernel)
@@ -544,10 +618,19 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
 
     def bw(g):
         # g times a 0/1 mask: a non-finite g turns NaN across its window
-        gxp = np.zeros_like(xp)
-        for idx in range(kernel * kernel):
-            gtap = tap(gxp, idx)
-            gtap += g * (arg == idx)
+        if stride == kernel:
+            # the windows tile the padded input: each tap writes its own
+            # (oh, ow) lattice of a (n, c, oh, k, ow, k) view, once
+            gxp = np.empty((n, c, oh, kernel, ow, kernel), dtype=x.dtype)
+            for idx in range(kernel * kernel):
+                ki, kj = divmod(idx, kernel)
+                np.multiply(g, arg == idx, out=gxp[:, :, :, ki, :, kj])
+            gxp = gxp.reshape(n, c, hp, wp)
+        else:
+            gxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+            for idx in range(kernel * kernel):
+                gtap = tap(gxp, idx)
+                gtap += g * (arg == idx)
         return (gxp[:, :, padding:padding + h, padding:padding + wd],)
 
     return _result("maxpool2d", out, (x,), bw)

@@ -1,4 +1,6 @@
+import importlib.util
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from qnct import autodiff as ad
 from qnct.autodiff import Tensor
 from qnct.errors import CheckpointError, GraphReleasedError, ShapeError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def t64(arr, requires_grad=True):
@@ -340,6 +344,15 @@ def test_conv2d_and_prelu_keep_nothing_beyond_their_inputs():
     assert prof.stats["gelu"]["kept_bytes"] == x.data.nbytes
 
 
+def test_padded_maxpool2d_keeps_only_its_argmax_indices():
+    x = Tensor(np.random.default_rng(6).normal(size=(1, 8, 64, 64)).astype(
+        np.float32), requires_grad=True)
+    with ad.profile() as prof:
+        out = ad.maxpool2d(x, 3, stride=1, padding=1)
+    # one uint8 tap index per output pixel, and no padded copy of x
+    assert prof.stats["maxpool2d"]["kept_bytes"] == out.size == 32768
+
+
 def test_backward_frees_intermediate_outputs():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32),
@@ -413,11 +426,14 @@ def conv2d_reference(x, w, b, stride, padding):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("k,stride,padding,size", [
-    (1, 1, 0, 5), (3, 1, 1, 6), (5, 1, 2, 6), (4, 4, 0, 8)],
-    ids=["1x1", "3x3pad1", "5x5pad2", "4x4stride4"])
+    (1, 1, 0, (5, 5)), (3, 1, 1, (6, 6)), (5, 1, 2, (6, 6)),
+    (4, 4, 0, (8, 8)), (3, 1, 1, (5, 7)), (3, 1, 0, (6, 6)),
+    (3, 1, 2, (5, 6)), (2, 2, 0, (6, 4))],
+    ids=["1x1", "3x3pad1", "5x5pad2", "4x4stride4", "3x3pad1-5x7",
+         "3x3valid", "3x3pad2", "2x2stride2-6x4"])
 def test_conv2d_matches_direct_loop(n, k, stride, padding, size):
     rng = np.random.default_rng(k)
-    x = rng.normal(size=(n, 3, size, size))
+    x = rng.normal(size=(n, 3, *size))
     w = rng.normal(size=(4, 3, k, k))
     b = rng.normal(size=4)
     out = ad.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
@@ -429,6 +445,84 @@ def test_conv2d_matches_direct_loop(n, k, stride, padding, size):
     np.testing.assert_allclose(gx, rx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gw, rw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def test_conv2d_refuses_a_stride_other_than_1_or_the_kernel():
+    x = t64(np.zeros((1, 2, 9, 9)))
+    for k, stride, padding in ((3, 2, 0), (3, 2, 1), (2, 2, 1), (1, 2, 0)):
+        with pytest.raises(ShapeError, match="conv2d: stride"):
+            ad.conv2d(x, t64(np.zeros((3, 2, k, k))), stride=stride,
+                      padding=padding)
+    with pytest.raises(ShapeError, match="conv2d: stride"):
+        ad.conv2d(x, t64(np.zeros((3, 2, 3, 1))), stride=3)
+
+
+def im2col_conv2d(x, w, b, stride, padding, g):
+    """conv2d as one GEMM over a strided im2col column matrix, with its
+    input gradient added back tap by tap through strided views: output,
+    and the gradients of sum(out * g) for x, w and b. The flat-grid and
+    patch layouts must give these bit for bit."""
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    k, npix = c * kh * kw, oh * ow
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if kh == kw == 1 and stride == 1:
+        cols = xp.reshape(n, c, npix)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
+                                                       axis=(2, 3))
+        cols = win[:, :, ::stride, ::stride].transpose(
+            0, 1, 4, 5, 2, 3).reshape(n, k, npix)
+    wmat = w.reshape(oc, k)
+    out = (wmat * cols) if k == 1 else wmat @ cols
+    out += b[:, None]
+    gmat = g.reshape(n, oc, npix)
+    gw = (cols.transpose(1, 0, 2).reshape(k, n * npix)
+          @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T.reshape(w.shape)
+    gcols = (wmat.T * gmat) if oc == 1 else wmat.T @ gmat
+    if kh == kw == 1 and stride == 1:
+        gxp = gcols.reshape(xp.shape)
+    else:
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                gxp[:, :, ki:ki + oh * stride:stride,
+                    kj:kj + ow * stride:stride] += gcols[:, :, ki, kj]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return out.reshape(n, oc, oh, ow), gx, gw, gmat.sum(axis=(0, 2))
+
+
+def _desk_convs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", ROOT / "scripts" / "bench_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DESK_CONVS
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", _desk_convs(),
+                         ids=lambda case: "{}x{}-{}to{}-{}px-s{}p{}".format(
+                             case[1][2], case[1][3], case[0][1], case[1][0],
+                             case[0][2], case[2], case[3]))
+def test_conv2d_is_bitwise_the_strided_im2col_gemm(case, n, dt):
+    xs, ws, stride, padding = case
+    rng = np.random.default_rng(sum(ws) + n)
+    x = rng.normal(size=(n, *xs[1:])).astype(dt)
+    w = rng.normal(size=ws).astype(dt)
+    b = rng.normal(size=ws[0]).astype(dt)
+    out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                    Tensor(b, requires_grad=True), stride=stride,
+                    padding=padding)
+    g = rng.normal(size=out.shape).astype(dt)
+    ref = im2col_conv2d(x, w, b, stride, padding, g)
+    got = (out.data, *vjp(out, g))
+    for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
+        assert a.dtype == dt and np.array_equal(a, r), name
 
 
 def maxpool_reference(x, k, stride, padding, g):

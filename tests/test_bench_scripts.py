@@ -67,6 +67,55 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
 
 
 @pytest.fixture
+def bench_kernels(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    yield importlib.import_module("bench_kernels")
+    sys.modules.pop("bench_kernels", None)
+
+
+def test_conv2d_and_maxpool2d_shapes_at_tiny_scale(bench_kernels):
+    convs = bench_kernels.conv2d_shapes(
+        ad, np, reps=2, shapes=(((1, 2, 8, 8), (3, 2, 3, 3), 1, 1),
+                                ((1, 2, 8, 8), (3, 2, 4, 4), 4, 0)))
+    pools = bench_kernels.maxpool2d_shapes(
+        ad, np, reps=2, shapes=(((1, 2, 8, 8), 3, 1, 1),
+                                ((1, 2, 8, 8), 2, 2, 0)))
+    assert [(row["w"], row["stride"]) for row in convs] == \
+        [([3, 2, 3, 3], 1), ([3, 2, 4, 4], 4)]
+    assert [(row["kernel"], row["stride"], row["padding"])
+            for row in pools] == [(3, 1, 1), (2, 2, 0)]
+    assert all(row["forward_ms"] > 0 and row["backward_ms"] > 0
+               for row in convs + pools)
+
+
+def test_desk_shapes_are_the_ones_a_desk_step_runs(bench_kernels, monkeypatch):
+    seen = {"conv2d": set(), "maxpool2d": set()}
+    conv2d, maxpool2d = ad.conv2d, ad.maxpool2d
+
+    def record_conv(x, w, b=None, stride=1, padding=0):
+        seen["conv2d"].add((x.shape, w.shape, stride, padding))
+        return conv2d(x, w, b, stride=stride, padding=padding)
+
+    def record_pool(x, kernel, stride=None, padding=0):
+        seen["maxpool2d"].add((x.shape, kernel, stride or kernel, padding))
+        return maxpool2d(x, kernel, stride=stride, padding=padding)
+
+    monkeypatch.setattr(ad, "conv2d", record_conv)
+    monkeypatch.setattr(ad, "maxpool2d", record_pool)
+    config = mx.desk_mixer_config().scaled(48)
+    model = ur.QnMixerModel.build(
+        64, 64, 0, config, ur.UnrollConfig(T=1, codec=ur.CodecConfig(2, 32)))
+    x = ad.Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
+    with ad.no_grad():
+        mx.incept_mixer_forward(x, model.params, config)
+        latent = ur.encode_gradient(x, model.params, model.unroll_config.codec)
+        ur.decode_direction(latent, model.params, model.unroll_config.codec,
+                            64, 64)
+    assert seen["conv2d"] == set(bench_kernels.DESK_CONVS)
+    assert seen["maxpool2d"] == set(bench_kernels.DESK_POOLS)
+
+
+@pytest.fixture
 def bench_tape(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     yield importlib.import_module("bench_tape")

@@ -14,6 +14,10 @@ alternate which goes first:
     scan in ``CASES``. The matrix cache is cleared between the two, so each
     build's peak is its own. ``ru_maxrss`` is read after each step, and
     the number of A's entries and a hash of the sinogram are recorded.
+    Desk cases then build A and B once more each, from a cleared cache
+    under ``tracemalloc`` (after the timings, so these stay untraced), and
+    record each build's traced peak over its matrix's ``data + indices +
+    indptr`` bytes.
   - ``cli``: the wall time of ``qnct reconstruct --method qn`` on a
     desk fan scan of ``CLI_VIEWS`` views (``--iters`` at its default),
     with a hash of the written image.
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from bench_kernels import (_import_side, alternate, bench_parser, checkouts,
@@ -51,6 +56,7 @@ CASES = {
     "desk fan 32/180": ("desk", "fan", 180, 32),
     "desk fan 180/180": ("desk", "fan", 180, 180),
     "paper fan 64/512": ("paper", "fan", 512, 64),
+    "paper fan 512/512": ("paper", "fan", 512, 512),
 }
 CLI_VIEWS = 32
 PAPER_VIEWS = 64
@@ -66,6 +72,23 @@ def _scan(geo, case):
     return geo.desk_geometry(beam, views), DESK_SIZE
 
 
+def traced_build(geo, tables, g, n) -> dict:
+    """Build ``tables``' matrix of scan g at n² from a cleared cache under
+    tracemalloc: the traced peak, the matrix's bytes and their ratio."""
+    geo._scan_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        matrix, _ = geo._scan_matrix(tables, g, n, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(matrix, name).nbytes
+                 for name in ("data", "indices", "indptr"))
+    geo._scan_matrix.cache_clear()
+    return {"traced_peak_mb": peak / 2**20, "matrix_mb": nbytes / 2**20,
+            "traced_peak_ratio": peak / nbytes}
+
+
 def build_case(q, case) -> dict:
     geo = q.geometry
     g, n = _scan(geo, case)
@@ -75,15 +98,18 @@ def build_case(q, case) -> dict:
     sino = geo.forward_project(image, g)
     report["forward_project_s"] = time.perf_counter() - start
     report["rss_after_forward_mb"] = peak_rss_mb()
-    A, _ = geo._scan_matrix(geo._ray_tables, g, n, n)
-    report["a_entries"] = int(A.nnz)
-    del A
+    # no name may hold A (or its transposed view) through fbp's build
+    report["a_entries"] = geo._scan_matrix(geo._ray_tables, g, n, n)[0].nnz
     geo._scan_matrix.cache_clear()
     start = time.perf_counter()
     geo.fbp(sino, g, h=n, w=n)
     report["fbp_s"] = time.perf_counter() - start
     report["peak_rss_mb"] = peak_rss_mb()
     report["sino_sha256"] = hashlib.sha256(sino.values.tobytes()).hexdigest()
+    if CASES[case][0] == "desk":
+        for name, tables in (("a", geo._ray_tables), ("b", geo._pixel_tables)):
+            for key, value in traced_build(geo, tables, g, n).items():
+                report[f"{name}_{key}"] = value
     return report
 
 

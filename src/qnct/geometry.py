@@ -3,7 +3,9 @@
 The forward projector is ray-driven with Joseph-style bilinear sampling at a
 fixed step of half a pixel. It is assembled once per (scan, image size) as a
 sparse matrix A over the scan's own views (a view subset never builds the
-full-view matrix) and cached with its transposed view Aᵀ, built once per
+full-view matrix), in place: view by view into CSR arrays that grow to fit,
+with int32 indices unless the matrix needs int64, so the build peaks near
+A's own size. A is cached with its transposed view Aᵀ, built once per
 cache entry and sharing A's arrays; the adjoint applies that view, so the
 pair is a matched transpose by construction. FBP uses the spatial-domain
 ramp kernel realized over a zero-padded FFT (even kernel, hence a symmetric
@@ -84,7 +86,7 @@ class Geometry:
             warnings.warn(
                 f"detector coverage {coverage:.1f} mm is below the image "
                 f"diagonal {diagonal:.1f} mm; rays will truncate",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
     @property
@@ -191,19 +193,46 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     pairs are summed and zero weights dropped. A view's rows depend only on
     its angle, so a view subset's matrix holds the full-view matrix's rows
     for those views bit for bit, and no full-view matrix is built for it.
+
+    Assembly is in place: each view's block is built alone (scipy sums its
+    duplicates), copied into the matrix's arrays at the running offset, its
+    row pointers shifted by that offset, and dropped. The arrays grow in
+    place to the running mean's projection plus an eighth and are trimmed
+    at the end, so the build peaks near the matrix's own size. Weights are
+    float64; indices and indptr are int32 unless the entry or column count
+    needs int64, scipy's rule for stacking CSR blocks.
+
     The transposed view shares the matrix's data, indices and indptr, so it
     costs no memory, and it lives and is evicted with the matrix in this one
     entry.
     """
-    n_det = geometry.n_det
-    blocks = []
-    for det, pix, wts in tables(geometry, h, w):
+    n_det, n_views = geometry.n_det, geometry.n_views
+    # int64 while filling: the offsets may pass int32 before the end
+    indptr = np.zeros(n_views * n_det + 1, dtype=np.int64)
+    data, indices = np.empty(0), np.empty(0, dtype=np.int32)
+    end = 0
+    for view, (det, pix, wts) in enumerate(tables(geometry, h, w)):
         keep = wts != 0.0
-        # int32 indices; vstack widens them if the whole matrix needs it
         coords = (det[keep].astype(np.int32), pix[keep].astype(np.int32))
-        blocks.append(sparse.csr_array((wts[keep], coords),
-                                       shape=(n_det, h * w)))
-    matrix = sparse.vstack(blocks, format="csr")
+        block = sparse.csr_array((wts[keep], coords), shape=(n_det, h * w))
+        start, end = end, end + block.nnz
+        if end > data.size:
+            room = end * n_views // (view + 1) * 9 // 8
+            for array in (data, indices):
+                array.resize(room, refcheck=False)
+        data[start:end] = block.data
+        indices[start:end] = block.indices
+        rows = indptr[view * n_det + 1:(view + 1) * n_det + 1]
+        rows[:] = block.indptr[1:]
+        rows += start
+        del block  # before the next view's tables are made
+    for array in (data, indices):
+        array.resize(end, refcheck=False)
+    index = sparse.get_index_dtype(maxval=max(end, h * w))
+    matrix = sparse.csr_array(
+        (data, indices.astype(index, copy=False),
+         indptr.astype(index, copy=False)),
+        shape=(n_views * n_det, h * w))
     return matrix, matrix.T
 
 

@@ -64,6 +64,22 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
     assert report["forward_project_s"] > 0 and report["fbp_s"] > 0
     assert report["peak_rss_mb"] >= report["rss_after_forward_mb"] \
         >= report["rss_before_mb"] > 0
+    assert report["a_traced_peak_ratio"] >= 1.0
+    assert report["b_traced_peak_ratio"] >= 1.0
+
+
+def test_traced_build_at_tiny_scale(bench_scan_build):
+    g = geo.Geometry(n_views_full=8, n_det=24, det_spacing_mm=2.0,
+                     image_extent_mm=24.0)
+    row = bench_scan_build.traced_build(geo, geo._pixel_tables, g, 12)
+    assert geo._scan_matrix.cache_info().currsize == 0  # nothing kept
+    B = geo._scan_matrix(geo._pixel_tables, g, 12, 12)[0]
+    nbytes = B.data.nbytes + B.indices.nbytes + B.indptr.nbytes
+    assert row["matrix_mb"] == nbytes / 2**20
+    # the matrix is alive when the peak is read, so it is part of it
+    assert row["traced_peak_mb"] >= row["matrix_mb"] > 0
+    assert row["traced_peak_ratio"] == pytest.approx(
+        row["traced_peak_mb"] / row["matrix_mb"])
 
 
 @pytest.fixture

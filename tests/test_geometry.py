@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse._base import _spbase
 
 from qnct import geometry as geo
@@ -171,6 +174,14 @@ def test_view_subset_builds_only_its_own_views(beam):
         assert len(yielded) == 16
 
 
+def assert_same_csr(got, want):
+    """Equal shape, and indptr, indices and data equal in value and dtype."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 @pytest.mark.parametrize("views", [subset(180, 16), subset(180, 32),
                                    (0, 3, 7, 50, 51, 179)])
 @pytest.mark.parametrize("beam", ["parallel", "fan"])
@@ -180,12 +191,75 @@ def test_view_subset_matrix_is_full_matrix_rows(beam, views):
     rows = (np.asarray(views)[:, None] * full.n_det
             + np.arange(full.n_det)).reshape(-1)
     for tables in (geo._ray_tables, geo._pixel_tables):
-        want = geo._scan_matrix(tables, full, 64, 64)[0][rows]
-        got = geo._scan_matrix(tables, sub, 64, 64)[0]
-        for name in ("indptr", "indices", "data"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
+        assert_same_csr(geo._scan_matrix(tables, sub, 64, 64)[0],
+                        geo._scan_matrix(tables, full, 64, 64)[0][rows])
+
+
+def vstack_scan_matrix(tables, geometry, h, w):
+    """The earlier assembly of ``_scan_matrix``: one CSR block per view,
+    all kept, then copied by ``sparse.vstack``. The reference that the
+    in-place assembly must match byte for byte."""
+    blocks = []
+    for det, pix, wts in tables(geometry, h, w):
+        keep = wts != 0.0
+        coords = (det[keep].astype(np.int32), pix[keep].astype(np.int32))
+        blocks.append(sparse.csr_array((wts[keep], coords),
+                                       shape=(geometry.n_det, h * w)))
+    return sparse.vstack(blocks, format="csr")
+
+
+def fresh(tables, empty=()):
+    """``tables`` as a new function, so ``_scan_matrix`` builds anew for
+    it, with every weight zero (no kept entry) in the views at the
+    positions in ``empty``."""
+    def wrapped(geometry, h, w):
+        for k, (det, pix, wts) in enumerate(tables(geometry, h, w)):
+            yield det, pix, np.zeros_like(wts) if k in empty else wts
+    return wrapped
+
+
+@pytest.mark.parametrize("views", [None, subset(180, 16), subset(180, 32),
+                                   (0, 3, 7, 50, 51, 179)])
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_scan_matrix_equals_the_vstack_assembly(beam, views):
+    g = geo.desk_geometry(beam, view_subset=views)
+    for tables in (geo._ray_tables, geo._pixel_tables):
+        assert_same_csr(geo._scan_matrix(tables, g, 64, 64)[0],
+                        vstack_scan_matrix(tables, g, 64, 64))
+
+
+@pytest.mark.parametrize("empty", [(0, 7, 15), tuple(range(16))])
+def test_views_without_entries_leave_empty_rows(empty):
+    g = geo.desk_geometry("fan", view_subset=subset(180, 16))
+    for tables in (geo._ray_tables, geo._pixel_tables):
+        got = geo._scan_matrix(fresh(tables, empty), g, 64, 64)[0]
+        assert_same_csr(got, vstack_scan_matrix(fresh(tables, empty),
+                                                g, 64, 64))
+        per_row = np.diff(got.indptr).reshape(g.n_views, g.n_det)
+        kept = [k for k in range(g.n_views) if k not in empty]
+        assert not per_row[list(empty)].any()
+        assert (per_row[kept].sum(axis=1) > 0).all()
+        # the other views keep their rows of the real matrix
+        rows = (np.asarray(kept, dtype=int)[:, None] * g.n_det
+                + np.arange(g.n_det)).reshape(-1)
+        assert_same_csr(got[rows],
+                        geo._scan_matrix(tables, g, 64, 64)[0][rows])
+
+
+@pytest.mark.parametrize("tables", [geo._ray_tables, geo._pixel_tables])
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_full_view_build_peaks_near_the_matrix_size(beam, tables):
+    # the vstack assembly peaked at 2.02–2.08 times the matrix
+    g = geo.desk_geometry(beam)
+    tracemalloc.start()
+    try:
+        matrix, _ = geo._scan_matrix(fresh(tables), g, 64, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert matrix.nnz > 1_000_000
+    assert peak <= 1.6 * nbytes
 
 
 def test_zero_sinogram_backprojects_to_zero():
@@ -411,8 +485,11 @@ class TestGeometryValidation:
             geo.Geometry(view_subset=(0, 200))
 
     def test_coverage_warning(self):
-        with pytest.warns(UserWarning, match="coverage"):
+        with pytest.warns(UserWarning, match="coverage") as record:
             geo.Geometry(n_det=16, det_spacing_mm=2.0)
+        # it names the line that built the geometry, not the generated
+        # __init__ ("<string>")
+        assert [w.filename for w in record] == [__file__]
 
     def test_non_finite_rejected(self):
         with pytest.raises(GeometryError, match="finite"):

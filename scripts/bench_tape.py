@@ -13,20 +13,22 @@ sides alternate which goes first:
     views, d = 48, T = 6) at seed ``PROFILE_SEED`` runs two warm-up steps
     and times three more. Then one step's forward pass runs under
     ``autodiff.profile``, and ``tape_bytes`` walks its tape from the loss,
-    from outside: the node count and, per op, the bytes of the nodes'
-    outputs and of the arrays their backward closures reference. The walk
-    reads only ``Tensor.node`` and the closures, so it measures any
-    commit. Where the profile reports ``kept_bytes`` (the change), those
-    are given per op as well, with the profile's cost when off.
+    from outside: the node count and, per op, the bytes of the arrays the
+    nodes' backward closures reference and of the input arrays the nodes
+    hold. The walk reads only each entry's ``.node``, its ``.data`` where
+    it has one, and the closures, so it measures any commit. The profile's
+    ``kept_bytes`` are given per op as well, with the profile's cost when
+    off. Last, ``traced_tape_bytes`` is what ``tracemalloc`` sees allocated
+    and still held at the end of one more forward pass, with only the
+    loss held.
   - ``train_steps``: ``train_unrolled`` for 1 and for 3 steps on a
     parallel 16-of-180-view scan with n_det = 1.5 n, T = 6, k = 2 and
     codec width 32, at each (n, d) of ``STEP_SIZES``: ``ru_maxrss`` before
     the first step and at the end, seconds per step, and each step's loss
     (bit patterns, to compare the sides). Desk scale runs ``--rounds``
     times per side (each figure is the median), 128² once.
-  - ``paper_step``: the same at 256², d = 96, for ``PAPER_STEPS`` steps, on
-    the change side only: by the earlier extrapolation the parent's two
-    tapes need about 8 GB, more than the 7 GB host.
+  - ``paper_step``: the same at 256², d = 96, for ``PAPER_STEPS`` steps,
+    once per side.
 
 Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed
 with the pair runner of ``bench_kernels.py``. ``--pairs ''`` skips this
@@ -39,6 +41,8 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +63,18 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scope(fn) -> str:
+    """The qualified name of the function that defined fn."""
+    return fn.__qualname__.rpartition(".<locals>.")[0]
+
+
 def _closure_arrays(ad, fn):
     """The arrays fn references through its closure cells and defaults,
-    and through the Tensors, tuples and lists among them."""
-    values = [cell.cell_contents for cell in fn.__closure__ or ()]
-    values += fn.__defaults__ or ()
+    through the Tensors, tuples and lists among them, and through the
+    helpers defined beside it (conv2d's ``weight_columns``). Functions
+    defined elsewhere (a linear operator's maps) are not followed."""
+    scope, seen = _scope(fn), set()
+    values = [fn]
     while values:
         v = values.pop()
         if isinstance(v, ad.Tensor):
@@ -72,39 +83,46 @@ def _closure_arrays(ad, fn):
             values.extend(v)
         elif isinstance(v, np.ndarray):
             yield v
+        elif (isinstance(v, types.FunctionType) and id(v) not in seen
+              and _scope(v) == scope):
+            seen.add(id(v))
+            values += [cell.cell_contents for cell in v.__closure__ or ()]
+            values += v.__defaults__ or ()
 
 
 def tape_bytes(ad, loss) -> dict:
-    """The memory the tape recorded up to ``loss`` holds, per op: each
-    node's output and the arrays its backward closure references. Each
-    buffer counts once, for the oldest node that holds it; leaves' data
-    (weights, constants) is not counted."""
-    found, seen, counted = [], set(), set()
+    """The memory the tape recorded up to ``loss`` holds, per op: the arrays
+    each node's backward closure references, then the data of any entry of
+    its ``inputs`` that has one (an input Tensor, where a node holds those).
+    Each buffer counts once, for the oldest node that holds it; leaves'
+    data (weights, constants) is not counted, nor is ``loss`` itself. The
+    walk follows each input entry's ``.node``, so it reads a tape of input
+    Tensors and one of links to the producing nodes alike."""
+    nodes, counted = {}, set()
     stack = [loss]
     while stack:
-        t = stack.pop()
-        if t.node is None:
-            counted.add(id(_owner(t.data)))  # a leaf's: not the tape's
-        elif id(t.node) not in seen:
-            seen.add(id(t.node))
-            found.append(t)
-            stack.extend(t.node.inputs)
-    found.sort(key=lambda t: t.node.seq)
+        entry = stack.pop()
+        if entry.node is None:
+            counted.add(id(_owner(entry.data)))  # a leaf's: not the tape's
+        elif id(entry.node) not in nodes:
+            nodes[id(entry.node)] = entry.node
+            stack.extend(entry.node.inputs)
     per_op = collections.defaultdict(
-        lambda: {"nodes": 0, "output_bytes": 0, "closure_bytes": 0})
-    for t in found:
-        entry = per_op[t.node.op]
+        lambda: {"nodes": 0, "closure_bytes": 0, "input_bytes": 0})
+    for node in sorted(nodes.values(), key=lambda node: node.seq):
+        entry = per_op[node.op]
         entry["nodes"] += 1
-        for key, arrays in (("output_bytes", [t.data]),
-                            ("closure_bytes",
-                             _closure_arrays(ad, t.node.backward_fn))):
+        for key, arrays in (
+                ("closure_bytes", _closure_arrays(ad, node.backward_fn)),
+                ("input_bytes", [i.data for i in node.inputs
+                                 if getattr(i, "data", None) is not None])):
             for a in arrays:
                 buf = _owner(a)
                 if id(buf) not in counted:
                     counted.add(id(buf))
                     entry[key] += buf.nbytes
-    return {"nodes": len(found),
-            "total_bytes": sum(e["output_bytes"] + e["closure_bytes"]
+    return {"nodes": len(nodes),
+            "total_bytes": sum(e["closure_bytes"] + e["input_bytes"]
                                for e in per_op.values()),
             "per_op": dict(sorted(per_op.items()))}
 
@@ -125,14 +143,23 @@ def tape_side(checkout: Path, scale: str = "DESK") -> dict:
     step_ms = statistics.median(times)
     item = wl._item(5)
     n = scale.size
-    with ad.profile() as prof:
+
+    def forward():
         x = q.unroll.unrolled_forward(item.sino, wl.geometry, wl.model, n, n)
-        loss = q.train.mse_loss(x, item.truth)
+        return q.train.mse_loss(x, item.truth)
+
+    with ad.profile() as prof:
+        loss = forward()
         walk = tape_bytes(ad, loss)
         loss.backward()
     kept = {op: entry["kept_bytes"] for op, entry in sorted(prof.stats.items())
             if "kept_bytes" in entry}
+    tracemalloc.start()
+    loss = forward()
+    traced = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
     return {"env": run.environment(), "step_ms": step_ms, "walk": walk,
+            "traced_tape_bytes": traced,
             "profile_kept_bytes": kept or None,
             "profile_off_cost": profile_off_cost(ad, prof.stats, step_ms)}
 
@@ -179,6 +206,21 @@ def measure(checkout: Path, case: str) -> dict:
             **train_steps(q, *map(int, case.split()))}
 
 
+def step_row(parent: Path, change: Path, case: str, rounds: int) -> dict:
+    """``train_steps`` for ``case`` ("n d steps") on both sides: each
+    figure the median of ``rounds``, and whether the losses agree."""
+    runs = alternate(parent, change, rounds,
+                     lambda checkout: child(__file__, "--measure-side",
+                                            checkout, "--case", case))
+    row = {side: medians(rs) for side, rs in runs.items()}
+    row["same_losses"] = row["parent"]["losses"] == row["change"]["losses"]
+    print(f"{case}: " + ", ".join(
+        f"{side} {row[side]['peak_rss_mb']:.0f} MB "
+        f"{row[side]['s_per_step']:.2f} s/step"
+        for side in ("parent", "change")), file=sys.stderr)
+    return row
+
+
 def report(parent: Path, change: Path, rounds: int) -> dict:
     out = {"rounds": rounds}
     runs = alternate(parent, change, 1,
@@ -187,27 +229,12 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
     out["tape"] = {side: rs[0] for side, rs in runs.items()}
     out["env"] = out["tape"]["change"].pop("env")
     out["tape"]["parent"].pop("env")
-    out["train_steps"] = {}
-    for n, d in STEP_SIZES:
-        for steps in STEP_COUNTS:
-            case = f"{n} {d} {steps}"
-            runs = alternate(parent, change, rounds if n == 64 else 1,
-                             lambda checkout: child(
-                                 __file__, "--measure-side", checkout,
-                                 "--case", case))
-            row = {side: medians(rs) for side, rs in runs.items()}
-            row["same_losses"] = \
-                row["parent"]["losses"] == row["change"]["losses"]
-            out["train_steps"][f"{n}² d={d} steps={steps}"] = row
-            print(f"{case}: " + ", ".join(
-                f"{side} {row[side]['peak_rss_mb']:.0f} MB "
-                f"{row[side]['s_per_step']:.2f} s/step"
-                for side in ("parent", "change")), file=sys.stderr)
+    out["train_steps"] = {
+        f"{n}² d={d} steps={steps}": step_row(
+            parent, change, f"{n} {d} {steps}", rounds if n == 64 else 1)
+        for n, d in STEP_SIZES for steps in STEP_COUNTS}
     n, d = PAPER_SIZE
-    paper = child(__file__, "--measure-side", change, "--case",
-                  f"{n} {d} {PAPER_STEPS}")
-    paper.pop("env")
-    out["paper_step"] = {"change": paper}
+    out["paper_step"] = step_row(parent, change, f"{n} {d} {PAPER_STEPS}", 1)
     return out
 
 

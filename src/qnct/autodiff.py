@@ -1,9 +1,9 @@
 """Dense n-dimensional arrays with reverse-mode automatic differentiation.
 
-The engine is a classic tape: every primitive records an ``OpNode`` holding
-its inputs and a backward closure, and ``backward`` replays the recorded
-nodes in exact reverse execution order (a valid reverse topological order,
-and a deterministic one). Arrays are contiguous row-major numpy buffers,
+The engine is a classic tape: every primitive records an ``OpNode`` linking
+to its inputs' nodes and holding a backward closure, and ``backward``
+replays the recorded nodes in exact reverse execution order (a valid
+reverse topological order, and a deterministic one). Arrays are contiguous row-major numpy buffers,
 float32 by default with float64 available for finite-difference work.
 
 Conventions:
@@ -22,8 +22,8 @@ Conventions:
         reshape and transpose of x, and the input gradient the inverse
         transpose of Wᵀ g;
     gW is one GEMM over the batch with the compact (c*kh*kw, n*oh*ow)
-    columns, rebuilt tap by tap from x (an input the node already holds):
-    the tape keeps no column matrix;
+    columns, rebuilt tap by tap from x (an input the closure already
+    reads): the tape keeps no column matrix;
     conv_transpose2d is the same GEMM with the roles of x and g swapped;
   - a primitive returns outputs and gradients in its inputs' dtype and
     computes in it: float32 work stays float32, float64 (grad_check) stays
@@ -34,13 +34,22 @@ Conventions:
     requires explicit reshape/permute;
   - only leaf tensors with ``requires_grad`` receive a ``.grad`` buffer, and
     grads accumulate across backward calls until ``zero_grad``;
+  - a node keeps links, not arrays: ``OpNode.inputs`` holds an ``Edge``
+    (just the producing node) for an input another node made, and the
+    Tensor itself for a leaf (a weight or a constant the caller holds). An
+    activation lives on only while a backward closure reads it: conv2d,
+    conv_transpose2d, linear, gelu, prelu, mul and sum_of_squares read
+    their inputs; a closure that needs only a shape or a dtype captures
+    that value, so the inputs of add, sub, concat, permute, reshape, mean,
+    the norms, maxpool2d and linear operators are freed as soon as the
+    forward drops them;
   - a backward closure keeps only what it cannot rebuild for less than a
     GEMM: prelu rebuilds its per-element slopes from x and the slopes;
   - ``backward`` releases each node right after replaying it (its closure
-    and its inputs), so the tape's memory returns while backward runs. A
-    graph supports one backward: a second one through a released node
-    raises ``GraphReleasedError``; rebuild the graph to differentiate it
-    again.
+    and its input links), so the tape's memory returns while backward
+    runs. A graph supports one backward: a second one through a released
+    node raises ``GraphReleasedError``; rebuild the graph to differentiate
+    it again.
 """
 
 from __future__ import annotations
@@ -89,8 +98,9 @@ class profile:
     entry to its ``_result``; backward time is the op's backward closure in
     the replay of ``backward``. ``kept_bytes`` sums, over the op's recorded
     nodes, the arrays its backward closure references that are neither its
-    inputs' data nor its output (``_kept_bytes``): what the tape holds
-    for this op beyond the activations. Off by default; when off, each
+    inputs' data nor its output (``_kept_bytes``): what the tape holds for
+    this op beyond the activations its closure reads (a node holds no
+    input array of its own). Off by default; when off, each
     primitive call pays a wrapper call and two thread-local lookups (under
     1 us).
 
@@ -152,7 +162,12 @@ def _next_seq():
 
 
 class OpNode:
-    """One recorded primitive: inputs, backward closure, execution index."""
+    """One recorded primitive: links to its inputs, backward closure,
+    execution index.
+
+    ``inputs`` holds, per input, an ``Edge`` to the node that made it, or
+    the input itself when it is a leaf (a weight or a constant). Either way
+    the entry's ``.node`` is the producing node, or None for a leaf."""
 
     __slots__ = ("op", "inputs", "backward_fn", "seq")
 
@@ -161,6 +176,16 @@ class OpNode:
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.seq = _next_seq()
+
+
+class Edge:
+    """The link from a node to an input another node made: that node only,
+    not the input's array, which lives on only if a closure reads it."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node):
+        self.node = node
 
 
 class Tensor:
@@ -214,7 +239,8 @@ def _result(op, out, inputs, backward_fn):
     t = Tensor(out)
     if _grad_enabled() and any(i.requires_grad for i in inputs):
         t.requires_grad = True
-        t.node = OpNode(op, inputs, backward_fn)
+        t.node = OpNode(op, tuple(i if i.node is None else Edge(i.node)
+                                  for i in inputs), backward_fn)
     prof = _profiler()
     if prof is not None:
         entry = prof.stats[op]
@@ -269,37 +295,35 @@ def backward(out: Tensor):
                 out.grad = np.zeros_like(out.data)
             out.grad += np.ones_like(out.data)
         return
-    # Walk back from `out` to collect each recorded node's output tensor,
-    # then replay newest-first: the exact reverse of execution order, which
-    # keeps every reduction deterministic.
+    # Walk back from `out` to collect the recorded nodes, then replay
+    # newest-first: the exact reverse of execution order, which keeps every
+    # reduction deterministic.
     seen = set()
     ordered = []
-    stack = [out]
+    stack = [out.node]
     while stack:
-        t = stack.pop()
-        node = t.node
-        if node is None or id(node) in seen:
+        node = stack.pop()
+        if node in seen:
             continue
         if node.backward_fn is None:
             raise GraphReleasedError(
                 f"backward: the {node.op} node was released by an earlier "
                 "backward; rebuild the graph to differentiate it again")
-        seen.add(id(node))
-        ordered.append(t)
-        stack.extend(node.inputs)
-    ordered.sort(key=lambda t: t.node.seq)
+        seen.add(node)
+        ordered.append(node)
+        stack.extend(i.node for i in node.inputs if i.node is not None)
+    ordered.sort(key=lambda node: node.seq)
 
-    grads = {id(out): np.ones_like(out.data)}
+    grads = {out.node: np.ones_like(out.data)}
     prof = _profiler()
     while ordered:
-        # popping drops this function's reference to t; releasing the node
-        # drops the tape's, so t's output and the arrays its closure kept
-        # return once nothing outside the graph holds them
-        t = ordered.pop()
-        node = t.node
+        # popping and releasing the node drops the tape's hold on its
+        # closure: the arrays only it read return once nothing outside the
+        # graph holds them
+        node = ordered.pop()
         backward_fn, inputs = node.backward_fn, node.inputs
         node.backward_fn, node.inputs = None, ()
-        g = grads.pop(id(t), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if prof is None:
@@ -317,12 +341,10 @@ def backward(out: Tensor):
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += ig
+            elif inp.node in grads:
+                grads[inp.node] = grads[inp.node] + ig
             else:
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + ig
-                else:
-                    grads[key] = ig
+                grads[inp.node] = ig
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +622,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
     else:
         xp = x.data
     hp, wp = xp.shape[2:]
+    dtype = x.dtype
 
     def tap(a, idx):
         ki, kj = divmod(idx, kernel)
@@ -621,13 +644,13 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
         if stride == kernel:
             # the windows tile the padded input: each tap writes its own
             # (oh, ow) lattice of a (n, c, oh, k, ow, k) view, once
-            gxp = np.empty((n, c, oh, kernel, ow, kernel), dtype=x.dtype)
+            gxp = np.empty((n, c, oh, kernel, ow, kernel), dtype=dtype)
             for idx in range(kernel * kernel):
                 ki, kj = divmod(idx, kernel)
                 np.multiply(g, arg == idx, out=gxp[:, :, :, ki, :, kj])
             gxp = gxp.reshape(n, c, hp, wp)
         else:
-            gxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+            gxp = np.zeros((n, c, hp, wp), dtype=dtype)
             for idx in range(kernel * kernel):
                 gtap = tap(gxp, idx)
                 gtap += g * (arg == idx)
@@ -724,14 +747,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat, inv_std = _normalize(x.data, d, eps)
     out = xhat * gamma.data
     out += beta.data
+    shape = x.shape
 
     def bw(g):
         g = g.reshape(-1, d)
         ggamma = (g * xhat).sum(axis=0)
         gx = _norm_backward(g * gamma.data, xhat, inv_std)
-        return gx.reshape(x.shape), ggamma, g.sum(axis=0)
+        return gx.reshape(shape), ggamma, g.sum(axis=0)
 
-    return _result("layer_norm", out.reshape(x.shape), (x, gamma, beta), bw)
+    return _result("layer_norm", out.reshape(shape), (x, gamma, beta), bw)
 
 
 @_primitive
@@ -756,18 +780,18 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
         gx = _norm_backward(
             (g * gamma.data[None, :, None, None]).reshape(-1, h * wd),
             xhat.reshape(-1, h * wd), inv_std)
-        return gx.reshape(x.shape), ggamma, gbeta
+        return gx.reshape(n, c, h, wd), ggamma, gbeta
 
     return _result("instance_norm", out, (x, gamma, beta), bw)
 
 
 @_primitive
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, in_shape = tuple(shape), x.shape
     if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"reshape: {x.shape} -> {shape}")
+        raise ShapeError(f"reshape: {in_shape} -> {shape}")
     return _result(
-        "reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),)
+        "reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),)
     )
 
 
@@ -809,12 +833,12 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 @_primitive
 def mean(x: Tensor) -> Tensor:
-    n = x.size
+    n, shape, dtype = x.size, x.shape, x.dtype
     return _result(
         "mean",
-        np.asarray(x.data.mean(), dtype=x.dtype),
+        np.asarray(x.data.mean(), dtype=dtype),
         (x,),
-        lambda g: (np.full(x.shape, g / n, dtype=x.dtype),),
+        lambda g: (np.full(shape, g / n, dtype=dtype),),
     )
 
 
@@ -835,8 +859,9 @@ def linear_operator(x: Tensor, fwd, adj, name: str = "linear_operator") -> Tenso
     ``fwd`` and ``adj`` are numpy functions; the op is differentiable with
     backward g -> adj(g). The caller guarantees adj is the exact transpose.
     """
-    out = np.asarray(fwd(x.data), dtype=x.dtype)
-    return _result(name, out, (x,), lambda g: (np.asarray(adj(g), dtype=x.dtype),))
+    dtype = x.dtype
+    out = np.asarray(fwd(x.data), dtype=dtype)
+    return _result(name, out, (x,), lambda g: (np.asarray(adj(g), dtype=dtype),))
 
 
 # ---------------------------------------------------------------------------

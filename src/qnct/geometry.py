@@ -67,6 +67,18 @@ class Geometry:
             raise GeometryError("sad_mm/add_mm are fan-beam fields")
         if self.n_views_full < 1 or self.n_det < 1:
             raise GeometryError("n_views_full and n_det must be positive")
+        sizes = ("det_spacing_mm", "image_extent_mm")
+        if self.beam == FAN:
+            sizes += ("sad_mm", "add_mm")
+        for name in sizes:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise GeometryError(f"{name} must be finite and > 0, got {value}")
+        start, end = self.angular_range
+        if not (np.isfinite(start) and np.isfinite(end) and end > start):
+            raise GeometryError(
+                f"angular_range must be finite with end > start, got "
+                f"({start}, {end})")
         subset = self.view_subset
         if subset is None:
             subset = range(self.n_views_full)
@@ -527,13 +539,18 @@ def simulate_measurement(sino: Sinogram, poisson_intensity: float,
     converted back and unscaled; then zero-mean Gaussian noise with
     sigma = gaussian_frac * mean(|y|) is added.
     """
+    for name, level in (("poisson_intensity", poisson_intensity),
+                        ("gaussian_frac", gaussian_frac)):
+        if not (np.isfinite(level) and level >= 0):
+            raise GeometryError(f"{name} must be finite and >= 0, got {level}")
+    if not (np.isfinite(attenuation_cap) and attenuation_cap > 0):
+        raise GeometryError(
+            f"attenuation_cap must be finite and > 0, got {attenuation_cap}")
     y = np.asarray(sino.values, dtype=np.float64)
     if np.any(y < 0):
         warnings.warn("negative line integrals clamped to zero before noise",
                       stacklevel=2)
         y = np.maximum(y, 0.0)
-    if poisson_intensity < 0:
-        raise GeometryError("poisson_intensity must be >= 0")
     rng = substream(seed, "noise")
     out = y.copy()
     ymax = float(y.max())

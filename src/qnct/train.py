@@ -43,8 +43,11 @@ class TrainConfig:
         if self.max_steps is not None and self.max_steps < 1:
             raise ShapeError(
                 f"max_steps must be >= 1 (or None), got {self.max_steps}")
-        if self.lr <= 0:
-            raise ShapeError("lr must be > 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ShapeError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ShapeError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.lr_decay_factor <= 1.0:
             raise ShapeError("lr decay factor must be in [0, 1]")
 

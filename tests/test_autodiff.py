@@ -370,6 +370,48 @@ def test_backward_frees_intermediate_outputs():
     assert x.grad is not None and w.grad is not None
 
 
+def _pinned_graph(params):
+    """conv2d -> instance_norm -> prelu -> maxpool2d -> concat -> layer_norm
+    -> permute -> add -> mean. Returns the loss and the arrays of the
+    intermediates no backward closure reads; only prelu's input (the
+    instance_norm output) is read by a closure."""
+    x, w, b, gamma, beta, slopes, g2, b2, c = params
+    h1 = ad.conv2d(x, w, b, padding=1)
+    h2 = ad.instance_norm(h1, gamma, beta)
+    h3 = ad.prelu(h2, slopes)
+    h4 = ad.maxpool2d(h3, 2)
+    h5 = ad.concat([h4, h4], axis=1)
+    h6 = ad.layer_norm(h5, g2, b2)
+    h7 = ad.permute(h6, (0, 2, 3, 1))
+    h8 = ad.add(h7, c)
+    return ad.mean(h8), [h.data for h in (h1, h3, h4, h5, h6, h7, h8)]
+
+
+def test_tape_frees_inputs_no_closure_reads_with_identical_gradients():
+    def params():
+        rng = np.random.default_rng(8)
+        shapes = ((1, 2, 8, 8), (3, 2, 3, 3), (3,), (3,), (3,), (3,), (4,),
+                  (4,), (1, 4, 4, 6))
+        return [Tensor(rng.normal(size=s).astype(np.float32),
+                       requires_grad=True) for s in shapes]
+
+    held = params()
+    loss, arrays = _pinned_graph(held)
+    loss.backward()
+    del arrays
+
+    freed = params()
+    loss, arrays = _pinned_graph(freed)
+    refs = [weakref.ref(a) for a in arrays]
+    del arrays
+    assert loss.node is not None  # the graph is alive
+    assert all(ref() is None for ref in refs)
+    loss.backward()
+    for a, b in zip(held, freed):
+        assert a.grad.dtype == b.grad.dtype == np.float32
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
 def test_second_backward_through_a_released_graph_raises():
     x = t64([1.0, -2.0, 0.5])
     out = ad.sum_of_squares(ad.gelu(x))

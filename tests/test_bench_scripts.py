@@ -139,24 +139,29 @@ def bench_tape(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def test_tape_walk_counts_outputs_and_what_closures_keep(bench_tape):
+def test_tape_walk_counts_what_closures_and_input_entries_hold(bench_tape):
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    loss = ad.mean(ad.gelu(ad.conv2d(x, w, padding=1)))
+    loss = ad.mean(ad.gelu(ad.conv2d(ad.gelu(x), w, padding=1)))
     walk = bench_tape.tape_bytes(ad, loss)
-    plane = 3 * 8 * 8 * 8  # one float64 (1, 3, 8, 8) array
-    assert walk["nodes"] == 3
-    assert walk["per_op"]["conv2d"] == {"nodes": 1, "output_bytes": plane,
-                                        "closure_bytes": 0}
-    assert walk["per_op"]["gelu"] == {"nodes": 1, "output_bytes": plane,
-                                      "closure_bytes": plane}  # its cdf
-    assert walk["total_bytes"] == 3 * plane + loss.data.nbytes
+    plane_in, plane = 2 * 8 * 8 * 8, 3 * 8 * 8 * 8  # float64 (1, c, 8, 8)
+    assert walk["nodes"] == 4
+    # the first gelu keeps its cdf (x is a leaf); conv2d keeps the gelu
+    # output its weight_columns helper reads; the second gelu keeps its
+    # input and its cdf; mean keeps only a shape
+    assert walk["per_op"] == {
+        "conv2d": {"nodes": 1, "closure_bytes": plane_in, "input_bytes": 0},
+        "gelu": {"nodes": 2, "closure_bytes": plane_in + 2 * plane,
+                 "input_bytes": 0},
+        "mean": {"nodes": 1, "closure_bytes": 0, "input_bytes": 0}}
+    assert walk["total_bytes"] == 2 * plane_in + 2 * plane
 
 
 def test_tape_and_train_steps_at_tiny_scale(bench_tape):
     report = bench_tape.tape_side(ROOT, "TINY")
     assert report["walk"]["nodes"] > 0
+    assert report["traced_tape_bytes"] > 0
     kept = report["profile_kept_bytes"]
     assert kept["conv2d"] == 0 and kept["prelu"] == 0
     assert report["profile_off_cost"]["calls_per_step"] > 0

@@ -287,9 +287,14 @@ def test_train_with_empty_layers_is_one_error_line(workspace, capsys, key,
     (["train", "--phantoms", "0"], "ConfigError", "run/loss.csv"),
     (["train", "--epochs", "-1"], "ShapeError", "run/loss.csv"),
     (["train", "--steps", "-3"], "ShapeError", "run/loss.csv"),
+    (["train", "--lr", "nan"], "ShapeError", "run/loss.csv"),
+    (["train", "--lr", "inf"], "ShapeError", "run/loss.csv"),
+    (["train", "--weight-decay", "nan"], "ShapeError", "run/loss.csv"),
+    (["train", "--weight-decay", "-1"], "ShapeError", "run/loss.csv"),
     (["ood", "--count", "0"], "ConfigError", "ood/ood.csv"),
     (["phantom", "--size", "-4"], "ConfigError", "p.tomo"),
-], ids=["phantoms", "epochs", "steps", "count", "size"])
+], ids=["phantoms", "epochs", "steps", "lr-nan", "lr-inf", "decay-nan",
+        "decay-negative", "count", "size"])
 def test_bad_count_or_size_is_one_error_line(workspace, capsys, argv, kind,
                                              output):
     command, *bad = argv
@@ -300,6 +305,34 @@ def test_bad_count_or_size_is_one_error_line(workspace, capsys, argv, kind,
     assert run([command, *setup, *bad]) == 1
     one_error_line(capsys, kind)
     assert not (workspace / output).exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["project", "--det-spacing", "nan"], "det_spacing_mm"),
+    (["project", "--extent", "nan"], "image_extent_mm"),
+    (["project", "--extent", "0"], "image_extent_mm"),
+    (["project", "--angular-end", "nan"], "angular_range"),
+    (["project", "--angular-end", "0"], "angular_range"),
+    (["project", "--beam", "fan", "--sad", "inf", "--add", "100"], "sad_mm"),
+    (["noise", "--poisson", "nan"], "poisson_intensity"),
+    (["noise", "--gauss-frac", "nan"], "gaussian_frac"),
+    (["noise", "--gauss-frac", "-1"], "gaussian_frac"),
+    (["noise", "--poisson", "1e6", "--cap", "nan"], "attenuation_cap"),
+    (["noise", "--poisson", "1e6", "--cap", "0"], "attenuation_cap"),
+], ids=["spacing-nan", "extent-nan", "extent-zero", "end-nan", "end-zero",
+        "sad-inf", "poisson-nan", "gauss-nan", "gauss-negative", "cap-nan",
+        "cap-zero"])
+def test_bad_geometry_or_noise_value_is_one_error_line(workspace, capsys,
+                                                       argv, name):
+    sino = scan(workspace)
+    command, *flags = argv
+    source = {"project": ["--image", workspace / "ph.tomo"],
+              "noise": ["--sino", sino]}[command]
+    out = workspace / "out.tomo"
+    capsys.readouterr()
+    assert run([command, *source, "--out", out, *flags]) == 1
+    assert name in one_error_line(capsys, "GeometryError")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,kind", [

@@ -462,6 +462,21 @@ class TestSimulateMeasurement:
         err_high = np.mean((high.values - y.values) ** 2)
         assert 0.0 < err_low < err_high
 
+    @pytest.mark.parametrize("levels,name", [
+        ((np.nan, 0.0, 4.0), "poisson_intensity"),
+        ((-1.0, 0.0, 4.0), "poisson_intensity"),
+        ((0.0, np.nan, 4.0), "gaussian_frac"),
+        ((0.0, -1.0, 4.0), "gaussian_frac"),
+        ((1e6, 0.0, np.nan), "attenuation_cap"),
+        ((1e6, 0.0, np.inf), "attenuation_cap"),
+        ((0.0, 0.0, 0.0), "attenuation_cap"),
+    ])
+    def test_bad_noise_levels_are_refused(self, levels, name):
+        poisson, gauss, cap = levels
+        with pytest.raises(GeometryError, match=name):
+            geo.simulate_measurement(self.make(), poisson, gauss, seed=0,
+                                     attenuation_cap=cap)
+
     def test_negative_values_clamped_with_warning(self):
         y = geo.Sinogram(np.array([[-1.0, 2.0]], dtype=np.float32))
         with pytest.warns(UserWarning, match="clamped"):
@@ -483,6 +498,24 @@ class TestGeometryValidation:
             geo.Geometry(view_subset=(3, 2))
         with pytest.raises(GeometryError):
             geo.Geometry(view_subset=(0, 200))
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"det_spacing_mm": np.nan}, "det_spacing_mm"),
+        ({"det_spacing_mm": -2.0}, "det_spacing_mm"),
+        ({"image_extent_mm": np.nan}, "image_extent_mm"),
+        ({"image_extent_mm": 0.0}, "image_extent_mm"),
+        ({"image_extent_mm": np.inf}, "image_extent_mm"),
+        ({"beam": "fan", "sad_mm": 0.0, "add_mm": 100.0}, "sad_mm"),
+        ({"beam": "fan", "sad_mm": 500.0, "add_mm": np.nan}, "add_mm"),
+        ({"angular_range": (0.0, np.nan)}, "angular_range"),
+        ({"angular_range": (-np.inf, 0.0)}, "angular_range"),
+        ({"angular_range": (1.0, 1.0)}, "angular_range"),
+        ({"angular_range": (np.pi, 0.0)}, "angular_range"),
+    ])
+    def test_sizes_and_angular_range_must_be_finite_and_positive(
+            self, fields, name):
+        with pytest.raises(GeometryError, match=name):
+            geo.Geometry(**fields)
 
     def test_coverage_warning(self):
         with pytest.warns(UserWarning, match="coverage") as record:

@@ -81,6 +81,13 @@ class TestAdamW:
     def test_config_validation(self):
         with pytest.raises(ShapeError):
             tr.TrainConfig(lr=0.0)
+        for lr in (np.nan, np.inf):
+            with pytest.raises(ShapeError, match="lr"):
+                tr.TrainConfig(lr=lr)
+        for decay in (np.nan, np.inf, -0.1):
+            with pytest.raises(ShapeError, match="weight_decay"):
+                tr.TrainConfig(weight_decay=decay)
+        assert tr.TrainConfig(weight_decay=0.0).weight_decay == 0.0
         with pytest.raises(ShapeError):
             tr.TrainConfig(lr_decay_factor=1.5)
         with pytest.raises(ShapeError, match="epochs"):

@@ -11,7 +11,10 @@ sides alternate which goes first:
 
   - ``tape``: the perfbench ``train`` recipe (64², 16 of 180 parallel
     views, d = 48, T = 6) at seed ``PROFILE_SEED`` runs two warm-up steps
-    and times three more. Then one step's forward pass runs under
+    and times three more, in ``--rounds`` processes per side. Their
+    median, per round, is ``step_ms_scale``: a scale for
+    ``profile_off_cost``, not a comparison of the sides (perfbench
+    ``train`` pairs are that). Then one step's forward pass runs under
     ``autodiff.profile``, and ``tape_bytes`` walks its tape from the loss,
     from outside: the node count and, per op, the bytes of the arrays the
     nodes' backward closures reference and of the input arrays the nodes
@@ -20,7 +23,7 @@ sides alternate which goes first:
     ``kept_bytes`` are given per op as well, with the profile's cost when
     off. Last, ``traced_tape_bytes`` is what ``tracemalloc`` sees allocated
     and still held at the end of one more forward pass, with only the
-    loss held.
+    loss held. These figures are the first round's.
   - ``train_steps``: ``train_unrolled`` for 1 and for 3 steps on a
     parallel 16-of-180-view scan with n_det = 1.5 n, T = 6, k = 2 and
     codec width 32, at each (n, d) of ``STEP_SIZES``: ``ru_maxrss`` before
@@ -47,9 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_kernels import (PROFILE_SEED, _import_side, alternate, bench_parser,
-                           checkouts, child, medians, parse_args, peak_rss_mb,
-                           profile_off_cost, write_report)
+from bench_kernels import (PROFILE_SEED, _import_side, _quartiles, alternate,
+                           bench_parser, checkouts, child, medians, parse_args,
+                           peak_rss_mb, profile_off_cost, write_report)
 
 STEP_SIZES = ((64, 48), (128, 96))
 STEP_COUNTS = (1, 3)
@@ -164,6 +167,20 @@ def tape_side(checkout: Path, scale: str = "DESK") -> dict:
             "profile_off_cost": profile_off_cost(ad, prof.stats, step_ms)}
 
 
+def tape_rounds(rs: list) -> dict:
+    """One side's ``tape_side`` rounds: the first round's figures, and each
+    round's step time with the median and quartiles across rounds (the
+    median alone for one round)."""
+    out = {key: value for key, value in rs[0].items() if key != "step_ms"}
+    times = [r["step_ms"] for r in rs]
+    spread = _quartiles(times) if len(times) > 1 else {"median": times[0]}
+    out["step_ms_scale"] = {
+        "per_round": times, **spread,
+        "note": "one process's median of 3 steps per round: a scale for "
+                "profile_off_cost, not a comparison of the sides"}
+    return out
+
+
 def step_recipe(q, n: int, d: int):
     """Three noisy scans of seeded phantoms on a parallel 16-of-180-view
     geometry with n_det = 1.5 n, and a fresh T = 6, k = 2 model."""
@@ -223,10 +240,10 @@ def step_row(parent: Path, change: Path, case: str, rounds: int) -> dict:
 
 def report(parent: Path, change: Path, rounds: int) -> dict:
     out = {"rounds": rounds}
-    runs = alternate(parent, change, 1,
+    runs = alternate(parent, change, rounds,
                      lambda checkout: child(__file__, "--measure-side",
                                             checkout, "--case", "tape"))
-    out["tape"] = {side: rs[0] for side, rs in runs.items()}
+    out["tape"] = {side: tape_rounds(rs) for side, rs in runs.items()}
     out["env"] = out["tape"]["change"].pop("env")
     out["tape"]["parent"].pop("env")
     out["train_steps"] = {

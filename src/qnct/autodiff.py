@@ -38,13 +38,20 @@ Conventions:
     (just the producing node) for an input another node made, and the
     Tensor itself for a leaf (a weight or a constant the caller holds). An
     activation lives on only while a backward closure reads it: conv2d,
-    conv_transpose2d, linear, gelu, prelu, mul and sum_of_squares read
+    conv_transpose2d, linear, mlp, prelu, mul and sum_of_squares read
     their inputs; a closure that needs only a shape or a dtype captures
     that value, so the inputs of add, sub, concat, permute, reshape, mean,
     the norms, maxpool2d and linear operators are freed as soon as the
     forward drops them;
   - a backward closure keeps only what it cannot rebuild for less than a
-    GEMM: prelu rebuilds its per-element slopes from x and the slopes;
+    GEMM. Beyond the inputs they read, the ops keep:
+      * mlp (linear, exact GELU, linear as one node): the pre-activation u
+        and cdf(u); backward rebuilds the hidden output u cdf(u);
+      * layer_norm and instance_norm_prelu: xhat and 1 / std;
+        instance_norm_prelu rebuilds the PReLU's input xhat gamma + beta;
+      * maxpool2d: one tap index per output pixel;
+      * conv2d, conv_transpose2d and prelu: nothing; conv2d rebuilds its
+        columns from x, and prelu its per-element slopes from x;
   - ``backward`` releases each node right after replaying it (its closure
     and its input links), so the tape's memory returns while backward
     runs. A graph supports one backward: a second one through a released
@@ -61,7 +68,6 @@ import threading
 import time
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import CheckpointError, GraphReleasedError, ShapeError
 
@@ -660,25 +666,49 @@ def maxpool2d(x: Tensor, kernel: int, stride: int | None = None,
 
 
 @_primitive
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt 2))."""
-    xd = x.data
-    cdf = erf(xd * _INV_SQRT2)
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two affine maps on the last axis with an exact GELU between them:
+    y = gelu(x w1 + b1) w2 + b2, where gelu(u) = u cdf(u) and
+    cdf(u) = 0.5 (1 + erf(u / sqrt 2)).
+
+    The node keeps u = x w1 + b1 and cdf(u) (and reads x); backward rebuilds
+    the hidden output u cdf(u), the same product, for w2's gradient."""
+    # scipy.special costs ~0.1 s and ~6 MB to import: only a network needs it
+    from scipy.special import erf
+
+    _same_dtype("mlp", x, w1, b1, w2, b2)
+    if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or w2.shape[0] != w1.shape[1] or b1.shape != (w1.shape[1],)
+            or b2.shape != (w2.shape[1],)):
+        raise ShapeError(
+            f"mlp: input {x.shape}, weights {w1.shape} and {w2.shape}, "
+            f"biases {b1.shape} and {b2.shape}")
+    shape, d_out = x.shape, w2.shape[1]
+    x2 = x.data.reshape(-1, shape[-1])
+    pre = x2 @ w1.data
+    pre += b1.data
+    cdf = erf(pre * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-    out = xd * cdf
+    out = (pre * cdf) @ w2.data
+    out += b2.data
 
     def bw(g):
-        dy = xd * xd
+        g2 = g.reshape(-1, d_out)
+        gw2 = (pre * cdf).T @ g2
+        gb2 = g2.sum(axis=0)
+        dy = pre * pre
         dy *= -0.5
         np.exp(dy, out=dy)
         dy *= _INV_SQRT2PI
-        dy *= xd
-        dy += cdf  # d/dx x cdf(x) = cdf + x pdf
-        dy *= g
-        return (dy,)
+        dy *= pre
+        dy += cdf  # d/du u cdf(u) = cdf + u pdf
+        dy *= g2 @ w2.data.T
+        gx = (dy @ w1.data.T).reshape(shape)
+        return gx, x2.T @ dy, dy.sum(axis=0), gw2, gb2
 
-    return _result("gelu", out, (x,), bw)
+    return _result("mlp", out.reshape(*shape[:-1], d_out), (x, w1, b1, w2, b2),
+                   bw)
 
 
 def _prelu_scale(x, slopes):
@@ -759,30 +789,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 @_primitive
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each (sample, channel) plane of NCHW input, then affine."""
+def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """Normalize each (sample, channel) plane of NCHW input, apply the
+    affine y = xhat gamma + beta, then a channelwise PReLU of y.
+
+    The node keeps xhat and 1 / std; backward rebuilds y, the same
+    product and sum, for the PReLU terms."""
     if x.data.ndim != 4:
-        raise ShapeError(f"instance_norm: input {x.shape}")
+        raise ShapeError(f"instance_norm_prelu: input {x.shape}")
     n, c, h, wd = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
+    if gamma.shape != (c,) or beta.shape != (c,) or slopes.shape != (c,):
         raise ShapeError(
-            f"instance_norm: affine {gamma.shape}/{beta.shape} vs channels {c}"
-        )
-    _same_dtype("instance_norm", x, gamma, beta)
+            f"instance_norm_prelu: affine {gamma.shape}/{beta.shape}, slopes "
+            f"{slopes.shape} vs channels {c}")
+    _same_dtype("instance_norm_prelu", x, gamma, beta, slopes)
     xhat, inv_std = _normalize(x.data, h * wd, eps)
-    xhat = xhat.reshape(x.shape)
-    out = xhat * gamma.data[None, :, None, None]
-    out += beta.data[None, :, None, None]
+    xhat = xhat.reshape(n, c, h, wd)
+    gamma4 = gamma.data[None, :, None, None]
+    beta4 = beta.data[None, :, None, None]
+
+    def affine():
+        y = xhat * gamma4
+        y += beta4
+        return y
+
+    y = affine()
+    out = y * _prelu_scale(y, slopes.data)
+    del y
 
     def bw(g):
+        y = affine()
+        # a non-finite g where y > 0 times min(y, 0) = 0 makes its slope NaN
+        gslopes = np.einsum("nchw,nchw->c", g, np.minimum(y, 0.0))
+        g = g * _prelu_scale(y, slopes.data)
+        del y
         ggamma = np.einsum("nchw,nchw->c", g, xhat)
         gbeta = g.sum(axis=(0, 2, 3))
-        gx = _norm_backward(
-            (g * gamma.data[None, :, None, None]).reshape(-1, h * wd),
-            xhat.reshape(-1, h * wd), inv_std)
-        return gx.reshape(n, c, h, wd), ggamma, gbeta
+        gx = _norm_backward((g * gamma4).reshape(-1, h * wd),
+                            xhat.reshape(-1, h * wd), inv_std)
+        return gx.reshape(n, c, h, wd), ggamma, gbeta, gslopes
 
-    return _result("instance_norm", out, (x, gamma, beta), bw)
+    return _result("instance_norm_prelu", out, (x, gamma, beta, slopes), bw)
 
 
 @_primitive

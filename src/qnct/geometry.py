@@ -529,6 +529,11 @@ def subsample_views(sino: Sinogram, geometry: Geometry, n_v: int):
     return Sinogram(sino.values[list(keep)].copy()), sub_geometry
 
 
+# numpy's Generator.poisson refuses a rate above this
+_POISSON_RATE_MAX = (np.iinfo(np.int64).max
+                     - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def simulate_measurement(sino: Sinogram, poisson_intensity: float,
                          gaussian_frac: float, seed: int,
                          attenuation_cap: float = 4.0) -> Sinogram:
@@ -556,7 +561,13 @@ def simulate_measurement(sino: Sinogram, poisson_intensity: float,
     ymax = float(y.max())
     if poisson_intensity > 0 and ymax > 0:
         scale = attenuation_cap / ymax
-        counts = rng.poisson(poisson_intensity * np.exp(-y * scale))
+        rates = poisson_intensity * np.exp(-y * scale)
+        if rates.max() > _POISSON_RATE_MAX:
+            raise GeometryError(
+                f"poisson_intensity {poisson_intensity:g} gives a photon rate "
+                f"of {rates.max():.3g}, above the {_POISSON_RATE_MAX:.3g} the "
+                "Poisson sampler draws from")
+        counts = rng.poisson(rates)
         counts = np.maximum(counts, 1)
         out = -np.log(counts / poisson_intensity) / scale
     if gaussian_frac > 0:

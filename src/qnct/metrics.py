@@ -62,19 +62,31 @@ def _ssim_terms(x, y, data_range, taps):
     return luminance, cs
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-         kernel_size: int = SSIM_WINDOW, sigma: float = 1.5) -> float:
-    """Mean windowed structural similarity (Gaussian 11x11, sigma 1.5)."""
+def _ssim_inputs(op, x, ref, kernel_size):
+    """x and ref as float64, checked to match and to hold one window."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
-        raise ShapeError(f"ssim: shapes {x.shape} vs {ref.shape}")
+        raise ShapeError(f"{op}: shapes {x.shape} vs {ref.shape}")
     if min(x.shape) < kernel_size:
         raise ShapeError(
-            f"ssim: image {x.shape} smaller than the {kernel_size} kernel"
+            f"{op}: image {x.shape} smaller than the {kernel_size} kernel"
         )
-    taps = gaussian_kernel(kernel_size, sigma)
-    luminance, cs = _ssim_terms(x, ref, data_range, taps)
+    return x, ref
+
+
+def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
+         kernel_size: int = SSIM_WINDOW, sigma: float = 1.5, *,
+         level0=None) -> float:
+    """Mean windowed structural similarity (Gaussian 11x11, sigma 1.5).
+
+    ``level0`` is the ``_ssim_terms`` of (x, ref), when the caller already
+    has them (``evaluate_pair`` shares them with ``ms_ssim``)."""
+    x, ref = _ssim_inputs("ssim", x, ref, kernel_size)
+    if level0 is None:
+        level0 = _ssim_terms(x, ref, data_range,
+                             gaussian_kernel(kernel_size, sigma))
+    luminance, cs = level0
     return float(np.mean(luminance * cs))
 
 
@@ -95,9 +107,11 @@ def max_msssim_levels(shape, kernel_size: int = SSIM_WINDOW) -> int:
 
 def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
             levels: int = 5, kernel_size: int = SSIM_WINDOW,
-            sigma: float = 1.5, weights=MS_SSIM_WEIGHTS) -> float:
+            sigma: float = 1.5, weights=MS_SSIM_WEIGHTS, *,
+            level0=None) -> float:
     """Multi-scale SSIM: contrast/structure across scales, luminance at the
-    coarsest; scales connect by 2x2 mean pooling."""
+    coarsest; scales connect by 2x2 mean pooling. ``level0`` is as in
+    ``ssim``: the full-size level's terms, if the caller has them."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
@@ -107,13 +121,17 @@ def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
     taps = gaussian_kernel(kernel_size, sigma)
     weights = np.asarray(weights[:levels], dtype=np.float64)
     score = 1.0
+    terms = level0
     for level in range(levels):
         if min(x.shape) < kernel_size:
             raise ShapeError(
                 f"ms_ssim: level {level + 1} image {x.shape} smaller than "
                 f"the {kernel_size} kernel"
             )
-        luminance, cs = _ssim_terms(x, ref, data_range, taps)
+        if terms is None:
+            terms = _ssim_terms(x, ref, data_range, taps)
+        luminance, cs = terms
+        terms = None
         # an anti-correlated pair has a negative mean cs, which has no
         # fractional power; clamp at 0 as reference MS-SSIM code does
         if level == levels - 1:
@@ -302,13 +320,17 @@ class EvalReport:
 
 def evaluate_pair(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
                   msssim_levels: int | None = None) -> dict:
-    """psnr / ssim / ms_ssim row; levels default to the largest feasible."""
+    """psnr / ssim / ms_ssim row; levels default to the largest feasible.
+    ssim and ms_ssim share one pass over the full-size windows."""
+    x = np.asarray(x, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
     if msssim_levels is None:
-        msssim_levels = max_msssim_levels(np.asarray(x).shape)
-    row = {
-        "psnr": psnr(x, ref, data_range),
-        "ssim": ssim(x, ref, data_range),
-    }
-    row["ms_ssim"] = (ms_ssim(x, ref, data_range, levels=msssim_levels)
+        msssim_levels = max_msssim_levels(x.shape)
+    row = {"psnr": psnr(x, ref, data_range)}
+    level0 = _ssim_terms(*_ssim_inputs("ssim", x, ref, SSIM_WINDOW),
+                         data_range, gaussian_kernel())
+    row["ssim"] = ssim(x, ref, data_range, level0=level0)
+    row["ms_ssim"] = (ms_ssim(x, ref, data_range, levels=msssim_levels,
+                              level0=level0)
                       if msssim_levels >= 1 else np.nan)
     return row

@@ -166,8 +166,8 @@ def inception_forward(x: Tensor, params: dict, config: MixerConfig) -> Tensor:
 
 
 def _mlp(x, params, name):
-    h = ad.gelu(ad.linear(x, params[name + ".w1"], params[name + ".b1"]))
-    return ad.linear(h, params[name + ".w2"], params[name + ".b2"])
+    return ad.mlp(x, params[name + ".w1"], params[name + ".b1"],
+                  params[name + ".w2"], params[name + ".b2"])
 
 
 def mixer_layer(e: Tensor, params: dict, config: MixerConfig, idx: int) -> Tensor:

@@ -120,9 +120,9 @@ def encode_gradient(grad: Tensor, params: dict, config: CodecConfig) -> Tensor:
         base = f"encoder.{i}"
         v = ad.conv2d(v, params[base + ".conv.w"], params[base + ".conv.b"],
                       padding=1)
-        v = ad.instance_norm(v, params[base + ".norm.gamma"],
-                             params[base + ".norm.beta"])
-        v = ad.prelu(v, params[base + ".prelu"])
+        v = ad.instance_norm_prelu(v, params[base + ".norm.gamma"],
+                                   params[base + ".norm.beta"],
+                                   params[base + ".prelu"])
         v = ad.maxpool2d(v, 2)
     v = ad.conv2d(v, params["encoder.head.w"], params["encoder.head.b"])
     return ad.reshape(v, (lh * lw,))
@@ -141,9 +141,9 @@ def decode_direction(latent: Tensor, params: dict, config: CodecConfig,
         base = f"decoder.{i}"
         v = ad.conv_transpose2d(v, params[base + ".convt.w"],
                                 params[base + ".convt.b"])
-        v = ad.instance_norm(v, params[base + ".norm.gamma"],
-                             params[base + ".norm.beta"])
-        v = ad.prelu(v, params[base + ".prelu"])
+        v = ad.instance_norm_prelu(v, params[base + ".norm.gamma"],
+                                   params[base + ".norm.beta"],
+                                   params[base + ".prelu"])
     return ad.conv2d(v, params["decoder.head.w"], params["decoder.head.b"])
 
 

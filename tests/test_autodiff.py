@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import weakref
 from pathlib import Path
 
@@ -119,9 +120,12 @@ class TestPrimitiveGradients:
             lambda: ad.sum_of_squares(ad.maxpool2d(x, 3, stride=1, padding=1)), [x]
         )
 
-    def test_gelu(self):
-        x = t64(self.rng.normal(size=(17,)))
-        self.check(lambda: ad.sum_of_squares(ad.gelu(x)), [x])
+    def test_mlp(self):
+        x = t64(self.rng.normal(size=(2, 3, 5)))
+        params = [t64(self.rng.normal(size=s))
+                  for s in ((5, 7), (7,), (7, 4), (4,))]
+        self.check(lambda: ad.sum_of_squares(ad.mlp(x, *params)),
+                   [x, *params])
 
     def test_prelu(self):
         x = t64(self.rng.normal(size=(2, 3, 4, 4)))
@@ -140,14 +144,16 @@ class TestPrimitiveGradients:
             [x, gamma, beta],
         )
 
-    def test_instance_norm(self):
+    def test_instance_norm_prelu(self):
         x = t64(self.rng.normal(size=(2, 3, 5, 5)))
         gamma = t64(self.rng.normal(size=(3,)) + 1.0)
         beta = t64(self.rng.normal(size=(3,)))
+        slopes = t64([0.25, -0.5, 0.75])
         c = Tensor(self.rng.normal(size=(2, 3, 5, 5)), dtype=np.float64)
         self.check(
-            lambda: ad.sum_of_squares(ad.mul(c, ad.instance_norm(x, gamma, beta))),
-            [x, gamma, beta],
+            lambda: ad.sum_of_squares(ad.mul(
+                c, ad.instance_norm_prelu(x, gamma, beta, slopes))),
+            [x, gamma, beta, slopes],
         )
 
     def test_reshape_permute_concat_mean(self):
@@ -173,14 +179,24 @@ class TestPrimitiveGradients:
         )
 
 
+def mlp_weights(rng, d_in, hidden, d_out, dtype=np.float64,
+                requires_grad=True):
+    """w1, b1, w2, b2 of an ``mlp`` with normal entries."""
+    return [Tensor(rng.normal(size=s).astype(dtype),
+                   requires_grad=requires_grad)
+            for s in ((d_in, hidden), (hidden,), (hidden, d_out), (d_out,))]
+
+
 def test_forward_backward_bit_deterministic():
     def run():
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32), requires_grad=True)
-        out = ad.mean(ad.gelu(ad.conv2d(x, w, padding=1)))
+        params = mlp_weights(rng, 8, 16, 8, np.float32)
+        out = ad.mean(ad.mlp(ad.conv2d(x, w, padding=1), *params))
         out.backward()
-        return out.data.copy(), x.grad.copy(), w.grad.copy()
+        return (out.data.copy(), x.grad.copy(), w.grad.copy(),
+                *(p.grad.copy() for p in params))
 
     a = run()
     b = run()
@@ -189,10 +205,12 @@ def test_forward_backward_bit_deterministic():
 
 
 def test_backward_twice_doubles_grads():
-    x = t64([1.0, -2.0, 0.5])
+    x = t64([[1.0, -2.0, 0.5]])
+    params = mlp_weights(np.random.default_rng(0), 3, 4, 3,
+                         requires_grad=False)
 
     def loss():
-        return ad.sum_of_squares(ad.gelu(x))
+        return ad.sum_of_squares(ad.mlp(x, *params))
 
     loss().backward()
     once = x.grad.copy()
@@ -274,12 +292,14 @@ def test_checkpoint_truncated_or_malformed(tmp_path):
 
 def test_profile_counts_calls_and_times_both_passes():
     x = t64(np.random.default_rng(1).normal(size=(1, 2, 6, 6)))
+    affine = [t64([1.0, 2.0]), t64([0.0, 0.5]), t64([0.25, 0.25])]
     s = t64([0.5])
     with ad.profile() as prof:
-        y = ad.mul(s, ad.gelu(x))  # mul swaps its operands: one call
+        # mul swaps its operands: one call
+        y = ad.mul(s, ad.instance_norm_prelu(x, *affine))
         ad.sum_of_squares(y).backward()
     assert {op: e["calls"] for op, e in prof.stats.items()} == {
-        "gelu": 1, "mul": 1, "sum_of_squares": 1}
+        "instance_norm_prelu": 1, "mul": 1, "sum_of_squares": 1}
     for entry in prof.stats.values():
         assert entry["forward_ms"] > 0.0 and entry["backward_ms"] > 0.0
     assert ad._profiler() is None
@@ -338,10 +358,10 @@ def test_conv2d_and_prelu_keep_nothing_beyond_their_inputs():
     assert prof.stats["conv2d"]["calls"] == 4
     assert prof.stats["conv2d"]["kept_bytes"] == 0
     assert prof.stats["prelu"]["kept_bytes"] == 0
-    # the check can fail: gelu keeps its cdf
+    # the check can fail: mlp keeps its pre-activation and its cdf
     with ad.profile() as prof:
-        ad.gelu(x)
-    assert prof.stats["gelu"]["kept_bytes"] == x.data.nbytes
+        ad.mlp(x, *mlp_weights(rng, 8, 8, 8, np.float32))
+    assert prof.stats["mlp"]["kept_bytes"] == 2 * x.data.nbytes
 
 
 def test_padded_maxpool2d_keeps_only_its_argmax_indices():
@@ -360,7 +380,7 @@ def test_backward_frees_intermediate_outputs():
     w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32),
                requires_grad=True)
     h = ad.conv2d(x, w, padding=1)
-    y = ad.gelu(h)
+    y = ad.mlp(h, *mlp_weights(rng, 8, 16, 8, np.float32))
     refs = [weakref.ref(h.data), weakref.ref(y.data)]
     loss = ad.mean(ad.mul(y, y))
     del h, y
@@ -371,20 +391,18 @@ def test_backward_frees_intermediate_outputs():
 
 
 def _pinned_graph(params):
-    """conv2d -> instance_norm -> prelu -> maxpool2d -> concat -> layer_norm
+    """conv2d -> instance_norm_prelu -> maxpool2d -> concat -> layer_norm
     -> permute -> add -> mean. Returns the loss and the arrays of the
-    intermediates no backward closure reads; only prelu's input (the
-    instance_norm output) is read by a closure."""
+    intermediates, none of which a backward closure reads."""
     x, w, b, gamma, beta, slopes, g2, b2, c = params
     h1 = ad.conv2d(x, w, b, padding=1)
-    h2 = ad.instance_norm(h1, gamma, beta)
-    h3 = ad.prelu(h2, slopes)
-    h4 = ad.maxpool2d(h3, 2)
-    h5 = ad.concat([h4, h4], axis=1)
-    h6 = ad.layer_norm(h5, g2, b2)
-    h7 = ad.permute(h6, (0, 2, 3, 1))
-    h8 = ad.add(h7, c)
-    return ad.mean(h8), [h.data for h in (h1, h3, h4, h5, h6, h7, h8)]
+    h2 = ad.instance_norm_prelu(h1, gamma, beta, slopes)
+    h3 = ad.maxpool2d(h2, 2)
+    h4 = ad.concat([h3, h3], axis=1)
+    h5 = ad.layer_norm(h4, g2, b2)
+    h6 = ad.permute(h5, (0, 2, 3, 1))
+    h7 = ad.add(h6, c)
+    return ad.mean(h7), [h.data for h in (h1, h2, h3, h4, h5, h6, h7)]
 
 
 def test_tape_frees_inputs_no_closure_reads_with_identical_gradients():
@@ -413,17 +431,19 @@ def test_tape_frees_inputs_no_closure_reads_with_identical_gradients():
 
 
 def test_second_backward_through_a_released_graph_raises():
-    x = t64([1.0, -2.0, 0.5])
-    out = ad.sum_of_squares(ad.gelu(x))
+    x = t64([[1.0, -2.0, 0.5]])
+    params = mlp_weights(np.random.default_rng(0), 3, 4, 3,
+                         requires_grad=False)
+    out = ad.sum_of_squares(ad.mlp(x, *params))
     out.backward()
     once = x.grad.copy()
     with pytest.raises(GraphReleasedError, match="sum_of_squares"):
         out.backward()
     np.testing.assert_array_equal(x.grad, once)
     # a shared subgraph is released by the first backward through it
-    h = ad.gelu(x)
+    h = ad.mlp(x, *params)
     ad.sum_of_squares(h).backward()
-    with pytest.raises(GraphReleasedError, match="gelu"):
+    with pytest.raises(GraphReleasedError, match="mlp"):
         ad.mean(h).backward()
 
 
@@ -567,6 +587,133 @@ def test_conv2d_is_bitwise_the_strided_im2col_gemm(case, n, dt):
         assert a.dtype == dt and np.array_equal(a, r), name
 
 
+def linear_gelu_linear(x, w1, b1, w2, b2, g):
+    """The three kernels ``mlp`` fuses, as the separate linear, exact GELU
+    and linear ops ran them: output, and the gradients of sum(out * g) for
+    x, w1, b1, w2 and b2, node by node in reverse."""
+    from scipy.special import erf
+
+    x2 = x.reshape(-1, x.shape[-1])
+    u = x2 @ w1
+    u += b1
+    u = u.reshape(*x.shape[:-1], w1.shape[1])
+    cdf = erf(u * (1.0 / math.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+    hidden = u * cdf
+    h2 = hidden.reshape(-1, w1.shape[1])
+    out = h2 @ w2
+    out += b2
+    g2 = g.reshape(-1, w2.shape[1])
+    gh = (g2 @ w2.T).reshape(hidden.shape)
+    gw2, gb2 = h2.T @ g2, g2.sum(axis=0)
+    dy = u * u
+    dy *= -0.5
+    np.exp(dy, out=dy)
+    dy *= 1.0 / math.sqrt(2.0 * math.pi)
+    dy *= u
+    dy += cdf
+    dy *= gh
+    gu = dy.reshape(-1, w1.shape[1])
+    gx = (gu @ w1.T).reshape(x.shape)
+    return (out.reshape(*x.shape[:-1], w2.shape[1]), gx, x2.T @ gu,
+            gu.sum(axis=0), gw2, gb2)
+
+
+def instance_norm_then_prelu(x, gamma, beta, slopes, g, eps=1e-5):
+    """The two kernels ``instance_norm_prelu`` fuses, as the separate
+    instance_norm and prelu ops ran them: output, and the gradients of
+    sum(out * g) for x, gamma, beta and slopes."""
+    n, c, h, wd = x.shape
+    m = h * wd
+    ones = np.ones(m, dtype=x.dtype)
+    rows = x.reshape(-1, m)
+    xhat = rows - ((rows @ ones) / m)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / m
+    inv_std = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= inv_std
+    xhat = xhat.reshape(x.shape)
+    y = xhat * gamma[None, :, None, None]
+    y += beta[None, :, None, None]
+    pos = (y > 0).astype(x.dtype)
+    scale = 1.0 - pos
+    scale *= slopes[None, :, None, None]
+    scale += pos
+    out = y * scale
+    gslopes = np.einsum("nchw,nchw->c", g, np.minimum(y, 0.0))
+    gy = g * scale
+    ggamma = np.einsum("nchw,nchw->c", gy, xhat)
+    gbeta = gy.sum(axis=(0, 2, 3))
+    gr = (gy * gamma[None, :, None, None]).reshape(-1, m)
+    xr = xhat.reshape(-1, m)
+    gx = gr - ((gr @ ones) / m)[:, None]
+    gx -= xr * (np.einsum("ij,ij->i", gr, xr) / m)[:, None]
+    gx *= inv_std
+    return out, gx.reshape(x.shape), ggamma, gbeta, gslopes
+
+
+def _fused_case(fn, reference, rng, x, params):
+    """The fused op's output and vjp against the reference's, per array."""
+    out = fn(Tensor(x, requires_grad=True),
+             *(Tensor(p, requires_grad=True) for p in params))
+    g = rng.normal(size=out.shape).astype(x.dtype)
+    return zip((out.data, *vjp(out, g)), reference(x, *params, g))
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shape,hidden,d_out", [
+    ((3, 4, 8), 32, 8),  # a token MLP: 4x the tokens, back to the tokens
+    ((4, 4, 12), 48, 12),  # a channel MLP at d = 12
+    ((2, 5), 3, 7),
+])
+def test_mlp_is_bitwise_linear_gelu_linear(shape, hidden, d_out, n, dt):
+    rng = np.random.default_rng(hidden + n)
+    x = rng.normal(size=(n, *shape)).astype(dt)
+    params = [rng.normal(scale=0.5, size=s).astype(dt) for s in
+              ((shape[-1], hidden), (hidden,), (hidden, d_out), (d_out,))]
+    for name, (a, r) in zip(("out", "gx", "gw1", "gb1", "gw2", "gb2"),
+                            _fused_case(ad.mlp, linear_gelu_linear, rng, x,
+                                        params)):
+        assert a.dtype == dt and np.array_equal(a, r), name
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shape", [(4, 8, 8), (32, 16, 16), (3, 5, 7)])
+def test_instance_norm_prelu_is_bitwise_instance_norm_then_prelu(shape, n,
+                                                                 dt):
+    rng = np.random.default_rng(shape[0] + n)
+    x = rng.normal(size=(n, *shape)).astype(dt)
+    c = shape[0]
+    params = [(1.0 + rng.normal(size=c)).astype(dt),
+              rng.normal(size=c).astype(dt),
+              rng.normal(scale=0.25, size=c).astype(dt)]
+    for name, (a, r) in zip(("out", "gx", "ggamma", "gbeta", "gslopes"),
+                            _fused_case(ad.instance_norm_prelu,
+                                        instance_norm_then_prelu, rng, x,
+                                        params)):
+        assert a.dtype == dt and np.array_equal(a, r), name
+
+
+def test_fused_ops_keep_only_what_backward_cannot_rebuild():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(2, 4, 6, 8)).astype(np.float32),
+               requires_grad=True)
+    affine = [Tensor(np.full(4, v, dtype=np.float32), requires_grad=True)
+              for v in (1.0, 0.0, 0.25)]
+    with ad.profile() as prof:
+        ad.mlp(x, *mlp_weights(rng, 8, 32, 8, np.float32))
+        ad.instance_norm_prelu(x, *affine)
+    rows = 2 * 4 * 6
+    # mlp: the pre-activation and its cdf, not the hidden output
+    assert prof.stats["mlp"]["kept_bytes"] == 2 * rows * 32 * 4
+    # instance_norm_prelu: xhat and one 1/std per plane, not the affine
+    # output the PReLU reads
+    assert prof.stats["instance_norm_prelu"]["kept_bytes"] == \
+        x.data.nbytes + 2 * 4 * 4
+
+
 def maxpool_reference(x, k, stride, padding, g):
     """Direct loop: window max and its first (row-major) position gets g."""
     n, c, h, wd = x.shape
@@ -630,8 +777,9 @@ BATCHED = {
                          [(3, 2, 2, 2), (2,)]),
     "maxpool2d": (lambda x, p: ad.maxpool2d(x, 3, stride=1, padding=1), []),
     "prelu": (lambda x, p: ad.prelu(x, p[0]), [(3,)]),
-    "instance_norm": (lambda x, p: ad.instance_norm(x, p[0], p[1]),
-                      [(3,), (3,)]),
+    "instance_norm_prelu": (lambda x, p: ad.instance_norm_prelu(x, *p),
+                            [(3,), (3,), (3,)]),
+    "mlp": (lambda x, p: ad.mlp(x, *p), [(6, 8), (8,), (8, 5), (5,)]),
 }
 
 
@@ -675,12 +823,15 @@ PRIMITIVES = {
     "conv_transpose2d": lambda r, dt: ad.conv_transpose2d(
         _nchw(r, dt), _nchw(r, dt, (3, 2, 2, 2)), _nchw(r, dt, (2,))),
     "maxpool2d": lambda r, dt: ad.maxpool2d(_nchw(r, dt), 2),
-    "gelu": lambda r, dt: ad.gelu(_nchw(r, dt)),
+    "mlp": lambda r, dt: ad.mlp(_nchw(r, dt), _nchw(r, dt, (4, 6)),
+                                _nchw(r, dt, (6,)), _nchw(r, dt, (6, 5)),
+                                _nchw(r, dt, (5,))),
     "prelu": lambda r, dt: ad.prelu(_nchw(r, dt), _nchw(r, dt, (3,))),
     "layer_norm": lambda r, dt: ad.layer_norm(_nchw(r, dt), _nchw(r, dt, (4,)),
                                               _nchw(r, dt, (4,))),
-    "instance_norm": lambda r, dt: ad.instance_norm(
-        _nchw(r, dt), _nchw(r, dt, (3,)), _nchw(r, dt, (3,))),
+    "instance_norm_prelu": lambda r, dt: ad.instance_norm_prelu(
+        _nchw(r, dt), _nchw(r, dt, (3,)), _nchw(r, dt, (3,)),
+        _nchw(r, dt, (3,))),
     "reshape": lambda r, dt: ad.reshape(_nchw(r, dt), (6, 16)),
     "permute": lambda r, dt: ad.permute(_nchw(r, dt), (0, 2, 3, 1)),
     "concat": lambda r, dt: ad.concat([_nchw(r, dt), _nchw(r, dt)], axis=1),

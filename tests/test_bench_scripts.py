@@ -142,20 +142,39 @@ def bench_tape(monkeypatch):
 def test_tape_walk_counts_what_closures_and_input_entries_hold(bench_tape):
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
+    mlp = [ad.Tensor(rng.normal(size=s), requires_grad=True)
+           for s in ((8, 8), (8,), (8, 8), (8,))]
     w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    loss = ad.mean(ad.gelu(ad.conv2d(ad.gelu(x), w, padding=1)))
+    affine = [ad.Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
+    loss = ad.mean(ad.instance_norm_prelu(
+        ad.conv2d(ad.mlp(x, *mlp), w, padding=1), *affine))
     walk = bench_tape.tape_bytes(ad, loss)
     plane_in, plane = 2 * 8 * 8 * 8, 3 * 8 * 8 * 8  # float64 (1, c, 8, 8)
     assert walk["nodes"] == 4
-    # the first gelu keeps its cdf (x is a leaf); conv2d keeps the gelu
-    # output its weight_columns helper reads; the second gelu keeps its
-    # input and its cdf; mean keeps only a shape
+    # mlp keeps its pre-activation and cdf (x is a leaf); conv2d keeps the
+    # mlp output its weight_columns helper reads; instance_norm_prelu keeps
+    # xhat and one 1/std per channel, not its input; mean keeps only a shape
     assert walk["per_op"] == {
         "conv2d": {"nodes": 1, "closure_bytes": plane_in, "input_bytes": 0},
-        "gelu": {"nodes": 2, "closure_bytes": plane_in + 2 * plane,
-                 "input_bytes": 0},
-        "mean": {"nodes": 1, "closure_bytes": 0, "input_bytes": 0}}
-    assert walk["total_bytes"] == 2 * plane_in + 2 * plane
+        "instance_norm_prelu": {"nodes": 1, "closure_bytes": plane + 3 * 8,
+                                "input_bytes": 0},
+        "mean": {"nodes": 1, "closure_bytes": 0, "input_bytes": 0},
+        "mlp": {"nodes": 1, "closure_bytes": 2 * plane_in, "input_bytes": 0}}
+    assert walk["total_bytes"] == 3 * plane_in + plane + 3 * 8
+
+
+def test_tape_rounds_report_each_round_step_time_as_a_scale(bench_tape):
+    rounds = [{"env": {"host": "h"}, "step_ms": ms, "traced_tape_bytes": 7}
+              for ms in (180.0, 150.0, 170.0)]
+    report = bench_tape.tape_rounds(rounds)
+    assert report["env"] == {"host": "h"} and report["traced_tape_bytes"] == 7
+    assert "step_ms" not in report
+    scale = report["step_ms_scale"]
+    assert scale["per_round"] == [180.0, 150.0, 170.0]
+    assert scale["median"] == 170.0 and scale["q1"] == 160.0
+    assert scale["q3"] == 175.0 and "not a comparison" in scale["note"]
+    one = bench_tape.tape_rounds(rounds[:1])["step_ms_scale"]
+    assert one["per_round"] == [180.0] and one["median"] == 180.0
 
 
 def test_tape_and_train_steps_at_tiny_scale(bench_tape):

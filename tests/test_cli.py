@@ -319,9 +319,11 @@ def test_bad_count_or_size_is_one_error_line(workspace, capsys, argv, kind,
     (["noise", "--gauss-frac", "-1"], "gaussian_frac"),
     (["noise", "--poisson", "1e6", "--cap", "nan"], "attenuation_cap"),
     (["noise", "--poisson", "1e6", "--cap", "0"], "attenuation_cap"),
+    (["noise", "--poisson", "1e20"], "poisson_intensity"),
+    (["noise", "--poisson", "1e300"], "poisson_intensity"),
 ], ids=["spacing-nan", "extent-nan", "extent-zero", "end-nan", "end-zero",
         "sad-inf", "poisson-nan", "gauss-nan", "gauss-negative", "cap-nan",
-        "cap-zero"])
+        "cap-zero", "poisson-above-limit", "poisson-huge"])
 def test_bad_geometry_or_noise_value_is_one_error_line(workspace, capsys,
                                                        argv, name):
     sino = scan(workspace)

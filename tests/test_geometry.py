@@ -477,6 +477,19 @@ class TestSimulateMeasurement:
             geo.simulate_measurement(self.make(), poisson, gauss, seed=0,
                                      attenuation_cap=cap)
 
+    def test_photon_rate_above_the_poisson_limit_is_refused(self):
+        # one ray crosses nothing: its rate is the full photon count
+        y = geo.Sinogram(np.array([[0.0, 2.0, 4.0]], dtype=np.float32))
+        for count in (1e19, 1e20, 1e300):
+            with pytest.raises(GeometryError, match="poisson_intensity"):
+                geo.simulate_measurement(y, count, 0.05, seed=0)
+        geo.simulate_measurement(y, 9e18, 0.05, seed=0)
+        # the limit is on the rate: a count whose every ray is attenuated
+        # below it still draws
+        y = geo.Sinogram(np.array([[4.0, 4.0]], dtype=np.float32))
+        out = geo.simulate_measurement(y, 1e20, 0.0, seed=0)
+        assert np.all(np.isfinite(out.values))
+
     def test_negative_values_clamped_with_warning(self):
         y = geo.Sinogram(np.array([[-1.0, 2.0]], dtype=np.float32))
         with pytest.warns(UserWarning, match="clamped"):

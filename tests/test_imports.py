@@ -1,8 +1,11 @@
 """Every import in src/ and tests/ is used, and every definition in src/
-has a caller (no linter ships with the project)."""
+has a caller (no linter ships with the project); commands that run no
+network do not import what only the network needs."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +106,27 @@ def test_every_definition_in_src_has_a_caller():
     dead = [where for name, where in found.items()
             if name not in ONLY_TESTS_CALL]
     assert not dead, "definitions no code calls:\n" + "\n".join(dead)
+
+
+LAZY_SPECIAL = """
+import sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import qnct.cli
+import run, speed, tracing, workloads
+run.import_qnct()
+print("scipy.special" in sys.modules)
+import numpy as np
+from qnct import autodiff as ad
+ad.mlp(*(ad.Tensor(np.ones(s, dtype=np.float32))
+         for s in ((1, 2), (2, 3), (3,), (3, 2), (2,))))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_loads_at_the_first_mlp_call():
+    # a fresh process: this one has imported scipy.special already
+    code = LAZY_SPECIAL.format(src=str(ROOT / "src"),
+                               perfbench=str(ROOT / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]

@@ -337,3 +337,35 @@ def test_evaluate_pair_row():
     assert row["psnr"] > 20.0
     assert 0 < row["ssim"] <= 1.0
     assert 0 < row["ms_ssim"] <= 1.0
+
+
+@pytest.mark.parametrize("shape,dtype", [((64, 64), np.float32),
+                                         ((96, 70), np.float64),
+                                         ((12, 12), np.float64)])
+def test_evaluate_pair_scores_equal_separate_calls(shape, dtype):
+    rng = np.random.default_rng(11)
+    ref = rng.uniform(size=shape).astype(dtype)
+    x = np.clip(ref + rng.normal(0, 0.05, size=shape), 0, 1).astype(dtype)
+    levels = mt.max_msssim_levels(shape)
+    row = mt.evaluate_pair(x, ref, 2.0)
+    assert row["psnr"] == mt.psnr(x, ref, 2.0)
+    assert row["ssim"] == mt.ssim(x, ref, 2.0)
+    assert row["ms_ssim"] == mt.ms_ssim(x, ref, 2.0, levels=levels)
+
+
+def test_evaluate_pair_filters_each_level_once(monkeypatch):
+    calls = []
+
+    def counting(x, y, taps):
+        calls.append(x.shape)
+        return local_stats(x, y, taps)
+
+    local_stats = mt._local_stats
+    monkeypatch.setattr(mt, "_local_stats", counting)
+    rng = np.random.default_rng(13)
+    x, ref = rng.uniform(size=(2, 64, 64))
+    mt.evaluate_pair(x, ref)
+    assert calls == [(64, 64), (32, 32), (16, 16)]
+    calls.clear()
+    mt.evaluate_pair(x, ref, msssim_levels=1)
+    assert calls == [(64, 64)]

@@ -12,8 +12,8 @@ each figure is the median over the rounds) with one BLAS thread:
   - ``per_op``: the perfbench ``train`` recipe (64², 16 of 180 parallel
     views, d = 48, T = 6, k = 2, codec width 32) at seed ``PROFILE_SEED``
     runs two warm-up steps, then ``PROFILE_STEPS`` steps under
-    ``autodiff.profile``; calls, forward ms and
-    backward ms are reported per step for every tape op. This needs
+    ``autodiff.profile``; calls, forward ms, backward ms and rebuild ms
+    are reported per step for every tape op. This needs
     ``autodiff.profile`` on both sides; ``--profile-parent DIR`` names a
     checkout that has it (the first commit with the hook), if the parent
     does not.
@@ -154,7 +154,8 @@ def profile_side(checkout: Path) -> dict:
 def profile_off_cost(ad, per_op: dict, step_ms: float) -> dict:
     """The profile's cost when off, for a step with per_op's calls: per
     primitive call, the entry wrapper (timed around a no-op) plus the
-    lookup in _result."""
+    lookup in _result (timed as a ``_profiler`` call); each rebuild read
+    in backward pays that lookup alone."""
     def noop():
         return None
 
@@ -162,11 +163,13 @@ def profile_off_cost(ad, per_op: dict, step_ms: float) -> dict:
     reps = 100000
     loop_ms = {fn: _median_ms(lambda fn=fn: [fn() for _ in range(reps)], 9)
                for fn in (noop, marked, ad._profiler)}
-    per_call_ms = (loop_ms[marked] - loop_ms[noop] + loop_ms[ad._profiler]
-                   - loop_ms[noop]) / reps
+    per_read_ms = (loop_ms[ad._profiler] - loop_ms[noop]) / reps
+    per_call_ms = (loop_ms[marked] - loop_ms[noop]) / reps + per_read_ms
     calls = sum(entry["calls"] for entry in per_op.values())
-    off_ms = calls * per_call_ms
-    return {"calls_per_step": calls, "us_per_call": 1e3 * per_call_ms,
+    rebuilds = sum(entry.get("rebuilds", 0) for entry in per_op.values())
+    off_ms = calls * per_call_ms + rebuilds * per_read_ms
+    return {"calls_per_step": calls, "rebuilds_per_step": rebuilds,
+            "us_per_call": 1e3 * per_call_ms,
             "ms_per_step": off_ms, "frac_of_step": off_ms / step_ms}
 
 
@@ -317,7 +320,8 @@ def profiles(parent: Path, change: Path, rounds: int):
             "step_ms_profiled": [run["step_ms_profiled"] for run in rs],
             "per_op": {op: {key: statistics.median(
                 run["per_op"].get(op, {}).get(key, 0.0) for run in rs)
-                for key in ("calls", "forward_ms", "backward_ms")}
+                for key in ("calls", "forward_ms", "backward_ms",
+                            "rebuild_ms")}
                 for op in ops},
             "profile_off_cost": {key: statistics.median(
                 run["profile_off_cost"][key] for run in rs)

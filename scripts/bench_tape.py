@@ -17,21 +17,25 @@ sides alternate which goes first:
     ``train`` pairs are that). Then one step's forward pass runs under
     ``autodiff.profile``, and ``tape_bytes`` walks its tape from the loss,
     from outside: the node count and, per op, the bytes of the arrays the
-    nodes' backward closures reference and of the input arrays the nodes
-    hold. The walk reads only each entry's ``.node``, its ``.data`` where
-    it has one, and the closures, so it measures any commit. The profile's
-    ``kept_bytes`` are given per op as well, with the profile's cost when
-    off. Last, ``traced_tape_bytes`` is what ``tracemalloc`` sees allocated
-    and still held at the end of one more forward pass, with only the
-    loss held. These figures are the first round's.
+    nodes' backward closures (and output rebuilds) reference and of the
+    input arrays the nodes hold. The walk reads only each entry's
+    ``.node``, its ``.data`` where it has one, and the closures, so it
+    measures any commit. The profile's ``kept_bytes`` are given per op as
+    well, and, from the step's backward pass, each rebuilt op's
+    ``rebuilds`` and ``rebuild_ms``, with the profile's cost when off.
+    Last, ``traced_tape_bytes`` is what ``tracemalloc`` sees allocated and
+    still held at the end of one more forward pass, with only the loss
+    held. These figures are the first round's.
   - ``train_steps``: ``train_unrolled`` for 1 and for 3 steps on a
     parallel 16-of-180-view scan with n_det = 1.5 n, T = 6, k = 2 and
     codec width 32, at each (n, d) of ``STEP_SIZES``: ``ru_maxrss`` before
     the first step and at the end, seconds per step, and each step's loss
     (bit patterns, to compare the sides). Desk scale runs ``--rounds``
-    times per side (each figure is the median), 128² once.
+    times per side, 128² once. Each figure is the median, and
+    ``rounds`` gives each round's peak RSS and seconds per step with
+    their quartiles.
   - ``paper_step``: the same at 256², d = 96, for ``PAPER_STEPS`` steps,
-    once per side.
+    in ``--rounds`` processes per side.
 
 Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed
 with the pair runner of ``bench_kernels.py``. ``--pairs ''`` skips this
@@ -66,17 +70,14 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _scope(fn) -> str:
-    """The qualified name of the function that defined fn."""
-    return fn.__qualname__.rpartition(".<locals>.")[0]
-
-
 def _closure_arrays(ad, fn):
     """The arrays fn references through its closure cells and defaults,
     through the Tensors, tuples and lists among them, and through the
-    helpers defined beside it (conv2d's ``weight_columns``). Functions
-    defined elsewhere (a linear operator's maps) are not followed."""
-    scope, seen = _scope(fn), set()
+    functions among them that the autodiff module defined: helpers beside
+    a closure (conv2d's ``weight_columns``), the readers of an input array
+    and the rebuilds they call. Functions defined elsewhere (a linear
+    operator's maps) are not followed."""
+    seen = set()
     values = [fn]
     while values:
         v = values.pop()
@@ -87,7 +88,7 @@ def _closure_arrays(ad, fn):
         elif isinstance(v, np.ndarray):
             yield v
         elif (isinstance(v, types.FunctionType) and id(v) not in seen
-              and _scope(v) == scope):
+              and v.__module__ == ad.__name__):
             seen.add(id(v))
             values += [cell.cell_contents for cell in v.__closure__ or ()]
             values += v.__defaults__ or ()
@@ -95,8 +96,9 @@ def _closure_arrays(ad, fn):
 
 def tape_bytes(ad, loss) -> dict:
     """The memory the tape recorded up to ``loss`` holds, per op: the arrays
-    each node's backward closure references, then the data of any entry of
-    its ``inputs`` that has one (an input Tensor, where a node holds those).
+    each node's backward closure and output rebuild reference, then the
+    data of any entry of its ``inputs`` that has one (an input Tensor,
+    where a node holds those).
     Each buffer counts once, for the oldest node that holds it; leaves'
     data (weights, constants) is not counted, nor is ``loss`` itself. The
     walk follows each input entry's ``.node``, so it reads a tape of input
@@ -115,8 +117,10 @@ def tape_bytes(ad, loss) -> dict:
     for node in sorted(nodes.values(), key=lambda node: node.seq):
         entry = per_op[node.op]
         entry["nodes"] += 1
+        closures = (node.backward_fn, getattr(node, "rebuild", None))
         for key, arrays in (
-                ("closure_bytes", _closure_arrays(ad, node.backward_fn)),
+                ("closure_bytes", (a for fn in closures if fn is not None
+                                   for a in _closure_arrays(ad, fn))),
                 ("input_bytes", [i.data for i in node.inputs
                                  if getattr(i, "data", None) is not None])):
             for a in arrays:
@@ -157,6 +161,9 @@ def tape_side(checkout: Path, scale: str = "DESK") -> dict:
         loss.backward()
     kept = {op: entry["kept_bytes"] for op, entry in sorted(prof.stats.items())
             if "kept_bytes" in entry}
+    rebuilt = {op: {key: entry[key] for key in ("rebuilds", "rebuild_ms")}
+               for op, entry in sorted(prof.stats.items())
+               if entry.get("rebuilds")}
     tracemalloc.start()
     loss = forward()
     traced = tracemalloc.get_traced_memory()[0]
@@ -164,18 +171,24 @@ def tape_side(checkout: Path, scale: str = "DESK") -> dict:
     return {"env": run.environment(), "step_ms": step_ms, "walk": walk,
             "traced_tape_bytes": traced,
             "profile_kept_bytes": kept or None,
+            "profile_rebuilds": rebuilt or None,
             "profile_off_cost": profile_off_cost(ad, prof.stats, step_ms)}
+
+
+def _spread(values: list) -> dict:
+    """Each round's value, with the median and quartiles across rounds
+    (the median alone for one round)."""
+    return {"per_round": values,
+            **(_quartiles(values) if len(values) > 1
+               else {"median": values[0]})}
 
 
 def tape_rounds(rs: list) -> dict:
     """One side's ``tape_side`` rounds: the first round's figures, and each
-    round's step time with the median and quartiles across rounds (the
-    median alone for one round)."""
+    round's step time with the median and quartiles across rounds."""
     out = {key: value for key, value in rs[0].items() if key != "step_ms"}
-    times = [r["step_ms"] for r in rs]
-    spread = _quartiles(times) if len(times) > 1 else {"median": times[0]}
     out["step_ms_scale"] = {
-        "per_round": times, **spread,
+        **_spread([r["step_ms"] for r in rs]),
         "note": "one process's median of 3 steps per round: a scale for "
                 "profile_off_cost, not a comparison of the sides"}
     return out
@@ -224,13 +237,19 @@ def measure(checkout: Path, case: str) -> dict:
 
 
 def step_row(parent: Path, change: Path, case: str, rounds: int) -> dict:
-    """``train_steps`` for ``case`` ("n d steps") on both sides: each
-    figure the median of ``rounds``, and whether the losses agree."""
+    """``train_steps`` for ``case`` ("n d steps") on both sides in
+    ``rounds`` alternating processes: each figure the median of the
+    rounds, each round's peak RSS and seconds per step with their
+    quartiles, and whether every round's losses agree."""
     runs = alternate(parent, change, rounds,
                      lambda checkout: child(__file__, "--measure-side",
                                             checkout, "--case", case))
-    row = {side: medians(rs) for side, rs in runs.items()}
-    row["same_losses"] = row["parent"]["losses"] == row["change"]["losses"]
+    row = {side: {**medians(rs), "rounds": {
+        key: _spread([r[key] for r in rs])
+        for key in ("peak_rss_mb", "s_per_step")}}
+        for side, rs in runs.items()}
+    row["same_losses"] = all(r["losses"] == runs["parent"][0]["losses"]
+                             for rs in runs.values() for r in rs)
     print(f"{case}: " + ", ".join(
         f"{side} {row[side]['peak_rss_mb']:.0f} MB "
         f"{row[side]['s_per_step']:.2f} s/step"
@@ -251,7 +270,8 @@ def report(parent: Path, change: Path, rounds: int) -> dict:
             parent, change, f"{n} {d} {steps}", rounds if n == 64 else 1)
         for n, d in STEP_SIZES for steps in STEP_COUNTS}
     n, d = PAPER_SIZE
-    out["paper_step"] = step_row(parent, change, f"{n} {d} {PAPER_STEPS}", 1)
+    out["paper_step"] = step_row(parent, change, f"{n} {d} {PAPER_STEPS}",
+                                 rounds)
     return out
 
 

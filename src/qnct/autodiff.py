@@ -37,26 +37,40 @@ Conventions:
   - a node keeps links, not arrays: ``OpNode.inputs`` holds an ``Edge``
     (just the producing node) for an input another node made, and the
     Tensor itself for a leaf (a weight or a constant the caller holds). An
-    activation lives on only while a backward closure reads it: conv2d,
-    conv_transpose2d, linear, mlp, prelu, mul and sum_of_squares read
-    their inputs; a closure that needs only a shape or a dtype captures
-    that value, so the inputs of add, sub, concat, permute, reshape, mean,
-    the norms, maxpool2d and linear operators are freed as soon as the
-    forward drops them;
+    activation lives on only while a backward closure reads it and its
+    producer cannot rebuild it;
+  - an op whose output is a cheap function of what its own backward keeps
+    gives its node a ``rebuild``, and its forward computes the output by
+    calling that rebuild, so a rebuilt array is bit-equal to the forward's:
+      * prelu, from its input (which its backward reads);
+      * layer_norm and instance_norm_prelu, from xhat and the affine
+        weights;
+      * permute, reshape and concat, when every input has a rebuild (else
+        the node would hold input arrays its backward does not read);
+  - conv2d, conv_transpose2d, linear and mlp read their input in backward
+    through a reader (``_reader``): the producer's rebuild where it has
+    one, else the array; they never hold the input Tensor. prelu, mul and
+    sum_of_squares hold the input arrays they read. A closure that needs
+    only a shape or a dtype captures that value, so the inputs of add, sub,
+    concat, permute, reshape, mean, the norms, maxpool2d and linear
+    operators are freed as soon as the forward drops them;
   - a backward closure keeps only what it cannot rebuild for less than a
     GEMM. Beyond the inputs they read, the ops keep:
-      * mlp (linear, exact GELU, linear as one node): the pre-activation u
-        and cdf(u); backward rebuilds the hidden output u cdf(u);
+      * mlp (linear, exact GELU, linear as one node): cdf(u); backward
+        rebuilds u = x w1 + b1 with the forward's GEMM and add, and the
+        hidden output u cdf(u);
       * layer_norm and instance_norm_prelu: xhat and 1 / std;
         instance_norm_prelu rebuilds the PReLU's input xhat gamma + beta;
       * maxpool2d: one tap index per output pixel;
       * conv2d, conv_transpose2d and prelu: nothing; conv2d rebuilds its
         columns from x, and prelu its per-element slopes from x;
-  - ``backward`` releases each node right after replaying it (its closure
-    and its input links), so the tape's memory returns while backward
-    runs. A graph supports one backward: a second one through a released
-    node raises ``GraphReleasedError``; rebuild the graph to differentiate
-    it again.
+  - closures and rebuilds read weights when backward runs: a step updates
+    its weights only after its backward pass;
+  - ``backward`` releases each node right after replaying it (its closure,
+    its input links and its rebuild), so the tape's memory returns while
+    backward runs. A graph supports one backward: a second one through a
+    released node raises ``GraphReleasedError``; rebuild the graph to
+    differentiate it again.
 """
 
 from __future__ import annotations
@@ -75,18 +89,25 @@ from .errors import CheckpointError, GraphReleasedError, ShapeError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_state = threading.local()
+
+class _State(threading.local):
+    """Per-thread tape state. The class attributes are every thread's
+    defaults, so reading one is a plain attribute lookup: getattr with a
+    default on a bare threading.local raises and catches an AttributeError,
+    about ten times slower, on every primitive call."""
+
+    grad_enabled = True
+    profile = None
 
 
-def _grad_enabled():
-    return getattr(_state, "grad_enabled", True)
+_state = _State()
 
 
 class no_grad:
     """Context manager that disables tape recording on this thread."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
+        self._prev = _state.grad_enabled
         _state.grad_enabled = False
         return self
 
@@ -102,26 +123,31 @@ class profile:
     Keys are ``OpNode.op``: the primitive's name, or the name given to
     ``linear_operator``. Forward time runs from the outermost primitive's
     entry to its ``_result``; backward time is the op's backward closure in
-    the replay of ``backward``. ``kept_bytes`` sums, over the op's recorded
+    the replay of ``backward``, less the rebuilds it reads. Those go to the
+    op that made the rebuilt array: ``rebuilds`` counts its rebuild calls
+    and ``rebuild_ms`` is their time, less the time of the rebuilds they
+    read in turn. ``kept_bytes`` sums, over the op's recorded
     nodes, the arrays its backward closure references that are neither its
     inputs' data nor its output (``_kept_bytes``): what the tape holds for
     this op beyond the activations its closure reads (a node holds no
     input array of its own). Off by default; when off, each
-    primitive call pays a wrapper call and two thread-local lookups (under
-    1 us).
+    primitive call pays a wrapper call and two thread-local lookups, and
+    each rebuild read in backward one lookup: under 0.1 % of a desk
+    training step.
 
         with ad.profile() as prof:
             loss = model(x)
             loss.backward()
         prof.stats  # {op: {"calls": n, "forward_ms": f, "backward_ms": b,
-                    #       "kept_bytes": k}}
+                    #       "rebuilds": r, "rebuild_ms": m, "kept_bytes": k}}
     """
 
     def __init__(self):
         self.stats = collections.defaultdict(
             lambda: {"calls": 0, "forward_ms": 0.0, "backward_ms": 0.0,
-                     "kept_bytes": 0})
+                     "rebuilds": 0, "rebuild_ms": 0.0, "kept_bytes": 0})
         self._entered = None  # perf_counter() at the outermost primitive entry
+        self._rebuilt_ms = 0.0  # rebuild time inside the timed closure
 
     def __enter__(self):
         self._prev = _profiler()
@@ -134,7 +160,7 @@ class profile:
 
 
 def _profiler():
-    return getattr(_state, "profile", None)
+    return _state.profile
 
 
 def _primitive(fn):
@@ -146,7 +172,7 @@ def _primitive(fn):
 
     @functools.wraps(fn)
     def marked(*args, **kwargs):
-        prof = _profiler()
+        prof = _state.profile
         if prof is None or prof._entered is not None:
             return fn(*args, **kwargs)
         prof._entered = time.perf_counter()
@@ -169,18 +195,21 @@ def _next_seq():
 
 class OpNode:
     """One recorded primitive: links to its inputs, backward closure,
-    execution index.
+    execution index, and the rebuild of its output, if it has one.
 
     ``inputs`` holds, per input, an ``Edge`` to the node that made it, or
     the input itself when it is a leaf (a weight or a constant). Either way
-    the entry's ``.node`` is the producing node, or None for a leaf."""
+    the entry's ``.node`` is the producing node, or None for a leaf.
+    ``rebuild`` is None or a function of no arguments that recomputes the
+    output from what the node's backward keeps (see ``_reader``)."""
 
-    __slots__ = ("op", "inputs", "backward_fn", "seq")
+    __slots__ = ("op", "inputs", "backward_fn", "rebuild", "seq")
 
-    def __init__(self, op, inputs, backward_fn):
+    def __init__(self, op, inputs, backward_fn, rebuild=None):
         self.op = op
         self.inputs = inputs
         self.backward_fn = backward_fn
+        self.rebuild = rebuild
         self.seq = _next_seq()
 
 
@@ -240,14 +269,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def _result(op, out, inputs, backward_fn):
-    """Wrap a primitive output, recording a node when the tape is active."""
+def _result(op, out, inputs, backward_fn, rebuild=None):
+    """Wrap a primitive output, recording a node when the tape is active.
+
+    ``rebuild``, when given, is the function that computed ``out``; the
+    node keeps it for the consumers that read ``out`` in backward."""
     t = Tensor(out)
-    if _grad_enabled() and any(i.requires_grad for i in inputs):
+    if _state.grad_enabled and any(i.requires_grad for i in inputs):
         t.requires_grad = True
         t.node = OpNode(op, tuple(i if i.node is None else Edge(i.node)
-                                  for i in inputs), backward_fn)
-    prof = _profiler()
+                                  for i in inputs), backward_fn, rebuild)
+    prof = _state.profile
     if prof is not None:
         entry = prof.stats[op]
         entry["calls"] += 1
@@ -294,6 +326,44 @@ def _same_dtype(op, *tensors):
     return dt
 
 
+def _reader(t: Tensor):
+    """What a backward closure calls to read input t's array. It holds
+    neither t nor, where the node that made t can rebuild it, the array:
+    it is that node's rebuild, else a function returning t's array. In an
+    active ``profile`` a rebuild's time goes to the rebuilt op."""
+    node = t.node
+    if node is None or node.rebuild is None:
+        data = t.data
+        return lambda: data
+    rebuild, op = node.rebuild, node.op
+
+    def read():
+        prof = _state.profile
+        if prof is None:
+            return rebuild()
+        outer, prof._rebuilt_ms = prof._rebuilt_ms, 0.0
+        start = time.perf_counter()
+        out = rebuild()
+        ms = 1e3 * (time.perf_counter() - start)
+        entry = prof.stats[op]
+        entry["rebuilds"] += 1
+        entry["rebuild_ms"] += ms - prof._rebuilt_ms
+        prof._rebuilt_ms = outer + ms
+        return out
+
+    return read
+
+
+def _chain(make, tensors):
+    """The rebuild of a shape op's output, make(*input arrays), over its
+    inputs' rebuilds. None unless every input has one: the node would
+    otherwise hold input arrays its own backward does not read."""
+    if any(t.node is None or t.node.rebuild is None for t in tensors):
+        return None
+    reads = [_reader(t) for t in tensors]
+    return lambda: make(*(read() for read in reads))
+
+
 def backward(out: Tensor):
     if out.node is None:
         if out.requires_grad:
@@ -328,17 +398,18 @@ def backward(out: Tensor):
         # graph holds them
         node = ordered.pop()
         backward_fn, inputs = node.backward_fn, node.inputs
-        node.backward_fn, node.inputs = None, ()
+        node.backward_fn, node.inputs, node.rebuild = None, (), None
         g = grads.pop(node, None)
         if g is None:
             continue
         if prof is None:
             in_grads = backward_fn(g)
         else:
+            prof._rebuilt_ms = 0.0
             start = time.perf_counter()
             in_grads = backward_fn(g)
             prof.stats[node.op]["backward_ms"] += \
-                1e3 * (time.perf_counter() - start)
+                1e3 * (time.perf_counter() - start) - prof._rebuilt_ms
         for inp, ig in zip(inputs, in_grads):
             if ig is None:
                 continue
@@ -401,21 +472,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} vs weight {w.shape}")
-    lead = x.shape[:-1]
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out = x2 @ w.data
+    shape = x.shape
+    out = x.data.reshape(-1, shape[-1]) @ w.data
     if b is not None:
         out += b.data
+    read = _reader(x)
 
-    def bw(g, lead=lead):
+    def bw(g):
         g2 = g.reshape(-1, w.shape[1])
-        gx = (g2 @ w.data.T).reshape(x.shape)
-        gw = x2.T @ g2
+        gx = (g2 @ w.data.T).reshape(shape)
+        gw = read().reshape(-1, shape[-1]).T @ g2
         gb = g2.sum(axis=0) if b is not None else None
         return (gx, gw, gb) if b is not None else (gx, gw)
 
     inputs = (x, w) if b is None else (x, w, b)
-    return _result("linear", out.reshape(*lead, w.shape[1]), inputs, bw)
+    return _result("linear", out.reshape(*shape[:-1], w.shape[1]), inputs,
+                   bw)
 
 
 def _mm(a, b):
@@ -494,6 +566,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
     k, npix = c * kh * kw, oh * ow
     wmat = w.data.reshape(oc, k)
+    dtype, read = x.dtype, _reader(x)
     # Each layout gives the forward output and two backward helpers:
     # weight_columns(), the (c*kh*kw, n*oh*ow) columns of gW's GEMM rebuilt
     # from x, and input_grad(gmat), gx for the (n, oc, oh*ow) output grad.
@@ -502,12 +575,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                   .reshape(n, k, npix)).reshape(n, oc, oh, ow)
 
         def weight_columns():
-            return _patches(x.data, kh, kw, (1, 3, 5, 0, 2, 4)).reshape(
+            return _patches(read(), kh, kw, (1, 3, 5, 0, 2, 4)).reshape(
                 k, n * npix)
 
         def input_grad(gmat):
             return _mm(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow).transpose(
-                0, 1, 4, 2, 5, 3).reshape(x.shape)
+                0, 1, 4, 2, 5, 3).reshape(n, c, h, wd)
     else:
         planes, rows, wp = _flat_grid(x.data, kw, padding)
         span = oh * wp
@@ -526,9 +599,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
         def weight_columns():
             if kh * kw == 1 and padding == 0:
-                return x.data.transpose(1, 0, 2, 3).reshape(k, n * npix)
-            grid = _flat_grid(x.data, kw, padding)[0].reshape(n, c, rows, wp)
-            cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+                return read().transpose(1, 0, 2, 3).reshape(k, n * npix)
+            grid = _flat_grid(read(), kw, padding)[0].reshape(n, c, rows, wp)
+            cols = np.empty((c, kh, kw, n, oh, ow), dtype=dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     cols[:, ki, kj] = grid[:, :, ki:ki + oh,
@@ -540,7 +613,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 gwide = gmat
             else:
                 # g on the wide grid: zeros where the forward dropped columns
-                gwide = np.zeros((n, oc, oh, wp), dtype=x.dtype)
+                gwide = np.zeros((n, oc, oh, wp), dtype=dtype)
                 gwide[..., :ow] = gmat.reshape(n, oc, oh, ow)
                 gwide = gwide.reshape(n, oc, span)
             gcols = _mm(wmat.T, gwide)  # (n, k, oh*wp)
@@ -551,7 +624,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 # each tap's slice adds back where the forward read it; the
                 # columns that ran past a row carry zeros
                 gcols = gcols.reshape(n, c, kh * kw, span)
-                gplanes = np.zeros((n, c, rows * wp), dtype=x.dtype)
+                gplanes = np.zeros((n, c, rows * wp), dtype=dtype)
                 for t, start in enumerate(_tap_starts(kh, kw, wp)):
                     gplanes[:, :, start:start + span] += gcols[:, :, t]
             return gplanes.reshape(n, c, rows, wp)[
@@ -587,21 +660,22 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (oc,):
         raise ShapeError(f"conv_transpose2d: bias {b.shape} vs out channels {oc}")
     npix = h * wd
-    xmat = x.data.reshape(n, c, npix)
     wmat = w.data.reshape(c, oc * 4)
     # (n, oc, 2, 2, h, w): one output plane per tap, interleaved 2x2
-    cols = _mm(wmat.T, xmat).reshape(n, oc, 2, 2, h, wd)
+    cols = _mm(wmat.T, x.data.reshape(n, c, npix)).reshape(n, oc, 2, 2, h, wd)
     out = np.empty((n, oc, 2 * h, 2 * wd), dtype=x.dtype)
     for ki in range(2):
         for kj in range(2):
             out[:, :, ki::2, kj::2] = cols[:, :, ki, kj]
     if b is not None:
         out += b.data[:, None, None]
+    read = _reader(x)
 
     def bw(g):
         gcols = g.reshape(n, oc, h, 2, wd, 2).transpose(
             0, 1, 3, 5, 2, 4).reshape(n, oc * 4, npix)
-        gx = _mm(wmat, gcols).reshape(x.shape)
+        gx = _mm(wmat, gcols).reshape(n, c, h, wd)
+        xmat = read().reshape(n, c, npix)
         gw = (xmat.transpose(1, 0, 2).reshape(c, n * npix)
               @ gcols.transpose(1, 0, 2).reshape(oc * 4, n * npix).T)
         gw = gw.reshape(w.shape)
@@ -671,8 +745,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     y = gelu(x w1 + b1) w2 + b2, where gelu(u) = u cdf(u) and
     cdf(u) = 0.5 (1 + erf(u / sqrt 2)).
 
-    The node keeps u = x w1 + b1 and cdf(u) (and reads x); backward rebuilds
-    the hidden output u cdf(u), the same product, for w2's gradient."""
+    The node keeps cdf(u) and reads x; backward rebuilds u = x w1 + b1 with
+    the forward's own GEMM and add, and the hidden output u cdf(u), the
+    same product, for w2's gradient."""
     # scipy.special costs ~0.1 s and ~6 MB to import: only a network needs it
     from scipy.special import erf
 
@@ -684,16 +759,24 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             f"mlp: input {x.shape}, weights {w1.shape} and {w2.shape}, "
             f"biases {b1.shape} and {b2.shape}")
     shape, d_out = x.shape, w2.shape[1]
-    x2 = x.data.reshape(-1, shape[-1])
-    pre = x2 @ w1.data
-    pre += b1.data
+
+    def pre_activation(x2):
+        u = x2 @ w1.data
+        u += b1.data
+        return u
+
+    pre = pre_activation(x.data.reshape(-1, shape[-1]))
     cdf = erf(pre * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     out = (pre * cdf) @ w2.data
+    del pre
     out += b2.data
+    read = _reader(x)
 
     def bw(g):
+        x2 = read().reshape(-1, shape[-1])
+        pre = pre_activation(x2)
         g2 = g.reshape(-1, d_out)
         gw2 = (pre * cdf).T @ g2
         gb2 = g2.sum(axis=0)
@@ -728,14 +811,17 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if x.data.ndim != 4 or slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
         raise ShapeError(f"prelu: input {x.shape}, slopes {slopes.shape}")
     _same_dtype("prelu", x, slopes)
-    out = x.data * _prelu_scale(x.data, slopes.data)
+    xd = x.data
+
+    def rebuild():
+        return xd * _prelu_scale(xd, slopes.data)
 
     def bw(g):
         # a non-finite g where x > 0 times min(x, 0) = 0 makes its slope NaN
-        ga = np.einsum("nchw,nchw->c", g, np.minimum(x.data, 0.0))
-        return g * _prelu_scale(x.data, slopes.data), ga
+        ga = np.einsum("nchw,nchw->c", g, np.minimum(xd, 0.0))
+        return g * _prelu_scale(xd, slopes.data), ga
 
-    return _result("prelu", out, (x, slopes), bw)
+    return _result("prelu", rebuild(), (x, slopes), bw, rebuild)
 
 
 def _row_sums(a):
@@ -775,9 +861,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     _same_dtype("layer_norm", x, gamma, beta)
     xhat, inv_std = _normalize(x.data, d, eps)
-    out = xhat * gamma.data
-    out += beta.data
     shape = x.shape
+
+    def rebuild():
+        out = xhat * gamma.data
+        out += beta.data
+        return out.reshape(shape)
 
     def bw(g):
         g = g.reshape(-1, d)
@@ -785,7 +874,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx = _norm_backward(g * gamma.data, xhat, inv_std)
         return gx.reshape(shape), ggamma, g.sum(axis=0)
 
-    return _result("layer_norm", out.reshape(shape), (x, gamma, beta), bw)
+    return _result("layer_norm", rebuild(), (x, gamma, beta), bw, rebuild)
 
 
 @_primitive
@@ -795,7 +884,8 @@ def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
     affine y = xhat gamma + beta, then a channelwise PReLU of y.
 
     The node keeps xhat and 1 / std; backward rebuilds y, the same
-    product and sum, for the PReLU terms."""
+    product and sum, for the PReLU terms, and the output's rebuild is the
+    forward itself."""
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm_prelu: input {x.shape}")
     n, c, h, wd = x.shape
@@ -814,9 +904,9 @@ def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
         y += beta4
         return y
 
-    y = affine()
-    out = y * _prelu_scale(y, slopes.data)
-    del y
+    def rebuild():
+        y = affine()
+        return y * _prelu_scale(y, slopes.data)
 
     def bw(g):
         y = affine()
@@ -830,7 +920,8 @@ def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
                             xhat.reshape(-1, h * wd), inv_std)
         return gx.reshape(n, c, h, wd), ggamma, gbeta, gslopes
 
-    return _result("instance_norm_prelu", out, (x, gamma, beta, slopes), bw)
+    return _result("instance_norm_prelu", rebuild(),
+                   (x, gamma, beta, slopes), bw, rebuild)
 
 
 @_primitive
@@ -838,9 +929,12 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape, in_shape = tuple(shape), x.shape
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: {in_shape} -> {shape}")
-    return _result(
-        "reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),)
-    )
+
+    def make(xd):
+        return xd.reshape(shape)
+
+    return _result("reshape", make(x.data), (x,),
+                   lambda g: (g.reshape(in_shape),), _chain(make, (x,)))
 
 
 @_primitive
@@ -849,12 +943,13 @@ def permute(x: Tensor, axes) -> Tensor:
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"permute: axes {axes} for shape {x.shape}")
     inv = tuple(np.argsort(axes))
-    return _result(
-        "permute",
-        np.ascontiguousarray(x.data.transpose(axes)),
-        (x,),
-        lambda g: (np.ascontiguousarray(g.transpose(inv)),),
-    )
+
+    def make(xd):
+        return np.ascontiguousarray(xd.transpose(axes))
+
+    return _result("permute", make(x.data), (x,),
+                   lambda g: (np.ascontiguousarray(g.transpose(inv)),),
+                   _chain(make, (x,)))
 
 
 @_primitive
@@ -874,9 +969,11 @@ def concat(tensors, axis: int = 1) -> Tensor:
     def bw(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
-    return _result(
-        "concat", np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw
-    )
+    def make(*arrays):
+        return np.concatenate(arrays, axis=axis)
+
+    return _result("concat", make(*(t.data for t in tensors)), tuple(tensors),
+                   bw, _chain(make, tensors))
 
 
 @_primitive

@@ -225,7 +225,8 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     end = 0
     for view, (det, pix, wts) in enumerate(tables(geometry, h, w)):
         keep = wts != 0.0
-        coords = (det[keep].astype(np.int32), pix[keep].astype(np.int32))
+        coords = (det[keep].astype(np.int32, copy=False),
+                  pix[keep].astype(np.int32, copy=False))
         block = sparse.csr_array((wts[keep], coords), shape=(n_det, h * w))
         start, end = end, end + block.nnz
         if end > data.size:
@@ -249,14 +250,16 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
 
 
 def _bilinear_table(fi, fj, h, w):
-    """Corner indices and weights for bilinear sampling, zero outside.
+    """Corner indices (int32) and weights for bilinear sampling, zero
+    outside.
 
     Both are stacked over the four corners: shape (4,) + fi.shape.
     """
     i0, j0 = np.floor(fi), np.floor(fj)
     di, dj = fi - i0, fj - j0
-    ii = i0.astype(np.int64) + np.array([0, 0, 1, 1])[:, None, None]
-    jj = j0.astype(np.int64) + np.array([0, 1, 0, 1])[:, None, None]
+    corner = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.int32)
+    ii = i0.astype(np.int32) + corner[0][:, None, None]
+    jj = j0.astype(np.int32) + corner[1][:, None, None]
     valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
     wts = np.stack([1.0 - di, 1.0 - di, di, di]) \
         * np.stack([1.0 - dj, dj, 1.0 - dj, dj])
@@ -274,7 +277,7 @@ def _ray_tables(geometry: Geometry, h: int, w: int):
     step = px / 2.0
     half_diag = 0.5 * px * float(np.hypot(h, w))
     angles = geometry.view_angles()
-    det = np.arange(geometry.n_det)[:, None]
+    det = np.arange(geometry.n_det, dtype=np.int32)[:, None]
     t_det = (np.arange(geometry.n_det) - (geometry.n_det - 1) / 2.0) \
         * geometry.det_spacing_mm
 
@@ -401,11 +404,11 @@ def _pixel_tables(geometry: Geometry, h: int, w: int):
 
 
 def _detector_interp(fd, n_det, weight):
-    d0 = np.floor(fd).astype(np.int64)
+    d0 = np.floor(fd).astype(np.int32)
     frac = fd - d0
     # bins off the detector get zero weight, so the builder drops them
     wmask = ((d0 >= 0) & (d0 < n_det - 1)) * weight
-    pix = np.arange(fd.size).reshape(fd.shape)
+    pix = np.arange(fd.size, dtype=np.int32).reshape(fd.shape)
     return (np.stack([d0, d0 + 1]), np.stack([pix, pix]),
             np.stack([(1.0 - frac) * wmask, frac * wmask]))
 

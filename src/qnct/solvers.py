@@ -187,6 +187,12 @@ class ObjectiveSpec:
         r = self._residual(x, "gradient")
         return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
 
+    def residual_norm(self, x: np.ndarray) -> float:
+        """|A x - y|, from the kept residual when x is the last point
+        evaluated (the solvers ask only then), so it projects nothing."""
+        r = self._residual(x, "residual norm")
+        return float(np.linalg.norm(r.astype(np.float64, copy=False)))
+
     def line(self, x: np.ndarray, d: np.ndarray):
         """(value, slope) of J on x + a d, as _phi returns them.
 
@@ -215,12 +221,17 @@ class ObjectiveSpec:
 # traces
 # ---------------------------------------------------------------------------
 
-# "si" is symmetry_index of the updated H, as in unroll.TRACE_COLUMNS;
-# gradient descent leaves it and secant_residual NaN.
-TRACE_COLUMNS = ("iteration", "J", "grad_norm", "step", "secant_residual", "si")
+# "step" is the line search's alpha (qn) or the fixed step (gd); "si" is
+# symmetry_index of the updated H, as in unroll.TRACE_COLUMNS, and gradient
+# descent leaves it and secant_residual NaN. "residual_norm" is |A x_t - y|,
+# NaN for an objective that keeps no residual (_residual_norm), and
+# "step_norm" is |x_t - x_{t-1}|, NaN at t = 0.
+TRACE_COLUMNS = ("iteration", "J", "grad_norm", "step", "secant_residual",
+                 "si", "residual_norm", "step_norm")
 
 
-def _trace_row(iteration, J, grad_norm, step=np.nan, secant=np.nan, si=np.nan):
+def _trace_row(iteration, J, grad_norm, step=np.nan, secant=np.nan, si=np.nan,
+               residual_norm=np.nan, step_norm=np.nan):
     return {
         "iteration": int(iteration),
         "J": float(J),
@@ -228,7 +239,16 @@ def _trace_row(iteration, J, grad_norm, step=np.nan, secant=np.nan, si=np.nan):
         "step": float(step),
         "secant_residual": float(secant),
         "si": float(si),
+        "residual_norm": float(residual_norm),
+        "step_norm": float(step_norm),
     }
+
+
+def _residual_norm(spec, x) -> float:
+    """|A x - y| of the point spec last evaluated, from the residual an
+    ObjectiveSpec keeps; NaN for any other objective."""
+    return spec.residual_norm(x) if isinstance(spec, ObjectiveSpec) \
+        else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +265,18 @@ def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
     x = np.array(x0, dtype=np.float64, copy=True)
     j0 = spec.value(x)
     g = spec.grad(x)
-    trace = [_trace_row(0, j0, np.linalg.norm(g))]
+    g_norm = np.linalg.norm(g)
+    trace = [_trace_row(0, j0, g_norm, residual_norm=_residual_norm(spec, x))]
     limit = 10.0 * j0 + 1e-12
     for t in range(1, iters + 1):
         x = x - step * g
         j = spec.value(x)
         g = spec.grad(x)
-        trace.append(_trace_row(t, j, np.linalg.norm(g), step))
+        # the step taken is step * g: its norm needs no pass over x
+        step_norm, g_norm = step * g_norm, np.linalg.norm(g)
+        trace.append(_trace_row(t, j, g_norm, step,
+                                residual_norm=_residual_norm(spec, x),
+                                step_norm=step_norm))
         if j > limit:
             raise DivergenceError(
                 f"gradient_descent diverged at iteration {t}: "
@@ -501,7 +526,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     Hg = g  # H0 = I
     limit = 10.0 * j + 1e-12
     si = 0.0  # the identity start is symmetric
-    trace = [_trace_row(0, j, np.linalg.norm(g), si=si)]
+    trace = [_trace_row(0, j, np.linalg.norm(g), si=si,
+                        residual_norm=_residual_norm(spec, x))]
     for t in range(1, iters + 1):
         d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
@@ -527,7 +553,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
             secant = np.nan
         x, g = x_new, g_new
         j = spec.value(x) if j_new is None else j_new
-        trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si))
+        trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si,
+                                _residual_norm(spec, x), np.linalg.norm(s)))
         if j > limit:
             raise DivergenceError(
                 f"qn_reconstruct diverged at iteration {t}: J={j:.3e}",

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,10 +359,10 @@ def test_conv2d_and_prelu_keep_nothing_beyond_their_inputs():
     assert prof.stats["conv2d"]["calls"] == 4
     assert prof.stats["conv2d"]["kept_bytes"] == 0
     assert prof.stats["prelu"]["kept_bytes"] == 0
-    # the check can fail: mlp keeps its pre-activation and its cdf
+    # the check can fail: mlp keeps its cdf, one hidden-sized array
     with ad.profile() as prof:
         ad.mlp(x, *mlp_weights(rng, 8, 8, 8, np.float32))
-    assert prof.stats["mlp"]["kept_bytes"] == 2 * x.data.nbytes
+    assert prof.stats["mlp"]["kept_bytes"] == x.data.nbytes
 
 
 def test_padded_maxpool2d_keeps_only_its_argmax_indices():
@@ -428,6 +429,141 @@ def test_tape_frees_inputs_no_closure_reads_with_identical_gradients():
     for a, b in zip(held, freed):
         assert a.grad.dtype == b.grad.dtype == np.float32
         assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def _rebuild_graph(params):
+    """Every rebuilding producer (prelu, instance_norm_prelu, layer_norm,
+    concat, permute, reshape) feeding every lazily reading consumer
+    (conv2d in both layouts and 1x1, conv_transpose2d, linear, mlp).
+    Returns the loss and the outputs, in graph order."""
+    (x, w1, b1, s1, w2, gamma, beta, s2, wt, w3, wp, lg, lb,
+     m1, mb1, m2, mb2, wl) = params
+    n = x.shape[0]
+    a = ad.conv2d(x, w1, b1, padding=1)
+    p = ad.prelu(a, s1)
+    c = ad.conv2d(p, w2, padding=1)  # reads prelu's rebuild
+    i = ad.instance_norm_prelu(c, gamma, beta, s2)
+    t = ad.conv_transpose2d(i, wt)  # reads instance_norm_prelu's
+    c3 = ad.conv2d(i, w3)  # 1x1, no padding
+    cat = ad.concat([p, i], axis=1)
+    e = ad.conv2d(cat, wp, stride=4)  # a patch embedding of the concat
+    ln = ad.layer_norm(ad.permute(e, (0, 2, 3, 1)), lg, lb)
+    m = ad.mlp(ln, m1, mb1, m2, mb2)  # reads layer_norm's rebuild
+    r = ad.reshape(ad.permute(ln, (0, 3, 1, 2)), (n, 6, 4))
+    lin = ad.linear(r, wl)  # reads reshape(permute(layer_norm))
+    outs = (a, p, c, i, t, c3, cat, e, ln, m, r, lin)
+    loss = ad.sum_of_squares(t)
+    for y in (c3, m, lin):
+        loss = ad.add(loss, ad.sum_of_squares(y))
+    return loss, [y.data for y in outs]
+
+
+def _rebuild_params(n, dt):
+    rng = np.random.default_rng(10 + n)
+    shapes = ((n, 2, 8, 8), (4, 2, 3, 3), (4,), (4,), (4, 4, 3, 3), (4,),
+              (4,), (4,), (4, 3, 2, 2), (1, 4, 1, 1), (6, 8, 4, 4), (6,),
+              (6,), (6, 12), (12,), (12, 6), (6,), (4, 5))
+    return [Tensor((0.5 * rng.normal(size=s)).astype(dt), requires_grad=True)
+            for s in shapes]
+
+
+def _rebuild_mismatches(n, dt, reader=None):
+    """Names of the outputs and gradients that differ in any bit from the
+    same graph with every input array held (no rebuilds read), with
+    ``reader`` in place of ``ad._reader`` for the rebuilt side."""
+    real = ad._reader
+    sides = []
+    for patched in (lambda t: (lambda data=t.data: data), reader or real):
+        ad._reader = patched
+        try:
+            params = _rebuild_params(n, dt)
+            loss, outs = _rebuild_graph(params)
+            loss.backward()
+        finally:
+            ad._reader = real
+        sides.append([loss.data, *outs, *(p.grad for p in params)])
+    assert all(a.dtype == dt for a in sides[1])
+    return [k for k, (a, b) in enumerate(zip(*sides))
+            if a.shape != b.shape or a.tobytes() != b.tobytes()]
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rebuilt_inputs_give_bit_equal_outputs_and_gradients(n, dt):
+    assert _rebuild_mismatches(n, dt) == []
+
+
+def test_a_rebuild_one_ulp_off_changes_the_gradients():
+    real = ad._reader
+
+    def one_ulp_up(t):
+        read = real(t)
+        if t.node is None or t.node.rebuild is None:
+            return read
+        return lambda: np.nextafter(read(), np.inf)
+
+    assert _rebuild_mismatches(1, np.float32, one_ulp_up)
+
+
+def test_consumers_do_not_keep_rebuildable_inputs_alive():
+    params = _rebuild_params(1, np.float32)
+    loss, outs = _rebuild_graph(params)
+    names = "a p c i t c3 cat e ln m r lin".split()
+    refs = dict(zip(names, (weakref.ref(y) for y in outs)))
+    del outs
+    # the outputs of prelu, instance_norm_prelu, concat, layer_norm and the
+    # reshape are rebuilt for their readers; a (read by prelu) and the
+    # arrays sum_of_squares reads are held; c and e no closure reads
+    assert {name for name, ref in refs.items() if ref() is not None} == \
+        {"a", "t", "c3", "m", "lin"}
+    loss.backward()
+    assert all(ref() is None for ref in refs.values())
+    assert all(q.grad is not None for q in params)
+
+
+def test_backward_releases_each_rebuild():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    p = ad.prelu(x, Tensor(np.full(2, 0.25), requires_grad=True))
+    loss = ad.sum_of_squares(ad.conv2d(p, w, padding=1))
+    assert p.node.rebuild is not None
+    loss.backward()
+    assert p.node.rebuild is None and p.node.backward_fn is None
+    with pytest.raises(GraphReleasedError, match="sum_of_squares"):
+        loss.backward()
+
+
+def test_profile_times_rebuilds_on_the_rebuilt_op():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(1, 2, 16, 16)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    with ad.profile() as prof:
+        p = ad.prelu(x, Tensor(np.full(2, 0.25), requires_grad=True))
+        ad.sum_of_squares(ad.conv2d(p, w, padding=1)).backward()
+    rebuilt = {op: (e["rebuilds"], e["rebuild_ms"] > 0)
+               for op, e in prof.stats.items()}
+    assert rebuilt == {"prelu": (1, True), "conv2d": (0, False),
+                       "sum_of_squares": (0, False)}
+    assert prof.stats["conv2d"]["backward_ms"] > 0
+
+
+def test_profile_splits_nested_rebuild_time_by_op(monkeypatch):
+    # linear reads permute's rebuild, which reads layer_norm's
+    x = t64(np.random.default_rng(13).normal(size=(2, 3, 4)))
+    affine = [t64(np.ones(4)), t64(np.zeros(4))]
+    h = ad.permute(ad.layer_norm(x, *affine), (0, 2, 1))
+    loss = ad.mean(ad.linear(h, t64(np.ones((3, 2)))))
+    ticks = iter(range(100))  # a clock that advances 1 s per reading
+    monkeypatch.setattr(ad, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    with ad.profile() as prof:
+        loss.backward()
+    # mean 0-1; linear 2-7 holds permute 3-6, which holds layer_norm 4-5
+    assert {op: (e["rebuilds"], e["rebuild_ms"])
+            for op, e in prof.stats.items() if e["rebuilds"]} == \
+        {"permute": (1, 2000.0), "layer_norm": (1, 1000.0)}
+    assert prof.stats["linear"]["backward_ms"] == 2000.0
 
 
 def test_second_backward_through_a_released_graph_raises():
@@ -706,8 +842,8 @@ def test_fused_ops_keep_only_what_backward_cannot_rebuild():
         ad.mlp(x, *mlp_weights(rng, 8, 32, 8, np.float32))
         ad.instance_norm_prelu(x, *affine)
     rows = 2 * 4 * 6
-    # mlp: the pre-activation and its cdf, not the hidden output
-    assert prof.stats["mlp"]["kept_bytes"] == 2 * rows * 32 * 4
+    # mlp: the cdf, not the pre-activation or the hidden output
+    assert prof.stats["mlp"]["kept_bytes"] == rows * 32 * 4
     # instance_norm_prelu: xhat and one 1/std per plane, not the affine
     # output the PReLU reads
     assert prof.stats["instance_norm_prelu"]["kept_bytes"] == \

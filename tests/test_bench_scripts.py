@@ -146,21 +146,25 @@ def test_tape_walk_counts_what_closures_and_input_entries_hold(bench_tape):
            for s in ((8, 8), (8,), (8, 8), (8,))]
     w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     affine = [ad.Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
-    loss = ad.mean(ad.instance_norm_prelu(
-        ad.conv2d(ad.mlp(x, *mlp), w, padding=1), *affine))
+    wt = ad.Tensor(rng.normal(size=(3, 1, 2, 2)), requires_grad=True)
+    loss = ad.mean(ad.conv_transpose2d(ad.instance_norm_prelu(
+        ad.conv2d(ad.mlp(x, *mlp), w, padding=1), *affine), wt))
     walk = bench_tape.tape_bytes(ad, loss)
     plane_in, plane = 2 * 8 * 8 * 8, 3 * 8 * 8 * 8  # float64 (1, c, 8, 8)
-    assert walk["nodes"] == 4
-    # mlp keeps its pre-activation and cdf (x is a leaf); conv2d keeps the
-    # mlp output its weight_columns helper reads; instance_norm_prelu keeps
-    # xhat and one 1/std per channel, not its input; mean keeps only a shape
+    assert walk["nodes"] == 5
+    # mlp keeps its cdf (x is a leaf); conv2d's reader holds the mlp output
+    # (no rebuild); instance_norm_prelu keeps xhat and one 1/std per
+    # channel, not its input; conv_transpose2d reads instance_norm_prelu's
+    # rebuild, whose arrays that node already counts; mean keeps a shape
     assert walk["per_op"] == {
         "conv2d": {"nodes": 1, "closure_bytes": plane_in, "input_bytes": 0},
+        "conv_transpose2d": {"nodes": 1, "closure_bytes": 0,
+                             "input_bytes": 0},
         "instance_norm_prelu": {"nodes": 1, "closure_bytes": plane + 3 * 8,
                                 "input_bytes": 0},
         "mean": {"nodes": 1, "closure_bytes": 0, "input_bytes": 0},
-        "mlp": {"nodes": 1, "closure_bytes": 2 * plane_in, "input_bytes": 0}}
-    assert walk["total_bytes"] == 3 * plane_in + plane + 3 * 8
+        "mlp": {"nodes": 1, "closure_bytes": plane_in, "input_bytes": 0}}
+    assert walk["total_bytes"] == 2 * plane_in + plane + 3 * 8
 
 
 def test_tape_rounds_report_each_round_step_time_as_a_scale(bench_tape):
@@ -177,12 +181,37 @@ def test_tape_rounds_report_each_round_step_time_as_a_scale(bench_tape):
     assert one["per_round"] == [180.0] and one["median"] == 180.0
 
 
+def test_step_rows_report_every_round_of_each_side(bench_tape, monkeypatch):
+    def fake(rss, s_per_step, losses):
+        return {"env": {}, "size": 256, "peak_rss_mb": rss,
+                "s_per_step": s_per_step, "losses": losses}
+
+    runs = {"parent": [fake(1600.0, 7.2, ["a"]), fake(1610.0, 5.7, ["a"]),
+                       fake(1605.0, 6.0, ["a"])],
+            "change": [fake(980.0, 7.6, ["a"]), fake(990.0, 7.5, ["a"]),
+                       fake(985.0, 7.7, ["a"])]}
+    monkeypatch.setattr(bench_tape, "alternate", lambda *args: runs)
+    row = bench_tape.step_row(Path("p"), Path("c"), "256 96 2", 3)
+    assert row["same_losses"]
+    assert row["change"]["peak_rss_mb"] == 985.0
+    rounds = row["parent"]["rounds"]["s_per_step"]
+    assert rounds["per_round"] == [7.2, 5.7, 6.0]
+    assert rounds["median"] == 6.0 and rounds["q1"] == 5.85
+    assert row["change"]["rounds"]["peak_rss_mb"]["per_round"] == \
+        [980.0, 990.0, 985.0]
+    runs["change"][2]["losses"] = ["b"]  # one round's losses differ
+    assert not bench_tape.step_row(Path("p"), Path("c"), "256 96 2",
+                                   3)["same_losses"]
+
+
 def test_tape_and_train_steps_at_tiny_scale(bench_tape):
     report = bench_tape.tape_side(ROOT, "TINY")
     assert report["walk"]["nodes"] > 0
     assert report["traced_tape_bytes"] > 0
     kept = report["profile_kept_bytes"]
     assert kept["conv2d"] == 0 and kept["prelu"] == 0
+    rebuilt = report["profile_rebuilds"]
+    assert rebuilt["prelu"]["rebuilds"] > 0 and "conv2d" not in rebuilt
     assert report["profile_off_cost"]["calls_per_step"] > 0
     q = SimpleNamespace(geometry=geo, phantoms=phantoms, init=pinit,
                         train=tr, unroll=ur, mixer=mx)

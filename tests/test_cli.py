@@ -121,6 +121,12 @@ def test_reconstruct_gd_trace_monotone(workspace):
     rows = read_rows(trace)
     js = [float(r["J"]) for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(js, js[1:]))
+    with open(trace) as fh:
+        header = fh.readline().strip().split(",")
+    assert header[-2:] == ["residual_norm", "step_norm"]
+    assert all(float(r["residual_norm"]) > 0 for r in rows)
+    assert rows[0]["step_norm"] == "nan"
+    assert all(float(r["step_norm"]) > 0 for r in rows[1:])
 
 
 def test_reconstruct_qn_trace_has_si_column(workspace):

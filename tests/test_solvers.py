@@ -462,7 +462,8 @@ def reevaluating_qn(spec, x0, iters, line_search):
     state = BfgsState()
     j, g = spec.value(x), spec.grad(x)
     Hg, si = g, 0.0
-    trace = [solvers._trace_row(0, j, np.linalg.norm(g), si=si)]
+    trace = [solvers._trace_row(0, j, np.linalg.norm(g), si=si,
+                                residual_norm=solvers._residual_norm(spec, x))]
     for t in range(1, iters + 1):
         d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
@@ -480,7 +481,9 @@ def reevaluating_qn(spec, x0, iters, line_search):
         x, g = x_new, g_new
         j = spec.value(x)
         trace.append(solvers._trace_row(t, j, np.linalg.norm(g), alpha,
-                                        secant, si))
+                                        secant, si,
+                                        solvers._residual_norm(spec, x),
+                                        np.linalg.norm(s)))
     return x, trace
 
 
@@ -649,6 +652,10 @@ class ReprojectingSpec:
     """ObjectiveSpec as it was before the residual was kept: every value and
     every grad projects x again."""
 
+    # the trace columns it shares with ObjectiveSpec: keeping no residual,
+    # it has no residual_norm (NaN)
+    TRACE_COLUMNS = [c for c in solvers.TRACE_COLUMNS if c != "residual_norm"]
+
     def __init__(self, spec):
         self.op, self.y = spec.op, spec.y
         self.lam, self.regularizer = spec.lam, spec.regularizer
@@ -668,6 +675,13 @@ class TestResidualReuse:
         spec, op, x0 = counting_ct_tikhonov()
         gradient_descent(spec, x0, 1e-3, 6)
         assert len(op.projected) == 6 + 1
+
+    @pytest.mark.parametrize("line_search", ["strong-wolfe", "armijo"])
+    def test_qn_trace_norms_project_no_point_again(self, line_search):
+        spec, op, x0 = counting_ct_tikhonov()
+        _, trace, _ = qn_reconstruct(spec, x0, 3, line_search=line_search)
+        assert op.projected and len(op.projected) == len(set(op.projected))
+        assert all(np.isfinite(row["residual_norm"]) for row in trace)
 
     def test_strong_wolfe_projects_each_distinct_point_once(self):
         spec, op, x0 = counting_ct_tikhonov()
@@ -743,7 +757,7 @@ class TestResidualReuse:
                 updates = (len(state.pairs), state.skips)
             except DivergenceError as err:  # a unit step on the CT problem
                 x, trace, updates = None, err.trace, None
-            runs.append((x, [[row[c] for c in solvers.TRACE_COLUMNS]
+            runs.append((x, [[row[c] for c in ReprojectingSpec.TRACE_COLUMNS]
                              for row in trace], updates))
         (x, rows, updates), (x_ref, rows_ref, updates_ref) = runs
         if line_search in ("fixed", "exact-quadratic"):
@@ -754,7 +768,7 @@ class TestResidualReuse:
         assert updates == updates_ref
         assert len(rows) == len(rows_ref)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        j = solvers.TRACE_COLUMNS.index("J")
+        j = ReprojectingSpec.TRACE_COLUMNS.index("J")
         np.testing.assert_allclose([r[j] for r in rows],
                                    [r[j] for r in rows_ref], rtol=1e-12, atol=0)
 
@@ -764,9 +778,10 @@ class TestResidualReuse:
         x, trace = gradient_descent(spec, x0, step, 12)
         x_ref, trace_ref = gradient_descent(ReprojectingSpec(spec), x0, step, 12)
         assert x.tobytes() == x_ref.tobytes()
+        columns = ReprojectingSpec.TRACE_COLUMNS
         np.testing.assert_array_equal(
-            [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace],
-            [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace_ref])
+            [[row[c] for c in columns] for row in trace],
+            [[row[c] for c in columns] for row in trace_ref])
 
 
 class TestLineRestriction:
@@ -880,3 +895,40 @@ class TestNonFiniteParameters:
         with pytest.raises(ShapeError, match="step"):
             gradient_descent(spec, np.ones((3, 3)), bad, 4)
         assert op.projected == []
+
+
+def _solve(method, spec, x0, iters):
+    if method == "gd":
+        return gradient_descent(spec, x0, solvers.estimate_step(spec, 16),
+                                iters)
+    return qn_reconstruct(spec, x0, iters)[:2]
+
+
+@pytest.mark.parametrize("method", ["gd", "qn"])
+def test_trace_residual_and_step_norms_match_independent_norms(method):
+    spec, x0 = ct_tikhonov(n=16)
+    _, trace = _solve(method, spec, x0, 4)
+    # each x_t again, from a run of t iterations, projected afresh
+    xs = [x0] + [_solve(method, spec, x0, t)[0] for t in range(1, 5)]
+    op = geo.ScanOperator(spec.op.geometry, 16, 16)
+    for t, row in enumerate(trace):
+        assert row["residual_norm"] == pytest.approx(
+            np.linalg.norm(op.forward(xs[t]) - spec.y), rel=1e-9)
+        if t == 0:
+            assert np.isnan(row["step_norm"])
+        else:
+            assert row["step_norm"] == pytest.approx(
+                np.linalg.norm(xs[t] - xs[t - 1]), rel=1e-9)
+            assert row["step_norm"] > 0
+    # step keeps its meaning: the fixed step, or the accepted alpha
+    if method == "gd":
+        assert [row["step"] for row in trace[1:]] == \
+            [solvers.estimate_step(spec, 16)] * 4
+
+
+def test_trace_residual_norm_is_nan_for_an_objective_keeping_none():
+    spec, x0 = ct_tikhonov(n=16)
+    step = solvers.estimate_step(spec, 16)
+    _, trace = gradient_descent(CountingObjective(spec), x0, step, 2)
+    assert all(np.isnan(row["residual_norm"]) for row in trace)
+    assert np.isnan(trace[0]["step_norm"]) and trace[1]["step_norm"] > 0

@@ -30,8 +30,9 @@ Conventions:
     float64. Constants in kernels are Python numbers, never numpy scalars,
     which NumPy 2 promotion (NEP 50) treats as strongly typed: a float64
     or int64 scalar turns a float32 array expression into float64 work;
-  - broadcasting is limited to bias-add and scalar scaling, everything else
-    requires explicit reshape/permute;
+  - broadcasting is limited to bias-add and scalar scaling (mul's second
+    operand), everything else requires explicit reshape/permute;
+  - no primitive calls another, so ``profile`` times each call once;
   - only leaf tensors with ``requires_grad`` receive a ``.grad`` buffer, and
     grads accumulate across backward calls until ``zero_grad``;
   - a node keeps links, not arrays: ``OpNode.inputs`` holds an ``Edge``
@@ -80,6 +81,7 @@ import functools
 import math
 import threading
 import time
+import types
 
 import numpy as np
 
@@ -88,6 +90,7 @@ from .errors import CheckpointError, GraphReleasedError, ShapeError
 # Python floats, not numpy scalars: they keep float32 kernels in float32.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NORM_EPS = 1e-5  # added to the variance by both norms
 
 
 class _State(threading.local):
@@ -121,8 +124,8 @@ class profile:
     kept for backward, on this thread.
 
     Keys are ``OpNode.op``: the primitive's name, or the name given to
-    ``linear_operator``. Forward time runs from the outermost primitive's
-    entry to its ``_result``; backward time is the op's backward closure in
+    ``linear_operator``. Forward time runs from the primitive's entry to
+    its ``_result``; backward time is the op's backward closure in
     the replay of ``backward``, less the rebuilds it reads. Those go to the
     op that made the rebuilt array: ``rebuilds`` counts its rebuild calls
     and ``rebuild_ms`` is their time, less the time of the rebuilds they
@@ -146,7 +149,7 @@ class profile:
         self.stats = collections.defaultdict(
             lambda: {"calls": 0, "forward_ms": 0.0, "backward_ms": 0.0,
                      "rebuilds": 0, "rebuild_ms": 0.0, "kept_bytes": 0})
-        self._entered = None  # perf_counter() at the outermost primitive entry
+        self._entered = None  # perf_counter() at the last primitive's entry
         self._rebuilt_ms = 0.0  # rebuild time inside the timed closure
 
     def __enter__(self):
@@ -164,22 +167,14 @@ def _profiler():
 
 
 def _primitive(fn):
-    """Mark a primitive's entry for an active ``profile``.
-
-    A primitive that calls another (``mul`` swapping its operands) is
-    timed once, as the outer call.
-    """
+    """Mark a primitive's entry for an active ``profile``."""
 
     @functools.wraps(fn)
     def marked(*args, **kwargs):
         prof = _state.profile
-        if prof is None or prof._entered is not None:
-            return fn(*args, **kwargs)
-        prof._entered = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            prof._entered = None
+        if prof is not None:
+            prof._entered = time.perf_counter()
+        return fn(*args, **kwargs)
 
     return marked
 
@@ -228,8 +223,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
@@ -300,10 +295,13 @@ def _kept_bytes(backward_fn, inputs, out: np.ndarray) -> int:
     """Bytes of the arrays ``backward_fn`` references, through its closure
     cells and defaults (and the Tensors, tuples and lists among them), that
     are neither an input's data nor ``out``; each buffer counted once.
-    Functions it calls (a linear operator's maps) are not followed."""
+    Helpers the primitive defined (a ``__qualname__`` in the closure's own
+    scope, like conv2d's ``weight_columns``) are followed in turn; input
+    readers, rebuilds and a linear operator's maps belong to others."""
     skip = {id(_buffer(t.data)) for t in inputs} | {id(_buffer(out))}
-    values = [cell.cell_contents for cell in backward_fn.__closure__ or ()]
-    values += backward_fn.__defaults__ or ()
+    scope = backward_fn.__qualname__.rpartition(".")[0] + "."
+    values = [backward_fn]
+    followed = set()
     kept = {}
     while values:
         v = values.pop()
@@ -315,6 +313,11 @@ def _kept_bytes(backward_fn, inputs, out: np.ndarray) -> int:
             buf = _buffer(v)
             if id(buf) not in skip:
                 kept[id(buf)] = buf.nbytes
+        elif isinstance(v, types.FunctionType) and id(v) not in followed \
+                and (v is backward_fn or v.__qualname__.startswith(scope)):
+            followed.add(id(v))
+            values += [cell.cell_contents for cell in v.__closure__ or ()]
+            values += v.__defaults__ or ()
     return sum(kept.values())
 
 
@@ -446,48 +449,38 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 @_primitive
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a 0-d/1-element scalar."""
+    """Elementwise product; b may be a 0-d/1-element scalar."""
     _same_dtype("mul", a, b)
     if a.shape != b.shape:
-        if b.size == 1:
-            bd = b.data.reshape(())
+        if b.size != 1:
+            raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
+        bd = b.data.reshape(())
 
-            def bw(g, a=a, b=b, bd=bd):
-                return (g * bd, np.sum(g * a.data).reshape(b.shape))
+        def bw(g, a=a, b=b, bd=bd):
+            return (g * bd, np.sum(g * a.data).reshape(b.shape))
 
-            return _result("mul", a.data * bd, (a, b), bw)
-        if a.size == 1:
-            return mul(b, a)
-        raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
+        return _result("mul", a.data * bd, (a, b), bw)
     return _result(
         "mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data)
     )
 
 
 @_primitive
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map on the last axis: y[..., o] = x[..., i] w[i, o] (+ b[o])."""
-    _same_dtype("linear", *( [x, w] + ([b] if b is not None else []) ))
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """Linear map on the last axis, no bias: y[..., o] = x[..., i] w[i, o]."""
+    _same_dtype("linear", x, w)
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: bias {b.shape} vs weight {w.shape}")
     shape = x.shape
     out = x.data.reshape(-1, shape[-1]) @ w.data
-    if b is not None:
-        out += b.data
     read = _reader(x)
 
     def bw(g):
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(shape)
-        gw = read().reshape(-1, shape[-1]).T @ g2
-        gb = g2.sum(axis=0) if b is not None else None
-        return (gx, gw, gb) if b is not None else (gx, gw)
+        return gx, read().reshape(-1, shape[-1]).T @ g2
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _result("linear", out.reshape(*shape[:-1], w.shape[1]), inputs,
-                   bw)
+    return _result("linear", out.reshape(*shape[:-1], w.shape[1]), (x, w), bw)
 
 
 def _mm(a, b):
@@ -648,16 +641,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 
 @_primitive
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2x upsampling transposed conv, kernel 2 stride 2, w: (in_c, out_c, 2, 2)."""
-    _same_dtype("conv_transpose2d", *( [x, w] + ([b] if b is not None else []) ))
+    _same_dtype("conv_transpose2d", x, w, b)
     if x.data.ndim != 4 or w.data.ndim != 4 or w.shape[2:] != (2, 2):
         raise ShapeError(f"conv_transpose2d: input {x.shape}, kernel {w.shape}")
     n, c, h, wd = x.shape
     ic, oc, _, _ = w.shape
     if ic != c:
         raise ShapeError(f"conv_transpose2d: input channels {c} vs kernel {ic}")
-    if b is not None and b.shape != (oc,):
+    if b.shape != (oc,):
         raise ShapeError(f"conv_transpose2d: bias {b.shape} vs out channels {oc}")
     npix = h * wd
     wmat = w.data.reshape(c, oc * 4)
@@ -667,8 +660,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     for ki in range(2):
         for kj in range(2):
             out[:, :, ki::2, kj::2] = cols[:, :, ki, kj]
-    if b is not None:
-        out += b.data[:, None, None]
+    out += b.data[:, None, None]
     read = _reader(x)
 
     def bw(g):
@@ -678,13 +670,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         xmat = read().reshape(n, c, npix)
         gw = (xmat.transpose(1, 0, 2).reshape(c, n * npix)
               @ gcols.transpose(1, 0, 2).reshape(oc * 4, n * npix).T)
-        gw = gw.reshape(w.shape)
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _result("conv_transpose2d", out, inputs, bw)
+    return _result("conv_transpose2d", out, (x, w, b), bw)
 
 
 @_primitive
@@ -830,14 +818,14 @@ def _row_sums(a):
     return a @ np.ones(a.shape[1], dtype=a.dtype)
 
 
-def _normalize(x, m, eps):
+def _normalize(x, m):
     """Each run of m trailing elements of x to zero mean and unit variance.
 
-    Returns xhat as (rows, m) and 1 / sqrt(var + eps) as (rows, 1)."""
+    Returns xhat as (rows, m) and 1 / sqrt(var + _NORM_EPS) as (rows, 1)."""
     xhat = x.reshape(-1, m)
     xhat = xhat - (_row_sums(xhat) / m)[:, None]
     var = np.einsum("ij,ij->i", xhat, xhat) / m
-    inv_std = (1.0 / np.sqrt(var + eps))[:, None]
+    inv_std = (1.0 / np.sqrt(var + _NORM_EPS))[:, None]
     xhat *= inv_std
     return xhat, inv_std
 
@@ -852,7 +840,7 @@ def _norm_backward(g, xhat, inv_std):
 
 
 @_primitive
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -860,7 +848,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: affine {gamma.shape}/{beta.shape} vs feature dim {d}"
         )
     _same_dtype("layer_norm", x, gamma, beta)
-    xhat, inv_std = _normalize(x.data, d, eps)
+    xhat, inv_std = _normalize(x.data, d)
     shape = x.shape
 
     def rebuild():
@@ -878,8 +866,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 @_primitive
-def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
-                        eps: float = 1e-5) -> Tensor:
+def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor,
+                        slopes: Tensor) -> Tensor:
     """Normalize each (sample, channel) plane of NCHW input, apply the
     affine y = xhat gamma + beta, then a channelwise PReLU of y.
 
@@ -894,7 +882,7 @@ def instance_norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, slopes: Tensor,
             f"instance_norm_prelu: affine {gamma.shape}/{beta.shape}, slopes "
             f"{slopes.shape} vs channels {c}")
     _same_dtype("instance_norm_prelu", x, gamma, beta, slopes)
-    xhat, inv_std = _normalize(x.data, h * wd, eps)
+    xhat, inv_std = _normalize(x.data, h * wd)
     xhat = xhat.reshape(n, c, h, wd)
     gamma4 = gamma.data[None, :, None, None]
     beta4 = beta.data[None, :, None, None]
@@ -953,24 +941,21 @@ def permute(x: Tensor, axes) -> Tensor:
 
 
 @_primitive
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join tensors along axis 1, the channel axis of NCHW."""
     tensors = list(tensors)
     _same_dtype("concat", *tensors)
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            o != b for i, (o, b) in enumerate(zip(other, base)) if i != axis
-        ):
-            raise ShapeError(f"concat: shapes {[t.shape for t in tensors]}")
-    sizes = [t.shape[axis] for t in tensors]
+    others = [t.shape[:1] + t.shape[2:] for t in tensors]  # all but axis 1
+    if any(other != others[0] for other in others):
+        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]}")
+    sizes = [t.shape[1] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=1))
 
     def make(*arrays):
-        return np.concatenate(arrays, axis=axis)
+        return np.concatenate(arrays, axis=1)
 
     return _result("concat", make(*(t.data for t in tensors)), tuple(tensors),
                    bw, _chain(make, tensors))

@@ -140,10 +140,6 @@ class Image:
     def w(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def zeros(cls, h: int, w: int, geometry: Geometry, dtype=np.float32):
-        return cls(np.zeros((h, w), dtype=dtype), geometry.pixel_mm(w))
-
 
 @dataclass
 class Sinogram:
@@ -321,22 +317,13 @@ def forward_project(image: Image, geometry: Geometry) -> Sinogram:
                     .astype(image.values.dtype))
 
 
-def back_project(sino: Sinogram, geometry: Geometry, h: int | None = None,
-                 w: int | None = None) -> Image:
-    """Exact transpose of forward_project: the same matrix, transposed."""
+def back_project(sino: Sinogram, geometry: Geometry, h: int, w: int) -> Image:
+    """Exact transpose of forward_project, onto an h x w image."""
     _check_sino(sino, geometry, "back_project")
-    if h is None or w is None:
-        h = w = _default_image_size(geometry)
     _, At = _scan_matrix(_ray_tables, geometry, h, w)
     acc = At @ sino.values.reshape(-1).astype(np.float64, copy=False)
     return Image(acc.reshape(h, w).astype(sino.values.dtype),
                  geometry.pixel_mm(w))
-
-
-def _default_image_size(geometry: Geometry) -> int:
-    # Square image whose extent matches the geometry at 2 mm pixels is the
-    # desk default; callers reconstructing other sizes pass h, w explicitly.
-    return int(round(geometry.image_extent_mm / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +420,13 @@ def _fbp_weights(geometry: Geometry):
     return cosw, spacing, dtheta
 
 
-def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK,
-        h: int | None = None, w: int | None = None) -> Image:
-    """Filtered backprojection; unbiased in magnitude for sparse subsets."""
+def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK, *,
+        h: int, w: int) -> Image:
+    """Filtered backprojection onto an h x w image; unbiased in magnitude
+    for sparse subsets."""
     _check_sino(sino, geometry, "fbp")
     if geometry.n_views < 2:
         raise GeometryError("fbp needs at least 2 views")
-    if h is None or w is None:
-        h = w = _default_image_size(geometry)
     cosw, spacing, dtheta = _fbp_weights(geometry)
     q = _filter_rows(sino.values.astype(np.float64, copy=False)
                      * cosw[None, :], spacing, filter)
@@ -501,7 +487,7 @@ class ScanOperator:
 
     def fbp(self, y: np.ndarray) -> np.ndarray:
         return fbp(Sinogram(y), self.geometry, self.filter,
-                   self.h, self.w).values
+                   h=self.h, w=self.w).values
 
     def fbp_transpose(self, x: np.ndarray) -> np.ndarray:
         return fbp_transpose(self._image(x, "fbp_transpose"), self.geometry,

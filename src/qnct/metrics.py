@@ -1,29 +1,37 @@
 """Image quality metrics and evaluation protocols.
 
-PSNR, windowed SSIM (a separable Gaussian window) and its multi-scale
-product, radially averaged noise power spectra over a standard two-circle
-ROI layout, and the white-circle anomaly protocol with cropped-region
-scoring.
+PSNR, windowed SSIM and its multi-scale product, radially averaged noise
+power spectra (in pixel units) over a standard two-circle ROI layout, and
+the white-circle anomaly protocol with cropped-region scoring. The SSIM
+window (11x11 Gaussian, sigma 1.5, applied as two 1-D passes; Wang et al.
+2004) and the MS-SSIM weights (Wang, Simoncelli and Bovik 2003) are fixed.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import init as pinit
 from .errors import ShapeError
 
 log = logging.getLogger("qnct.metrics")
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
-SSIM_WINDOW = 11  # Gaussian window side, sigma 1.5 (Wang et al. 2004)
+SSIM_WINDOW = 11  # Gaussian window side
+SSIM_SIGMA = 1.5
+OOD_CROP_PAD = 4  # pixels around the anomaly's bounding box
+
+
+def _check_data_range(op, data_range):
+    if not (np.isfinite(data_range) and data_range > 0):
+        raise ShapeError(f"{op}: data_range must be finite and > 0, "
+                         f"got {data_range}")
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     """10 log10(range^2 / MSE); +inf for identical inputs."""
+    _check_data_range("psnr", data_range)
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
@@ -34,12 +42,12 @@ def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     return 10.0 * np.log10(data_range * data_range / mse)
 
 
-def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
+def gaussian_kernel() -> np.ndarray:
     """Normalized 1-D Gaussian taps; the SSIM window is their outer
     product, so filtering rows and then columns with them applies it."""
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
+    half = (SSIM_WINDOW - 1) / 2.0
+    coords = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return g / g.sum()
 
 
@@ -53,39 +61,38 @@ def _local_stats(x, y, taps):
     return mu_x, mu_y, xx - mu_x ** 2, yy - mu_y ** 2, xy - mu_x * mu_y
 
 
-def _ssim_terms(x, y, data_range, taps):
+def _ssim_terms(x, y, data_range):
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, taps)
+    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, gaussian_kernel())
     luminance = (2 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
     cs = (2 * cov + c2) / (var_x + var_y + c2)
     return luminance, cs
 
 
-def _ssim_inputs(op, x, ref, kernel_size):
+def _ssim_inputs(op, x, ref):
     """x and ref as float64, checked to match and to hold one window."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ShapeError(f"{op}: shapes {x.shape} vs {ref.shape}")
-    if min(x.shape) < kernel_size:
+    if min(x.shape) < SSIM_WINDOW:
         raise ShapeError(
-            f"{op}: image {x.shape} smaller than the {kernel_size} kernel"
+            f"{op}: image {x.shape} smaller than the {SSIM_WINDOW} kernel"
         )
     return x, ref
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-         kernel_size: int = SSIM_WINDOW, sigma: float = 1.5, *,
+def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0, *,
          level0=None) -> float:
     """Mean windowed structural similarity (Gaussian 11x11, sigma 1.5).
 
     ``level0`` is the ``_ssim_terms`` of (x, ref), when the caller already
     has them (``evaluate_pair`` shares them with ``ms_ssim``)."""
-    x, ref = _ssim_inputs("ssim", x, ref, kernel_size)
+    _check_data_range("ssim", data_range)
+    x, ref = _ssim_inputs("ssim", x, ref)
     if level0 is None:
-        level0 = _ssim_terms(x, ref, data_range,
-                             gaussian_kernel(kernel_size, sigma))
+        level0 = _ssim_terms(x, ref, data_range)
     luminance, cs = level0
     return float(np.mean(luminance * cs))
 
@@ -96,40 +103,35 @@ def _mean_pool2(x: np.ndarray) -> np.ndarray:
     return x.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def max_msssim_levels(shape, kernel_size: int = SSIM_WINDOW) -> int:
+def max_msssim_levels(shape) -> int:
     levels = 0
     size = min(shape)
-    while size >= kernel_size and levels < 5:
+    while size >= SSIM_WINDOW and levels < 5:
         levels += 1
         size //= 2
     return levels
 
 
 def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-            levels: int = 5, kernel_size: int = SSIM_WINDOW,
-            sigma: float = 1.5, weights=MS_SSIM_WEIGHTS, *,
-            level0=None) -> float:
+            levels: int = 5, *, level0=None) -> float:
     """Multi-scale SSIM: contrast/structure across scales, luminance at the
     coarsest; scales connect by 2x2 mean pooling. ``level0`` is as in
     ``ssim``: the full-size level's terms, if the caller has them."""
-    x = np.asarray(x, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if x.shape != ref.shape:
-        raise ShapeError(f"ms_ssim: shapes {x.shape} vs {ref.shape}")
-    if levels < 1 or levels > len(weights):
-        raise ShapeError(f"ms_ssim: levels must be in 1..{len(weights)}")
-    taps = gaussian_kernel(kernel_size, sigma)
-    weights = np.asarray(weights[:levels], dtype=np.float64)
+    _check_data_range("ms_ssim", data_range)
+    x, ref = _ssim_inputs("ms_ssim", x, ref)
+    if levels < 1 or levels > len(MS_SSIM_WEIGHTS):
+        raise ShapeError(f"ms_ssim: levels must be in 1..{len(MS_SSIM_WEIGHTS)}")
+    weights = np.asarray(MS_SSIM_WEIGHTS[:levels], dtype=np.float64)
     score = 1.0
     terms = level0
     for level in range(levels):
-        if min(x.shape) < kernel_size:
+        if min(x.shape) < SSIM_WINDOW:
             raise ShapeError(
                 f"ms_ssim: level {level + 1} image {x.shape} smaller than "
-                f"the {kernel_size} kernel"
+                f"the {SSIM_WINDOW} kernel"
             )
         if terms is None:
-            terms = _ssim_terms(x, ref, data_range, taps)
+            terms = _ssim_terms(x, ref, data_range)
         luminance, cs = terms
         terms = None
         # an anti-correlated pair has a negative mean cs, which has no
@@ -147,11 +149,11 @@ def ms_ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
 # noise power spectrum
 # ---------------------------------------------------------------------------
 
-def paper_roi_layout(image_size: int, base_size: int = 256):
+def paper_roi_layout(image_size: int):
     """Two-circle ROI layout scaled from the 256 reference: one central ROI,
     8 on the inner circle (radius 25), 20 on the outer (radius 50); ROIs are
     20x20 at the reference size."""
-    scale = image_size / base_size
+    scale = image_size / 256
     roi = max(4, int(round(20 * scale)))
     center = image_size / 2.0
     corners = []
@@ -169,11 +171,11 @@ def paper_roi_layout(image_size: int, base_size: int = 256):
     return corners, roi
 
 
-def nps_radial(noise_images, rois, roi_size: int, pixel_mm: float = 1.0):
+def nps_radial(noise_images, rois, roi_size: int):
     """Averaged periodogram of mean-subtracted ROIs, plus its radial profile.
 
     Returns (freq_centers, curve, nps2d). nps2d integrates (du dv) to the
-    noise variance, so sum(nps2d) / (roi_size * pixel_mm)^2 recovers it.
+    noise variance, so sum(nps2d) / roi_size^2 recovers it.
     """
     images = [np.asarray(img, dtype=np.float64) for img in noise_images]
     if not images or not rois:
@@ -192,13 +194,12 @@ def nps_radial(noise_images, rois, roi_size: int, pixel_mm: float = 1.0):
             spec = np.abs(np.fft.fft2(patch)) ** 2
             acc += spec
             count += 1
-    nps2d = acc * (pixel_mm * pixel_mm) / (roi_size * roi_size * count)
+    nps2d = acc / (roi_size * roi_size * count)
 
-    fx = np.fft.fftfreq(roi_size, d=pixel_mm)
+    fx = np.fft.fftfreq(roi_size)
     radius = np.sqrt(fx[None, :] ** 2 + fx[:, None] ** 2)
-    nyquist = 0.5 / pixel_mm
     n_bins = roi_size // 2
-    edges = np.linspace(0.0, nyquist, n_bins + 1)
+    edges = np.linspace(0.0, 0.5, n_bins + 1)  # up to Nyquist
     which = np.clip(np.digitize(radius.ravel(), edges) - 1, 0, n_bins - 1)
     sums = np.bincount(which, weights=nps2d.ravel(), minlength=n_bins)
     counts = np.bincount(which, minlength=n_bins)
@@ -207,9 +208,9 @@ def nps_radial(noise_images, rois, roi_size: int, pixel_mm: float = 1.0):
     return centers, curve, np.fft.fftshift(nps2d)
 
 
-def nps_integral(nps2d: np.ndarray, roi_size: int, pixel_mm: float = 1.0) -> float:
+def nps_integral(nps2d: np.ndarray, roi_size: int) -> float:
     """Integral of the 2D spectrum over frequency; equals noise variance."""
-    dudv = 1.0 / (roi_size * pixel_mm) ** 2
+    dudv = 1.0 / roi_size ** 2
     return float(nps2d.sum() * dudv)
 
 
@@ -223,17 +224,18 @@ def circle_mask(h: int, w: int, cx: int, cy: int, radius: int) -> np.ndarray:
     return dist <= radius
 
 
-def add_circle_ood(image: np.ndarray, seed=None, value: float = 1.0,
-                   rng: np.random.Generator | None = None):
-    """Stamp a random bright disk into a copy of the image; returns
-    (stamped, mask). Radius is uniform in [5, 20), the center keeps the
-    disk inside; small images rescale the radius range (logged)."""
+def add_circle_ood(image: np.ndarray, rng: np.random.Generator,
+                   value: float = 1.0):
+    """Stamp a random bright disk, drawn from rng, into a copy of the image;
+    returns (stamped, mask). Radius is uniform in [5, 20), the center keeps
+    the disk inside; small images rescale the radius range (logged), and
+    an image with a side below 3 has no room for a disk."""
     img = np.array(image, copy=True)
     if img.ndim != 2:
         raise ShapeError(f"add_circle_ood: expected 2-d image, got {img.shape}")
     h, w = img.shape
-    if rng is None:
-        rng = pinit.substream(int(seed), "ood")
+    if min(h, w) < 3:
+        raise ShapeError(f"add_circle_ood: image {img.shape} has a side below 3")
     lo, hi = 5, 20
     if min(h, w) <= 2 * hi:
         hi = max(2, min(h, w) // 4)
@@ -248,10 +250,10 @@ def add_circle_ood(image: np.ndarray, seed=None, value: float = 1.0,
     return img, mask
 
 
-def _widen(lo: int, hi: int, size: int, limit: int):
-    """[lo, hi) grown about its center to at least size wide, kept inside
-    [0, limit); a side that meets the border passes its share on."""
-    short = size - (hi - lo)
+def _widen(lo: int, hi: int, limit: int):
+    """[lo, hi) grown about its center to at least the SSIM window, kept
+    inside [0, limit); a side that meets the border passes its share on."""
+    short = SSIM_WINDOW - (hi - lo)
     if short <= 0:
         return lo, hi
     lo -= short // 2
@@ -263,11 +265,10 @@ def _widen(lo: int, hi: int, size: int, limit: int):
     return lo, hi
 
 
-def eval_ood_crop(x: np.ndarray, ref: np.ndarray, mask: np.ndarray,
-                  pad: int = 4, data_range: float = 1.0) -> dict:
-    """PSNR/SSIM on the padded bounding box of the anomaly mask, widened
-    to the SSIM window where the image allows (small disks on small
-    images)."""
+def eval_ood_crop(x: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> dict:
+    """PSNR/SSIM on the bounding box of the anomaly mask, padded by
+    OOD_CROP_PAD and widened to the SSIM window where the image allows
+    (small disks on small images)."""
     x = np.asarray(x)
     ref = np.asarray(ref)
     if x.shape != ref.shape or x.shape != mask.shape:
@@ -280,55 +281,35 @@ def eval_ood_crop(x: np.ndarray, ref: np.ndarray, mask: np.ndarray,
         raise ShapeError("eval_ood_crop: empty mask")
     r0, r1 = np.where(rows)[0][[0, -1]]
     c0, c1 = np.where(cols)[0][[0, -1]]
-    r0 = max(0, r0 - pad)
-    c0 = max(0, c0 - pad)
-    r1 = min(mask.shape[0], r1 + 1 + pad)
-    c1 = min(mask.shape[1], c1 + 1 + pad)
-    r0, r1 = _widen(r0, r1, SSIM_WINDOW, mask.shape[0])
-    c0, c1 = _widen(c0, c1, SSIM_WINDOW, mask.shape[1])
+    r0 = max(0, r0 - OOD_CROP_PAD)
+    c0 = max(0, c0 - OOD_CROP_PAD)
+    r1 = min(mask.shape[0], r1 + 1 + OOD_CROP_PAD)
+    c1 = min(mask.shape[1], c1 + 1 + OOD_CROP_PAD)
+    r0, r1 = _widen(r0, r1, mask.shape[0])
+    c0, c1 = _widen(c0, c1, mask.shape[1])
     xc = x[r0:r1, c0:c1]
     rc = ref[r0:r1, c0:c1]
     return {
-        "psnr": psnr(xc, rc, data_range),
-        "ssim": ssim(xc, rc, data_range),
+        "psnr": psnr(xc, rc),
+        "ssim": ssim(xc, rc),
         "bbox": (int(r0), int(c0), int(r1), int(c1)),
     }
 
 
 # ---------------------------------------------------------------------------
-# evaluation report
+# evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalReport:
-    rows: list
-
-    @property
-    def mean_psnr(self) -> float:
-        return float(np.mean([r["psnr"] for r in self.rows]))
-
-    @property
-    def std_psnr(self) -> float:
-        # identical pairs produce +inf rows; their spread is not a number
-        with np.errstate(invalid="ignore"):
-            return float(np.std([r["psnr"] for r in self.rows]))
-
-    @property
-    def mean_ssim(self) -> float:
-        return float(np.mean([r["ssim"] for r in self.rows]))
-
-
 def evaluate_pair(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0,
-                  msssim_levels: int | None = None) -> dict:
-    """psnr / ssim / ms_ssim row; levels default to the largest feasible.
+                  msssim_levels: int = 0) -> dict:
+    """psnr / ssim / ms_ssim row; 0 levels means the largest feasible.
     ssim and ms_ssim share one pass over the full-size windows."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
-    if msssim_levels is None:
+    if not msssim_levels:
         msssim_levels = max_msssim_levels(x.shape)
     row = {"psnr": psnr(x, ref, data_range)}
-    level0 = _ssim_terms(*_ssim_inputs("ssim", x, ref, SSIM_WINDOW),
-                         data_range, gaussian_kernel())
+    level0 = _ssim_terms(*_ssim_inputs("ssim", x, ref), data_range)
     row["ssim"] = ssim(x, ref, data_range, level0=level0)
     row["ms_ssim"] = (ms_ssim(x, ref, data_range, levels=msssim_levels,
                               level0=level0)

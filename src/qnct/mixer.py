@@ -23,10 +23,9 @@ from .errors import ShapeError
 
 # Fixed by the architecture, not by a checkpoint: the token MLP hidden width
 # is TOKEN_HIDDEN_RATIO times the token count, the channel MLP's
-# CHANNEL_HIDDEN_RATIO times d, and LAYER_NORM_EPS guards every layer norm.
+# CHANNEL_HIDDEN_RATIO times d.
 TOKEN_HIDDEN_RATIO = 4
 CHANNEL_HIDDEN_RATIO = 4
-LAYER_NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def inception_forward(x: Tensor, params: dict, config: MixerConfig) -> Tensor:
     b4 = ad.maxpool2d(x, 3, stride=1, padding=1)
     b4 = ad.prelu(_conv_block(b4, params, "inception.b4.conv"),
                   params["inception.b4.prelu"])
-    return ad.concat([b1, b2, b3, b4], axis=1)
+    return ad.concat([b1, b2, b3, b4])
 
 
 def _mlp(x, params, name):
@@ -183,16 +182,14 @@ def mixer_layer(e: Tensor, params: dict, config: MixerConfig, idx: int) -> Tenso
         raise ShapeError(
             f"mixer_layer: token grid {th}x{tw} does not match parameters"
         )
-    v = ad.layer_norm(e, params[base + ".ln1.gamma"], params[base + ".ln1.beta"],
-                      LAYER_NORM_EPS)
+    v = ad.layer_norm(e, params[base + ".ln1.gamma"], params[base + ".ln1.beta"])
     v = ad.permute(v, (0, 3, 2, 1))  # (n, d, tw, th): height tokens last
     v = _mlp(v, params, base + ".height")
     v = ad.permute(v, (0, 1, 3, 2))  # (n, d, th, tw): width tokens last
     v = _mlp(v, params, base + ".width")
     v = ad.permute(v, (0, 2, 3, 1))  # back to (n, th, tw, d)
     e = ad.add(e, v)
-    u = ad.layer_norm(e, params[base + ".ln2.gamma"], params[base + ".ln2.beta"],
-                      LAYER_NORM_EPS)
+    u = ad.layer_norm(e, params[base + ".ln2.gamma"], params[base + ".ln2.beta"])
     u = _mlp(u, params, base + ".channel")
     return ad.add(e, u)
 
@@ -203,8 +200,7 @@ def patch_expand(e: Tensor, params: dict, config: MixerConfig) -> Tensor:
     pch = config.patch
     y = ad.linear(e, params["expand.linear.w"])  # (n, th, tw, p*p*d), no bias
     y = ad.reshape(y, (n, th, tw, pch, pch, d))
-    y = ad.layer_norm(y, params["expand.ln.gamma"], params["expand.ln.beta"],
-                      LAYER_NORM_EPS)
+    y = ad.layer_norm(y, params["expand.ln.gamma"], params["expand.ln.beta"])
     y = ad.permute(y, (0, 5, 1, 3, 2, 4))  # (n, d, th, p, tw, p)
     y = ad.reshape(y, (n, d, th * pch, tw * pch))
     return ad.conv2d(y, params["expand.conv.w"], params["expand.conv.b"])

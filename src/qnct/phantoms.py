@@ -7,6 +7,8 @@ anti-aliases edges where line-integral accuracy matters.
 
 import numpy as np
 
+SUPERSAMPLE = 2  # sub-pixels per side of shepp_logan and random_ellipses
+
 # (x0, y0, a, b, angle_deg, value): the common modified Shepp-Logan set,
 # whose summed values already land in [0, 1].
 _SHEPP_LOGAN = [
@@ -23,17 +25,12 @@ _SHEPP_LOGAN = [
 ]
 
 
-def _grid(n: int, supersample: int):
-    ss = max(1, int(supersample))
-    m = n * ss
+def _grid(m: int):
     coords = (np.arange(m) + 0.5) / m * 2.0 - 1.0
-    x, y = np.meshgrid(coords, -coords)  # row 0 at the top, y up
-    return x, y, ss
+    return np.meshgrid(coords, -coords)  # row 0 at the top, y up
 
 
 def _downsample(img: np.ndarray, ss: int) -> np.ndarray:
-    if ss == 1:
-        return img
     n = img.shape[0] // ss
     return img.reshape(n, ss, n, ss).mean(axis=(1, 3))
 
@@ -46,19 +43,18 @@ def _add_ellipse(img, x, y, x0, y0, a, b, angle_deg, value):
     img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += value
 
 
-def shepp_logan(n: int, supersample: int = 2) -> np.ndarray:
+def shepp_logan(n: int) -> np.ndarray:
     """Modified Shepp-Logan head phantom, n x n, values in [0, 1]."""
-    x, y, ss = _grid(n, supersample)
+    x, y = _grid(n * SUPERSAMPLE)
     img = np.zeros_like(x)
     for params in _SHEPP_LOGAN:
         _add_ellipse(img, x, y, *params)
-    return np.clip(_downsample(img, ss), 0.0, 1.0).astype(np.float32)
+    return np.clip(_downsample(img, SUPERSAMPLE), 0.0, 1.0).astype(np.float32)
 
 
-def random_ellipses(n: int, rng: np.random.Generator,
-                    supersample: int = 2) -> np.ndarray:
+def random_ellipses(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random body ellipse with 4..8 internal structures, values in [0, 1]."""
-    x, y, ss = _grid(n, supersample)
+    x, y = _grid(n * SUPERSAMPLE)
     img = np.zeros_like(x)
     body_a = rng.uniform(0.65, 0.9)
     body_b = rng.uniform(0.65, 0.9)
@@ -72,13 +68,13 @@ def random_ellipses(n: int, rng: np.random.Generator,
         cy = rng.uniform(-0.5, 0.5)
         value = rng.uniform(0.08, 0.4) * rng.choice([-1.0, 1.0])
         _add_ellipse(img, x, y, cx, cy, a, b, rng.uniform(0.0, 180.0), value)
-    return np.clip(_downsample(img, ss), 0.0, 1.0).astype(np.float32)
+    return np.clip(_downsample(img, SUPERSAMPLE), 0.0, 1.0).astype(np.float32)
 
 
 def disk(n: int, radius_frac: float, value: float = 1.0,
          supersample: int = 8) -> np.ndarray:
     """Centered anti-aliased disk; radius as a fraction of the half extent."""
-    x, y, ss = _grid(n, supersample)
+    x, y = _grid(n * supersample)
     img = np.zeros_like(x)
     _add_ellipse(img, x, y, 0.0, 0.0, radius_frac, radius_frac, 0.0, value)
-    return _downsample(img, ss).astype(np.float32)
+    return _downsample(img, supersample).astype(np.float32)

@@ -38,6 +38,8 @@ log = logging.getLogger("qnct.solvers")
 
 # bytes of curvature pairs either quasi-Newton loop may hold
 HESSIAN_BYTE_LIMIT = 2**31
+WOLFE_C1 = 1e-4  # sufficient decrease, the textbook value (Nocedal & Wright)
+WOLFE_C2 = 0.9  # curvature, the textbook value
 
 
 def check_pair_budget(updates: int, n: int, where: str, remedy: str):
@@ -285,9 +287,9 @@ def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
     return x.astype(np.asarray(x0).dtype), trace
 
 
-def estimate_step(spec, size: int, seed: int = 0) -> float:
+def estimate_step(spec, size: int) -> float:
     """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus mu."""
-    v = substream(seed, "init").normal(size=(size, size))
+    v = substream(0, "init").normal(size=(size, size))
     for _ in range(8):
         v = spec.op.adjoint(spec.op.forward(v))
         v /= np.linalg.norm(v)
@@ -413,18 +415,18 @@ def fixed_step(spec, x, d, j0, g0d):
     return 1.0, None, None
 
 
-def armijo(spec, x, d, j0, g0d, c1=1e-4, shrink=0.5, max_iter=40):
+def armijo(spec, x, d, j0, g0d):
     value, _ = _phi(spec, x, d)
     a = 1.0
-    for _ in range(max_iter):
+    for _ in range(40):
         j = value(a)
-        if j <= j0 + c1 * a * g0d:
+        if j <= j0 + WOLFE_C1 * a * g0d:
             return a, j, None
-        a *= shrink
+        a *= 0.5
     return a, None, None
 
 
-def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
+def strong_wolfe(spec, x, d, j0, g0d):
     """Bracket and zoom until both strong Wolfe conditions hold.
 
     Each trial step is evaluated once: the bracket ends enter _zoom with the
@@ -434,17 +436,15 @@ def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
     a_prev, j_prev, sl_prev = 0.0, j0, g0d
     a = 1.0
     a_max = 64.0
-    for i in range(max_iter):
+    for i in range(25):
         j = value(a)
-        if j > j0 + c1 * a * g0d or (i > 0 and j >= j_prev):
-            return _zoom(value, slope, a_prev, j_prev, sl_prev, a, j,
-                         j0, g0d, c1, c2)
+        if j > j0 + WOLFE_C1 * a * g0d or (i > 0 and j >= j_prev):
+            return _zoom(value, slope, a_prev, j_prev, sl_prev, a, j, j0, g0d)
         sl, g = slope(a)
-        if abs(sl) <= -c2 * g0d:
+        if abs(sl) <= -WOLFE_C2 * g0d:
             return a, j, g
         if sl >= 0:
-            return _zoom(value, slope, a, j, sl, a_prev, j_prev,
-                         j0, g0d, c1, c2)
+            return _zoom(value, slope, a, j, sl, a_prev, j_prev, j0, g0d)
         if a == a_max:
             return a, j, g
         a_prev, j_prev, sl_prev = a, j, sl
@@ -452,11 +452,10 @@ def strong_wolfe(spec, x, d, j0, g0d, c1=1e-4, c2=0.9, max_iter=25):
     return a, None, None
 
 
-def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d, c1, c2,
-          max_iter=40):
+def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d):
     """Shrink the bracket [lo, hi], whose ends come evaluated: (J, slope)
     at lo and J at hi."""
-    for _ in range(max_iter):
+    for _ in range(40):
         # safeguarded quadratic interpolation through (lo, j_lo, sl_lo) and
         # (hi, j_hi); exact for quadratic objectives, bisection otherwise
         span = hi - lo
@@ -467,11 +466,11 @@ def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d, c1, c2,
                      < max(lo, hi) - 1e-3 * abs(span)):
             a = lo + 0.5 * span
         j = value(a)
-        if j > j0 + c1 * a * g0d or j >= j_lo:
+        if j > j0 + WOLFE_C1 * a * g0d or j >= j_lo:
             hi, j_hi = a, j
         else:
             sl, g = slope(a)
-            if abs(sl) <= -c2 * g0d:
+            if abs(sl) <= -WOLFE_C2 * g0d:
                 return a, j, g
             if sl * (hi - lo) >= 0:
                 hi, j_hi = lo, j_lo

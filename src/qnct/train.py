@@ -70,12 +70,10 @@ class AdamW:
     """
 
     def __init__(self, params: dict, lr: float, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8, no_decay=()):
+                 no_decay=()):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.no_decay = tuple(no_decay)
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
@@ -91,25 +89,28 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay and self._decays(name):
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= (self.lr * update).astype(p.data.dtype)
 
 
 NO_DECAY = ("lambda", "prelu")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def default_optimizer(model: QnMixerModel, config: TrainConfig) -> AdamW:

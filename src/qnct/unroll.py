@@ -160,14 +160,13 @@ class QnMixerModel:
     params: dict
 
     @classmethod
-    def build(cls, h: int, w: int, seed,
+    def build(cls, h: int, w: int, seed: int,
               mixer_config: mx.MixerConfig | None = None,
               unroll_config: UnrollConfig | None = None,
               dtype=np.float32) -> "QnMixerModel":
         mixer_config = mixer_config or mx.desk_mixer_config()
         unroll_config = unroll_config or UnrollConfig()
-        rng = seed if isinstance(seed, np.random.Generator) \
-            else pinit.substream(seed, "init")
+        rng = pinit.substream(seed, "init")
         layout = cls.layout(h, w, mixer_config, unroll_config)
         return cls(mixer_config, unroll_config,
                    pinit.materialize(layout, rng, dtype))

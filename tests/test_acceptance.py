@@ -136,9 +136,9 @@ def test_criterion_3_gradient_fidelity():
     for name, t in params.items():
         if name.endswith((".w1", ".w2", ".w")) or ".linear" in name:
             t.data[...] = rng.normal(0.0, 0.3, size=t.shape)
-    xin = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
-                 dtype=np.float64)
-    target = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
+    xin = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64),
+                 requires_grad=True)
+    target = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64))
 
     def mixer_loss():
         diff = ad.sub(mx.incept_mixer_forward(xin, params, cfg), target)
@@ -151,8 +151,8 @@ def test_criterion_3_gradient_fidelity():
     ccfg = ur.CodecConfig(k=2, width=6)
     cparams = materialize(ur.codec_layout(ccfg), substream(5, "init"),
                           np.float64)
-    gin = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
-                 dtype=np.float64)
+    gin = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64),
+                 requires_grad=True)
 
     def codec_loss():
         r = ur.encode_gradient(gin, cparams, ccfg)
@@ -227,8 +227,8 @@ def test_criterion_7_metric_oracles():
 
 def test_criterion_8_protocols():
     img = shepp_logan(64)
-    a, mask_a = mt.add_circle_ood(img, seed=8)
-    b, mask_b = mt.add_circle_ood(img, seed=8)
+    a, mask_a = mt.add_circle_ood(img, substream(8, "ood"))
+    b, mask_b = mt.add_circle_ood(img, substream(8, "ood"))
     reproducible = np.array_equal(a, b) and np.array_equal(mask_a, mask_b)
 
     mask = mt.circle_mask(64, 64, cx=10, cy=10, radius=5)

@@ -147,8 +147,9 @@ def test_tape_walk_counts_what_closures_and_input_entries_hold(bench_tape):
     w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     affine = [ad.Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
     wt = ad.Tensor(rng.normal(size=(3, 1, 2, 2)), requires_grad=True)
+    bt = ad.Tensor(np.zeros(1), requires_grad=True)
     loss = ad.mean(ad.conv_transpose2d(ad.instance_norm_prelu(
-        ad.conv2d(ad.mlp(x, *mlp), w, padding=1), *affine), wt))
+        ad.conv2d(ad.mlp(x, *mlp), w, padding=1), *affine), wt, bt))
     walk = bench_tape.tape_bytes(ad, loss)
     plane_in, plane = 2 * 8 * 8 * 8, 3 * 8 * 8 * 8  # float64 (1, c, 8, 8)
     assert walk["nodes"] == 5

@@ -394,6 +394,52 @@ def test_eval_identical_dirs_gives_unit_ssim(workspace):
     assert all(r["psnr_db"] == "inf" for r in rows)
 
 
+def eval_dirs(workspace, noise):
+    """recon/ and ref/ with three 32x32 pairs; recon = ref + noise."""
+    recon, ref = workspace / "recon", workspace / "ref"
+    recon.mkdir()
+    ref.mkdir()
+    rng = np.random.default_rng(4)
+    for i in range(3):
+        values = rng.uniform(size=(32, 32)).astype(np.float32)
+        noisy = values + noise * rng.normal(size=values.shape)
+        tio.write_tomo(recon / f"{i}.tomo", noisy.astype(np.float32),
+                       tio.KIND_IMAGE)
+        tio.write_tomo(ref / f"{i}.tomo", values, tio.KIND_IMAGE)
+    return ["eval", "--recon-dir", recon, "--ref-dir", ref,
+            "--out", workspace / "metrics.csv"]
+
+
+@pytest.mark.parametrize("noise,summary", [
+    (0.05, "PSNR 26.07+-0.15 dB, SSIM 0.9846"),
+    (0.0, "PSNR inf+-nan dB, SSIM 1.0000"),
+], ids=["noisy", "identical"])
+def test_eval_prints_mean_and_spread_of_the_scores(workspace, capsys, noise,
+                                                   summary):
+    argv = eval_dirs(workspace, noise)
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == \
+        f"wrote {workspace / 'metrics.csv'}: 3 images, {summary}\n"
+
+
+@pytest.mark.parametrize("flags,kind", [
+    (["--data-range", "0"], "ShapeError"),
+    (["--data-range", "nan"], "ShapeError"),
+    (["--data-range", "inf"], "ShapeError"),
+    (["--data-range", "-1"], "ShapeError"),
+    (["--msssim-levels", "-1"], "ConfigError"),
+    (["--msssim-levels", "6"], "ConfigError"),
+], ids=["range-zero", "range-nan", "range-inf", "range-negative",
+        "levels-negative", "levels-six"])
+def test_bad_eval_setting_is_one_error_line(workspace, capsys, flags, kind):
+    argv = eval_dirs(workspace, 0.05)
+    capsys.readouterr()
+    assert run([*argv, *flags]) == 1
+    one_error_line(capsys, kind)
+    assert not (workspace / "metrics.csv").exists()
+
+
 def test_nps_curve_columns(workspace):
     noise_dir = workspace / "noise"
     noise_dir.mkdir()
@@ -434,6 +480,14 @@ def test_ood_small_images_score_every_crop(workspace):
     assert len(rows) == 6
     for row in rows:
         assert 0.0 < float(row["crop_ssim"]) <= 1.0
+
+
+@pytest.mark.parametrize("size", ["1", "2"])
+def test_ood_image_too_small_for_a_disk_is_one_error_line(workspace, capsys,
+                                                          size):
+    assert run(["ood", "--out-dir", workspace / "ood", "--size", size,
+                "--count", "1"]) == 1
+    assert f"({size}, {size})" in one_error_line(capsys, "ShapeError")
 
 
 def test_unknown_flag_exits_nonzero_one_line(capsys):

@@ -53,7 +53,7 @@ GEOMETRY_MATRIX = [
 
 def test_zero_image_projects_to_zero():
     g = geo.desk_geometry()
-    sino = geo.forward_project(geo.Image.zeros(64, 64, g), g)
+    sino = geo.forward_project(make_image(np.zeros((64, 64), np.float32), g), g)
     assert np.all(sino.values == 0.0)
 
 
@@ -279,7 +279,8 @@ def test_subset_build_peaks_near_its_sampling_tables(beam):
 
 def test_zero_sinogram_backprojects_to_zero():
     g = geo.desk_geometry()
-    img = geo.back_project(geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), g)
+    img = geo.back_project(geo.Sinogram(np.zeros((180, 96), dtype=np.float32)),
+                           g, 64, 64)
     assert np.all(img.values == 0.0)
 
 
@@ -327,11 +328,13 @@ def test_fbp_fan_quality():
 
 def test_fbp_zero_and_few_views():
     g = geo.desk_geometry()
-    rec = geo.fbp(geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), g)
+    rec = geo.fbp(geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), g,
+                  h=64, w=64)
     assert np.all(rec.values == 0.0)
     g1 = geo.desk_geometry(view_subset=[0])
     with pytest.raises(GeometryError, match="2 views"):
-        geo.fbp(geo.Sinogram(np.zeros((1, 96), dtype=np.float32)), g1)
+        geo.fbp(geo.Sinogram(np.zeros((1, 96), dtype=np.float32)), g1,
+                h=64, w=64)
 
 
 def test_fbp_transpose_is_exact_adjoint():
@@ -357,7 +360,7 @@ def test_scan_operator_is_the_module_functions(beam):
     pairs = [
         (op.forward(x), geo.forward_project(img, g).values),
         (op.adjoint(y), geo.back_project(sino, g, 64, 64).values),
-        (op.fbp(y), geo.fbp(sino, g, geo.FILTER_HANN, 64, 64).values),
+        (op.fbp(y), geo.fbp(sino, g, geo.FILTER_HANN, h=64, w=64).values),
         (op.fbp_transpose(x),
          geo.fbp_transpose(img, g, geo.FILTER_HANN).values),
     ]
@@ -563,7 +566,7 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError, match="does not match"):
             geo.forward_project(geo.Image(np.zeros((64, 64)), 1.0), g)
         with pytest.raises(GeometryError, match="does not match"):
-            geo.back_project(geo.Sinogram(np.zeros((10, 96))), g)
+            geo.back_project(geo.Sinogram(np.zeros((10, 96))), g, 64, 64)
 
 
 class TestPhantoms:

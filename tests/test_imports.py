@@ -1,8 +1,10 @@
-"""Every import in src/ and tests/ is used, and every definition in src/
-has a caller (no linter ships with the project); commands that run no
-network do not import what only the network needs."""
+"""Every import in src/ and tests/ is used, every definition in src/ has a
+caller and every default in src/ is passed by some call (no linter ships
+with the project); commands that run no network do not import what only
+the network needs."""
 
 import ast
+import collections
 import re
 import subprocess
 import sys
@@ -95,10 +97,15 @@ def test_dead_code_finder_flags_only_unnamed_definitions():
                                          ("src/qnct/m.py", 3, "recursive")]
 
 
+def program_sources() -> dict:
+    """path -> text of every module in src/, scripts/ and perfbench/."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for top in ("src", "scripts", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))}
+
+
 def test_every_definition_in_src_has_a_caller():
-    sources = {path.relative_to(ROOT).as_posix(): path.read_text()
-               for top in ("src", "scripts", "perfbench")
-               for path in sorted((ROOT / top).rglob("*.py"))}
+    sources = program_sources()
     found = {name: f"{path}:{line}: {name}"
              for path, line, name in uncalled(sources, "src/qnct/")}
     assert set(ONLY_TESTS_CALL) <= set(found), \
@@ -106,6 +113,116 @@ def test_every_definition_in_src_has_a_caller():
     dead = [where for name, where in found.items()
             if name not in ONLY_TESTS_CALL]
     assert not dead, "definitions no code calls:\n" + "\n".join(dead)
+
+
+# "function.parameter" (or "Class.method.parameter") -> why a default that
+# no code in src/, scripts/ or perfbench/ passes stays a parameter
+ONE_CALLER_KNOBS = {
+    "qn_reconstruct.gtol": "an acceptance test stops the solver at a "
+                           "gradient tolerance",
+    "main.argv": "the console entry point calls main() with no arguments; "
+                 "tests pass argv",
+}
+
+
+def defaults(fn) -> list:
+    """(position, name) of each parameter of fn that has a default; the
+    position is None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def passes(call, position, name) -> bool:
+    """Whether a call passes the parameter, by keyword or by position;
+    *args and **kwargs pass everything."""
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def unset_knobs(sources: dict, package: str) -> list:
+    """(path, line, "function.parameter") of each parameter with a default,
+    of a top-level function or a method of a top-level class in a path
+    under ``package``, that no call in ``sources`` (path -> text) passes.
+
+    Calls match by the called name: f(...) and obj.f(...) call every f,
+    and C(...) calls C.__init__. A method's positions count from the
+    parameter after self or cls, except a staticmethod's. The match is by
+    name alone, so a call of another function of the same name counts
+    too and can hide a knob. A call through another name (a dict of
+    functions, a callback) is not seen, so a knob only such a call sets is
+    flagged. Nor can the finder see a knob that every call passes its
+    default value (layer_norm's eps, always given the 1e-5 it defaulted
+    to, was one)."""
+    calls = collections.defaultdict(list)
+    defs = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls[called].append(node)
+        if not path.startswith(package):
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((path, node, node.name, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    called = node.name if fn.name == "__init__" else fn.name
+                    defs.append((path, fn, f"{node.name}.{fn.name}", called,
+                                 0 if static else 1))
+    return [(path, fn.lineno, f"{qualname}.{name}")
+            for path, fn, qualname, called, bound in defs
+            for position, name in defaults(fn)
+            if not any(passes(call, None if position is None
+                              else position - bound, name)
+                       for call in calls[called])]
+
+
+def test_knob_finder_flags_only_defaults_no_call_passes():
+    sources = {
+        "src/qnct/m.py": ("def f(a, b=1, c=2, *, d=3, e=4): ...\n"
+                          "def spread(a=1, b=2): ...\n"
+                          "class K:\n"
+                          "    def __init__(self, x=0, y=0): ...\n"
+                          "    def method(self, p=1, q=2): ...\n"
+                          "    @staticmethod\n"
+                          "    def static(s=1, t=2): ...\n"),
+        "perfbench/run.py": ("from qnct import m\n"
+                             "m.f(0, 5, d=6)\n"
+                             "m.spread(*[1, 2])\n"
+                             "k = m.K(1)\n"
+                             "k.method(q=3)\n"
+                             "m.K.static(1)\n"),
+    }
+    assert unset_knobs(sources, "src/") == [
+        ("src/qnct/m.py", 1, "f.c"), ("src/qnct/m.py", 1, "f.e"),
+        ("src/qnct/m.py", 4, "K.__init__.y"),
+        ("src/qnct/m.py", 5, "K.method.p"),
+        ("src/qnct/m.py", 7, "K.static.t")]
+
+
+def test_every_default_in_src_is_passed_by_some_call():
+    found = {name: f"{path}:{line}: {name}"
+             for path, line, name in unset_knobs(program_sources(), "src/qnct/")
+             if name.split(".")[0] not in ONLY_TESTS_CALL}
+    assert set(ONE_CALLER_KNOBS) <= set(found), \
+        f"allowlisted but passed: {sorted(set(ONE_CALLER_KNOBS) - set(found))}"
+    unset = [where for name, where in found.items()
+             if name not in ONE_CALLER_KNOBS]
+    assert not unset, ("defaults no call passes; make each a constant:\n"
+                       + "\n".join(unset))
 
 
 LAZY_SPECIAL = """

@@ -6,6 +6,7 @@ import pytest
 
 from qnct import metrics as mt
 from qnct.errors import ShapeError
+from qnct.init import substream
 from qnct.phantoms import shepp_logan
 
 
@@ -126,7 +127,7 @@ class TestSsim:
             brute_force_ssim(x, ref), abs=1e-6)
 
     def test_kernel_is_separable_gaussian(self):
-        taps = mt.gaussian_kernel(11, 1.5)
+        taps = mt.gaussian_kernel()
         assert taps.shape == (11,)
         assert taps.sum() == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(taps, taps[::-1], rtol=0, atol=0)
@@ -222,17 +223,17 @@ class TestCircleProtocol:
 
     def test_seeded_reproducibility(self):
         img = shepp_logan(64)
-        a, mask_a = mt.add_circle_ood(img, seed=5)
-        b, mask_b = mt.add_circle_ood(img, seed=5)
+        a, mask_a = mt.add_circle_ood(img, substream(5, "ood"))
+        b, mask_b = mt.add_circle_ood(img, substream(5, "ood"))
         assert np.array_equal(a, b)
         assert np.array_equal(mask_a, mask_b)
-        c, mask_c = mt.add_circle_ood(img, seed=6)
+        c, mask_c = mt.add_circle_ood(img, substream(6, "ood"))
         assert not np.array_equal(mask_a, mask_c)
 
     def test_default_value_and_radius_range(self):
         img = np.zeros((64, 64), dtype=np.float32)
         for seed in range(8):
-            out, mask = mt.add_circle_ood(img, seed=seed)
+            out, mask = mt.add_circle_ood(img, substream(seed, "ood"))
             assert out[mask].min() == out[mask].max() == 1.0
             # radius in [5, 20): area strictly between r=4 and r=20 disks
             area = mask.sum()
@@ -241,20 +242,31 @@ class TestCircleProtocol:
     def test_small_image_rescales_radius(self, caplog):
         img = np.zeros((32, 32), dtype=np.float32)
         with caplog.at_level(logging.INFO, logger="qnct.metrics"):
-            _, mask = mt.add_circle_ood(img, seed=1)
+            _, mask = mt.add_circle_ood(img, substream(1, "ood"))
         assert mask.sum() > 0
         assert "rescaled" in caplog.text
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 64), (64, 1)])
+    def test_image_with_a_side_below_3_is_refused(self, shape):
+        rng = substream(0, "ood")
+        with pytest.raises(ShapeError, match=rf"image \({shape[0]}, {shape[1]}\)"):
+            mt.add_circle_ood(np.zeros(shape, dtype=np.float32), rng)
+        assert rng.bit_generator.state == substream(0, "ood").bit_generator.state
+
+    def test_smallest_image_gets_a_disk(self):
+        out, mask = mt.add_circle_ood(np.zeros((3, 3)), substream(0, "ood"))
+        assert mask.sum() > 0 and out[mask].min() == 1.0
+
     def test_input_not_mutated(self):
         img = np.zeros((64, 64), dtype=np.float32)
-        mt.add_circle_ood(img, seed=0)
+        mt.add_circle_ood(img, substream(0, "ood"))
         assert img.sum() == 0.0
 
 
 class TestOodCrop:
     def test_identical_crop_is_inf(self):
         img = shepp_logan(64)
-        stamped, mask = mt.add_circle_ood(img, seed=2)
+        stamped, mask = mt.add_circle_ood(img, substream(2, "ood"))
         out = mt.eval_ood_crop(stamped, stamped, mask)
         assert out["psnr"] == np.inf
 
@@ -263,7 +275,7 @@ class TestOodCrop:
         x = rng.uniform(size=(32, 32))
         ref = rng.uniform(size=(32, 32))
         mask = np.ones((32, 32), dtype=bool)
-        out = mt.eval_ood_crop(x, ref, mask, pad=4)
+        out = mt.eval_ood_crop(x, ref, mask)
         assert out["bbox"] == (0, 0, 32, 32)
         assert out["psnr"] == pytest.approx(mt.psnr(x, ref))
         assert out["ssim"] == pytest.approx(mt.ssim(x, ref))
@@ -274,15 +286,15 @@ class TestOodCrop:
                              np.zeros((16, 16), dtype=bool))
 
     def test_narrow_box_widens_to_the_window(self):
-        # a radius-1 disk with pad 1 boxes 5x5, and with pad 4 at the
-        # border 7x7, both narrower than the 11 window; the box grows about
-        # its center, and at the border into the image
+        # with the 4-pixel pad a one-pixel mask boxes 9x9, and a radius-1
+        # disk at the border 7x7, both narrower than the 11 window; the box
+        # grows about its center, and at the border into the image
         rng = np.random.default_rng(12)
         x, ref = noisy_pair(rng, (16, 16))
-        for (cx, cy), pad, bbox in (((8, 7), 1, (2, 3, 13, 14)),
-                                    ((1, 14), 4, (5, 0, 16, 11))):
-            mask = mt.circle_mask(16, 16, cx=cx, cy=cy, radius=1)
-            out = mt.eval_ood_crop(x, ref, mask, pad=pad)
+        for (cx, cy), radius, bbox in (((8, 7), 0, (2, 3, 13, 14)),
+                                       ((1, 14), 1, (5, 0, 16, 11))):
+            mask = mt.circle_mask(16, 16, cx=cx, cy=cy, radius=radius)
+            out = mt.eval_ood_crop(x, ref, mask)
             assert out["bbox"] == bbox
             r0, c0, r1, c1 = bbox
             assert out["ssim"] == mt.ssim(x[r0:r1, c0:c1], ref[r0:r1, c0:c1])
@@ -290,10 +302,11 @@ class TestOodCrop:
     def test_box_of_window_size_unchanged(self):
         rng = np.random.default_rng(13)
         x, ref = noisy_pair(rng, (64, 64))
-        for radius, pad in ((5, 4), (1, 4), (2, 3)):
+        pad = mt.OOD_CROP_PAD
+        for radius in (5, 1, 2):
             mask = mt.circle_mask(64, 64, cx=30, cy=20, radius=radius)
             side = 2 * radius + 1 + 2 * pad
-            out = mt.eval_ood_crop(x, ref, mask, pad=pad)
+            out = mt.eval_ood_crop(x, ref, mask)
             assert out["bbox"] == (20 - radius - pad, 30 - radius - pad,
                                    20 - radius - pad + side,
                                    30 - radius - pad + side)
@@ -310,7 +323,7 @@ class TestOodCrop:
         # anomaly; the crop isolates the failure, the full image dilutes it
         rng = np.random.default_rng(11)
         truth = shepp_logan(64)
-        stamped, mask = mt.add_circle_ood(truth, seed=3)
+        stamped, mask = mt.add_circle_ood(truth, substream(3, "ood"))
         recon = stamped + rng.normal(0, 0.01, stamped.shape)
         recon[mask] = truth[mask]  # the disk never appears in the output
         crop = mt.eval_ood_crop(recon, stamped, mask)
@@ -326,6 +339,17 @@ def test_scores_pinned_on_seeded_desk_pair():
     assert mt.ssim(x, ref) == pytest.approx(0.645672428936646, abs=1e-12)
     assert mt.ms_ssim(x, ref, levels=3) == pytest.approx(
         0.9719446632243337, abs=1e-12)
+
+
+@pytest.mark.parametrize("score", [
+    mt.psnr, mt.ssim, lambda x, ref, r: mt.ms_ssim(x, ref, r, levels=2)],
+    ids=["psnr", "ssim", "ms_ssim"])
+@pytest.mark.parametrize("data_range", [0.0, -1.0, np.nan, np.inf])
+def test_scores_refuse_a_data_range_not_finite_and_positive(score,
+                                                            data_range):
+    x = np.random.default_rng(14).uniform(size=(32, 32))
+    with pytest.raises(ShapeError, match="data_range must be finite and > 0"):
+        score(x, x, data_range)
 
 
 def test_evaluate_pair_row():

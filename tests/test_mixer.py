@@ -149,9 +149,9 @@ def test_gradient_check_tiny_config():
             t.data[...] = rng.normal(0.0, 0.3, size=t.shape)
         elif name.endswith((".b1", ".b2", ".b", ".beta")):
             t.data[...] = rng.normal(0.0, 0.05, size=t.shape)
-    x = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
-               dtype=np.float64)
-    target = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
+    x = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64),
+               requires_grad=True)
+    target = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64))
 
     def loss():
         out = mx.incept_mixer_forward(x, params, cfg)

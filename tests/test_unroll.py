@@ -67,9 +67,9 @@ class TestCodec:
         params = materialize(codec_layout(cfg), substream(5, "init"),
                              np.float64)
         rng = np.random.default_rng(6)
-        g = Tensor(rng.normal(size=(1, 1, 16, 16)), requires_grad=True,
-                   dtype=np.float64)
-        target = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
+        g = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64),
+                   requires_grad=True)
+        target = Tensor(np.asarray(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64))
 
         def loss():
             r = encode_gradient(g, params, cfg)

@@ -29,8 +29,9 @@ quartiles, and the pairs the change won. ``--pairs ''`` skips this part.
 The other ``bench_*.py`` scripts share this script's parent/change harness:
 ``alternate`` (sides taking turns going first), ``child`` (a fresh
 process), ``medians`` (of a side's rounds), ``peak_rss_mb``,
-``bench_parser``, ``parse_args``, ``checkouts`` and ``write_report`` (the
-perfbench pairs and the JSON report).
+``bench_parser``, ``parse_args``, ``checkouts``, ``pairs`` and
+``summarize`` (the perfbench pairs) and ``write_report`` (the JSON
+report).
 """
 
 import argparse
@@ -173,11 +174,15 @@ def profile_off_cost(ad, per_op: dict, step_ms: float) -> dict:
             "ms_per_step": off_ms, "frac_of_step": off_ms / step_ms}
 
 
-def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float):
+def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float,
+                  env=None):
+    """One ``perfbench/run.py --trace 0`` run, with env added to this
+    process's environment: its env line and its metrics."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env={**os.environ, **(env or {})})
     metrics = {}
     env = None
     for line in proc.stdout.splitlines():
@@ -194,19 +199,28 @@ def _quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def pairs(parent: Path, change: Path, workload: str, seeds, seconds):
+def pairs(parent: Path, change: Path, workload: str, seeds, seconds,
+          env=None):
+    """perfbench runs on each seed, the sides alternating which goes first;
+    env maps a side to what its runs add to the environment."""
     runs = {"parent": [], "change": []}
     envs = {}
     for n, seed in enumerate(seeds):
         order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
         for side in order:
-            env, metrics = perfbench_run(
+            envs[side], metrics = perfbench_run(
                 parent if side == "parent" else change, workload, seed,
-                seconds)
-            envs[side] = env
+                seconds, (env or {}).get(side))
             runs[side].append(metrics)
             print(f"{workload} seed {seed} {side}: "
                   f"op_ms_p50 {metrics['op_ms_p50']:.1f}", file=sys.stderr)
+    return {"seeds": list(seeds), "seconds": seconds, "env": envs,
+            "summary": summarize(runs), "runs": runs}
+
+
+def summarize(runs: dict) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, and the
+    pairs the change won."""
     summary = {}
     for name, lower in LOWER_IS_BETTER.items():
         if name not in runs["parent"][0]:
@@ -220,8 +234,7 @@ def pairs(parent: Path, change: Path, workload: str, seeds, seconds):
                          "pairs": len(p)}
     summary["failed_frac_max"] = max(m["failed_frac"]
                                      for side in runs.values() for m in side)
-    return {"seeds": list(seeds), "seconds": seconds, "env": envs,
-            "summary": summary, "runs": runs}
+    return summary
 
 
 def _seed_range(text):
@@ -230,12 +243,13 @@ def _seed_range(text):
     return workload, range(int(lo), int(hi or lo) + 1)
 
 
-def child(script, *argv) -> dict:
+def child(script, *argv, env=None) -> dict:
     """The last stdout line, read as JSON, of ``script argv...`` run in a
-    fresh process."""
+    fresh process, with env added to this process's environment."""
     proc = subprocess.run(
         [sys.executable, str(Path(script).resolve()), *map(str, argv)],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True,
+        env={**os.environ, **(env or {})})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -291,15 +305,16 @@ def checkouts(p: argparse.ArgumentParser, args) -> tuple:
     return args.parent.resolve(), args.change.resolve()
 
 
-def write_report(args, parent: Path, change: Path, report: dict) -> int:
+def write_report(args, parent: Path, change: Path, report: dict,
+                 run_pairs=pairs) -> int:
     """Add the perfbench pairs of each --pairs spec to report, at the run
     length BENCHMARK.json sets, and write it to --out."""
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     report["perfbench"] = {}
     for spec in filter(None, args.pairs):
         workload, seeds = _seed_range(spec)
-        report["perfbench"][workload] = pairs(parent, change, workload, seeds,
-                                              seconds)
+        report["perfbench"][workload] = run_pairs(parent, change, workload,
+                                                  seeds, seconds)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -1,44 +1,59 @@
 #!/usr/bin/env python3
-"""Measure scan-matrix builds, desk and paper scale, parent against change.
+"""Measure scan-matrix builds and loads, desk and paper scale, parent
+against change.
 
     python3 scripts/bench_scan_build.py --parent DIR --change DIR \
-        [--rounds 3] [--pairs gd:31-40 qn:31-40 train:31-35] \
-        [--out BENCH_scan_build.json]
+        [--rounds 3] [--pairs gd:81-91 qn:81-91 train:81-86] \
+        [--cache-root DIR] [--out BENCH_scan_cache.json]
 
 DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
-Every case runs in a fresh process with one BLAS thread, and the sides
-alternate which goes first:
+Every case runs in fresh processes with one BLAS thread, and the sides
+alternate which goes first. ``QNCT_CACHE_DIR`` points every process at a
+directory under ``--cache-root`` (default: the system's temporary
+directory), so no run reads or writes a user's scan-matrix cache. A case
+runs *cold*, on an empty cache directory, then *warm*, in a second process
+on the directory the cold run filled; a side without the disk cache builds
+both times.
 
   - ``builds``: the first ``forward_project`` and the first ``fbp`` on a
-    Shepp-Logan phantom, each timed with the matrix it builds, for every
-    scan in ``CASES``. The matrix cache is cleared between the two, so each
-    build's peak is its own. ``ru_maxrss`` is read after each step, and
-    the number of A's entries and a hash of the sinogram are recorded.
-    Desk cases then build A and B once more each, from a cleared cache
-    under ``tracemalloc`` (after the timings, so these stay untraced), and
-    record each build's traced peak over its matrix's ``data + indices +
-    indptr`` bytes.
-  - ``cli``: the wall time of ``qnct reconstruct --method qn`` on a
-    desk fan scan of ``CLI_VIEWS`` views (``--iters`` at its default),
-    with a hash of the written image.
+    Shepp-Logan phantom, each timed with the matrix it builds or loads,
+    for every scan in ``CASES``. The matrix cache is cleared between the
+    two, so each one's peak is its own. ``ru_maxrss`` is read after each
+    step, and the number of A's entries, a hash of the sinogram and a hash
+    of each matrix's arrays (values and dtypes) are recorded; ``same_bytes``
+    says whether every cold and warm run of both sides gave the same
+    matrices. Desk cases then build A and B once more each (never from the
+    disk cache), under ``tracemalloc`` after the timings, and record each
+    build's traced peak over its matrix's ``data + indices + indptr`` bytes.
+  - ``setup``: one ``perfbench/run.py --setup-only`` process per workload
+    of ``--pairs``, cold and then warm: its set-up seconds and its peak RSS.
+  - ``cli``: the wall time of ``qnct reconstruct --method qn`` on a desk
+    fan scan of ``CLI_VIEWS`` views (``--iters`` at its default), cold and
+    warm, with a hash of the written image.
   - ``paper_inference``: one unrolled inference of a freshly built
     paper-size model (256², d = 96, T = 6) on the paper fan scan of
-    ``PAPER_VIEWS`` of 512 views: the wall time of the projection that
-    makes its sinogram (and builds A) and of the inference (which builds
-    FBP's matrix), ``ru_maxrss``, and whether the cold start equals FBP
-    bit for bit.
+    ``PAPER_VIEWS`` of 512 views, cold and warm: the wall time of the
+    projection that makes its sinogram (and builds or loads A) and of the
+    inference (FBP's matrix), ``ru_maxrss``, and whether the cold start
+    equals FBP bit for bit.
 
-Desk cases and the CLI run ``--rounds`` times per side (each figure is the
-median); the paper-scale cases run once per side, since each takes tens
-of seconds. Then ``perfbench/run.py --trace 0`` runs on each listed
-workload and seed with the pair runner of ``bench_kernels.py``.
-``--pairs ''`` skips this part.
+Desk cases, set-ups and the CLI run ``--rounds`` times per side (each
+figure is the median, and each round is kept); the paper-scale cases run
+once per side, since each takes tens of seconds. Then
+``perfbench/run.py --trace 0`` runs on each listed workload and seed with
+the pair runner of ``bench_kernels.py``, with one cache directory per side
+that persists across that side's runs, as a user's would: each side's
+first run of a workload is reported on its own (its main set-up is cold),
+and the pairs' summary covers the rest (``summary_all_runs`` covers every
+pair). ``--pairs ''`` skips this part.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -47,8 +62,8 @@ import tracemalloc
 from pathlib import Path
 
 from bench_kernels import (_import_side, alternate, bench_parser, checkouts,
-                           child, medians, parse_args, peak_rss_mb,
-                           write_report)
+                           child, medians, pairs, parse_args, peak_rss_mb,
+                           summarize, write_report)
 
 # case -> (scan, beam, full view count, kept views)
 CASES = {
@@ -62,6 +77,7 @@ CLI_VIEWS = 32
 PAPER_VIEWS = 64
 PAPER_SIZE = 256
 DESK_SIZE = 64
+SETUP_SEED = 1
 
 
 def _scan(geo, case):
@@ -72,13 +88,27 @@ def _scan(geo, case):
     return geo.desk_geometry(beam, views), DESK_SIZE
 
 
+def matrix_sha256(matrix) -> str:
+    """Hash of a CSR matrix's arrays, their dtypes included; the arrays are
+    read in place, so hashing adds nothing to the peak RSS."""
+    digest = hashlib.sha256()
+    for name in ("data", "indices", "indptr"):
+        array = getattr(matrix, name)
+        digest.update(array.dtype.str.encode())
+        digest.update(array)
+    return digest.hexdigest()
+
+
 def traced_build(geo, tables, g, n) -> dict:
-    """Build ``tables``' matrix of scan g at n² from a cleared cache under
-    tracemalloc: the traced peak, the matrix's bytes and their ratio."""
-    geo._scan_matrix.cache_clear()
+    """Build ``tables``' matrix of scan g at n² under tracemalloc, through a
+    wrapper so the disk cache is never read: the traced peak, the matrix's
+    bytes and their ratio."""
+    def building(*args):
+        return tables(*args)
+
     tracemalloc.start()
     try:
-        matrix, _ = geo._scan_matrix(tables, g, n, n)
+        matrix, _ = geo._scan_matrix(building, g, n, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -99,12 +129,18 @@ def build_case(q, case) -> dict:
     report["forward_project_s"] = time.perf_counter() - start
     report["rss_after_forward_mb"] = peak_rss_mb()
     # no name may hold A (or its transposed view) through fbp's build
-    report["a_entries"] = geo._scan_matrix(geo._ray_tables, g, n, n)[0].nnz
+    A = geo._scan_matrix(geo._ray_tables, g, n, n)[0]
+    report["a_entries"] = A.nnz
+    report["a_sha256"] = matrix_sha256(A)
+    del A
     geo._scan_matrix.cache_clear()
     start = time.perf_counter()
     geo.fbp(sino, g, h=n, w=n)
     report["fbp_s"] = time.perf_counter() - start
     report["peak_rss_mb"] = peak_rss_mb()
+    report["b_sha256"] = matrix_sha256(
+        geo._scan_matrix(geo._pixel_tables, g, n, n)[0])
+    geo._scan_matrix.cache_clear()
     report["sino_sha256"] = hashlib.sha256(sino.values.tobytes()).hexdigest()
     if CASES[case][0] == "desk":
         for name, tables in (("a", geo._ray_tables), ("b", geo._pixel_tables)):
@@ -135,23 +171,39 @@ def paper_inference(q) -> dict:
 
 def measure(checkout: Path, case: str) -> dict:
     run, _, q = _import_side(checkout)
-    result = paper_inference(q) if case == "paper inference" \
+    if case == "env":
+        return run.environment()
+    return paper_inference(q) if case == "paper inference" \
         else build_case(q, case)
-    return {"env": run.environment(), **result}
 
 
-def cli_wall(checkout: Path) -> dict:
+def setup_side(checkout: Path, workload: str) -> dict:
+    """One ``perfbench/run.py --setup-only`` process: its set-up seconds
+    and its peak RSS (this process's only child)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(SETUP_SEED), "--setup-only"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    setup = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"setup_s": setup["setup_s"],
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+
+
+def cli_wall(checkout: Path, env: dict) -> dict:
     """Wall time of one ``qnct reconstruct --method qn`` process."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env = {**os.environ, **env, "PYTHONPATH": str(checkout / "src")}
     geometry = ["--beam", "fan", "--views", str(CLI_VIEWS)]
     with tempfile.TemporaryDirectory() as tmp:
-        def qnct(*argv):
+        def qnct(*argv, **extra):
             subprocess.run([sys.executable, "-m", "qnct.cli", *argv],
-                           cwd=tmp, env=env, check=True,
+                           cwd=tmp, env={**env, **extra}, check=True,
                            capture_output=True)
 
+        # the scan is made with a cache of its own, so it warms nothing
         qnct("phantom", "--out", "ph.tomo")
-        qnct("project", "--image", "ph.tomo", "--out", "s.tomo", *geometry)
+        qnct("project", "--image", "ph.tomo", "--out", "s.tomo", *geometry,
+             QNCT_CACHE_DIR=str(Path(tmp, "project-cache")))
         start = time.perf_counter()
         qnct("reconstruct", "--method", "qn", "--sino", "s.tomo",
              "--out", "r.tomo", *geometry)
@@ -160,44 +212,130 @@ def cli_wall(checkout: Path) -> dict:
     return {"wall_s": wall, "out_sha256": digest}
 
 
-def report(parent: Path, change: Path, rounds: int) -> dict:
-    out = {"builds": {}, "rounds": rounds}
-    for case, (scan, *_) in CASES.items():
-        runs = alternate(parent, change, 1 if scan == "paper" else rounds,
-                         lambda checkout: child(__file__, "--measure-side",
-                                                checkout, "--case", case))
-        out["builds"][case] = {side: medians(rs) for side, rs in runs.items()}
-        print(f"{case}: " + ", ".join(
-            f"{side} {r['forward_project_s']:.2f} s "
-            f"{r['peak_rss_mb']:.0f} MB"
-            for side, r in out["builds"][case].items()), file=sys.stderr)
-    runs = alternate(parent, change, rounds, cli_wall)
-    out["cli"] = {"command": f"reconstruct --method qn --beam fan --views "
-                             f"{CLI_VIEWS}",
-                  **{side: medians(rs) for side, rs in runs.items()}}
-    runs = alternate(parent, change, 1,
-                     lambda checkout: child(__file__, "--measure-side",
-                                            checkout, "--case",
-                                            "paper inference"))
-    out["paper_inference"] = {side: rs[0] for side, rs in runs.items()}
-    out["env"] = out["paper_inference"]["change"].pop("env")
-    out["paper_inference"]["parent"].pop("env")
+def cold_and_warm(cache_root: Path, fn) -> dict:
+    """{"cold": fn(env), "warm": fn(env)} with env's QNCT_CACHE_DIR an empty
+    directory for the first call and the one it filled for the second."""
+    cache = Path(tempfile.mkdtemp(prefix="scan-cache-", dir=cache_root))
+    try:
+        env = {"QNCT_CACHE_DIR": str(cache)}
+        return {"cold": fn(env), "warm": fn(env)}
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
+
+
+def rounds_of(parent, change, rounds, cache_root, fn) -> dict:
+    """fn(checkout, env) over alternating rounds, each round cold and then
+    warm: per side, the medians of each state ("cold", "warm") and every
+    round's figures ("cold_rounds", "warm_rounds")."""
+    runs = alternate(parent, change, rounds, lambda checkout: cold_and_warm(
+        cache_root, lambda env: fn(checkout, env)))
+    out = {}
+    for side, rs in runs.items():
+        out[side] = {}
+        for state in ("cold", "warm"):
+            out[side][state] = medians([r[state] for r in rs])
+            out[side][f"{state}_rounds"] = [
+                {key: value for key, value in r[state].items()
+                 if isinstance(value, float)} for r in rs]
     return out
 
 
+def in_child(*argv):
+    """fn(checkout, env) running this script's ``argv`` mode in a fresh
+    process."""
+    return lambda checkout, env: child(__file__, argv[0], checkout,
+                                       *argv[1:], env=env)
+
+
+def same_bytes(sides: dict, keys) -> bool:
+    """Whether every side's cold and warm runs agree on each of keys."""
+    return all(len({runs[state][key] for runs in sides.values()
+                    for state in ("cold", "warm")}) == 1 for key in keys)
+
+
+def report(parent: Path, change: Path, rounds: int, cache_root: Path,
+           workloads) -> dict:
+    out = {"builds": {}, "setup": {}, "rounds": rounds}
+    for case, (scan, *_) in CASES.items():
+        sides = rounds_of(parent, change, 1 if scan == "paper" else rounds,
+                          cache_root, in_child("--measure-side", "--case",
+                                               case))
+        out["builds"][case] = {
+            **sides,
+            "same_bytes": same_bytes(sides, ("a_sha256", "b_sha256",
+                                             "sino_sha256"))}
+        print(f"{case}: " + ", ".join(
+            f"{side} {state} {r[state]['forward_project_s']:.2f} s "
+            f"{r[state]['peak_rss_mb']:.0f} MB"
+            for side, r in sides.items() for state in ("cold", "warm")),
+            file=sys.stderr)
+    for workload in workloads:
+        out["setup"][workload] = rounds_of(
+            parent, change, rounds, cache_root,
+            in_child("--setup-side", "--workload", workload))
+    sides = rounds_of(parent, change, rounds, cache_root, cli_wall)
+    out["cli"] = {"command": f"reconstruct --method qn --beam fan --views "
+                             f"{CLI_VIEWS}",
+                  **sides, "same_bytes": same_bytes(sides, ("out_sha256",))}
+    out["paper_inference"] = rounds_of(
+        parent, change, 1, cache_root,
+        in_child("--measure-side", "--case", "paper inference"))
+    out["env"] = child(__file__, "--measure-side", change, "--case", "env")
+    return out
+
+
+def cached_pairs(cache_root: Path):
+    """The pair runner of bench_kernels.py with one cache directory per
+    side, kept across that side's runs; each side's first run is reported
+    on its own, ``summary`` covers the runs after it and
+    ``summary_all_runs`` every run."""
+    def run(parent, change, workload, seeds, seconds):
+        caches = {side: Path(tempfile.mkdtemp(prefix=f"{side}-",
+                                              dir=cache_root))
+                  for side in ("parent", "change")}
+        try:
+            result = pairs(parent, change, workload, seeds, seconds,
+                           env={side: {"QNCT_CACHE_DIR": str(path)}
+                                for side, path in caches.items()})
+        finally:
+            for path in caches.values():
+                shutil.rmtree(path, ignore_errors=True)
+        runs = result["runs"]
+        result["first_run"] = {side: rs[0] for side, rs in runs.items()}
+        result["summary_all_runs"] = result["summary"]
+        result["summary"] = summarize({side: rs[1:]
+                                       for side, rs in runs.items()})
+        return result
+
+    return run
+
+
 def main(argv=None) -> int:
-    p = bench_parser(__doc__, "alternating desk and CLI runs per side",
-                     ["gd:31-40", "qn:31-40", "train:31-35"],
-                     "BENCH_scan_build.json")
+    p = bench_parser(__doc__, "alternating desk, set-up and CLI runs per side",
+                     ["gd:81-91", "qn:81-91", "train:81-86"],
+                     "BENCH_scan_cache.json")
+    p.add_argument("--cache-root", type=Path,
+                   default=Path(tempfile.gettempdir()),
+                   help="where each run's scan-matrix cache directory is made")
     p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--setup-side", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--case", help=argparse.SUPPRESS)
+    p.add_argument("--workload", help=argparse.SUPPRESS)
     args = parse_args(p, argv)
     if args.measure_side:
         print(json.dumps(measure(args.measure_side.resolve(), args.case)))
         return 0
+    if args.setup_side:
+        print(json.dumps(setup_side(args.setup_side.resolve(),
+                                    args.workload)))
+        return 0
     parent, change = checkouts(p, args)
+    args.cache_root.mkdir(parents=True, exist_ok=True)
+    workloads = [spec.partition(":")[0] for spec in filter(None, args.pairs)]
     return write_report(args, parent, change,
-                        report(parent, change, args.rounds))
+                        report(parent, change, args.rounds,
+                               args.cache_root.resolve(), workloads),
+                        cached_pairs(args.cache_root.resolve()))
 
 
 if __name__ == "__main__":

@@ -407,6 +407,10 @@ def cmd_ood(args):
     g = cfgmod.geometry_from_config(cfg)
     size = cfg["image.size"]
     truths = _truths(args.data_dir, cfg, "ood.count")
+    for truth in truths:  # every image is scored by SSIM
+        if min(truth.shape) < mt.SSIM_WINDOW:
+            raise ShapeError(f"ood: image {truth.shape} is smaller than the "
+                             f"{mt.SSIM_WINDOW}-pixel SSIM window")
     model = _load_model(args.weights, cfg) \
         if args.method == "qn-mixer" else None
     out_dir = Path(args.out_dir)

@@ -14,17 +14,29 @@ and its view B), so the whole FBP map dθ·B·ramp(cosw·y) is usable as a
 differentiable linear op. ScanOperator bundles the four maps for one image
 size on plain arrays.
 
+Built matrices are also kept on disk, in $QNCT_CACHE_DIR (else
+$XDG_CACHE_HOME/qnct, else ~/.cache/qnct), under a key that hashes
+everything their bytes depend on, so a later process loads A and B byte
+for byte instead of building them again.
+
 Units: image values are attenuation per mm times mm of path, i.e. line
 integrals are in mm when the image holds unit density.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import os
+import re
+import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 from .errors import GeometryError, NonFiniteError
@@ -202,17 +214,37 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     its angle, so a view subset's matrix holds the full-view matrix's rows
     for those views bit for bit, and no full-view matrix is built for it.
 
-    Assembly is in place: each view's block is built alone (scipy sums its
-    duplicates), copied into the matrix's arrays at the running offset, its
-    row pointers shifted by that offset, and dropped. The arrays grow in
-    place to the running mean's projection plus an eighth and are trimmed
-    at the end, so the build peaks near the matrix's own size. Weights are
-    float64; indices and indptr are int32 unless the entry or column count
-    needs int64, scipy's rule for stacking CSR blocks.
+    A matrix of one of the module's own builders (``_PERSISTED``) is also
+    kept on disk: on a miss here it is loaded from the cache directory when
+    a valid file is there, else built and written for the next process.
+    Any other ``tables`` (a wrapper, or a function put in a builder's
+    place) is built every time and never written.
 
     The transposed view shares the matrix's data, indices and indptr, so it
     costs no memory, and it lives and is evicted with the matrix in this one
     entry.
+    """
+    builder = _PERSISTED.get(tables)
+    shape = (geometry.n_views * geometry.n_det, h * w)
+    path = _cache_path(builder, geometry, h, w) if builder else None
+    matrix = _load_matrix(path, shape) if path else None
+    if matrix is None:
+        matrix = _assemble(tables, geometry, h, w)
+        if path:
+            _keep_matrix(path, matrix)
+    return matrix, matrix.T
+
+
+def _assemble(tables, geometry: Geometry, h: int, w: int):
+    """Build ``tables``' matrix in place.
+
+    Each view's block is built alone (scipy sums its duplicates), copied
+    into the matrix's arrays at the running offset, its row pointers
+    shifted by that offset, and dropped. The arrays grow in place to the
+    running mean's projection plus an eighth and are trimmed at the end, so
+    the build peaks near the matrix's own size. Weights are float64;
+    indices and indptr are int32 unless the entry or column count needs
+    int64, scipy's rule for stacking CSR blocks.
     """
     n_det, n_views = geometry.n_det, geometry.n_views
     # int64 while filling: the offsets may pass int32 before the end
@@ -237,51 +269,189 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
         del block  # before the next view's tables are made
     for array in (data, indices):
         array.resize(end, refcheck=False)
-    index = sparse.get_index_dtype(maxval=max(end, h * w))
-    matrix = sparse.csr_array(
+    index = _index_dtype(end, h * w)
+    return sparse.csr_array(
         (data, indices.astype(index, copy=False),
          indptr.astype(index, copy=False)),
         shape=(n_views * n_det, h * w))
-    return matrix, matrix.T
+
+
+def _index_dtype(nnz: int, n_cols: int):
+    """The index dtype of a built matrix, which a loaded one must have."""
+    return sparse.get_index_dtype(maxval=max(nnz, n_cols))
+
+
+# ---------------------------------------------------------------------------
+# scan matrices on disk
+# ---------------------------------------------------------------------------
+#
+# A built matrix is written to <cache dir>/<key>, one file per key, as three
+# .npy records (indptr, indices, data), so any later process loads it
+# instead of building it. The key hashes everything the bytes depend on, so
+# a file is never served where a build would give other bytes. Every read
+# or write error, and every file that fails validation, falls back to the
+# build: the cache can make a run faster but never fail.
+
+# bytes on disk, least recently used files evicted first: holds one
+# paper-scale full-view A and B plus subsets
+CACHE_BUDGET_BYTES = 4 << 30
+_CSR_ARRAYS = ("indptr", "indices", "data")
+_KEY_NAME = re.compile(r"[0-9a-f]{64}")
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _host_bits() -> str:
+    """A digest of the bits this host computes, on a fixed probe, for the
+    float calls the builders make: np.cos and np.sin on scalars and on an
+    array, np.hypot and np.floor. Hosts that round differently (a cache
+    directory shared over NFS, say) get different keys."""
+    x = np.linspace(-9.0, 9.0, 1021)
+    parts = (np.cos(x), np.sin(x), np.hypot(x, x[::-1]), np.floor(x * 2.7),
+             np.array([(np.cos(v), np.sin(v)) for v in x[::16]]))
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+_SOURCE_SHA256 = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
+_HOST_BITS = _host_bits()
+
+
+def _cache_dir() -> Path:
+    """$QNCT_CACHE_DIR, else $XDG_CACHE_HOME/qnct, else ~/.cache/qnct."""
+    if os.environ.get("QNCT_CACHE_DIR"):
+        return Path(os.environ["QNCT_CACHE_DIR"])
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "qnct"
+
+
+def _cache_key(builder: str, geometry: Geometry, h: int, w: int) -> str:
+    """Hash of what the matrix's bytes depend on: the builder and its
+    inputs, this file, the numpy and scipy versions (scipy's per-row sort
+    fixes the order duplicates are summed in) and the host's float bits."""
+    parts = (builder, repr(geometry), h, w, _SOURCE_SHA256, np.__version__,
+             scipy.__version__, _HOST_BITS)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _cache_path(builder: str, geometry: Geometry, h: int, w: int):
+    """The matrix's file in the cache directory, or None if there is no
+    cache directory (no home, say)."""
+    try:
+        return _cache_dir() / _cache_key(builder, geometry, h, w)
+    except Exception:
+        return None
+
+
+def _read_npy(f, length: int, dtypes):
+    """The next .npy record of f, if it is a 1-d array of ``length``
+    entries of one of ``dtypes`` whose bytes are all in the file."""
+    header = _NPY_HEADERS[np.lib.format.read_magic(f)]
+    shape, _, dtype = header(f)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if shape != (length,) or dtype not in dtypes \
+            or length * dtype.itemsize > left:
+        raise ValueError(f"record {shape} {dtype} is not ({length},) of "
+                         f"{dtypes} within {left} bytes")
+    return np.fromfile(f, dtype=dtype, count=length)
+
+
+def _load_matrix(path: Path, shape: tuple):
+    """The matrix kept at path, validated against shape and the build's
+    dtypes, or None if it is missing, unreadable or invalid. A load
+    refreshes the file's mtime, so eviction drops the least recently used."""
+    try:
+        with open(path, "rb") as f:
+            indptr = _read_npy(f, shape[0] + 1, (np.int32, np.int64))
+            nnz = int(indptr[-1])
+            index = _index_dtype(nnz, shape[1])
+            if indptr.dtype != index:
+                raise ValueError(f"indptr is {indptr.dtype}, not {index}")
+            indices = _read_npy(f, nnz, (index,))
+            data = _read_npy(f, nnz, (np.float64,))
+            if f.read(1):
+                raise ValueError("bytes after the data")
+        matrix = sparse.csr_array((data, indices, indptr), shape=shape)
+        matrix.check_format(full_check=True)
+    except Exception:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(path)
+    return matrix
+
+
+def _keep_matrix(path: Path, matrix) -> None:
+    """Write matrix to path for later processes, then evict down to the
+    budget; a matrix above the budget is not written, and a write that
+    fails leaves nothing behind."""
+    nbytes = sum(getattr(matrix, name).nbytes for name in _CSR_ARRAYS)
+    if nbytes > CACHE_BUDGET_BYTES:
+        return
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        # np.save on a real file writes each array as it is, with no copy
+        with os.fdopen(fd, "wb") as f:
+            for name in _CSR_ARRAYS:
+                np.save(f, getattr(matrix, name), allow_pickle=False)
+        os.replace(tmp, path)
+        tmp = None
+        _evict(path.parent)
+    except Exception:
+        pass  # an unwritable cache only means no cache
+    finally:
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _evict(directory: Path) -> None:
+    """Delete the least recently used matrix files until the directory's
+    matrix files fit CACHE_BUDGET_BYTES."""
+    files = []
+    for entry in os.scandir(directory):
+        if _KEY_NAME.fullmatch(entry.name):
+            stat = entry.stat()
+            files.append((stat.st_mtime_ns, stat.st_size, entry.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, name in sorted(files):
+        if total <= CACHE_BUDGET_BYTES:
+            break
+        with contextlib.suppress(OSError):  # gone already
+            os.unlink(name)
+        total -= size
 
 
 def _bilinear_table(fi, fj, h, w):
-    """Corner indices (int32) and weights for bilinear sampling, zero
-    outside.
+    """Corner indices (int32) and weights for bilinear sampling at the 1-d
+    positions (fi, fj), zero outside.
 
     Both are stacked over the four corners: shape (4,) + fi.shape.
     """
     i0, j0 = np.floor(fi), np.floor(fj)
     di, dj = fi - i0, fj - j0
     corner = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.int32)
-    ii = i0.astype(np.int32) + corner[0][:, None, None]
-    jj = j0.astype(np.int32) + corner[1][:, None, None]
+    ii = i0.astype(np.int32) + corner[0][:, None]
+    jj = j0.astype(np.int32) + corner[1][:, None]
     valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
     wts = np.stack([1.0 - di, 1.0 - di, di, di]) \
         * np.stack([1.0 - dj, dj, 1.0 - dj, dj])
     return np.where(valid, ii * w + jj, 0), np.where(valid, wts, 0.0)
 
 
-def _ray_tables(geometry: Geometry, h: int, w: int):
-    """Joseph sampling tables, one view at a time: (detector, pixel, weight).
-
-    Every ray is sampled at a fixed step of half a pixel; each sample adds
-    its four bilinear corners, weighted by the step, so a ray's line
-    integral is the weighted sum of its entries.
-    """
+def _ray_samples(geometry: Geometry, h: int, w: int):
+    """Joseph sample positions, one view at a time: fractional (row,
+    column) arrays (fi, fj) with one row per detector, sampled along each
+    ray at a fixed step of half a pixel."""
     px = geometry.pixel_mm(w)
     step = px / 2.0
     half_diag = 0.5 * px * float(np.hypot(h, w))
     angles = geometry.view_angles()
-    det = np.arange(geometry.n_det, dtype=np.int32)[:, None]
     t_det = (np.arange(geometry.n_det) - (geometry.n_det - 1) / 2.0) \
         * geometry.det_spacing_mm
 
-    def table(pxs, pys):
-        fj = pxs / px + (w - 1) / 2.0
-        fi = (h - 1) / 2.0 - pys / px
-        idx, wts = _bilinear_table(fi, fj, h, w)
-        return np.broadcast_to(det, idx.shape), idx, wts * step
+    def grid(pxs, pys):
+        return (h - 1) / 2.0 - pys / px, pxs / px + (w - 1) / 2.0
 
     if geometry.beam == PARALLEL:
         n_s = int(np.ceil(2.0 * (half_diag + px) / step)) + 1
@@ -289,8 +459,8 @@ def _ray_tables(geometry: Geometry, h: int, w: int):
         for theta in angles:
             tx, ty = np.cos(theta), np.sin(theta)
             dx, dy = -np.sin(theta), np.cos(theta)
-            yield table(t_det[:, None] * tx + s[None, :] * dx,
-                        t_det[:, None] * ty + s[None, :] * dy)
+            yield grid(t_det[:, None] * tx + s[None, :] * dx,
+                       t_det[:, None] * ty + s[None, :] * dy)
     else:
         sad = geometry.sad_mm
         vspacing = geometry.det_spacing_mm * sad / (sad + geometry.add_mm)
@@ -304,8 +474,26 @@ def _ray_tables(geometry: Geometry, h: int, w: int):
             ey = u_det * tyv - sy
             norm = np.hypot(ex, ey)
             dx, dy = ex / norm, ey / norm
-            yield table(sx + dx[:, None] * s[None, :],
-                        sy + dy[:, None] * s[None, :])
+            yield grid(sx + dx[:, None] * s[None, :],
+                       sy + dy[:, None] * s[None, :])
+
+
+def _ray_tables(geometry: Geometry, h: int, w: int):
+    """Joseph sampling tables, one view at a time: (detector, pixel, weight).
+
+    Each sample of ``_ray_samples`` adds its four bilinear corners, weighted
+    by the step, so a ray's line integral is the weighted sum of its
+    entries. A sample whose four corners all fall outside the image adds
+    nothing, so it is dropped before the expansion; the rest keep their
+    order, and so the matrix keeps its bytes.
+    """
+    step = geometry.pixel_mm(w) / 2.0
+    for fi, fj in _ray_samples(geometry, h, w):
+        # floor(f) in [-1, n - 1]: at least one corner is on the grid
+        inside = (fi >= -1.0) & (fi < h) & (fj >= -1.0) & (fj < w)
+        det = np.nonzero(inside)[0].astype(np.int32)
+        idx, wts = _bilinear_table(fi[inside], fj[inside], h, w)
+        yield np.broadcast_to(det, idx.shape), idx, wts * step
 
 
 def forward_project(image: Image, geometry: Geometry) -> Sinogram:
@@ -388,6 +576,12 @@ def _pixel_tables(geometry: Geometry, h: int, w: int):
             fd = u / vspacing + (geometry.n_det - 1) / 2.0
             weight = sad * sad / (dp * dp)
             yield _detector_interp(fd, geometry.n_det, weight)
+
+
+# the builders whose matrices are kept on disk, resolved once: a function
+# put in their place later is not one of them
+_PERSISTED = {tables: tables.__name__
+              for tables in (_ray_tables, _pixel_tables)}
 
 
 def _detector_interp(fd, n_det, weight):

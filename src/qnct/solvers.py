@@ -115,6 +115,14 @@ def _forward_diff_adjoint(u, v):
     return out
 
 
+def _words(a: np.ndarray) -> np.ndarray:
+    """a's bits, flat, as uint64 words (bytes if they do not fill whole
+    words): a view, with no copy, when a is contiguous. Equal words are
+    equal bits, so -0.0 and +0.0 differ and a NaN equals its own bits."""
+    flat = np.ascontiguousarray(a).reshape(-1)
+    return flat.view(np.uint64 if flat.nbytes % 8 == 0 else np.uint8)
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
@@ -134,7 +142,8 @@ class ObjectiveSpec:
     y: np.ndarray
     lam: float = 1.0
     regularizer: Regularizer = field(default_factory=Regularizer)
-    # (dtype, shape, bytes) of the last x projected, and its residual
+    # (dtype, shape, a copy of the bits) of the last x projected, and its
+    # residual
     _memo: tuple = field(default=(None, None), init=False, repr=False,
                          compare=False)
 
@@ -166,9 +175,10 @@ class ObjectiveSpec:
         """A x - y, kept for the last x; known() gives it without a
         projection when the caller can form it."""
         x = np.asarray(x)
-        key = (x.dtype, x.shape, x.tobytes())
+        words = _words(x)
         seen, r = self._memo
-        if seen == key:
+        if seen is not None and seen[:2] == (x.dtype, x.shape) \
+                and not np.count_nonzero(seen[2] != words):
             return r
         r = self.op.forward(x) - self.y if known is None else known()
         if r.shape != self.y.shape:
@@ -176,7 +186,8 @@ class ObjectiveSpec:
                 f"{caller}: operator output {r.shape} vs data {self.y.shape}"
             )
         r.flags.writeable = False
-        object.__setattr__(self, "_memo", (key, r))
+        object.__setattr__(self, "_memo",
+                           ((x.dtype, x.shape, words.copy()), r))
         return r
 
     def value(self, x: np.ndarray) -> float:

@@ -66,6 +66,10 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
         >= report["rss_before_mb"] > 0
     assert report["a_traced_peak_ratio"] >= 1.0
     assert report["b_traced_peak_ratio"] >= 1.0
+    assert report["a_sha256"] == bench_scan_build.matrix_sha256(
+        geo._scan_matrix(geo._ray_tables, g, 64, 64)[0])
+    assert report["b_sha256"] == bench_scan_build.matrix_sha256(
+        geo._scan_matrix(geo._pixel_tables, g, 64, 64)[0])
 
 
 def test_traced_build_at_tiny_scale(bench_scan_build):
@@ -80,6 +84,101 @@ def test_traced_build_at_tiny_scale(bench_scan_build):
     assert row["traced_peak_mb"] >= row["matrix_mb"] > 0
     assert row["traced_peak_ratio"] == pytest.approx(
         row["traced_peak_mb"] / row["matrix_mb"])
+
+
+def test_traced_build_never_reads_the_disk_cache(bench_scan_build,
+                                                 monkeypatch):
+    g = geo.Geometry(n_views_full=8, n_det=24, det_spacing_mm=2.0,
+                     image_extent_mm=24.0)
+    geo._scan_matrix.__wrapped__(geo._ray_tables, g, 12, 12)  # on disk now
+    monkeypatch.setattr(geo, "_load_matrix", None)  # a read would raise
+    row = bench_scan_build.traced_build(geo, geo._ray_tables, g, 12)
+    assert row["traced_peak_mb"] >= row["matrix_mb"] > 0
+
+
+def test_cold_and_warm_share_one_fresh_directory(bench_scan_build, tmp_path):
+    seen = []
+
+    def fn(env):
+        cache = Path(env["QNCT_CACHE_DIR"])
+        seen.append((cache, sorted(p.name for p in cache.iterdir())))
+        (cache / "matrix").write_text("kept")
+        return {"files": len(seen[-1][1])}
+
+    assert bench_scan_build.cold_and_warm(tmp_path, fn) == \
+        {"cold": {"files": 0}, "warm": {"files": 1}}
+    assert seen[0][0] == seen[1][0] and seen[0][0].parent == tmp_path
+    assert list(tmp_path.iterdir()) == []  # removed afterwards
+
+
+def test_rounds_of_gives_each_side_cold_and_warm_medians(bench_scan_build,
+                                                         tmp_path):
+    def fn(checkout, env):
+        cache = Path(env["QNCT_CACHE_DIR"])
+        warm = (cache / "m").exists()
+        (cache / "m").write_text("")
+        return {"s": 1.0 if warm else float(len(str(checkout))),
+                "sha": str(checkout)}
+
+    sides = bench_scan_build.rounds_of(Path("p"), Path("chg"), 3, tmp_path,
+                                       fn)
+    assert {side: {state: sides[side][state] for state in ("cold", "warm")}
+            for side in sides} == \
+        {"parent": {"cold": {"s": 1.0, "sha": "p"},
+                    "warm": {"s": 1.0, "sha": "p"}},
+         "change": {"cold": {"s": 3.0, "sha": "chg"},
+                    "warm": {"s": 1.0, "sha": "chg"}}}
+    assert sides["change"]["cold_rounds"] == [{"s": 3.0}] * 3
+    assert not bench_scan_build.same_bytes(sides, ("sha",))
+    assert bench_scan_build.same_bytes({"change": sides["change"]}, ("sha",))
+
+
+def test_a_child_build_case_is_loaded_warm(bench_scan_build, tmp_path):
+    case = "desk parallel 16/180"
+    sides = bench_scan_build.rounds_of(
+        ROOT, ROOT, 1, tmp_path,
+        bench_scan_build.in_child("--measure-side", "--case", case))
+    assert bench_scan_build.same_bytes(sides, ("a_sha256", "b_sha256",
+                                               "sino_sha256"))
+    assert sides["change"]["cold"]["a_entries"] == 147917
+
+
+def test_setup_side_reports_a_setup_and_its_peak_rss(bench_scan_build):
+    row = bench_scan_build.setup_side(ROOT, "gd")
+    assert row["setup_s"] > 0 and row["peak_rss_mb"] > 0
+
+
+def test_cli_wall_cold_then_warm(bench_scan_build, tmp_path):
+    row = bench_scan_build.cold_and_warm(
+        tmp_path, lambda env: bench_scan_build.cli_wall(ROOT, env))
+    assert row["cold"]["out_sha256"] == row["warm"]["out_sha256"]
+    assert row["cold"]["wall_s"] > 0 and row["warm"]["wall_s"] > 0
+
+
+def test_cached_pairs_keep_one_directory_per_side(bench_scan_build,
+                                                   monkeypatch, tmp_path):
+    dirs = {"parent": [], "change": []}
+    metrics = {"setup_s": 1.0, "op_ms_p50": 2.0, "ops_per_s": 3.0,
+               "peak_rss_mb": 4.0, "failed_frac": 0.0}
+
+    def fake_run(checkout, workload, seed, seconds, env):
+        side = "parent" if checkout == Path("p") else "change"
+        dirs[side].append(env["QNCT_CACHE_DIR"])
+        assert Path(env["QNCT_CACHE_DIR"]).is_dir()
+        return {"side": side}, {**metrics, "setup_s": float(seed)}
+
+    monkeypatch.setattr(sys.modules["bench_kernels"], "perfbench_run",
+                        fake_run)
+    run = bench_scan_build.cached_pairs(tmp_path)
+    result = run(Path("p"), Path("c"), "gd", range(5, 9), 30)
+    assert [len(set(d)) for d in dirs.values()] == [1, 1]
+    assert dirs["parent"][0] != dirs["change"][0]
+    assert result["first_run"]["parent"]["setup_s"] == 5.0
+    summary = result["summary"]
+    assert summary["setup_s"]["pairs"] == 3
+    assert summary["setup_s"]["parent"]["median"] == 7.0
+    assert result["summary_all_runs"]["setup_s"]["pairs"] == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture

@@ -349,12 +349,15 @@ def test_bad_geometry_or_noise_value_is_one_error_line(workspace, capsys,
     (["ood", "--count", "0"], "ConfigError"),
     (["ood", "--method", "qn-mixer", "--weights", "missing.ckpt"],
      "FileNotFoundError"),
-], ids=["train-variant", "train-phantoms", "ood-count", "ood-weights"])
+    (["ood", "--count", "1", "--size", "5"], "ShapeError"),
+], ids=["train-variant", "train-phantoms", "ood-count", "ood-weights",
+        "ood-below-ssim-window"])
 def test_refused_run_leaves_no_output_dir(workspace, capsys, monkeypatch,
                                           argv, kind):
     monkeypatch.chdir(workspace)
-    assert run([*argv, "--out-dir", "run", "--size", "16", "--views",
-                "8"]) == 1
+    command, *flags = argv  # a case's own flags come last, so they win
+    assert run([command, "--out-dir", "run", "--size", "16", "--views", "8",
+                *flags]) == 1
     one_error_line(capsys, kind)
     assert not (workspace / "run").exists()
 

@@ -228,6 +228,31 @@ def test_scan_matrix_equals_the_vstack_assembly(beam, views):
                         vstack_scan_matrix(tables, g, 64, 64))
 
 
+def unculled_ray_tables(geometry, h, w):
+    """``_ray_tables`` without its culling: all four corners of every
+    sample, those off the grid with zero weight."""
+    step = geometry.pixel_mm(w) / 2.0
+    for fi, fj in geo._ray_samples(geometry, h, w):
+        idx, wts = geo._bilinear_table(fi.reshape(-1), fj.reshape(-1), h, w)
+        det = np.repeat(np.arange(geometry.n_det, dtype=np.int32),
+                        fi.shape[1])
+        yield np.broadcast_to(det, idx.shape), idx, wts * step
+
+
+@pytest.mark.parametrize("views", [None, subset(180, 16),
+                                   (0, 3, 7, 50, 51, 179)])
+@pytest.mark.parametrize("beam", ["parallel", "fan"])
+def test_culling_samples_off_the_image_keeps_the_matrix_bytes(beam, views):
+    g = geo.desk_geometry(beam, view_subset=views)
+    assert_same_csr(geo._scan_matrix(geo._ray_tables, g, 64, 64)[0],
+                    vstack_scan_matrix(unculled_ray_tables, g, 64, 64))
+    # the samples past the image are gone from the tables
+    first = geo.desk_geometry(beam, view_subset=[0])
+    _, pix, _ = next(geo._ray_tables(first, 64, 64))
+    _, all_pix, _ = next(unculled_ray_tables(first, 64, 64))
+    assert pix.size < 0.7 * all_pix.size
+
+
 @pytest.mark.parametrize("empty", [(0, 7, 15), tuple(range(16))])
 def test_views_without_entries_leave_empty_rows(empty):
     g = geo.desk_geometry("fan", view_subset=subset(180, 16))

@@ -701,6 +701,41 @@ class TestResidualReuse:
         assert len(op.projected) == 2
         np.testing.assert_array_equal(g, ReprojectingSpec(spec).grad(x))
 
+    def test_signed_zeros_are_different_points(self):
+        op = CountingOperator(IdentityOperator())
+        spec = ObjectiveSpec(op, np.ones((4, 4)))
+        x = np.zeros((4, 4))
+        spec.value(x)
+        spec.value(x.copy())
+        assert len(op.projected) == 1
+        g = spec.grad(-x)  # -0.0 everywhere: equal values, other bits
+        assert len(op.projected) == 2
+        np.testing.assert_array_equal(g, ReprojectingSpec(spec).grad(-x))
+
+    def test_strided_x_is_the_point_of_its_contiguous_copy(self):
+        op = CountingOperator(IdentityOperator())
+        spec = ObjectiveSpec(op, np.ones((4, 4)))
+        x = np.arange(32.0).reshape(4, 8)[:, ::2]
+        spec.value(x)
+        spec.grad(np.ascontiguousarray(x))
+        spec.value(x)
+        assert len(op.projected) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_kept_point_is_compared_without_copying_x(self, dtype):
+        op = CountingOperator(IdentityOperator())
+        x = np.random.default_rng(31).normal(size=(128, 128)).astype(dtype)
+        spec = ObjectiveSpec(op, np.zeros_like(x))
+        spec.residual_norm(x)
+        tracemalloc.start()
+        try:
+            spec._residual(x, "test")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(op.projected) == 1
+        assert peak < x.nbytes / 4  # x.tobytes() was x.nbytes
+
     def test_equal_values_of_another_dtype_are_projected_again(self):
         y = np.random.default_rng(30).normal(size=(6, 6))
         op = CountingOperator(IdentityOperator())

@@ -13,10 +13,13 @@ each figure is the median over the rounds) with one BLAS thread,
 timed on a seeded 64² and 256² pair (a Shepp-Logan phantom and a noisy
 copy; the median of ``SIZES[n]`` reps). The scores are recorded too, so
 the report shows how far the two sides' values are apart. In the same
-processes, one op of the perfbench ``gd`` and ``qn`` workloads (desk
-scale, seed ``SOLVER_SEED``, after one warm-up op) runs with
-``geometry.forward_project`` and ``geometry.back_project`` wrapped; their
-calls and wall ms are reported per workload.
+processes, ``SOLVER_OPS`` ops of the perfbench ``gd`` and ``qn`` workloads
+(desk scale, seed ``SOLVER_SEED``, after one warm-up op) run with
+``geometry.forward_project`` and ``geometry.back_project`` wrapped. Per
+workload the report gives, as medians over those ops, each projector's
+calls and wall ms, the op's wall ms (``op_ms``) and the wall ms outside
+the two projectors (``outside_ms``), so a change that moves the op time
+shows whether it moved the sparse products or the code around them.
 
 Then ``perfbench/run.py --trace 0`` runs on each listed workload and seed,
 alternating which side goes first, at the run length ``BENCHMARK.json``
@@ -38,7 +41,9 @@ from bench_kernels import (_import_side, _median_ms, alternate, bench_parser,
 SIZES = {64: 30, 256: 5}
 SEED = 0
 SOLVER_SEED = 1
+SOLVER_OPS = 21
 PROJECTORS = ("forward_project", "back_project")
+SOLVER_KEYS = ("op_ms", "outside_ms")
 
 
 def count_projections(geo, solve) -> dict:
@@ -69,15 +74,33 @@ def count_projections(geo, solve) -> dict:
     return counts
 
 
-def solver_projections(workloads, q) -> dict:
-    """count_projections of one op of each classical-solver workload."""
+def solver_ops(workloads, q, scale) -> dict:
+    """Per classical-solver workload at ``scale``, medians over SOLVER_OPS
+    ops of count_projections, of the op's wall ms and of the wall ms
+    outside the projectors."""
     report = {}
     for cls in (workloads.GradientDescent, workloads.QuasiNewton):
-        wl = cls(q, workloads.DESK, SOLVER_SEED)
+        wl = cls(q, scale, SOLVER_SEED)
         wl.setup(workloads.Phases())
         wl.op(0)
-        report[wl.name] = count_projections(q.geometry, lambda: wl.op(0))
+        ops = []
+        for _ in range(SOLVER_OPS):
+            start = time.perf_counter()
+            counts = count_projections(q.geometry, lambda: wl.op(0))
+            op_ms = 1e3 * (time.perf_counter() - start)
+            ops.append({**counts, "op_ms": op_ms, "outside_ms": op_ms - sum(
+                c["ms"] for c in counts.values())})
+        report[wl.name] = _solver_medians(ops)
     return report
+
+
+def _solver_medians(reports) -> dict:
+    """Medians over ``reports`` (one workload's, per op or per round) of
+    each projector's calls and ms and of SOLVER_KEYS."""
+    return {**{name: {key: statistics.median(r[name][key] for r in reports)
+                      for key in ("calls", "ms")} for name in PROJECTORS},
+            **{key: statistics.median(r[key] for r in reports)
+               for key in SOLVER_KEYS}}
 
 
 def measure_side(checkout: Path) -> dict:
@@ -86,7 +109,7 @@ def measure_side(checkout: Path) -> dict:
 
     mt = q.metrics
     report = {"env": run.environment(), "sizes": {},
-              "solvers": solver_projections(workloads, q)}
+              "solvers": solver_ops(workloads, q, workloads.DESK)}
     for n, reps in SIZES.items():
         ref = q.phantoms.shepp_logan(n).astype(np.float64)
         rng = np.random.default_rng(SEED)
@@ -116,10 +139,8 @@ def metric_timings(parent: Path, change: Path, rounds: int) -> dict:
                 run["sizes"][n][key] for run in rs)
                 for key in ("evaluate_pair_ms", "ssim_ms", "ms_ssim_ms")}}
             for n, entry in rs[0]["sizes"].items()},
-            "solvers": {w: {name: {key: statistics.median(
-                run["solvers"][w][name][key] for run in rs)
-                for key in ("calls", "ms")} for name in PROJECTORS}
-                for w in rs[0]["solvers"]}}
+            "solvers": {w: _solver_medians([run["solvers"][w] for run in rs])
+                        for w in rs[0]["solvers"]}}
     report["score_gap"] = {
         n: {key: abs(report["change"]["sizes"][n]["scores"][key]
                      - report["parent"]["sizes"][n]["scores"][key])

@@ -141,7 +141,7 @@ class Image:
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise GeometryError(f"image must be 2-d, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteError("image contains non-finite values")
 
     @property
@@ -165,7 +165,7 @@ class Sinogram:
             raise GeometryError(
                 f"sinogram must be 2-d, got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteError("sinogram contains non-finite values")
 
     @property
@@ -502,7 +502,7 @@ def forward_project(image: Image, geometry: Geometry) -> Sinogram:
     A, _ = _scan_matrix(_ray_tables, geometry, image.h, image.w)
     rows = A @ image.values.reshape(-1).astype(np.float64, copy=False)
     return Sinogram(rows.reshape(geometry.n_views, geometry.n_det)
-                    .astype(image.values.dtype))
+                    .astype(image.values.dtype, copy=False))
 
 
 def back_project(sino: Sinogram, geometry: Geometry, h: int, w: int) -> Image:
@@ -510,7 +510,7 @@ def back_project(sino: Sinogram, geometry: Geometry, h: int, w: int) -> Image:
     _check_sino(sino, geometry, "back_project")
     _, At = _scan_matrix(_ray_tables, geometry, h, w)
     acc = At @ sino.values.reshape(-1).astype(np.float64, copy=False)
-    return Image(acc.reshape(h, w).astype(sino.values.dtype),
+    return Image(acc.reshape(h, w).astype(sino.values.dtype, copy=False),
                  geometry.pixel_mm(w))
 
 
@@ -626,7 +626,7 @@ def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK, *,
                      * cosw[None, :], spacing, filter)
     _, B = _scan_matrix(_pixel_tables, geometry, h, w)
     out = (B @ q.reshape(-1)) * dtheta
-    return Image(out.reshape(h, w).astype(sino.values.dtype),
+    return Image(out.reshape(h, w).astype(sino.values.dtype, copy=False),
                  geometry.pixel_mm(w))
 
 
@@ -641,7 +641,7 @@ def fbp_transpose(image: Image, geometry: Geometry,
     rows = _filter_rows(q.reshape(geometry.n_views, geometry.n_det),
                         spacing, filter)  # symmetric filter
     rows *= cosw[None, :]
-    return Sinogram(rows.astype(image.values.dtype))
+    return Sinogram(rows.astype(image.values.dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------

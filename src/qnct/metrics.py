@@ -51,6 +51,11 @@ def gaussian_kernel() -> np.ndarray:
     return g / g.sum()
 
 
+# the taps every SSIM pass uses, built once and shared, so read-only
+_SSIM_TAPS = gaussian_kernel()
+_SSIM_TAPS.flags.writeable = False
+
+
 def _local_stats(x, y, taps):
     """Gaussian-weighted means, variances and covariance over every valid
     window: one separable pass over the stacked (x, y, x², y², xy) maps."""
@@ -64,7 +69,7 @@ def _local_stats(x, y, taps):
 def _ssim_terms(x, y, data_range):
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, gaussian_kernel())
+    mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, _SSIM_TAPS)
     luminance = (2 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
     cs = (2 * cov + c2) / (var_x + var_y + c2)
     return luminance, cs
@@ -98,9 +103,13 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0, *,
 
 
 def _mean_pool2(x: np.ndarray) -> np.ndarray:
+    """2x2 means over four strided views, summed in the pairing numpy's
+    reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3)) uses, so bit for bit
+    its result without its reduction overhead."""
     h, w = x.shape
     x = x[: h - h % 2, : w - w % 2]
-    return x.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+    return ((x[0::2, 0::2] + x[0::2, 1::2])
+            + (x[1::2, 0::2] + x[1::2, 1::2])) / 4
 
 
 def max_msssim_levels(shape) -> int:

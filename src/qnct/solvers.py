@@ -17,16 +17,20 @@ H-products alone: the secant residual |Hz - s| / |s|, and as "si" the
 symmetry probe symmetry_index, |g.Hz - z.Hg| / (|g||Hz| + |z||Hg|), which
 is 0 for a symmetric H up to round-off.
 
-The line searches see J only along the search line, through _phi. For an
-ObjectiveSpec, whose operator is linear, that restriction projects the
-direction once: A(x + a d) - y = r + a Ad, so no trial step is projected.
-Any other objective with value/grad is evaluated at x + a d as given.
+The objective is evaluated once per iterate. ObjectiveSpec.at(x) projects
+x and returns a Point holding x and its residual r = A x - y, from which J,
+grad J and |r| are computed on first use. The line searches see J only
+along a Line from that Point: the operator is linear, so A(x + a d) - y =
+r + a Ad, d is projected once and no trial step is projected. The Point a
+search accepts, with what it computed, is the next iterate.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -115,37 +119,23 @@ def _forward_diff_adjoint(u, v):
     return out
 
 
-def _words(a: np.ndarray) -> np.ndarray:
-    """a's bits, flat, as uint64 words (bytes if they do not fill whole
-    words): a view, with no copy, when a is contiguous. Equal words are
-    equal bits, so -0.0 and +0.0 differ and a NaN equals its own bits."""
-    flat = np.ascontiguousarray(a).reshape(-1)
-    return flat.view(np.uint64 if flat.nbytes % 8 == 0 else np.uint8)
-
-
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
 
-    value(x) and grad(x) share one forward projection per point: the spec
-    keeps the residual A x - y of the last x it evaluated, and reuses it
-    while x has the same dtype, shape and bytes. It keeps a copy of that x,
-    so an x mutated in place is projected afresh. Fields cannot be
-    reassigned and y is a read-only copy, so the residual cannot go stale.
-
-    line(x, d) restricts J to x + a d with one projection of d: the residual
-    there is r(x) + a Ad, and it becomes the kept residual, so value and
-    grad at that point project nothing more.
+    at(x) projects x once and returns its Point, which holds x and the
+    residual r = A x - y; J, grad J and |r| come from that r. line(point,
+    d) projects d once and yields trial Points x + a d whose residual is
+    r + a Ad, so a trial costs no projection. The solvers pass Points along
+    and never ask again about an x. value(x) and grad(x) are at(x).J and
+    at(x).g, so each call projects x. Fields cannot be reassigned and y is
+    a read-only copy.
     """
 
     op: object
     y: np.ndarray
     lam: float = 1.0
     regularizer: Regularizer = field(default_factory=Regularizer)
-    # (dtype, shape, a copy of the bits) of the last x projected, and its
-    # residual
-    _memo: tuple = field(default=(None, None), init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -156,7 +146,7 @@ class ObjectiveSpec:
         object.__setattr__(self, "y", y)
 
     def __eq__(self, other):
-        """Field equality with y compared by value; the residual is left out."""
+        """Field equality with y compared by value."""
         if not isinstance(other, ObjectiveSpec):
             return NotImplemented
         return ((self.op, self.lam, self.regularizer)
@@ -170,64 +160,91 @@ class ObjectiveSpec:
         return cls(geo.ScanOperator(geometry, h, w), sino.values, lam,
                    regularizer or Regularizer())
 
-    def _residual(self, x: np.ndarray, caller: str,
-                  known=None) -> np.ndarray:
-        """A x - y, kept for the last x; known() gives it without a
-        projection when the caller can form it."""
+    def at(self, x: np.ndarray) -> Point:
         x = np.asarray(x)
-        words = _words(x)
-        seen, r = self._memo
-        if seen is not None and seen[:2] == (x.dtype, x.shape) \
-                and not np.count_nonzero(seen[2] != words):
-            return r
-        r = self.op.forward(x) - self.y if known is None else known()
-        if r.shape != self.y.shape:
-            raise ShapeError(
-                f"{caller}: operator output {r.shape} vs data {self.y.shape}"
-            )
-        r.flags.writeable = False
-        object.__setattr__(self, "_memo",
-                           ((x.dtype, x.shape, words.copy()), r))
-        return r
+        return Point(self, x, self.op.forward(x) - self.y)
 
     def value(self, x: np.ndarray) -> float:
-        r = self._residual(x, "objective")
-        r64 = r.astype(np.float64, copy=False)
-        data = 0.5 * self.lam * float(np.sum(r64 ** 2))
-        return data + self.regularizer.value(x)
+        return self.at(x).J
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        r = self._residual(x, "gradient")
-        return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
+        return self.at(x).g
 
-    def residual_norm(self, x: np.ndarray) -> float:
-        """|A x - y|, from the kept residual when x is the last point
-        evaluated (the solvers ask only then), so it projects nothing."""
-        r = self._residual(x, "residual norm")
-        return float(np.linalg.norm(r.astype(np.float64, copy=False)))
+    def line(self, point: Point, d: np.ndarray) -> Line:
+        return Line(point, d)
 
-    def line(self, x: np.ndarray, d: np.ndarray):
-        """(value, slope) of J on x + a d, as _phi returns them.
 
-        d is projected once; the residual at x + a d is r(x) + a Ad, not a
-        new projection, so it can differ from A(x + a d) - y by round-off.
-        """
-        r0 = self._residual(x, "line search")
-        Ad = self.op.forward(d)
+@dataclass(frozen=True, eq=False)
+class Point:
+    """x and its residual r = A x - y under spec, read-only. J, grad J and
+    |r| are computed from r on first use and kept. x is held, not copied:
+    the point describes x as it was when the point was made."""
 
-        def point(a):
-            xa = x + a * d
-            self._residual(xa, "line search", lambda: r0 + a * Ad)
-            return xa
+    spec: ObjectiveSpec
+    x: np.ndarray
+    r: np.ndarray
 
-        def value(a):
-            return self.value(point(a))
+    def __post_init__(self):
+        if self.r.shape != self.spec.y.shape:
+            raise ShapeError(f"objective: operator output {self.r.shape} "
+                             f"vs data {self.spec.y.shape}")
+        self.r.flags.writeable = False
 
-        def slope(a):
-            g = self.grad(point(a))
-            return float(g.reshape(-1) @ d.reshape(-1)), g
+    @cached_property
+    def J(self) -> float:
+        r64 = self.r.astype(np.float64, copy=False)
+        data = 0.5 * self.spec.lam * float(np.sum(r64 ** 2))
+        return data + self.spec.regularizer.value(self.x)
 
-        return value, slope
+    @cached_property
+    def g(self) -> np.ndarray:
+        spec = self.spec
+        return (spec.lam * spec.op.adjoint(self.r)
+                + spec.regularizer.grad(self.x))
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return _norm(self.r.astype(np.float64, copy=False))
+
+
+class Line:
+    """J on x + a d from a Point at x, as the line searches see it.
+
+    d is projected once, at the first trial; the trial Point at a has the
+    residual r + a Ad, which can differ from A(x + a d) - y by round-off.
+    The last trial is kept, so asking again for its a returns that Point
+    with whatever it already computed.
+    """
+
+    def __init__(self, start: Point, d: np.ndarray):
+        self.start, self.d = start, d
+        self._Ad = None
+        self._last = (None, None)
+
+    def at(self, a: float) -> Point:
+        last_a, point = self._last
+        if a != last_a:
+            if self._Ad is None:
+                self._Ad = self.start.spec.op.forward(self.d)
+            point = Point(self.start.spec, self.start.x + a * self.d,
+                          self.start.r + a * self._Ad)
+            self._last = (a, point)
+        return point
+
+    def value(self, a: float) -> float:
+        return self.at(a).J
+
+    def slope(self, a: float):
+        """(grad J . d, the trial Point) at x + a d."""
+        point = self.at(a)
+        return float(point.g.reshape(-1) @ self.d.reshape(-1)), point
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| as np.linalg.norm computes it for a contiguous float64 v,
+    sqrt(v . v), without its per-call overhead."""
+    v = v.reshape(-1)
+    return math.sqrt(v.dot(v))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +254,8 @@ class ObjectiveSpec:
 # "step" is the line search's alpha (qn) or the fixed step (gd); "si" is
 # symmetry_index of the updated H, as in unroll.TRACE_COLUMNS, and gradient
 # descent leaves it and secant_residual NaN. "residual_norm" is |A x_t - y|,
-# NaN for an objective that keeps no residual (_residual_norm), and
-# "step_norm" is |x_t - x_{t-1}|, NaN at t = 0.
+# from the residual x_t's Point holds, and "step_norm" is |x_t - x_{t-1}|,
+# NaN at t = 0.
 TRACE_COLUMNS = ("iteration", "J", "grad_norm", "step", "secant_residual",
                  "si", "residual_norm", "step_norm")
 
@@ -257,45 +274,35 @@ def _trace_row(iteration, J, grad_norm, step=np.nan, secant=np.nan, si=np.nan,
     }
 
 
-def _residual_norm(spec, x) -> float:
-    """|A x - y| of the point spec last evaluated, from the residual an
-    ObjectiveSpec keeps; NaN for any other objective."""
-    return spec.residual_norm(x) if isinstance(spec, ObjectiveSpec) \
-        else np.nan
-
-
 # ---------------------------------------------------------------------------
 # gradient descent
 # ---------------------------------------------------------------------------
 
-def gradient_descent(spec, x0: np.ndarray, step: float, iters: int):
+def gradient_descent(spec: ObjectiveSpec, x0: np.ndarray, step: float,
+                     iters: int):
     """Fixed-step descent x <- x - step * grad J(x); returns (x, trace)."""
     if not (np.isfinite(step) and step >= 0):
         raise ShapeError(
             f"gradient_descent needs a finite step >= 0, got {step}")
     if iters < 1:
         raise ShapeError(f"gradient_descent needs iters >= 1, got {iters}")
-    x = np.array(x0, dtype=np.float64, copy=True)
-    j0 = spec.value(x)
-    g = spec.grad(x)
-    g_norm = np.linalg.norm(g)
-    trace = [_trace_row(0, j0, g_norm, residual_norm=_residual_norm(spec, x))]
+    p = spec.at(np.array(x0, dtype=np.float64, copy=True))
+    j0, g_norm = p.J, _norm(p.g)
+    trace = [_trace_row(0, j0, g_norm, residual_norm=p.residual_norm)]
     limit = 10.0 * j0 + 1e-12
     for t in range(1, iters + 1):
-        x = x - step * g
-        j = spec.value(x)
-        g = spec.grad(x)
+        p = spec.at(p.x - step * p.g)
         # the step taken is step * g: its norm needs no pass over x
-        step_norm, g_norm = step * g_norm, np.linalg.norm(g)
-        trace.append(_trace_row(t, j, g_norm, step,
-                                residual_norm=_residual_norm(spec, x),
+        step_norm, g_norm = step * g_norm, _norm(p.g)
+        trace.append(_trace_row(t, p.J, g_norm, step,
+                                residual_norm=p.residual_norm,
                                 step_norm=step_norm))
-        if j > limit:
+        if p.J > limit:
             raise DivergenceError(
                 f"gradient_descent diverged at iteration {t}: "
-                f"J={j:.3e} > 10 * J0={j0:.3e}", trace=trace,
+                f"J={p.J:.3e} > 10 * J0={j0:.3e}", trace=trace,
             )
-    return x.astype(np.asarray(x0).dtype), trace
+    return p.x.astype(np.asarray(x0).dtype), trace
 
 
 def estimate_step(spec, size: int) -> float:
@@ -303,7 +310,7 @@ def estimate_step(spec, size: int) -> float:
     v = substream(0, "init").normal(size=(size, size))
     for _ in range(8):
         v = spec.op.adjoint(spec.op.forward(v))
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
     lip = float(np.vdot(v, spec.op.adjoint(spec.op.forward(v))))
     return 1.0 / (spec.lam * lip + spec.regularizer.mu + 1e-12)
 
@@ -316,7 +323,7 @@ def _inverse_curvature(s: np.ndarray, z: np.ndarray):
     """rho = 1 / z.s of a secant pair, or None when the update must be
     skipped: z.s below 1e-10 |s||z|, the positive-definiteness safeguard."""
     curvature = float(z @ s)
-    eps = 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(z))
+    eps = 1e-10 * _norm(s) * _norm(z)
     if curvature <= eps:
         log.info("BFGS update skipped: curvature %.3e <= %.3e", curvature, eps)
         return None
@@ -376,8 +383,7 @@ def symmetry_index(g, Hg, z, Hz) -> float:
             f"Hg {np.shape(Hg)}, z {np.shape(z)}, Hz {np.shape(Hz)}"
         )
     gap = abs(float(np.vdot(g, Hz)) - float(np.vdot(z, Hg)))
-    scale = float(np.linalg.norm(g) * np.linalg.norm(Hz)
-                  + np.linalg.norm(z) * np.linalg.norm(Hg))
+    scale = _norm(g) * _norm(Hz) + _norm(z) * _norm(Hg)
     return gap / max(scale, 1e-300)
 
 
@@ -390,7 +396,7 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
     direction.
     """
     Hz, Hg = apply(z), apply(g)
-    secant = float(np.linalg.norm(Hz - s) / max(np.linalg.norm(s), 1e-300))
+    secant = _norm(Hz - s) / max(_norm(s), 1e-300)
     return Hg, secant, symmetry_index(g, Hg, z, Hz)
 
 
@@ -398,72 +404,53 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray):
 # line searches
 # ---------------------------------------------------------------------------
 #
-# A line search returns (alpha, J, grad) for the accepted point x + alpha d,
-# with J or grad None where it did not evaluate them there; qn_reconstruct
-# computes only what is missing.
-#
-# _phi restricts J to the line x + a d. An ObjectiveSpec gives its own
-# restriction (ObjectiveSpec.line), which projects d once for every trial
-# step and leaves the last trial as its kept residual; any other objective
-# is evaluated at x + a d through its value and grad.
+# A line search gets the Line through the current Point along d and the
+# slope g0d = grad J . d there, and returns (alpha, Point at x + alpha d), or
+# (alpha, None) where it evaluated no trial at alpha; qn_reconstruct then
+# projects x + alpha d itself.
 
-def _phi(spec, x, d):
-    if isinstance(spec, ObjectiveSpec):
-        return spec.line(x, d)
-
-    def value(a):
-        return spec.value(x + a * d)
-
-    def slope(a):
-        """(grad J . d, grad J) at x + a d."""
-        g = spec.grad(x + a * d)
-        return float(g.reshape(-1) @ d.reshape(-1)), g
-
-    return value, slope
+def fixed_step(line, g0d):
+    return 1.0, None
 
 
-def fixed_step(spec, x, d, j0, g0d):
-    return 1.0, None, None
-
-
-def armijo(spec, x, d, j0, g0d):
-    value, _ = _phi(spec, x, d)
+def armijo(line, g0d):
+    j0 = line.start.J
     a = 1.0
     for _ in range(40):
-        j = value(a)
+        j = line.value(a)
         if j <= j0 + WOLFE_C1 * a * g0d:
-            return a, j, None
+            return a, line.at(a)
         a *= 0.5
-    return a, None, None
+    return a, None
 
 
-def strong_wolfe(spec, x, d, j0, g0d):
+def strong_wolfe(line, g0d):
     """Bracket and zoom until both strong Wolfe conditions hold.
 
     Each trial step is evaluated once: the bracket ends enter _zoom with the
-    value and slope already computed for them, starting from (0, j0, g0d).
+    value and slope already computed for them, starting from (0, J, g0d).
     """
-    value, slope = _phi(spec, x, d)
+    j0 = line.start.J
     a_prev, j_prev, sl_prev = 0.0, j0, g0d
     a = 1.0
     a_max = 64.0
     for i in range(25):
-        j = value(a)
+        j = line.value(a)
         if j > j0 + WOLFE_C1 * a * g0d or (i > 0 and j >= j_prev):
-            return _zoom(value, slope, a_prev, j_prev, sl_prev, a, j, j0, g0d)
-        sl, g = slope(a)
+            return _zoom(line, a_prev, j_prev, sl_prev, a, j, j0, g0d)
+        sl, point = line.slope(a)
         if abs(sl) <= -WOLFE_C2 * g0d:
-            return a, j, g
+            return a, point
         if sl >= 0:
-            return _zoom(value, slope, a, j, sl, a_prev, j_prev, j0, g0d)
+            return _zoom(line, a, j, sl, a_prev, j_prev, j0, g0d)
         if a == a_max:
-            return a, j, g
+            return a, point
         a_prev, j_prev, sl_prev = a, j, sl
         a = min(2.0 * a, a_max)
-    return a, None, None
+    return a, None
 
 
-def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d):
+def _zoom(line, lo, j_lo, sl_lo, hi, j_hi, j0, g0d):
     """Shrink the bracket [lo, hi], whose ends come evaluated: (J, slope)
     at lo and J at hi."""
     for _ in range(40):
@@ -476,29 +463,28 @@ def _zoom(value, slope, lo, j_lo, sl_lo, hi, j_hi, j0, g0d):
                 not (min(lo, hi) + 1e-3 * abs(span) < a
                      < max(lo, hi) - 1e-3 * abs(span)):
             a = lo + 0.5 * span
-        j = value(a)
+        j = line.value(a)
         if j > j0 + WOLFE_C1 * a * g0d or j >= j_lo:
             hi, j_hi = a, j
         else:
-            sl, g = slope(a)
+            sl, point = line.slope(a)
             if abs(sl) <= -WOLFE_C2 * g0d:
-                return a, j, g
+                return a, point
             if sl * (hi - lo) >= 0:
                 hi, j_hi = lo, j_lo
             lo, j_lo, sl_lo = a, j, sl
         if abs(hi - lo) < 1e-14:
             break
-    return 0.5 * (lo + hi), None, None
+    return 0.5 * (lo + hi), None
 
 
-def exact_quadratic(spec, x, d, j0, g0d):
+def exact_quadratic(line, g0d):
     """Exact minimizer along d for quadratic J: slope is linear in alpha."""
-    _, slope = _phi(spec, x, d)
-    s1, _ = slope(1.0)
+    s1, _ = line.slope(1.0)
     denom = s1 - g0d
     if denom <= 0:
-        return 1.0, None, None
-    return -g0d / denom, None, None
+        return 1.0, None
+    return -g0d / denom, None
 
 LINE_SEARCHES = {
     "fixed": fixed_step,
@@ -512,7 +498,7 @@ LINE_SEARCHES = {
 # classical quasi-Newton reconstruction
 # ---------------------------------------------------------------------------
 
-def qn_reconstruct(spec, x0: np.ndarray, iters: int,
+def qn_reconstruct(spec: ObjectiveSpec, x0: np.ndarray, iters: int,
                    line_search: str = "strong-wolfe", gtol: float = 0.0):
     """BFGS minimization of the objective; returns (x, trace, state).
 
@@ -520,8 +506,8 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     Hessian from H0 = I held as its curvature pairs (BfgsState), so work and
     memory grow as iters * x0.size, not x0.size**2. Refuses runs whose
     pairs could exceed HESSIAN_BYTE_LIMIT, before any projection.
-    line_search is a LINE_SEARCHES name; J and grad at the point it
-    accepts are reused.
+    line_search is a LINE_SEARCHES name; the Point it accepts becomes the
+    next iterate, with the J and grad it already computed.
     """
     if iters < 0:
         raise ShapeError(f"qn_reconstruct needs iters >= 0, got {iters}")
@@ -529,16 +515,15 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
     check_pair_budget(iters, x0.size, f"{x0.size} unknowns",
                       "run fewer iterations")
     search = LINE_SEARCHES[line_search]
-    x = np.array(x0, dtype=np.float64)
+    p = spec.at(np.array(x0, dtype=np.float64))
     state = BfgsState()
-    j = spec.value(x)
-    g = spec.grad(x)
-    Hg = g  # H0 = I
-    limit = 10.0 * j + 1e-12
+    Hg = p.g  # H0 = I
+    limit = 10.0 * p.J + 1e-12
     si = 0.0  # the identity start is symmetric
-    trace = [_trace_row(0, j, np.linalg.norm(g), si=si,
-                        residual_norm=_residual_norm(spec, x))]
+    trace = [_trace_row(0, p.J, _norm(p.g), si=si,
+                        residual_norm=p.residual_norm)]
     for t in range(1, iters + 1):
+        g = p.g
         d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
         if g0d >= 0:
@@ -548,28 +533,26 @@ def qn_reconstruct(spec, x0: np.ndarray, iters: int,
             si = 0.0
             d = -g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
-        alpha, j_new, g_new = search(spec, x, d, j, g0d)
+        alpha, new = search(spec.line(p, d), g0d)
         s = alpha * d
-        x_new = x + s  # the point the search formed, bit for bit
-        if g_new is None:
-            g_new = spec.grad(x_new)
-        z = g_new - g
+        if new is None:
+            new = spec.at(p.x + s)  # the point a trial would form, bit for bit
+        z = new.g - g
         state, accepted = bfgs_update(state, s, z)
         if accepted:
-            Hg, secant, si = secant_diagnostics(state.apply, s, z, g_new)
+            Hg, secant, si = secant_diagnostics(state.apply, s, z, new.g)
         else:
             # H is unchanged, and so is its symmetry probe
-            Hg = state.apply(g_new)
+            Hg = state.apply(new.g)
             secant = np.nan
-        x, g = x_new, g_new
-        j = spec.value(x) if j_new is None else j_new
-        trace.append(_trace_row(t, j, np.linalg.norm(g), alpha, secant, si,
-                                _residual_norm(spec, x), np.linalg.norm(s)))
-        if j > limit:
+        p = new
+        trace.append(_trace_row(t, p.J, _norm(p.g), alpha, secant, si,
+                                p.residual_norm, _norm(s)))
+        if p.J > limit:
             raise DivergenceError(
-                f"qn_reconstruct diverged at iteration {t}: J={j:.3e}",
+                f"qn_reconstruct diverged at iteration {t}: J={p.J:.3e}",
                 trace=trace,
             )
-        if gtol > 0 and np.linalg.norm(g) < gtol:
+        if gtol > 0 and _norm(p.g) < gtol:
             break
-    return x.astype(x0.dtype), trace, state
+    return p.x.astype(x0.dtype), trace, state

@@ -25,7 +25,7 @@ SCRIPTS = ROOT / "scripts"
 def bench_metrics(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     yield importlib.import_module("bench_metrics")
-    for name in ("bench_metrics", "bench_kernels"):
+    for name in ("bench_metrics", "bench_kernels", "run", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -45,6 +45,22 @@ def test_count_projections_of_a_small_solve(bench_metrics):
     # the module functions are put back afterwards
     assert geo.forward_project.__name__ == "forward_project"
     assert geo.back_project.__name__ == "back_project"
+
+
+def test_solver_ops_time_each_op_beside_its_projections(bench_metrics,
+                                                         monkeypatch):
+    monkeypatch.setattr(bench_metrics, "SOLVER_OPS", 3)
+    _, workloads, q = bench_metrics._import_side(ROOT)
+    report = bench_metrics.solver_ops(workloads, q, workloads.TINY)
+    # TINY runs 3 gd iterations after a 10-call step-size estimate, and
+    # 1 qn iteration
+    calls = {"gd": 3 + 1 + 10, "qn": 1 + 1}
+    for name, row in report.items():
+        assert row["forward_project"]["calls"] == calls[name]
+        assert row["back_project"]["calls"] == calls[name]
+        projector_ms = row["forward_project"]["ms"] + row["back_project"]["ms"]
+        assert row["op_ms"] > projector_ms > 0
+        assert row["outside_ms"] > 0
 
 
 @pytest.fixture

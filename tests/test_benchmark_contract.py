@@ -72,6 +72,13 @@ def test_solvers_and_unrolled_step_call_the_traced_geometry_functions():
         lambda: solvers.qn_reconstruct(spec, np.zeros((16, 16)), 3)) == {
         "geometry.forward_project.calls": 4,
         "geometry.back_project.calls": 4}
+    # gradient descent projects each of its 31 iterates once, forward and
+    # back
+    assert traced_geometry_calls(
+        lambda: solvers.gradient_descent(spec, np.zeros((16, 16)), 1e-3,
+                                         30)) == {
+        "geometry.forward_project.calls": 31,
+        "geometry.back_project.calls": 31}
 
     model = ur.QnMixerModel.build(
         16, 16, 1, mx.MixerConfig(patch=4, d=12, n_layers=1),

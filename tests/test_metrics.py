@@ -134,6 +134,12 @@ class TestSsim:
         np.testing.assert_allclose(np.outer(taps, taps), gaussian_window(),
                                    rtol=1e-14, atol=0)
 
+    def test_shared_taps_are_the_kernel_bit_for_bit_and_read_only(self):
+        assert mt._SSIM_TAPS.tobytes() == mt.gaussian_kernel().tobytes()
+        assert not mt._SSIM_TAPS.flags.writeable
+        with pytest.raises(ValueError):
+            mt._SSIM_TAPS[0] = 0.0
+
 
 class TestMsSsim:
     def test_identical_is_one(self):
@@ -393,3 +399,15 @@ def test_evaluate_pair_filters_each_level_once(monkeypatch):
     calls.clear()
     mt.evaluate_pair(x, ref, msssim_levels=1)
     assert calls == [(64, 64)]
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (17, 23), (64, 64), (100, 37),
+                                   (255, 256), (256, 256)])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3, 1e15])
+def test_mean_pool2_is_numpys_mean_bit_for_bit(shape, scale):
+    h, w = shape
+    rng = np.random.default_rng([h, w, round(np.log10(scale)) + 20])
+    x = scale * (rng.normal(size=shape) + rng.uniform())
+    even = x[: h - h % 2, : w - w % 2]
+    ref = even.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+    assert mt._mean_pool2(x).tobytes() == ref.tobytes()

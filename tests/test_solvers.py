@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,24 @@ class IdentityOperator:
         return y
 
 
+class CountingOperator:
+    """Wraps an operator and records the bytes of every x it projects and
+    of every y it back-projects."""
+
+    def __init__(self, op):
+        self.op = op
+        self.projected = []
+        self.adjoined = []
+
+    def forward(self, x):
+        self.projected.append(x.tobytes())
+        return self.op.forward(x)
+
+    def adjoint(self, y):
+        self.adjoined.append(y.tobytes())
+        return self.op.adjoint(y)
+
+
 def fd_gradient(spec, x, eps=1e-6):
     g = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -47,29 +66,51 @@ def fd_gradient(spec, x, eps=1e-6):
     return g
 
 
-class QuadraticObjective:
-    """f(x) = 0.5 x^T Q x - b^T x with SPD Q, for solver correctness tests."""
+class MatrixOperator:
+    """A as a dense matrix on flat vectors."""
 
-    def __init__(self, Q, b):
-        self.Q, self.b = Q, b
+    def __init__(self, M):
+        self.M = M
 
-    def value(self, x):
-        x = x.reshape(-1)
-        return float(0.5 * x @ self.Q @ x - self.b @ x)
+    def forward(self, x):
+        return self.M @ x
 
-    def grad(self, x):
-        x = x.reshape(-1)
-        return self.Q @ x - self.b
+    def adjoint(self, y):
+        return self.M.T @ y
 
-    def solution(self):
-        return np.linalg.solve(self.Q, self.b)
+
+def hessian(spec):
+    """The constant Hessian lam MᵀM + mu I of a Tikhonov spec over a
+    MatrixOperator."""
+    M = spec.op.M
+    return spec.lam * M.T @ M + spec.regularizer.mu * np.eye(M.shape[1])
+
+
+def minimizer(spec):
+    return np.linalg.solve(hessian(spec), spec.lam * spec.op.M.T @ spec.y)
 
 
 def random_quadratic(rng, dim):
-    A = rng.normal(size=(dim, dim))
-    Q = A @ A.T + dim * np.eye(dim)
-    b = rng.normal(size=dim)
-    return QuadraticObjective(Q, b)
+    """J(x) = 1/2 |Fᵀx - y|² + dim/2 |x|², an SPD quadratic with the
+    Hessian F Fᵀ + dim I, for solver correctness tests."""
+    F = rng.normal(size=(dim, dim))
+    return ObjectiveSpec(MatrixOperator(F.T), rng.normal(size=dim),
+                         regularizer=Regularizer("tikhonov", mu=float(dim)))
+
+
+def explicit_J(spec, x, r):
+    """J at x from the residual r, written out."""
+    return 0.5 * spec.lam * float(np.sum(r.astype(np.float64) ** 2)) \
+        + spec.regularizer.value(x)
+
+
+def explicit_grad(spec, x, r):
+    return spec.lam * spec.op.adjoint(r) + spec.regularizer.grad(x)
+
+
+def reprojected_grad(spec, x):
+    """grad J at x from a fresh projection, without ObjectiveSpec.at."""
+    return explicit_grad(spec, x, spec.op.forward(x) - spec.y)
 
 
 class TestObjective:
@@ -176,18 +217,11 @@ class TestGradientDescent:
         assert len(err.value.trace) >= 2
 
     def test_one_gradient_per_iterate(self):
-        spec, _ = self.quadratic_spec()
-        calls = []
-
-        class Counting:
-            value = spec.value
-
-            def grad(self, x):
-                calls.append(1)
-                return spec.grad(x)
-
-        gradient_descent(Counting(), np.zeros((10, 10)), 0.5, 7)
-        assert len(calls) == 7 + 1
+        spec, y = self.quadratic_spec()
+        op = CountingOperator(spec.op)
+        gradient_descent(ObjectiveSpec(op, y, spec.lam, spec.regularizer),
+                         np.zeros((10, 10)), 0.5, 7)
+        assert len(op.adjoined) == 7 + 1
 
 
 def dense_bfgs_update(H, s, z):
@@ -211,11 +245,11 @@ def chained(pairs):
 
 def quadratic_pairs(rng, dim, count, skip=None):
     """Secant pairs of a random SPD quadratic; pair `skip` has z = -s."""
-    quad = random_quadratic(rng, dim)
+    Q = hessian(random_quadratic(rng, dim))
     pairs = []
     for k in range(count):
         s = rng.normal(size=dim)
-        pairs.append((s, -s if k == skip else quad.Q @ s))
+        pairs.append((s, -s if k == skip else Q @ s))
     return pairs
 
 
@@ -406,41 +440,55 @@ class TestLatentDiagnosticsAgainstDenseH:
         assert all(state.secant_residual > 1e-3 for state, *_ in rows)
 
 
-class CountingObjective:
-    """Wraps an objective and records the bytes of every x it is given."""
+@pytest.fixture
+def made_points(monkeypatch):
+    """The bytes of x of every Point made, in order, and its J and grad
+    computations as ("J" | "g", x bytes)."""
+    made, computed = [], []
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.seen = {"value": [], "grad": []}
+    class Recorded(solvers.Point):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self.x.tobytes())
 
-    def value(self, x):
-        self.seen["value"].append(x.tobytes())
-        return self.spec.value(x)
+    for name in ("J", "g"):
+        prop = solvers.Point.__dict__[name]
 
-    def grad(self, x):
-        self.seen["grad"].append(x.tobytes())
-        return self.spec.grad(x)
+        def recorded(self, prop=prop, name=name):
+            computed.append((name, self.x.tobytes()))
+            return prop.func(self)
+
+        wrapped = functools.cached_property(recorded)
+        wrapped.__set_name__(Recorded, name)
+        setattr(Recorded, name, wrapped)
+    monkeypatch.setattr(solvers, "Point", Recorded)
+    return made, computed
 
 
 class TestStrongWolfe:
-    def test_each_point_evaluated_once(self):
+    def test_each_point_evaluated_once(self, made_points):
+        made, computed = made_points
         rng = np.random.default_rng(18)
         spec = ObjectiveSpec(IdentityOperator(), rng.normal(size=(8, 8)),
                              regularizer=Regularizer("smoothed_tv", mu=0.5))
-        x = rng.normal(size=(8, 8))
-        g = spec.grad(x)
+        start = spec.at(rng.normal(size=(8, 8)))
+        g = start.g
         # short steps bracket by doubling (the shortest up to the cap
         # a = 64), long ones zoom back from a = 1
         for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
-            counting = CountingObjective(spec)
+            made.clear()
+            computed.clear()
             d = -scale * g
-            a, j, grad = strong_wolfe(counting, x, d, spec.value(x),
-                                      float(g.reshape(-1) @ d.reshape(-1)))
-            for points in counting.seen.values():
-                assert len(points) == len(set(points))
-            # the accepted point's J and gradient, as qn_reconstruct forms it
-            assert j == spec.value(x + a * d)
-            np.testing.assert_array_equal(grad, spec.grad(x + a * d))
+            a, point = strong_wolfe(spec.line(start, d),
+                                    float(g.reshape(-1) @ d.reshape(-1)))
+            assert len(made) == len(set(made)) > 0
+            assert len(computed) == len(set(computed))
+            # the accepted point is x + a d, as qn_reconstruct forms it,
+            # with J and grad J of its own residual
+            assert point.x.tobytes() == (start.x + a * d).tobytes()
+            assert point.J == explicit_J(spec, point.x, point.r)
+            np.testing.assert_array_equal(
+                point.g, explicit_grad(spec, point.x, point.r))
 
 
 def ct_tikhonov(n=32, views=16):
@@ -455,23 +503,26 @@ def ct_tikhonov(n=32, views=16):
 
 
 def reevaluating_qn(spec, x0, iters, line_search):
-    """qn_reconstruct as it was before line searches returned their accepted
-    point: J and grad J are evaluated again at x + alpha d."""
+    """qn_reconstruct without reuse: J and grad J at x + alpha d are
+    evaluated again, by the formulas, from the residual the search gave
+    that point (or from a fresh projection where it gave none)."""
     search = solvers.LINE_SEARCHES[line_search]
-    x = np.array(x0, dtype=np.float64)
+    p = spec.at(np.array(x0, dtype=np.float64))
+    x, r = p.x, p.r
     state = BfgsState()
-    j, g = spec.value(x), spec.grad(x)
+    j, g = explicit_J(spec, x, r), explicit_grad(spec, x, r)
     Hg, si = g, 0.0
     trace = [solvers._trace_row(0, j, np.linalg.norm(g), si=si,
-                                residual_norm=solvers._residual_norm(spec, x))]
+                                residual_norm=np.linalg.norm(r))]
     for t in range(1, iters + 1):
         d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
         assert g0d < 0
-        alpha = search(spec, x, d, j, g0d)[0]
+        alpha, point = search(spec.line(solvers.Point(spec, x, r), d), g0d)
         s = alpha * d
         x_new = x + s
-        g_new = spec.grad(x_new)
+        r = spec.op.forward(x_new) - spec.y if point is None else point.r
+        g_new = explicit_grad(spec, x_new, r)
         z = g_new - g
         state, accepted = bfgs_update(state, s, z)
         if accepted:
@@ -479,29 +530,32 @@ def reevaluating_qn(spec, x0, iters, line_search):
         else:
             Hg, secant = state.apply(g_new), np.nan
         x, g = x_new, g_new
-        j = spec.value(x)
+        j = explicit_J(spec, x, r)
         trace.append(solvers._trace_row(t, j, np.linalg.norm(g), alpha,
-                                        secant, si,
-                                        solvers._residual_norm(spec, x),
+                                        secant, si, np.linalg.norm(r),
                                         np.linalg.norm(s)))
     return x, trace
 
 
+def trace_rows(trace, columns=solvers.TRACE_COLUMNS):
+    return [[row[c] for c in columns] for row in trace]
+
+
 class TestAcceptedPointReuse:
     @pytest.mark.parametrize("line_search", ["strong-wolfe", "armijo"])
-    def test_no_point_evaluated_twice(self, line_search):
+    def test_no_point_evaluated_twice(self, line_search, made_points):
+        made, computed = made_points
         spec, x0 = ct_tikhonov()
-        counting = CountingObjective(spec)
-        qn_reconstruct(counting, x0, 3, line_search=line_search)
-        for points in counting.seen.values():
-            assert points and len(points) == len(set(points))
+        qn_reconstruct(spec, x0, 3, line_search=line_search)
+        assert made and len(made) == len(set(made))
+        assert len(computed) == len(set(computed))
 
     @pytest.mark.parametrize("line_search", sorted(solvers.LINE_SEARCHES))
     def test_bit_identical_to_reevaluating_loop(self, line_search):
         rng = np.random.default_rng(21)
         # curvature in [0.5, 1.5], where a unit step from H0 = I converges
-        mild = QuadraticObjective(np.diag(rng.uniform(0.5, 1.5, 12)),
-                                  rng.normal(size=12))
+        mild = ObjectiveSpec(MatrixOperator(np.diag(np.sqrt(
+            rng.uniform(0.5, 1.5, 12)))), rng.normal(size=12))
         problems = [(mild, np.zeros(12))]
         if line_search != "fixed":  # a unit step diverges on the CT problem
             problems.append(ct_tikhonov())
@@ -509,10 +563,8 @@ class TestAcceptedPointReuse:
             x, trace, _ = qn_reconstruct(spec, x0, 4, line_search=line_search)
             x_ref, trace_ref = reevaluating_qn(spec, x0, 4, line_search)
             assert x.tobytes() == x_ref.tobytes()
-            np.testing.assert_array_equal(
-                [[row[c] for c in solvers.TRACE_COLUMNS] for row in trace],
-                [[row[c] for c in solvers.TRACE_COLUMNS]
-                 for row in trace_ref])
+            np.testing.assert_array_equal(trace_rows(trace),
+                                          trace_rows(trace_ref))
 
 
 class TestQnReconstruct:
@@ -528,7 +580,7 @@ class TestQnReconstruct:
             )
             assert trace[-1]["grad_norm"] < 1e-8
             assert len(trace) - 1 <= 40
-            np.testing.assert_allclose(x, quad.solution(), atol=1e-6)
+            np.testing.assert_allclose(x, minimizer(quad), atol=1e-6)
             for row in trace:
                 assert not np.isfinite(row["si"]) or row["si"] < 1e-8
                 if np.isfinite(row["secant_residual"]):
@@ -598,15 +650,11 @@ class TestQnReconstruct:
         assert len(trace) == 2
         assert len(state.pairs) == 1
 
-        class Unprojected:
-            def value(self, x):
-                raise AssertionError("projected before the guard")
-
-            grad = value
-
         # the pairs of a huge iteration count are refused up front
+        op = CountingOperator(IdentityOperator())
         with pytest.raises(MemoryGuardError, match="iterations"):
-            qn_reconstruct(Unprojected(), np.zeros((160, 160)), 10**6)
+            qn_reconstruct(ObjectiveSpec(op, y), np.zeros((160, 160)), 10**6)
+        assert op.projected == []
 
     def test_state_memory_at_64(self):
         g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
@@ -627,47 +675,78 @@ class TestQnReconstruct:
         assert peak < 32 * 2**20
 
 
-class CountingOperator:
-    """Wraps an operator and records the bytes of every x it projects."""
-
-    def __init__(self, op):
-        self.op = op
-        self.projected = []
-
-    def forward(self, x):
-        self.projected.append(x.tobytes())
-        return self.op.forward(x)
-
-    def adjoint(self, y):
-        return self.op.adjoint(y)
-
-
 def counting_ct_tikhonov():
     spec, x0 = ct_tikhonov()
     op = CountingOperator(spec.op)
     return ObjectiveSpec(op, spec.y, spec.lam, spec.regularizer), op, x0
 
 
-class ReprojectingSpec:
-    """ObjectiveSpec as it was before the residual was kept: every value and
-    every grad projects x again."""
+def reproject_every_trial(monkeypatch):
+    """Make every Line trial project x + a d afresh from here on: the
+    reference for the trial residual r + a Ad."""
+    def at(self, a):
+        return self.start.spec.at(self.start.x + a * self.d)
 
-    # the trace columns it shares with ObjectiveSpec: keeping no residual,
-    # it has no residual_norm (NaN)
-    TRACE_COLUMNS = [c for c in solvers.TRACE_COLUMNS if c != "residual_norm"]
+    monkeypatch.setattr(solvers.Line, "at", at)
 
-    def __init__(self, spec):
-        self.op, self.y = spec.op, spec.y
-        self.lam, self.regularizer = spec.lam, spec.regularizer
 
-    def value(self, x):
-        r = self.op.forward(x) - self.y
-        data = 0.5 * self.lam * float(np.sum(r.astype(np.float64) ** 2))
-        return data + self.regularizer.value(x)
+class TestPoints:
+    @pytest.mark.parametrize("regularizer", [
+        Regularizer("tikhonov", mu=0.05),
+        Regularizer("smoothed_tv", mu=0.05, delta=1e-2)],
+        ids=["tikhonov", "tv"])
+    def test_J_and_grad_are_the_formulas_bit_for_bit(self, regularizer):
+        ct, x = ct_tikhonov()
+        spec = ObjectiveSpec(ct.op, ct.y, 0.7, regularizer)
+        point = spec.at(x)
+        r = spec.op.forward(x) - spec.y
+        np.testing.assert_array_equal(point.r, r)
+        assert point.J == explicit_J(spec, x, r)
+        np.testing.assert_array_equal(point.g, explicit_grad(spec, x, r))
+        assert point.residual_norm == np.linalg.norm(r)
+        assert point.x is x and not point.r.flags.writeable
 
-    def grad(self, x):
-        r = self.op.forward(x) - self.y
-        return self.lam * self.op.adjoint(r) + self.regularizer.grad(x)
+    def test_line_points_carry_r_plus_a_Ad(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        start = spec.at(x0)
+        d = -start.g
+        line = spec.line(start, d)
+        assert len(op.projected) == 1  # d waits for the first trial
+        Ad = spec.op.op.forward(d)
+        for a in (1.0, 0.25, 3.5):
+            point = line.at(a)
+            assert point.x.tobytes() == (x0 + a * d).tobytes()
+            assert point.r.tobytes() == (start.r + a * Ad).tobytes()
+            assert point.J == explicit_J(spec, point.x, point.r)
+            np.testing.assert_array_equal(
+                point.g, explicit_grad(spec, point.x, point.r))
+        assert op.projected == [x0.tobytes(), d.tobytes()]
+
+    def test_a_line_reuses_its_last_trial_only(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        line = spec.line(spec.at(x0), np.ones_like(x0))
+        j = line.value(0.5)
+        sl, point = line.slope(0.5)
+        assert point is line.at(0.5) and point.J == j
+        assert line.at(0.25) is not point
+        assert line.at(0.5) is not point
+        assert len(op.projected) == 2
+
+    def test_value_and_grad_each_project_afresh(self):
+        spec, op, x0 = counting_ct_tikhonov()
+        j = spec.value(x0)
+        assert spec.value(x0) == j
+        g = spec.grad(x0)
+        assert op.projected == [x0.tobytes()] * 3
+        assert len(op.adjoined) == 1
+        np.testing.assert_array_equal(g, spec.at(x0).g)
+
+    def test_norm_is_numpys_norm_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for size in (1, 7, 64, 4096, (32, 48)):
+            for scale in (1e-200, 1e-3, 1.0, 1e150):
+                v = scale * rng.normal(size=size)
+                assert solvers._norm(v) == np.linalg.norm(v)
 
 
 class TestResidualReuse:
@@ -683,58 +762,57 @@ class TestResidualReuse:
         assert op.projected and len(op.projected) == len(set(op.projected))
         assert all(np.isfinite(row["residual_norm"]) for row in trace)
 
-    def test_strong_wolfe_projects_each_distinct_point_once(self):
+    def test_strong_wolfe_projects_each_distinct_point_once(self,
+                                                            made_points):
+        made, _ = made_points
         spec, op, x0 = counting_ct_tikhonov()
-        counting = CountingObjective(spec)
-        qn_reconstruct(counting, x0, 3, line_search="strong-wolfe")
-        points = set(counting.seen["value"]) | set(counting.seen["grad"])
-        assert len(op.projected) == len(points)
-        assert len(counting.seen["value"]) + len(counting.seen["grad"]) \
-            > len(points)
+        qn_reconstruct(spec, x0, 3, line_search="strong-wolfe")
+        # x0 and one direction per iteration; every trial point is new and
+        # costs no projection
+        assert len(op.projected) == len(set(op.projected)) == 1 + 3
+        assert len(made) == len(set(made)) > len(op.projected)
 
     def test_x_mutated_in_place_is_projected_again(self):
         spec, op, x0 = counting_ct_tikhonov()
         x = x0.copy()
-        spec.value(x)
+        before = spec.at(x)
+        j = before.J
         x[3, 4] += 1.0
-        g = spec.grad(x)
+        after = spec.at(x)
         assert len(op.projected) == 2
-        np.testing.assert_array_equal(g, ReprojectingSpec(spec).grad(x))
+        assert after.J != j
+        np.testing.assert_array_equal(after.g, reprojected_grad(spec, x))
 
     def test_signed_zeros_are_different_points(self):
         op = CountingOperator(IdentityOperator())
         spec = ObjectiveSpec(op, np.ones((4, 4)))
         x = np.zeros((4, 4))
-        spec.value(x)
-        spec.value(x.copy())
-        assert len(op.projected) == 1
+        spec.at(x)
         g = spec.grad(-x)  # -0.0 everywhere: equal values, other bits
-        assert len(op.projected) == 2
-        np.testing.assert_array_equal(g, ReprojectingSpec(spec).grad(-x))
+        assert op.projected == [x.tobytes(), (-x).tobytes()]
+        np.testing.assert_array_equal(g, reprojected_grad(spec, -x))
 
     def test_strided_x_is_the_point_of_its_contiguous_copy(self):
-        op = CountingOperator(IdentityOperator())
-        spec = ObjectiveSpec(op, np.ones((4, 4)))
+        spec = ObjectiveSpec(IdentityOperator(), np.ones((4, 4)),
+                             regularizer=Regularizer("smoothed_tv", mu=0.1))
         x = np.arange(32.0).reshape(4, 8)[:, ::2]
-        spec.value(x)
-        spec.grad(np.ascontiguousarray(x))
-        spec.value(x)
-        assert len(op.projected) == 1
+        strided, contiguous = spec.at(x), spec.at(np.ascontiguousarray(x))
+        assert strided.J == contiguous.J
+        np.testing.assert_array_equal(strided.g, contiguous.g)
+        assert strided.residual_norm == contiguous.residual_norm
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_the_kept_point_is_compared_without_copying_x(self, dtype):
-        op = CountingOperator(IdentityOperator())
+    def test_a_point_holds_x_without_copying(self, dtype):
         x = np.random.default_rng(31).normal(size=(128, 128)).astype(dtype)
-        spec = ObjectiveSpec(op, np.zeros_like(x))
-        spec.residual_norm(x)
+        spec = ObjectiveSpec(IdentityOperator(), np.zeros_like(x))
         tracemalloc.start()
         try:
-            spec._residual(x, "test")
+            point = spec.at(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(op.projected) == 1
-        assert peak < x.nbytes / 4  # x.tobytes() was x.nbytes
+        assert point.x is x
+        assert peak < 1.25 * x.nbytes  # the residual, and no copy of x
 
     def test_equal_values_of_another_dtype_are_projected_again(self):
         y = np.random.default_rng(30).normal(size=(6, 6))
@@ -745,7 +823,7 @@ class TestResidualReuse:
         g32 = spec.grad(x.astype(np.float32))
         assert len(op.projected) == 2
         np.testing.assert_array_equal(
-            g32, ReprojectingSpec(spec).grad(x.astype(np.float32)))
+            g32, reprojected_grad(spec, x.astype(np.float32)))
 
     def test_data_and_fields_cannot_change_under_the_residual(self):
         y = np.zeros((4, 4))
@@ -780,20 +858,22 @@ class TestResidualReuse:
         assert repr(spec) == repr(fresh)
 
     @pytest.mark.parametrize("line_search", sorted(solvers.LINE_SEARCHES))
-    def test_qn_bit_identical_to_reprojecting_spec(self, line_search):
+    def test_qn_bit_identical_to_reprojecting_spec(self, line_search,
+                                                   monkeypatch):
         """Bit-identical where no trial value comes from the line's r + a Ad
         (fixed, exact-quadratic); within round-off where one does."""
         spec, x0 = ct_tikhonov()
         runs = []
-        for s in (spec, ReprojectingSpec(spec)):
+        for reproject in (False, True):
+            if reproject:
+                reproject_every_trial(monkeypatch)
             try:
-                x, trace, state = qn_reconstruct(s, x0, 4,
+                x, trace, state = qn_reconstruct(spec, x0, 4,
                                                  line_search=line_search)
                 updates = (len(state.pairs), state.skips)
             except DivergenceError as err:  # a unit step on the CT problem
                 x, trace, updates = None, err.trace, None
-            runs.append((x, [[row[c] for c in ReprojectingSpec.TRACE_COLUMNS]
-                             for row in trace], updates))
+            runs.append((x, trace_rows(trace), updates))
         (x, rows, updates), (x_ref, rows_ref, updates_ref) = runs
         if line_search in ("fixed", "exact-quadratic"):
             assert (x is None) == (x_ref is None)
@@ -803,7 +883,7 @@ class TestResidualReuse:
         assert updates == updates_ref
         assert len(rows) == len(rows_ref)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        j = ReprojectingSpec.TRACE_COLUMNS.index("J")
+        j = solvers.TRACE_COLUMNS.index("J")
         np.testing.assert_allclose([r[j] for r in rows],
                                    [r[j] for r in rows_ref], rtol=1e-12, atol=0)
 
@@ -811,12 +891,18 @@ class TestResidualReuse:
         spec, x0 = ct_tikhonov()
         step = solvers.estimate_step(spec, 32)
         x, trace = gradient_descent(spec, x0, step, 12)
-        x_ref, trace_ref = gradient_descent(ReprojectingSpec(spec), x0, step, 12)
-        assert x.tobytes() == x_ref.tobytes()
-        columns = ReprojectingSpec.TRACE_COLUMNS
+        # the same descent, each iterate projected and J, grad J and |r|
+        # written out
+        x_ref, rows = x0, []
+        for _ in range(13):
+            r = spec.op.forward(x_ref) - spec.y
+            g = explicit_grad(spec, x_ref, r)
+            rows.append([explicit_J(spec, x_ref, r), np.linalg.norm(g),
+                         np.linalg.norm(r)])
+            x_new, x_ref = x_ref, x_ref - step * g
+        assert x.tobytes() == x_new.tobytes()
         np.testing.assert_array_equal(
-            [[row[c] for c in columns] for row in trace],
-            [[row[c] for c in columns] for row in trace_ref])
+            trace_rows(trace, ("J", "grad_norm", "residual_norm")), rows)
 
 
 class TestLineRestriction:
@@ -834,17 +920,14 @@ class TestLineRestriction:
     def test_search_and_accepted_point_project_only_the_direction(self,
                                                                   search):
         spec, op, x0 = counting_ct_tikhonov()
-        j0, g = spec.value(x0), spec.grad(x0)
-        d = -g
+        start = spec.at(x0)
+        d = -start.g
         op.projected.clear()
-        a, j, grad = search(spec, x0, d, j0,
-                            float(g.reshape(-1) @ d.reshape(-1)))
-        assert a > 0 and j is not None
-        xa = x0 + a * d
-        assert spec.value(xa) == j
-        g_new = spec.grad(xa)
-        if grad is not None:
-            np.testing.assert_array_equal(g_new, grad)
+        a, point = search(spec.line(start, d),
+                          float(start.g.reshape(-1) @ d.reshape(-1)))
+        assert a > 0 and point is not None
+        assert point.x.tobytes() == (x0 + a * d).tobytes()
+        assert np.isfinite(point.J) and np.isfinite(point.g).all()
         assert op.projected == [d.tobytes()]
 
     @pytest.mark.parametrize("regularizer", [
@@ -862,50 +945,47 @@ class TestLineRestriction:
         else:
             ct, x = ct_tikhonov()
             spec = ObjectiveSpec(ct.op, ct.y, ct.lam, regularizer)
-        # (d, a, J or None, (slope, grad) or None) of every trial evaluated
+        # (d, a, J or None, (slope, point) or None) of every trial evaluated
         trials = []
-        line, zoom, zooms = ObjectiveSpec.line, solvers._zoom, []
+        value, slope = solvers.Line.value, solvers.Line.slope
+        zoom, zooms = solvers._zoom, []
 
-        def recording_line(self, x, d):
-            value, slope = line(self, x, d)
+        def recorded_value(self, a):
+            trials.append((self.d, a, value(self, a), None))
+            return trials[-1][2]
 
-            def recorded_value(a):
-                trials.append((d, a, value(a), None))
-                return trials[-1][2]
-
-            def recorded_slope(a):
-                trials.append((d, a, None, slope(a)))
-                return trials[-1][3]
-
-            return recorded_value, recorded_slope
+        def recorded_slope(self, a):
+            trials.append((self.d, a, None, slope(self, a)))
+            return trials[-1][3]
 
         def counted_zoom(*args):
             zooms.append(args)
             return zoom(*args)
 
-        monkeypatch.setattr(ObjectiveSpec, "line", recording_line)
+        monkeypatch.setattr(solvers.Line, "value", recorded_value)
+        monkeypatch.setattr(solvers.Line, "slope", recorded_slope)
         monkeypatch.setattr(solvers, "_zoom", counted_zoom)
-        g = spec.grad(x)
+        start = spec.at(x)
+        g = start.g
         # short steps bracket by doubling, long ones zoom or shrink
         for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
             d = -scale * g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
             for search in (strong_wolfe, armijo):
-                search(spec, x, d, spec.value(x), g0d)
+                search(spec.line(start, d), g0d)
         assert zooms and len(trials) > 20
-        reference = ReprojectingSpec(spec)
         # gradients relative to the one at x: a search can land where the
         # gradient cancels to round-off
         g_norm = np.linalg.norm(g)
         for d, a, j, slope in trials:
             xa = x + a * d
             if slope is None:
-                j_ref = reference.value(xa)
+                j_ref = spec.value(xa)
                 assert abs(j - j_ref) <= 1e-12 * abs(j_ref)
             else:
-                sl, grad = slope
-                g_ref = reference.grad(xa)
-                assert np.linalg.norm(grad - g_ref) <= 1e-12 * g_norm
+                sl, point = slope
+                g_ref = spec.grad(xa)
+                assert np.linalg.norm(point.g - g_ref) <= 1e-12 * g_norm
                 assert abs(sl - float(g_ref.reshape(-1) @ d.reshape(-1))) \
                     <= 1e-12 * g_norm * np.linalg.norm(d)
 
@@ -961,9 +1041,11 @@ def test_trace_residual_and_step_norms_match_independent_norms(method):
             [solvers.estimate_step(spec, 16)] * 4
 
 
-def test_trace_residual_norm_is_nan_for_an_objective_keeping_none():
-    spec, x0 = ct_tikhonov(n=16)
-    step = solvers.estimate_step(spec, 16)
-    _, trace = gradient_descent(CountingObjective(spec), x0, step, 2)
-    assert all(np.isnan(row["residual_norm"]) for row in trace)
+def test_trace_residual_norm_is_read_from_each_point():
+    spec, op, x0 = counting_ct_tikhonov()
+    step = solvers.estimate_step(spec, 32)
+    op.projected.clear()
+    _, trace = gradient_descent(spec, x0, step, 2)
+    assert len(op.projected) == 2 + 1
+    assert all(np.isfinite(row["residual_norm"]) for row in trace)
     assert np.isnan(trace[0]["step_norm"]) and trace[1]["step_norm"] > 0

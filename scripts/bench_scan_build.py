@@ -5,6 +5,9 @@ against change.
     python3 scripts/bench_scan_build.py --parent DIR --change DIR \
         [--rounds 3] [--pairs gd:81-91 qn:81-91 train:81-86] \
         [--cache-root DIR] [--out BENCH_scan_cache.json]
+    python3 scripts/bench_scan_build.py --parent DIR --change DIR \
+        --working-set [--rounds 3] [--pairs train:301-311 gd:301-306 \
+        qn:301-306] [--cache-root DIR] --out BENCH_scan_working_set.json
 
 DIR is a source checkout (with ``src/`` and ``perfbench/``) of each side.
 Every case runs in fresh processes with one BLAS thread, and the sides
@@ -36,6 +39,19 @@ both times.
     projection that makes its sinogram (and builds or loads A) and of the
     inference (FBP's matrix), ``ru_maxrss``, and whether the cold start
     equals FBP bit for bit.
+
+``--working-set`` measures what a process keeps instead, in place of the
+cases above:
+
+  - ``setup_matrices``: per workload of ``--pairs``, the matrices one
+    perfbench set-up (what ``--setup-only`` times) loads from the disk
+    cache and builds, cold and warm, with its set-up seconds and peak RSS.
+  - ``paper_synthesis_training``: ``PAPER_TRAIN_PHANTOMS`` random phantoms
+    at 256² projected on the full 512-view paper fan scan (its 1.13 GiB A),
+    as ``qnct train`` synthesizes its data, then ``PAPER_TRAIN_STEPS``
+    training steps (d = 96, T = 6) on ``PAPER_VIEWS`` of its views, cold
+    and warm: each phase's wall time and ``ru_maxrss`` after it, and a hash
+    of the losses.
 
 Desk cases, set-ups and the CLI run ``--rounds`` times per side (each
 figure is the median, and each round is kept); the paper-scale cases run
@@ -75,6 +91,8 @@ CASES = {
 }
 CLI_VIEWS = 32
 PAPER_VIEWS = 64
+PAPER_TRAIN_PHANTOMS = 2
+PAPER_TRAIN_STEPS = 2
 PAPER_SIZE = 256
 DESK_SIZE = 64
 SETUP_SEED = 1
@@ -169,12 +187,69 @@ def paper_inference(q) -> dict:
             "cold_start_equals_fbp": rec.values.tobytes() == fbp.tobytes()}
 
 
+def paper_training(q) -> dict:
+    geo, tr, ur = q.geometry, q.train, q.unroll
+    n = PAPER_SIZE
+    rng = q.init.substream(0, "data")
+    truths = [q.phantoms.random_ellipses(n, rng)
+              for _ in range(PAPER_TRAIN_PHANTOMS)]
+    start = time.perf_counter()
+    items, sparse = tr.synthesize_dataset(truths, geo.paper_geometry(),
+                                          PAPER_VIEWS, 1e6, 0.05, 0)
+    synthesis_s = time.perf_counter() - start
+    rss_after_synthesis = peak_rss_mb()
+    model = ur.QnMixerModel.build(n, n, 0, q.mixer.MixerConfig(d=96),
+                                  ur.UnrollConfig(T=6))
+    config = tr.TrainConfig(epochs=1, lr=1e-3, max_steps=PAPER_TRAIN_STEPS)
+    start = time.perf_counter()
+    _, curve = tr.train_unrolled(items, sparse, model, config)
+    training_s = time.perf_counter() - start
+    losses = repr([row["loss"] for row in curve]).encode()
+    return {"size": n, "full_views": 512, "views": PAPER_VIEWS, "d": 96,
+            "T": 6, "phantoms": PAPER_TRAIN_PHANTOMS, "steps": len(curve),
+            "synthesis_s": synthesis_s, "training_s": training_s,
+            "rss_after_synthesis_mb": rss_after_synthesis,
+            "peak_rss_mb": peak_rss_mb(),
+            "loss_sha256": hashlib.sha256(losses).hexdigest()}
+
+
+def setup_matrices(workloads, q, workload: str, scale) -> dict:
+    """One perfbench set-up of ``workload`` at ``scale``: the matrices it
+    loads from the disk cache and builds, its set-up seconds and this
+    process's peak RSS."""
+    geo = q.geometry
+    counts = {"loads": 0, "builds": 0}
+    load, assemble = geo._load_matrix, geo._assemble
+
+    def loading(*args):
+        matrix = load(*args)
+        counts["loads"] += matrix is not None
+        return matrix
+
+    def assembling(*args):
+        counts["builds"] += 1
+        return assemble(*args)
+
+    geo._load_matrix, geo._assemble = loading, assembling
+    try:
+        phases = workloads.Phases()
+        workloads.WORKLOADS[workload](q, scale, SETUP_SEED).setup(phases)
+    finally:
+        geo._load_matrix, geo._assemble = load, assemble
+    return {**counts, "setup_s": phases.total(), "peak_rss_mb": peak_rss_mb()}
+
+
 def measure(checkout: Path, case: str) -> dict:
-    run, _, q = _import_side(checkout)
+    run, workloads, q = _import_side(checkout)
     if case == "env":
         return run.environment()
-    return paper_inference(q) if case == "paper inference" \
-        else build_case(q, case)
+    if case == "paper inference":
+        return paper_inference(q)
+    if case == "paper synthesis then training":
+        return paper_training(q)
+    if case.startswith("setup "):
+        return setup_matrices(workloads, q, case.split()[1], workloads.DESK)
+    return build_case(q, case)
 
 
 def setup_side(checkout: Path, workload: str) -> dict:
@@ -284,6 +359,20 @@ def report(parent: Path, change: Path, rounds: int, cache_root: Path,
     return out
 
 
+def working_set(parent: Path, change: Path, rounds: int, cache_root: Path,
+                workloads) -> dict:
+    out = {"setup_matrices": {}, "rounds": rounds}
+    for workload in workloads:
+        out["setup_matrices"][workload] = rounds_of(
+            parent, change, rounds, cache_root,
+            in_child("--measure-side", "--case", f"setup {workload}"))
+    out["paper_synthesis_training"] = rounds_of(
+        parent, change, 1, cache_root,
+        in_child("--measure-side", "--case", "paper synthesis then training"))
+    out["env"] = child(__file__, "--measure-side", change, "--case", "env")
+    return out
+
+
 def cached_pairs(cache_root: Path):
     """The pair runner of bench_kernels.py with one cache directory per
     side, kept across that side's runs; each side's first run is reported
@@ -317,6 +406,9 @@ def main(argv=None) -> int:
     p.add_argument("--cache-root", type=Path,
                    default=Path(tempfile.gettempdir()),
                    help="where each run's scan-matrix cache directory is made")
+    p.add_argument("--working-set", action="store_true",
+                   help="measure the matrices a process loads, builds and "
+                        "keeps instead of the builds")
     p.add_argument("--measure-side", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--setup-side", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--case", help=argparse.SUPPRESS)
@@ -332,9 +424,9 @@ def main(argv=None) -> int:
     parent, change = checkouts(p, args)
     args.cache_root.mkdir(parents=True, exist_ok=True)
     workloads = [spec.partition(":")[0] for spec in filter(None, args.pairs)]
-    return write_report(args, parent, change,
-                        report(parent, change, args.rounds,
-                               args.cache_root.resolve(), workloads),
+    measured = (working_set if args.working_set else report)(
+        parent, change, args.rounds, args.cache_root.resolve(), workloads)
+    return write_report(args, parent, change, measured,
                         cached_pairs(args.cache_root.resolve()))
 
 

@@ -165,21 +165,38 @@ def _load_model(path, cfg) -> ur.QnMixerModel:
     return model
 
 
-def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram):
-    """FBP with the unroll.fbp_filter key, then gd or qn from it with the
-    solver.* keys ("fbp" stops at FBP); returns (float32 image, trace). A
-    solver.step of 0 is estimated."""
+def _objective(cfg, g: geo.Geometry, sino: geo.Sinogram):
+    """The solver.* objective on the scan g and its data sino."""
     size = cfg["image.size"]
     reg = solvers.Regularizer(cfg["solver.reg"], mu=cfg["solver.mu"],
                               delta=cfg["solver.delta"])
-    spec = solvers.ObjectiveSpec.for_geometry(g, sino, size, size,
+    return solvers.ObjectiveSpec.for_geometry(g, sino, size, size,
                                               cfg["solver.lam"], reg)
+
+
+def _gd_step(cfg, g: geo.Geometry) -> float:
+    """solver.step, or when it is 0 the step estimate_step finds for the
+    solver.* objective on g, which depends on the scan, lam and mu but not
+    on the data."""
+    if cfg["solver.step"]:
+        return cfg["solver.step"]
+    zeros = geo.Sinogram(np.zeros((g.n_views, g.n_det)))
+    return solvers.estimate_step(_objective(cfg, g, zeros), cfg["image.size"])
+
+
+def _classical(method: str, cfg, g: geo.Geometry, sino: geo.Sinogram,
+               step=None):
+    """FBP with the unroll.fbp_filter key, then gd or qn from it with the
+    solver.* keys ("fbp" stops at FBP); returns (float32 image, trace). gd
+    runs at step, else at _gd_step's."""
+    size = cfg["image.size"]
+    spec = _objective(cfg, g, sino)
     x = geo.fbp(sino, g, cfg["unroll.fbp_filter"], h=size, w=size).values
     trace = []
     if method == "gd":
         x, trace = solvers.gradient_descent(
             spec, x.astype(np.float64),
-            cfg["solver.step"] or solvers.estimate_step(spec, size),
+            step if step is not None else _gd_step(cfg, g),
             cfg["solver.iters"])
     elif method == "qn":
         x, trace, _ = solvers.qn_reconstruct(
@@ -416,6 +433,8 @@ def cmd_ood(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng_ood = substream(cfg["seed"], "ood")
+    # the same scan and objective for every image: one step estimate
+    step = _gd_step(cfg, g) if args.method == "gd" else None
     rows = []
     for idx, truth in enumerate(truths):
         stamped, mask = mt.add_circle_ood(truth, rng=rng_ood,
@@ -426,7 +445,7 @@ def cmd_ood(args):
             rec, _, _ = ur.unrolled_reconstruct(y, g, model, size, size)
             recon = rec.values
         else:
-            recon, _ = _classical(args.method, cfg, g, y)
+            recon, _ = _classical(args.method, cfg, g, y, step)
         crop = mt.eval_ood_crop(recon, stamped, mask)
         rows.append({
             "image_id": f"{idx:03d}",

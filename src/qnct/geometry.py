@@ -14,10 +14,15 @@ and its view B), so the whole FBP map dθ·B·ramp(cosw·y) is usable as a
 differentiable linear op. ScanOperator bundles the four maps for one image
 size on plain arrays.
 
-Built matrices are also kept on disk, in $QNCT_CACHE_DIR (else
-$XDG_CACHE_HOME/qnct, else ~/.cache/qnct), under a key that hashes
-everything their bytes depend on, so a later process loads A and B byte
-for byte instead of building them again.
+The process keeps one scan's A and B, the most that a training step, an
+unrolled inference, a gd/qn solve or a CLI command uses at once; a third
+matrix evicts the least recently used, so training lets go of the
+full-view A its data was synthesized with. Built matrices are also kept on
+disk, in $QNCT_CACHE_DIR (else $XDG_CACHE_HOME/qnct, else ~/.cache/qnct),
+under a key that hashes everything their bytes depend on, so an evicted
+matrix, or a later process, loads A and B byte for byte instead of
+building them again (22 ms for the desk 180-view fan A, 1.0 s for the
+paper full-view A).
 
 Units: image values are attenuation per mm times mm of path, i.e. line
 integrals are in mm when the image holds unit density.
@@ -203,7 +208,11 @@ def paper_geometry(view_subset=None) -> Geometry:
 # scan matrices
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
+# one scan's A and FBP's B: no training step, unrolled inference, gd/qn
+# solve or CLI command uses more at once, so synthesis's full-view A goes
+# as soon as training resolves its sparse pair; one entry would swap A and
+# B through the disk on every op
+@functools.lru_cache(maxsize=2)
 def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     """(M, M.T): the CSR matrix with one row per (view, detector) and one
     column per pixel, and its transposed CSC view.
@@ -222,7 +231,9 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
 
     The transposed view shares the matrix's data, indices and indptr, so it
     costs no memory, and it lives and is evicted with the matrix in this one
-    entry.
+    entry. The process keeps two entries, one scan's A and B; an evicted
+    matrix that is asked for again is loaded from the disk cache (built
+    again when it has none).
     """
     builder = _PERSISTED.get(tables)
     shape = (geometry.n_views * geometry.n_det, h * w)
@@ -655,9 +666,11 @@ class ScanOperator:
     transpose. Each method calls the module function of the same name, so
     validation and the cached matrices are shared with direct callers: A
     and Aᵀ (and FBP's backprojection) are one cached matrix and its
-    transposed view, built once per cache entry, not per call. Each method
-    refuses an array that is not (h, w) or (n_views, n_det) before any
-    matrix is built.
+    transposed view, built once per cache entry, not per call. The process
+    keeps the matrices of one scan, so an operator on another scan evicts
+    them, and they are loaded back from the disk cache on their next use.
+    Each method refuses an array that is not (h, w) or (n_views, n_det)
+    before any matrix is built.
     """
 
     def __init__(self, geometry: Geometry, h: int, w: int,

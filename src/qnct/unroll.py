@@ -27,7 +27,8 @@ from . import init as pinit
 from . import mixer as mx
 from .autodiff import Tensor
 from .errors import ShapeError
-from .solvers import BfgsState, bfgs_update, check_pair_budget, symmetry_index
+from .solvers import (BfgsState, bfgs_update, check_pair_budget,
+                      secant_diagnostics, symmetry_index)
 
 VARIANT_QN = "qn"
 VARIANT_FIRST_ORDER = "first-order"
@@ -256,13 +257,11 @@ class LatentBfgsState:
         if not accepted:
             # a skipped update leaves H, and so its symmetry index, unchanged
             return LatentBfgsState(bfgs, r_next, self.si, np.nan, 0.0)
-        r64 = r_next.data.astype(np.float64)
-        Hz, Hr = bfgs.apply(z64), bfgs.apply(r64)
-        secant = float(np.linalg.norm(Hz - s64)
-                       / max(np.linalg.norm(s64), 1e-300))
+        Hr, secant, si = secant_diagnostics(
+            bfgs.apply, s64, z64, r_next.data.astype(np.float64),
+            index=symmetry_index)
         step = _update_norm(s64, z64, self.bfgs.apply(z64), bfgs.pairs[-1][2])
-        return LatentBfgsState(bfgs, r_next, symmetry_index(r64, Hr, z64, Hz),
-                               secant, step, Hr)
+        return LatentBfgsState(bfgs, r_next, si, secant, step, Hr)
 
 
 def _update_norm(s, z, u, rho) -> float:

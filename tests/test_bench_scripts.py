@@ -67,7 +67,7 @@ def test_solver_ops_time_each_op_beside_its_projections(bench_metrics,
 def bench_scan_build(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     yield importlib.import_module("bench_scan_build")
-    for name in ("bench_scan_build", "bench_kernels"):
+    for name in ("bench_scan_build", "bench_kernels", "run", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -86,6 +86,23 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
         geo._scan_matrix(geo._ray_tables, g, 64, 64)[0])
     assert report["b_sha256"] == bench_scan_build.matrix_sha256(
         geo._scan_matrix(geo._pixel_tables, g, 64, 64)[0])
+
+
+def test_setup_matrices_counts_a_tiny_setup(bench_scan_build):
+    _, workloads, q = bench_scan_build._import_side(ROOT)
+    load, assemble = geo._load_matrix, geo._assemble
+    runs = []
+    for _ in range(2):
+        geo._scan_matrix.cache_clear()  # a fresh process's
+        runs.append(bench_scan_build.setup_matrices(workloads, q, "gd",
+                                                    workloads.TINY))
+    cold, warm = runs
+    # the full-view and sparse scans' A and B, built once each; every time
+    # the set-up switches scans it loads them back
+    assert (cold["builds"], cold["loads"]) == (4, 4)
+    assert (warm["builds"], warm["loads"]) == (0, 8)
+    assert cold["setup_s"] > 0 and warm["peak_rss_mb"] > 0
+    assert (geo._load_matrix, geo._assemble) == (load, assemble)
 
 
 def test_traced_build_at_tiny_scale(bench_scan_build):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnct import config as cfgmod
+from qnct import geometry as geo
 from qnct import mixer as mx
 from qnct import tomo_io as tio
 from qnct import train as tr
@@ -736,3 +737,16 @@ def test_solver_keys_come_from_the_config_file_and_flags_override(workspace):
     overridden = reconstruct("over.tomo", "--config", cfg, "--mu", "0.05")
     assert overridden == reconstruct("default.tomo")
     assert overridden != from_file
+
+
+def test_ood_gd_estimates_its_step_once(workspace, monkeypatch):
+    calls = []
+    project = geo.forward_project
+    monkeypatch.setattr(geo, "forward_project",
+                        lambda *args: calls.append(1) or project(*args))
+    assert run(["ood", "--out-dir", workspace / "ood", "--method", "gd",
+                "--count", "2", "--iters", "1", "--size", "32",
+                "--views", "16"]) == 0
+    # per image: its own projection and gd's two iterates; once per run:
+    # the step's nine power-iteration projections
+    assert len(calls) == 2 * (1 + 2) + 9

@@ -1,12 +1,16 @@
-"""The scan matrices' disk cache: a loaded matrix equals the built one byte
-for byte, a bad file is rebuilt and replaced, only the module's own
+"""The scan matrices' caches. On disk: a loaded matrix equals the built one
+byte for byte, a bad file is rebuilt and replaced, only the module's own
 builders are kept, the key moves with every input of the bytes, and the
-directory stays within its budget."""
+directory stays within its budget. In process: one scan's A and B stay,
+so no op reloads a matrix and synthesis's full-view A is let go."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +19,13 @@ import pytest
 import scipy
 
 from qnct import geometry as geo
+from qnct import mixer as mx
+from qnct import solvers
+from qnct import train as tr
+from qnct import unroll as ur
+from qnct.cli import main
+from qnct.init import substream
+from qnct.phantoms import random_ellipses
 from test_geometry import assert_same_csr, fresh, subset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -345,3 +356,110 @@ def test_matrix_above_the_budget_is_not_written(builds, monkeypatch,
     assert len(builds) == 2
     assert [p.name for p in scan_cache_dir.iterdir()] \
         == [path_of(geo._ray_tables, tiny(views=(0,))).name]
+
+
+# ---------------------------------------------------------------------------
+# the in-process working set
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """The matrices loaded from disk and assembled from here on, by kind."""
+    counts = Counter()
+    load, assemble = geo._load_matrix, geo._assemble
+
+    def loading(path, shape):
+        counts["load"] += 1
+        return load(path, shape)
+
+    def assembling(tables, geometry, h, w):
+        counts["assemble"] += 1
+        return assemble(tables, geometry, h, w)
+
+    monkeypatch.setattr(geo, "_load_matrix", loading)
+    monkeypatch.setattr(geo, "_assemble", assembling)
+    return counts
+
+
+def desk_item(g, n=64):
+    truth = random_ellipses(n, substream(0, "data"))
+    sino = geo.forward_project(geo.Image(truth, g.pixel_mm(n)), g)
+    return tr.TrainItem(truth, sino.values)
+
+
+def train_step(g, item, model):
+    config = tr.TrainConfig(epochs=1, lr=1e-3, max_steps=1)
+    tr.train_unrolled([item], g, model, config)
+
+
+def inference(g, item, model):
+    ur.unrolled_reconstruct(geo.Sinogram(item.sino), g, model, 64, 64)
+
+
+def classical(method):
+    def solve(g, item, model):
+        sino = geo.Sinogram(item.sino)
+        spec = solvers.ObjectiveSpec.for_geometry(
+            g, sino, 64, 64, regularizer=solvers.Regularizer("tikhonov",
+                                                             mu=0.05))
+        x0 = geo.fbp(sino, g, h=64, w=64).values.astype(np.float64)
+        if method == "gd":
+            solvers.gradient_descent(spec, x0,
+                                     solvers.estimate_step(spec, 64), 3)
+        else:
+            solvers.qn_reconstruct(spec, x0, 3)
+    return solve
+
+
+@pytest.mark.parametrize("op,beam,views", [
+    (train_step, geo.PARALLEL, 16), (inference, geo.PARALLEL, 16),
+    (classical("gd"), geo.FAN, 32), (classical("qn"), geo.FAN, 32)],
+    ids=["train step", "inference", "gd", "qn"])
+def test_a_warm_op_loads_and_builds_no_matrix(op, beam, views, resolves):
+    g = geo.desk_geometry(beam, geo.uniform_view_subset(180, views))
+    item = desk_item(g)
+    model = ur.QnMixerModel.build(
+        64, 64, 0, mx.MixerConfig(patch=4, d=12, n_layers=1),
+        ur.UnrollConfig(T=6, codec=ur.CodecConfig(1, 4)))
+    op(g, item, model)  # warm-up: the scan's A and B come in here
+    resolves.clear()
+    op(g, item, model)
+    assert resolves == {}
+
+
+def test_the_sparse_scan_lets_go_of_synthesis_full_view_matrix():
+    full = geo.desk_geometry()
+    rng = substream(0, "data")
+    items, sparse = tr.synthesize_dataset(
+        [random_ellipses(64, rng) for _ in range(2)], full, 16, 1e6, 0.05, 0)
+    full_a = weakref.ref(
+        geo._scan_matrix(geo._ray_tables, full, 64, 64)[0].data)
+    sino = geo.Sinogram(items[0].sino)
+    geo.fbp(sino, sparse, h=64, w=64)
+    geo.back_project(sino, sparse, 64, 64)
+    gc.collect()
+    assert full_a() is None
+
+
+def test_train_without_a_disk_cache_builds_each_matrix_once(
+        monkeypatch, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("QNCT_CACHE_DIR", str(blocker / "cache"))
+    built = []
+    assemble = geo._assemble
+
+    def counted(tables, geometry, h, w):
+        built.append((tables.__name__, geometry.n_views))
+        return assemble(tables, geometry, h, w)
+
+    monkeypatch.setattr(geo, "_assemble", counted)
+    geo._scan_matrix.cache_clear()
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("geometry.n_views_full = 24\n")
+    assert main([str(a) for a in (
+        "train", "--out-dir", tmp_path / "run", "--phantoms", "2",
+        "--size", "16", "--views", "8", "--steps", "2", "--mixer-d", "12",
+        "--config", cfg)]) == 0
+    assert Counter(built) == {("_ray_tables", 24): 1, ("_ray_tables", 8): 1,
+                              ("_pixel_tables", 8): 1}

@@ -14,9 +14,7 @@ each figure is the median over the rounds) with one BLAS thread:
     runs two warm-up steps, then ``PROFILE_STEPS`` steps under
     ``autodiff.profile``; calls, forward ms, backward ms and rebuild ms
     are reported per step for every tape op. This needs
-    ``autodiff.profile`` on both sides; ``--profile-parent DIR`` names a
-    checkout that has it (the first commit with the hook), if the parent
-    does not.
+    ``autodiff.profile`` on both sides.
   - ``conv2d_shapes`` and ``maxpool2d_shapes``: forward and backward ms
     (median of 30 reps) of each conv2d and maxpool2d shape a desk train
     step uses, called directly, so they run on any commit.
@@ -353,17 +351,13 @@ def profiles(parent: Path, change: Path, rounds: int):
 def main(argv=None) -> int:
     p = bench_parser(__doc__, "alternating profile runs per side",
                      ["train:11-20"], "BENCH_train_kernels.json")
-    p.add_argument("--profile-parent", type=Path,
-                   help="parent-side checkout of the per-op profile "
-                        "(default: --parent)")
     p.add_argument("--profile-side", type=Path, help=argparse.SUPPRESS)
     args = parse_args(p, argv)
     if args.profile_side:
         print(json.dumps(profile_side(args.profile_side.resolve())))
         return 0
     parent, change = checkouts(p, args)
-    report = {"profile": profiles(
-        (args.profile_parent or parent).resolve(), change, args.rounds)}
+    report = {"profile": profiles(parent, change, args.rounds)}
     return write_report(args, parent, change, report)
 
 

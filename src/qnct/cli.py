@@ -7,6 +7,12 @@ success or nonzero after printing one machine-parsable line
 ``error <Kind>: <message>`` to stderr. Every flag that changes an output
 sets a config key, so a rerun with the resolved configuration, the same
 paths and --method reproduces the outputs bit for bit.
+
+A command has a flag only for a key it reads: --seed only where a random
+stream is drawn (phantom, noise, train, ood) and --size only where no
+input image fixes the grid. reconstruct and ood refuse a given flag that
+their --method does not read (_METHOD_FLAGS). A config file may still
+set any key.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # flag name -> (config key, help text)
-_COMMON_FLAGS = {"seed": ("seed", "master seed (substreams: noise, init, ood, data)")}
+_SEED_FLAGS = {"seed": ("seed", "master seed (substreams: noise, init, ood, data)")}
 
 _SIZE_FLAGS = {"size": ("image.size", "image grid size in pixels")}
 
@@ -52,7 +58,6 @@ _GEOMETRY_FLAGS = {
     "angular_end": ("geometry.angular_end", "view angle range end (exclusive) in radians"),
     "sad": ("geometry.sad_mm", "source-to-axis distance in mm (fan)"),
     "add": ("geometry.add_mm", "axis-to-detector distance in mm (fan)"),
-    **_SIZE_FLAGS,
 }
 
 _NOISE_FLAGS = {
@@ -93,11 +98,10 @@ _CHOICES = {"solver.line_search": tuple(solvers.LINE_SEARCHES),
 
 
 def _add_config_flags(parser, *tables):
-    """Add --config and one --flag per config key (--seed and the tables'),
-    and record the merged table on args."""
+    """Add --config and one --flag per config key of the tables, and record
+    the merged table on args."""
     parser.add_argument("--config", help="flat key=value config file")
-    flags = {flag: entry for table in (_COMMON_FLAGS, *tables)
-             for flag, entry in table.items()}
+    flags = {flag: entry for table in tables for flag, entry in table.items()}
     for flag, (_key, help_text) in flags.items():
         parser.add_argument("--" + flag.replace("_", "-"), dest=f"cfg_{flag}",
                             default=None, help=help_text)
@@ -149,13 +153,21 @@ def _tomo_files(directory) -> list:
 
 
 def _truths(data_dir, cfg, key: str) -> list:
-    """The .tomo images under data_dir, or else cfg[key] procedural phantoms."""
+    """The .tomo images under data_dir, each image.size square, or else
+    cfg[key] procedural phantoms."""
+    size = cfg["image.size"]
     if data_dir:
-        return [_load_image(f) for f in _tomo_files(data_dir)]
+        truths = []
+        for f in _tomo_files(data_dir):
+            image = _load_image(f)
+            if image.shape != (size, size):
+                raise ShapeError(f"{f} is {image.shape}, image.size is {size}")
+            truths.append(image)
+        return truths
     if cfg[key] < 1:
         raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     rng = substream(cfg["seed"], "data")
-    return [phantoms.random_ellipses(cfg["image.size"], rng) for _ in range(cfg[key])]
+    return [phantoms.random_ellipses(size, rng) for _ in range(cfg[key])]
 
 
 def _load_model(path, cfg) -> ur.QnMixerModel:
@@ -272,21 +284,35 @@ def _check_views(g: geo.Geometry, y: np.ndarray):
         )
 
 
-# flags that only the unrolled model reads (ood has only --weights)
-_QN_MIXER_FLAGS = ("weights", "reference", "intermediates_dir")
+# flag -> the --method values that read it; reconstruct and ood refuse a
+# given flag under any other (ood has only --iters and --weights of these)
+_METHOD_FLAGS = {
+    **{flag: ("gd", "qn") for flag in _SOLVER_FLAGS},
+    "step": ("gd",),
+    "line_search": ("qn",),
+    "weights": ("qn-mixer",),
+    "reference": ("qn-mixer",),
+    "intermediates_dir": ("qn-mixer",),
+}
 
 
-def _refuse_qn_mixer_flags(args):
-    if args.method != "qn-mixer":
-        given = [f"--{name.replace('_', '-')}" for name in _QN_MIXER_FLAGS
-                 if getattr(args, name, None)]
-        if given:
-            raise ConfigError(f"{', '.join(given)} only apply to --method "
-                              f"qn-mixer, not {args.method}")
+def _refuse_unread_flags(args):
+    """One ConfigError naming each given flag (and its config key) that
+    args.method does not read."""
+    names = []
+    for flag, methods in _METHOD_FLAGS.items():
+        entry = args.cfg_flags.get(flag)
+        given = getattr(args, f"cfg_{flag}" if entry else flag, None)
+        if given is not None and args.method not in methods:
+            names.append(f"--{flag.replace('_', '-')}"
+                         + (f" ({entry[0]})" if entry else ""))
+    if names:
+        raise ConfigError(f"--method {args.method} does not read "
+                          f"{', '.join(names)}")
 
 
 def cmd_reconstruct(args):
-    _refuse_qn_mixer_flags(args)
+    _refuse_unread_flags(args)
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
     y = _load_sino(args.sino)
@@ -335,7 +361,7 @@ def cmd_train(args):
     n_views = cfg["geometry.views"] or g_full.n_views_full
     items, g_sparse = tr.synthesize_dataset(
         truths, g_full, n_views, cfg["noise.poisson"],
-        cfg["noise.gauss_frac"], seed)
+        cfg["noise.gauss_frac"], seed, cfg["noise.attenuation_cap"])
 
     model = ur.QnMixerModel.build(size, size, seed, *tr.model_configs(cfg))
     train_config = tr.TrainConfig(
@@ -417,7 +443,7 @@ def cmd_nps(args):
 
 
 def cmd_ood(args):
-    _refuse_qn_mixer_flags(args)
+    _refuse_unread_flags(args)
     if args.method == "qn-mixer" and not args.weights:
         raise QnctError("qn-mixer ood requires --weights")
     cfg = _resolve(args)
@@ -479,7 +505,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phantom", help="generate a test object")
     p.add_argument("--out", required=True, help="output TOMO1 image")
-    _add_config_flags(p, _SIZE_FLAGS, {
+    _add_config_flags(p, _SEED_FLAGS, _SIZE_FLAGS, {
         "kind": ("phantom.kind", "test object: shepp-logan or random-ellipses"),
     })
     p.set_defaults(func=cmd_phantom)
@@ -493,14 +519,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fbp", help="filtered backprojection")
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _GEOMETRY_FLAGS,
+    _add_config_flags(p, _GEOMETRY_FLAGS, _SIZE_FLAGS,
                       {"filter": ("unroll.fbp_filter", "fbp filter: ram-lak or hann")})
     p.set_defaults(func=cmd_fbp)
 
     p = sub.add_parser("noise", help="simulate measurement noise")
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _NOISE_FLAGS)
+    _add_config_flags(p, _SEED_FLAGS, _NOISE_FLAGS)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("reconstruct", help="reconstruct from a sinogram")
@@ -513,13 +539,14 @@ def build_parser() -> _Parser:
     p.add_argument("--intermediates-dir",
                    help="dump per-iteration images (qn-mixer)")
     p.add_argument("--reference", help="reference image for trace PSNR")
-    _add_config_flags(p, _GEOMETRY_FLAGS, _SOLVER_FLAGS)
+    _add_config_flags(p, _GEOMETRY_FLAGS, _SIZE_FLAGS, _SOLVER_FLAGS)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("train", help="train the unrolled reconstructor")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--data-dir", help="directory of TOMO1 ground truths")
-    _add_config_flags(p, _GEOMETRY_FLAGS, _NOISE_FLAGS, _TRAIN_FLAGS)
+    _add_config_flags(p, _SEED_FLAGS, _GEOMETRY_FLAGS, _SIZE_FLAGS,
+                      _NOISE_FLAGS, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score reconstructions against references")
@@ -537,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ref-dir", help="subtract same-named references")
     p.add_argument("--out", required=True, help="radial curve CSV")
     p.add_argument("--map", help="optional 2-d spectrum TOMO1 output")
-    _add_config_flags(p, _SIZE_FLAGS)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_nps)
 
     p = sub.add_parser("ood", help="white-circle anomaly protocol")
@@ -546,7 +573,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method",
                    choices=("fbp", "gd", "qn", "qn-mixer"), default="fbp")
     p.add_argument("--data-dir", help="directory of TOMO1 ground truths")
-    _add_config_flags(p, _GEOMETRY_FLAGS, _ITERS_FLAGS, {
+    _add_config_flags(p, _SEED_FLAGS, _GEOMETRY_FLAGS, _SIZE_FLAGS,
+                      _ITERS_FLAGS, {
         "count": ("ood.count", "procedural phantom count when no --data-dir"),
         "value": ("ood.value", "stamped disk intensity"),
     })

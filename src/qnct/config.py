@@ -9,7 +9,9 @@ The mixer.* and unroll.* keys fix the reconstructor's architecture and are
 also the checkpoint schema: a checkpoint's meta holds exactly these keys
 (plus epoch and step), and loading one rebuilds the model from them.
 
-Schema (defaults in parentheses):
+Schema (defaults in parentheses). The scan defaults are those of
+geometry.desk_geometry for the beam, and SAD/ADD those of its fan scan;
+a command's flags set only the keys it reads, but a file may set any key:
 
   geometry.beam          parallel | fan (parallel)
   geometry.n_views_full  full view count (180)
@@ -51,24 +53,26 @@ Schema (defaults in parentheses):
 
 from __future__ import annotations
 
-import math
-
 from . import geometry as geo
 from .errors import ConfigError
 
 
-def default_config(beam: str = "parallel") -> dict:
+def default_config(beam: str = geo.PARALLEL) -> dict:
+    """The defaults; the scan keys are geo.desk_geometry(beam)'s, and the
+    fan-only SAD/ADD the desk fan scan's for either beam."""
+    desk = geo.desk_geometry(beam)
+    fan = geo.desk_geometry(geo.FAN)
+    start, end = desk.angular_range
     return {
         "geometry.beam": beam,
-        "geometry.n_views_full": 180,
-        "geometry.n_det": 96,
-        "geometry.angular_start": 0.0,
-        "geometry.angular_end": float(2.0 * math.pi if beam == geo.FAN
-                                      else math.pi),
-        "geometry.det_spacing_mm": 3.0 if beam == geo.FAN else 2.0,
-        "geometry.image_extent_mm": 128.0,
-        "geometry.sad_mm": 300.0,
-        "geometry.add_mm": 150.0,
+        "geometry.n_views_full": desk.n_views_full,
+        "geometry.n_det": desk.n_det,
+        "geometry.angular_start": float(start),
+        "geometry.angular_end": float(end),
+        "geometry.det_spacing_mm": float(desk.det_spacing_mm),
+        "geometry.image_extent_mm": float(desk.image_extent_mm),
+        "geometry.sad_mm": float(fan.sad_mm),
+        "geometry.add_mm": float(fan.add_mm),
         "geometry.views": 0,
         "image.size": 64,
         "noise.poisson": 0.0,

@@ -125,11 +125,13 @@ class TrainItem:
 
 
 def synthesize_dataset(truths, full_geometry: geo.Geometry, n_views: int,
-                       poisson: float, gaussian_frac: float, seed: int):
+                       poisson: float, gaussian_frac: float, seed: int,
+                       attenuation_cap: float = 4.0):
     """Project, add measurement noise, and subsample each ground truth.
 
     Returns (items, sparse_geometry); noise is seeded per item so the
     dataset is a pure function of (truths, geometry, noise, seed).
+    attenuation_cap is simulate_measurement's.
     """
     items = []
     sparse_geometry = None
@@ -138,7 +140,8 @@ def synthesize_dataset(truths, full_geometry: geo.Geometry, n_views: int,
         img = geo.Image(truth, full_geometry.pixel_mm(truth.shape[1]))
         y_full = geo.forward_project(img, full_geometry)
         y_noisy = geo.simulate_measurement(
-            y_full, poisson, gaussian_frac, seed=(int(seed) * 100_003 + idx))
+            y_full, poisson, gaussian_frac, seed=(int(seed) * 100_003 + idx),
+            attenuation_cap=attenuation_cap)
         y_sub, g_sub = geo.subsample_views(y_noisy, full_geometry, n_views)
         sparse_geometry = g_sub
         items.append(TrainItem(truth, y_sub.values))

@@ -88,7 +88,8 @@ def test_scan_build_case_of_a_desk_subset(bench_scan_build):
         geo._scan_matrix(geo._pixel_tables, g, 64, 64)[0])
 
 
-def test_setup_matrices_counts_a_tiny_setup(bench_scan_build):
+def test_setup_matrices_counts_a_tiny_setup(bench_scan_build,
+                                            scan_cache_dir):
     _, workloads, q = bench_scan_build._import_side(ROOT)
     load, assemble = geo._load_matrix, geo._assemble
     runs = []

@@ -1,8 +1,10 @@
 import argparse
+import itertools
 
 import numpy as np
 import pytest
 
+from qnct import cli
 from qnct import config as cfgmod
 from qnct import geometry as geo
 from qnct import mixer as mx
@@ -379,6 +381,40 @@ def test_train_writes_checkpoints_and_loss_curve(workspace):
     assert model.mixer_config.d == 12
 
 
+def test_train_honours_the_attenuation_cap(workspace):
+    def checkpoint(cap):
+        out = workspace / f"cap{cap}"
+        assert run(["train", "--out-dir", out, "--phantoms", "1", "--size",
+                    "16", "--views", "8", "--steps", "1", "--mixer-d", "12",
+                    "--unroll-T", "1", "--poisson", "1e4", "--cap", cap]) == 0
+        assert f"noise.attenuation_cap = {cap}\n" in \
+            (out / "resolved.cfg").read_text()
+        return (out / "epoch0000.ckpt").read_bytes()
+
+    assert checkpoint("1.0") != checkpoint("4.0")
+
+
+@pytest.mark.parametrize("sides", [(16, 32), (32, 32)],
+                         ids=["mixed", "other-size"])
+@pytest.mark.parametrize("command", ["train", "ood"])
+def test_data_dir_image_of_another_size_is_one_error_line(
+        workspace, capsys, monkeypatch, command, sides):
+    data = workspace / "data"
+    data.mkdir()
+    for name, n in zip("ab", sides):
+        tio.write_tomo(data / f"{name}.tomo", np.ones((n, n), np.float32),
+                       tio.KIND_IMAGE)
+    projected = []
+    monkeypatch.setattr(geo, "forward_project",
+                        lambda *args: projected.append(1))
+    assert run([command, "--data-dir", data, "--out-dir", workspace / "run",
+                "--size", "16", "--views", "8"]) == 1
+    bad = "a" if sides[0] != 16 else "b"
+    err = one_error_line(capsys, "ShapeError")
+    assert f"{bad}.tomo is (32, 32)" in err
+    assert not projected and not (workspace / "run").exists()
+
+
 def test_eval_identical_dirs_gives_unit_ssim(workspace):
     recon = workspace / "recon"
     ref = workspace / "ref"
@@ -591,12 +627,13 @@ def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     cfg = workspace / "hann.cfg"
     cfg.write_text("unroll.fbp_filter = hann\n")
     flags = ["--size", "32", "--views", "16"]
+    iters = [] if method == "fbp" else ["--iters", "1"]
     out = workspace / "ood"
     assert run(["ood", "--out-dir", out, "--method", method, "--count", "1",
-                "--iters", "1", "--config", cfg, *flags]) == 0
+                *iters, "--config", cfg, *flags]) == 0
     sino = workspace / "s.tomo"
     assert run(["project", "--image", out / "000_truth.tomo", "--out", sino,
-                *flags]) == 0
+                "--views", "16"]) == 0
     rec = workspace / "r.tomo"
     if method == "fbp":
         argv = ["fbp", "--sino", sino, "--out", rec, "--config", cfg]
@@ -653,6 +690,114 @@ def test_every_option_sets_a_config_key_or_names_a_path():
         ", ".join(bypass)
     assert seen == set(NOT_CONFIG_FLAGS), "allowlisted but absent: " + \
         ", ".join(sorted(set(NOT_CONFIG_FLAGS) - seen))
+
+
+class ReadLog(dict):
+    """A config that adds each key read from it to reads."""
+
+    def __init__(self, cfg, reads):
+        super().__init__(cfg)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+
+# every command's values come from this file, so its runs give no flag:
+# a fan beam (SAD/ADD are read) and random ellipses (phantom reads seed)
+AUDIT_CONFIG = """\
+geometry.beam = fan
+geometry.n_views_full = 24
+geometry.n_det = 24
+geometry.views = 8
+geometry.image_extent_mm = 32.0
+image.size = 16
+phantom.kind = random-ellipses
+solver.iters = 1
+train.phantoms = 1
+train.max_steps = 1
+mixer.d = 12
+unroll.T = 1
+ood.count = 1
+"""
+
+
+def audit_runs(workspace):
+    """(command, method, argv without an output) for one run of each
+    command, and of each --method, on 16² inputs made under AUDIT_CONFIG;
+    the output flag comes last."""
+    cfg = workspace / "audit.cfg"
+    cfg.write_text(AUDIT_CONFIG)
+    images = workspace / "images"
+    images.mkdir()
+    ph, sino = images / "ph.tomo", workspace / "s.tomo"
+    weights = workspace / "cold.ckpt"
+    assert run(["phantom", "--config", cfg, "--out", ph]) == 0
+    (images / "ph.tomo.cfg").unlink()
+    assert run(["project", "--config", cfg, "--image", ph, "--out", sino]) == 0
+    make_cold_checkpoint(weights, size=16)
+
+    def mixer(method):
+        return ["--weights", weights] if method == "qn-mixer" else []
+
+    yield "phantom", None, ["--out"]
+    yield "project", None, ["--image", ph, "--out"]
+    yield "fbp", None, ["--sino", sino, "--out"]
+    yield "noise", None, ["--sino", sino, "--out"]
+    for method in ("gd", "qn", "qn-mixer"):
+        yield "reconstruct", method, ["--method", method, "--sino", sino,
+                                      *mixer(method), "--out"]
+    yield "train", None, ["--out-dir"]
+    yield "eval", None, ["--recon-dir", images, "--ref-dir", images, "--out"]
+    yield "nps", None, ["--dir", images, "--out"]
+    for method in ("fbp", "gd", "qn", "qn-mixer"):
+        yield "ood", method, ["--method", method, *mixer(method), "--out-dir"]
+
+
+def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
+                                                     monkeypatch):
+    # one run of each command and --method logs the config keys its body
+    # reads; then each declared flag whose key it did not read must be
+    # refused, with one ConfigError line naming flag and key, and no output
+    reads = set()
+    resolve, write = cli._resolve, cli._write_resolved
+    from_config = cfgmod.geometry_from_config
+    monkeypatch.setattr(cli, "_resolve",
+                        lambda args: ReadLog(resolve(args), reads))
+    # writing the resolved config reads every key, so it reads a copy
+    monkeypatch.setattr(cli, "_write_resolved",
+                        lambda cfg, *rest: write(dict(cfg), *rest))
+    # train builds its full-view scan from a copy of its config
+    monkeypatch.setattr(cfgmod, "geometry_from_config",
+                        lambda cfg: from_config(ReadLog(cfg, reads)))
+    cfg = workspace / "audit.cfg"
+    values = cfgmod.resolve_config(AUDIT_CONFIG, {})
+    outs = (workspace / f"out{n}" for n in itertools.count())
+    parsers = subcommands()
+    unread = []
+    for command, method, argv in list(audit_runs(workspace)):
+        reads.clear()
+        assert run([command, "--config", cfg, *argv, next(outs)]) == 0, \
+            capsys.readouterr().err
+        read = set(reads)
+        for flag, (key, _) in parsers[command].get_default(
+                "cfg_flags").items():
+            if key in read:
+                continue
+            name = "--" + flag.replace("_", "-")
+            out = next(outs)
+            capsys.readouterr()
+            code = run([command, "--config", cfg, name, values[key],
+                        *argv, out])
+            err = capsys.readouterr().err
+            if not (code == 1 and err.startswith("error ConfigError:")
+                    and err.count("\n") == 1 and name in err and key in err
+                    and not out.exists()):
+                unread.append(f"{command}{'/' + method if method else ''} "
+                              f"{name}")
+    assert not unread, f"{len(unread)} flags neither read nor refused: " + \
+        ", ".join(unread)
 
 
 def outputs(path):

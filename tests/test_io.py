@@ -119,3 +119,15 @@ class TestConfig:
         g = cfgmod.geometry_from_config(cfg)
         assert g.beam == geo.FAN
         assert g.sad_mm == 300.0
+
+    @pytest.mark.parametrize("beam", [geo.PARALLEL, geo.FAN])
+    def test_default_scan_is_the_desk_scan(self, beam):
+        cfg = cfgmod.default_config(beam)
+        assert cfgmod.geometry_from_config(cfg) == geo.desk_geometry(beam)
+        # a parallel config still holds the fan scan's SAD/ADD, as floats
+        fan = geo.desk_geometry(geo.FAN)
+        assert (cfg["geometry.sad_mm"], cfg["geometry.add_mm"]) == \
+            (fan.sad_mm, fan.add_mm)
+        assert all(type(cfg[f"geometry.{key}"]) is float for key in (
+            "angular_start", "angular_end", "det_spacing_mm",
+            "image_extent_mm", "sad_mm", "add_mm"))

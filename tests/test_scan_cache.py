@@ -94,7 +94,7 @@ def test_after_cache_clear_the_matrices_are_loaded(builds):
     assert len(builds) == 2  # no build after the clear
 
 
-def test_a_second_process_loads_the_matrices(builds):
+def test_a_second_process_loads_the_matrices(builds, scan_cache_dir):
     g = tiny(geo.FAN)
     A = matrix(geo._ray_tables, g)
     B = matrix(geo._pixel_tables, g)
@@ -196,7 +196,8 @@ def not_npy(path):
     truncated, trailing_byte, float32_data, int64_indices,
     index_out_of_range, negative_index, short_indptr_end, decreasing_indptr,
     other_scan, not_npy])
-def test_bad_file_is_rebuilt_and_replaced(corrupt, builds):
+def test_bad_file_is_rebuilt_and_replaced(corrupt, builds,
+                                           scan_cache_dir):
     g = tiny()
     want = matrix(geo._ray_tables, g)
     path = path_of(geo._ray_tables, g)

@@ -46,19 +46,20 @@ ROOT = Path(__file__).resolve().parent.parent
 LOWER_IS_BETTER = {"setup_s": True, "op_ms_p50": True, "ops_per_s": False,
                    "peak_rss_mb": True, "train_loss": True}
 
-# (x shape, w shape, stride, padding) of every conv2d in a desk train step:
-# the inception branches at d = 48 (8, 16, 16, 8 channels), the 4x4 patch
-# embedding, the expansion head, and the k = 2, width-32 codec.
+# (x shape, w shape, padding) of every conv2d in a desk train step, all
+# stride 1: the inception branches at d = 48 (8, 16, 16, 8 channels), the
+# patch embedding (a 1x1 conv over the 4x4 space-to-depth view of the
+# inception output), the expansion head, and the k = 2, width-32 codec.
 DESK_CONVS = (
-    ((1, 1, 64, 64), (8, 1, 1, 1), 1, 0),
-    ((1, 8, 64, 64), (16, 8, 3, 3), 1, 1),
-    ((1, 8, 64, 64), (16, 8, 5, 5), 1, 2),
-    ((1, 48, 64, 64), (48, 48, 4, 4), 4, 0),
-    ((1, 48, 64, 64), (1, 48, 1, 1), 1, 0),
-    ((1, 1, 64, 64), (32, 1, 3, 3), 1, 1),
-    ((1, 32, 32, 32), (32, 32, 3, 3), 1, 1),
-    ((1, 32, 16, 16), (1, 32, 1, 1), 1, 0),
-    ((1, 32, 64, 64), (1, 32, 1, 1), 1, 0),
+    ((1, 1, 64, 64), (8, 1, 1, 1), 0),
+    ((1, 8, 64, 64), (16, 8, 3, 3), 1),
+    ((1, 8, 64, 64), (16, 8, 5, 5), 2),
+    ((1, 768, 16, 16), (48, 768, 1, 1), 0),
+    ((1, 48, 64, 64), (1, 48, 1, 1), 0),
+    ((1, 1, 64, 64), (32, 1, 3, 3), 1),
+    ((1, 32, 32, 32), (32, 32, 3, 3), 1),
+    ((1, 32, 16, 16), (1, 32, 1, 1), 0),
+    ((1, 32, 64, 64), (1, 32, 1, 1), 0),
 )
 # (x shape, kernel, stride, padding) of every maxpool2d in a desk train
 # step: the inception's pooling branch and the two codec downsamplings.
@@ -102,15 +103,14 @@ def _shape_ms(ad, np, rng, xs, call, reps) -> dict:
 def conv2d_shapes(ad, np, reps=30, shapes=DESK_CONVS):
     rng = np.random.default_rng(0)
     rows = []
-    for xs, ws, stride, padding in shapes:
+    for xs, ws, padding in shapes:
         w = ad.Tensor(rng.normal(size=ws).astype(np.float32),
                       requires_grad=True)
         b = ad.Tensor(np.zeros(ws[0], dtype=np.float32), requires_grad=True)
         rows.append({
-            "x": list(xs), "w": list(ws), "stride": stride,
-            "padding": padding,
+            "x": list(xs), "w": list(ws), "padding": padding,
             **_shape_ms(ad, np, rng, xs, lambda x: ad.conv2d(
-                x, w, b, stride=stride, padding=padding), reps),
+                x, w, b, padding=padding), reps),
         })
     return rows
 

@@ -8,22 +8,18 @@ float32 by default with float64 available for finite-difference work.
 
 Conventions:
   - image tensors are NCHW;
-  - conv2d is one GEMM per sample, W (oc, c*kh*kw) @ cols, with one row
-    of cols per (channel, tap), so it writes NCHW directly. Its stride
-    picks one of two layouts, and any other stride is a ShapeError:
-      * stride 1, any kernel and padding: x is padded once into flat
-        planes of width wp = w + 2p (one spare row), where tap (ki, kj) is
-        the contiguous slice from ki*wp + kj of length oh*wp. The GEMM
-        output is oh rows of wp pixels; the last kw - 1 of each row are
-        dropped. Backward forms Wᵀ g on the same wide grid (g zero-padded
-        to wp columns) and adds each tap back as a contiguous slice. A
-        1x1 conv with no padding uses x itself;
-      * stride = kernel, no padding (a patch embedding): cols is one
-        reshape and transpose of x, and the input gradient the inverse
-        transpose of Wᵀ g;
-    gW is one GEMM over the batch with the compact (c*kh*kw, n*oh*ow)
-    columns, rebuilt tap by tap from x (an input the closure already
-    reads): the tape keeps no column matrix;
+  - conv2d is stride 1, one GEMM per sample, W (oc, c*kh*kw) @ cols, with
+    one row of cols per (channel, tap), so it writes NCHW directly. x is
+    padded once into flat planes of width wp = w + 2p (one spare row),
+    where tap (ki, kj) is the contiguous slice from ki*wp + kj of length
+    oh*wp. The GEMM output is oh rows of wp pixels; the last kw - 1 of
+    each row are dropped. Backward forms Wᵀ g on the same wide grid (g
+    zero-padded to wp columns) and adds each tap back as a contiguous
+    slice. A 1x1 conv with no padding uses x itself (the mixer's patch
+    embedding is one, over a space-to-depth view). gW is one GEMM over
+    the batch with the compact (c*kh*kw, n*oh*ow) columns, rebuilt tap by
+    tap from x (an input the closure already reads): the tape keeps no
+    column matrix;
     conv_transpose2d is the same GEMM with the roles of x and g swapped;
   - a primitive returns outputs and gradients in its inputs' dtype and
     computes in it: float32 work stays float32, float64 (grad_check) stays
@@ -524,21 +520,11 @@ def _tap_starts(kh, kw, wp):
     return [ki * wp + kj for ki in range(kh) for kj in range(kw)]
 
 
-def _patches(x, kh, kw, axes):
-    """The (n, c, oh, kh, ow, kw) windows of a stride-kernel conv, a view
-    of NCHW x, transposed to ``axes``: (0, 1, 3, 5, 2, 4) gives the
-    per-sample columns, (1, 3, 5, 0, 2, 4) the batch-wide ones."""
-    n, c, h, wd = x.shape
-    return x.reshape(n, c, h // kh, kh, wd // kw, kw).transpose(axes)
-
-
 @_primitive
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            padding: int = 0) -> Tensor:
-    """NCHW cross-correlation with kernel w of shape (out_c, in_c, kh, kw).
-
-    Stride 1 takes any kernel and padding; a stride equal to the kernel
-    (a patch embedding) takes no padding. Any other stride is refused."""
+    """Stride-1 NCHW cross-correlation with kernel w of shape
+    (out_c, in_c, kh, kw), any kernel and padding."""
     _same_dtype("conv2d", *( [x, w] + ([b] if b is not None else []) ))
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernel {w.shape}")
@@ -548,82 +534,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         raise ShapeError(f"conv2d: input channels {c} vs kernel channels {ic}")
     if b is not None and b.shape != (oc,):
         raise ShapeError(f"conv2d: bias {b.shape} vs out channels {oc}")
-    patch = stride != 1
-    if patch and not (stride == kh == kw and padding == 0):
-        raise ShapeError(
-            f"conv2d: stride {stride} with a {kh}x{kw} kernel and padding "
-            f"{padding}; only stride 1, or a stride equal to a square "
-            "kernel with no padding, is supported")
-    oh = _conv_out_size("conv2d", h, kh, stride, padding)
-    ow = _conv_out_size("conv2d", wd, kw, stride, padding)
+    oh = _conv_out_size("conv2d", h, kh, 1, padding)
+    ow = _conv_out_size("conv2d", wd, kw, 1, padding)
 
     k, npix = c * kh * kw, oh * ow
     wmat = w.data.reshape(oc, k)
     dtype, read = x.dtype, _reader(x)
-    # Each layout gives the forward output and two backward helpers:
-    # weight_columns(), the (c*kh*kw, n*oh*ow) columns of gW's GEMM rebuilt
-    # from x, and input_grad(gmat), gx for the (n, oc, oh*ow) output grad.
-    if patch:
-        out = _mm(wmat, _patches(x.data, kh, kw, (0, 1, 3, 5, 2, 4))
-                  .reshape(n, k, npix)).reshape(n, oc, oh, ow)
-
-        def weight_columns():
-            return _patches(read(), kh, kw, (1, 3, 5, 0, 2, 4)).reshape(
-                k, n * npix)
-
-        def input_grad(gmat):
-            return _mm(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow).transpose(
-                0, 1, 4, 2, 5, 3).reshape(n, c, h, wd)
+    planes, rows, wp = _flat_grid(x.data, kw, padding)
+    span = oh * wp
+    if kh * kw == 1:
+        cols = planes
     else:
-        planes, rows, wp = _flat_grid(x.data, kw, padding)
-        span = oh * wp
-        if kh * kw == 1:
-            cols = planes
-        else:
-            cols = np.empty((n, c, kh * kw, span), dtype=x.dtype)
-            for t, start in enumerate(_tap_starts(kh, kw, wp)):
-                cols[:, :, t] = planes[:, :, start:start + span]
-        del planes
-        # (n, oc, oh, wp): NCHW with no transpose, kw - 1 columns too wide
-        out = _mm(wmat, cols.reshape(n, k, span)).reshape(n, oc, oh, wp)
-        del cols
-        if wp != ow:
-            out = np.ascontiguousarray(out[..., :ow])
-
-        def weight_columns():
-            if kh * kw == 1 and padding == 0:
-                return read().transpose(1, 0, 2, 3).reshape(k, n * npix)
-            grid = _flat_grid(read(), kw, padding)[0].reshape(n, c, rows, wp)
-            cols = np.empty((c, kh, kw, n, oh, ow), dtype=dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    cols[:, ki, kj] = grid[:, :, ki:ki + oh,
-                                           kj:kj + ow].transpose(1, 0, 2, 3)
-            return cols.reshape(k, n * npix)
-
-        def input_grad(gmat):
-            if wp == ow:
-                gwide = gmat
-            else:
-                # g on the wide grid: zeros where the forward dropped columns
-                gwide = np.zeros((n, oc, oh, wp), dtype=dtype)
-                gwide[..., :ow] = gmat.reshape(n, oc, oh, ow)
-                gwide = gwide.reshape(n, oc, span)
-            gcols = _mm(wmat.T, gwide)  # (n, k, oh*wp)
-            del gwide
-            if kh * kw == 1:
-                gplanes = gcols
-            else:
-                # each tap's slice adds back where the forward read it; the
-                # columns that ran past a row carry zeros
-                gcols = gcols.reshape(n, c, kh * kw, span)
-                gplanes = np.zeros((n, c, rows * wp), dtype=dtype)
-                for t, start in enumerate(_tap_starts(kh, kw, wp)):
-                    gplanes[:, :, start:start + span] += gcols[:, :, t]
-            return gplanes.reshape(n, c, rows, wp)[
-                :, :, padding:padding + h, padding:padding + wd]
+        cols = np.empty((n, c, kh * kw, span), dtype=x.dtype)
+        for t, start in enumerate(_tap_starts(kh, kw, wp)):
+            cols[:, :, t] = planes[:, :, start:start + span]
+    del planes
+    # (n, oc, oh, wp): NCHW with no transpose, kw - 1 columns too wide
+    out = _mm(wmat, cols.reshape(n, k, span)).reshape(n, oc, oh, wp)
+    del cols
+    if wp != ow:
+        out = np.ascontiguousarray(out[..., :ow])
     if b is not None:
         out += b.data[:, None, None]
+
+    def weight_columns():
+        """The (c*kh*kw, n*oh*ow) columns of gW's GEMM, rebuilt from x."""
+        if kh * kw == 1 and padding == 0:
+            return read().transpose(1, 0, 2, 3).reshape(k, n * npix)
+        grid = _flat_grid(read(), kw, padding)[0].reshape(n, c, rows, wp)
+        cols = np.empty((c, kh, kw, n, oh, ow), dtype=dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, ki, kj] = grid[:, :, ki:ki + oh,
+                                       kj:kj + ow].transpose(1, 0, 2, 3)
+        return cols.reshape(k, n * npix)
 
     def bw(g):
         gmat = g.reshape(n, oc, npix)
@@ -631,7 +575,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         gw = (weight_columns()
               @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T
         gw = gw.reshape(w.shape)  # the (oc, k) transpose, copied
-        gx = input_grad(gmat)
+        if wp == ow:
+            gwide = gmat
+        else:
+            # g on the wide grid: zeros where the forward dropped columns
+            gwide = np.zeros((n, oc, oh, wp), dtype=dtype)
+            gwide[..., :ow] = g
+            gwide = gwide.reshape(n, oc, span)
+        gcols = _mm(wmat.T, gwide)  # (n, k, oh*wp)
+        del gwide
+        if kh * kw == 1:
+            gplanes = gcols
+        else:
+            # each tap's slice adds back where the forward read it; the
+            # columns that ran past a row carry zeros
+            gcols = gcols.reshape(n, c, kh * kw, span)
+            gplanes = np.zeros((n, c, rows * wp), dtype=dtype)
+            for t, start in enumerate(_tap_starts(kh, kw, wp)):
+                gplanes[:, :, start:start + span] += gcols[:, :, t]
+        gx = gplanes.reshape(n, c, rows, wp)[
+            :, :, padding:padding + h, padding:padding + wd]
         if b is None:
             return gx, gw
         return gx, gw, gmat.sum(axis=(0, 2))

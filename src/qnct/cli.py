@@ -10,9 +10,11 @@ paths and --method reproduces the outputs bit for bit.
 
 A command has a flag only for a key it reads: --seed only where a random
 stream is drawn (phantom, noise, train, ood) and --size only where no
-input image fixes the grid. reconstruct and ood refuse a given flag that
-their --method does not read (_METHOD_FLAGS). A config file may still
-set any key.
+input image fixes the grid. A given flag that the resolved run does not
+read is refused: under a --method that does not read it (reconstruct and
+ood, _METHOD_FLAGS), --sad and --add under a parallel beam, --phantoms
+and --count with --data-dir, and phantom --seed for a Shepp-Logan
+phantom. A config file may still set any key.
 """
 
 from __future__ import annotations
@@ -120,7 +122,24 @@ def _resolve(args) -> dict:
         if cfg[key] not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
                               f"got {cfg[key]!r}")
+    if cfg["geometry.beam"] == geo.PARALLEL:
+        _refuse_given(args, ("sad", "add"), "geometry.beam parallel")
+    if getattr(args, "data_dir", None):
+        _refuse_given(args, ("phantoms", "count"), "--data-dir")
     return cfg
+
+
+def _refuse_given(args, flags, reader: str):
+    """One ConfigError naming each of flags given on the command line (and
+    its config key): reader, the setting in force, leaves them unread."""
+    names = []
+    for flag in flags:
+        entry = args.cfg_flags.get(flag)
+        if getattr(args, f"cfg_{flag}" if entry else flag, None) is not None:
+            names.append(f"--{flag.replace('_', '-')}"
+                         + (f" ({entry[0]})" if entry else ""))
+    if names:
+        raise ConfigError(f"{reader} does not read {', '.join(names)}")
 
 
 def _write_resolved(cfg: dict, out_path: Path, command: str):
@@ -226,6 +245,7 @@ def cmd_phantom(args):
     size = cfg["image.size"]
     kind = cfg["phantom.kind"]
     if kind == "shepp-logan":
+        _refuse_given(args, ("seed",), "phantom.kind shepp-logan")
         values = phantoms.shepp_logan(size)
     else:
         values = phantoms.random_ellipses(size, substream(cfg["seed"], "data"))
@@ -299,16 +319,9 @@ _METHOD_FLAGS = {
 def _refuse_unread_flags(args):
     """One ConfigError naming each given flag (and its config key) that
     args.method does not read."""
-    names = []
-    for flag, methods in _METHOD_FLAGS.items():
-        entry = args.cfg_flags.get(flag)
-        given = getattr(args, f"cfg_{flag}" if entry else flag, None)
-        if given is not None and args.method not in methods:
-            names.append(f"--{flag.replace('_', '-')}"
-                         + (f" ({entry[0]})" if entry else ""))
-    if names:
-        raise ConfigError(f"--method {args.method} does not read "
-                          f"{', '.join(names)}")
+    _refuse_given(args, [flag for flag, methods in _METHOD_FLAGS.items()
+                         if args.method not in methods],
+                  f"--method {args.method}")
 
 
 def cmd_reconstruct(args):
@@ -414,6 +427,12 @@ def cmd_nps(args):
     cfg = _resolve(args)
     files = _tomo_files(args.dir)
     images = [_load_image(f) for f in files]
+    # the ROI layout is laid out once, on the first image's square grid
+    size = images[0].shape[0]
+    for f, img in zip(files, images):
+        if img.shape != (size, size):
+            raise ShapeError(f"{f} is {img.shape}; the ROI layout is for "
+                             f"{(size, size)}, the first image's square")
     if args.ref_dir:
         refs = {p.name: p for p in Path(args.ref_dir).glob("*.tomo")}
         diffs = []
@@ -428,7 +447,6 @@ def cmd_nps(args):
         if not diffs:
             raise QnctError("no matching reference images")
         images = diffs
-    size = images[0].shape[0]
     rois, roi_size = mt.paper_roi_layout(size)
     freq, curve, nps2d = mt.nps_radial(images, rois, roi_size)
     rows = [{"freq_cycles_per_px": f, "nps_hu2px2": v}

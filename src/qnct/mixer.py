@@ -1,8 +1,10 @@
 """Learned regularization-gradient network.
 
 Pipeline: a four-branch inception block lifts the single-channel image to d
-feature channels, a stride-p conv patchifies to a (h/p, w/p, d) token grid,
-N mixer layers alternate height/width token MLPs with a channel MLP (each
+feature channels, a patch embedding (one shared linear map of each p x p
+patch's d p^2 features, run as a 1x1 conv over the space-to-depth view of
+the features) tokenizes them to a (h/p, w/p, d) grid, N mixer layers
+alternate height/width token MLPs with a channel MLP (each
 wrapped as residual around a layer norm), and a patch-expansion stage
 (linear d -> p^2 d without bias, per-pixel layer norm, 1x1 conv) returns a
 single-channel image of the input size. The final 1x1 conv initializes to
@@ -164,6 +166,24 @@ def inception_forward(x: Tensor, params: dict, config: MixerConfig) -> Tensor:
     return ad.concat([b1, b2, b3, b4])
 
 
+def patch_embed(f: Tensor, w: Tensor) -> Tensor:
+    """The p x p, stride-p patch embedding of NCHW features f by a weight
+    w of shape (d_out, d, p, p): a 1x1 conv over the space-to-depth view
+    of f, whose (n, d p^2, h/p, w/p) channels run in w's (channel, row,
+    column) order."""
+    error = ShapeError(f"patch_embed: features {f.shape}, weight {w.shape}")
+    if f.data.ndim != 4 or w.data.ndim != 4:
+        raise error
+    n, d, h, wd = f.shape
+    oc, ic, p, q = w.shape
+    if ic != d or q != p or h % p or wd % p:
+        raise error
+    s = ad.reshape(f, (n, d, h // p, p, wd // p, p))
+    s = ad.permute(s, (0, 1, 3, 5, 2, 4))  # (n, d, p, p, h/p, w/p)
+    s = ad.reshape(s, (n, d * p * p, h // p, wd // p))
+    return ad.conv2d(s, ad.reshape(w, (oc, d * p * p, 1, 1)))
+
+
 def _mlp(x, params, name):
     return ad.mlp(x, params[name + ".w1"], params[name + ".b1"],
                   params[name + ".w2"], params[name + ".b2"])
@@ -210,7 +230,7 @@ def incept_mixer_forward(x: Tensor, params: dict, config: MixerConfig) -> Tensor
     """Full regularization-gradient network, (n,1,h,w) -> (n,1,h,w)."""
     config.check_size(x.shape[2], x.shape[3])
     f = inception_forward(x, params, config)
-    e = ad.conv2d(f, params["patch_embed.w"], stride=config.patch)
+    e = patch_embed(f, params["patch_embed.w"])
     e = ad.permute(e, (0, 2, 3, 1))  # channels last token grid
     for i in range(config.n_layers):
         e = mixer_layer(e, params, config, i)

@@ -306,13 +306,17 @@ def gradient_descent(spec: ObjectiveSpec, x0: np.ndarray, step: float,
 
 
 def estimate_step(spec, size: int) -> float:
-    """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus mu."""
+    """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus mu
+    for a Tikhonov or smoothed-TV regularizer (a ``none`` one adds no
+    curvature, whatever its mu)."""
     v = substream(0, "init").normal(size=(size, size))
     for _ in range(8):
         v = spec.op.adjoint(spec.op.forward(v))
         v /= _norm(v)
     lip = float(np.vdot(v, spec.op.adjoint(spec.op.forward(v))))
-    return 1.0 / (spec.lam * lip + spec.regularizer.mu + 1e-12)
+    reg = spec.regularizer
+    mu = 0.0 if reg.kind == REG_NONE else reg.mu
+    return 1.0 / (spec.lam * lip + mu + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_criterion_9_shapes_and_counts():
     x = Tensor(np.random.default_rng(9).normal(size=(1, 1, 256, 256))
                .astype(np.float32))
     f = mx.inception_forward(x, params, cfg)
-    e = ad.conv2d(f, params["patch_embed.w"], stride=cfg.patch)
+    e = mx.patch_embed(f, params["patch_embed.w"])
     out = mx.incept_mixer_forward(x, params, cfg)
     shapes_ok = (params["patch_embed.w"].shape == (96, 96, 4, 4)
                  and f.shape == (1, 96, 256, 256) and e.shape == (1, 96, 64, 64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qnct import autodiff as ad
+from qnct import mixer as mx
 from qnct.autodiff import Tensor
 from qnct.errors import CheckpointError, GraphReleasedError, ShapeError
 
@@ -29,7 +30,7 @@ def test_layer_norm_constant_input_is_zero_before_affine():
 def test_conv2d_all_ones_center_value():
     x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
     w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-    out = ad.conv2d(x, w, stride=1, padding=1)
+    out = ad.conv2d(x, w, padding=1)
     assert out.shape == (1, 1, 4, 4)
     # interior pixels see the full 3x3 window
     assert out.data[0, 0, 1, 1] == 9.0
@@ -93,16 +94,15 @@ class TestPrimitiveGradients:
         w = t64(self.rng.normal(size=(4, 3, 3, 3)))
         b = t64(self.rng.normal(size=(4,)))
         self.check(
-            lambda: ad.sum_of_squares(ad.conv2d(x, w, b, stride=1, padding=1)),
+            lambda: ad.sum_of_squares(ad.conv2d(x, w, b, padding=1)),
             [x, w, b],
         )
 
     def test_conv2d_strided(self):
+        # the stride-4 patch embedding: a 1x1 conv2d over a space-to-depth view
         x = t64(self.rng.normal(size=(1, 2, 8, 8)))
         w = t64(self.rng.normal(size=(3, 2, 4, 4)))
-        self.check(
-            lambda: ad.sum_of_squares(ad.conv2d(x, w, stride=4, padding=0)), [x, w]
-        )
+        self.check(lambda: ad.sum_of_squares(mx.patch_embed(x, w)), [x, w])
 
     def test_conv_transpose2d(self):
         x = t64(self.rng.normal(size=(1, 3, 4, 4)))
@@ -237,8 +237,8 @@ def test_pool_and_conv_reject_uneven_division():
     x = Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
     with pytest.raises(ShapeError, match="maxpool2d"):
         ad.maxpool2d(x, 2, stride=2)
-    with pytest.raises(ShapeError, match="conv2d"):
-        ad.conv2d(x, Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), stride=2)
+    with pytest.raises(ShapeError, match="patch_embed"):
+        mx.patch_embed(x, Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)))
 
 
 def test_no_grad_blocks_recording():
@@ -385,13 +385,14 @@ def test_conv2d_and_prelu_keep_nothing_beyond_their_inputs():
                requires_grad=True)
     slopes = Tensor(np.full(4, 0.25, dtype=np.float32), requires_grad=True)
     with ad.profile() as prof:
-        for k, stride, padding in ((1, 1, 0), (1, 1, 1), (3, 1, 1),
-                                   (4, 4, 0)):
+        for k, padding in ((1, 0), (1, 1), (3, 1)):
             w = Tensor(rng.normal(size=(4, 3, k, k)).astype(np.float32),
                        requires_grad=True)
             b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
-            ad.prelu(ad.conv2d(x, w, b, stride=stride, padding=padding),
-                     slopes)
+            ad.prelu(ad.conv2d(x, w, b, padding=padding), slopes)
+        w = Tensor(rng.normal(size=(4, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        ad.prelu(mx.patch_embed(x, w), slopes)  # a 1x1 conv2d of a view
     assert prof.stats["conv2d"]["calls"] == 4
     assert prof.stats["conv2d"]["kept_bytes"] == 0
     assert prof.stats["prelu"]["kept_bytes"] == 0
@@ -470,7 +471,8 @@ def test_tape_frees_inputs_no_closure_reads_with_identical_gradients():
 def _rebuild_graph(params):
     """Every rebuilding producer (prelu, instance_norm_prelu, layer_norm,
     concat, permute, reshape) feeding every lazily reading consumer
-    (conv2d in both layouts and 1x1, conv_transpose2d, linear, mlp).
+    (conv2d with taps and 1x1, the patch embedding's 1x1 conv2d over the
+    space-to-depth view of a concat, conv_transpose2d, linear, mlp).
     Returns the loss and the outputs, in graph order."""
     (x, w1, b1, s1, w2, gamma, beta, s2, wt, w3, wp, lg, lb,
      m1, mb1, m2, mb2, wl, bt) = params
@@ -482,7 +484,7 @@ def _rebuild_graph(params):
     t = ad.conv_transpose2d(i, wt, bt)  # reads instance_norm_prelu's
     c3 = ad.conv2d(i, w3)  # 1x1, no padding
     cat = ad.concat([p, i])
-    e = ad.conv2d(cat, wp, stride=4)  # a patch embedding of the concat
+    e = mx.patch_embed(cat, wp)
     ln = ad.layer_norm(ad.permute(e, (0, 2, 3, 1)), lg, lb)
     m = ad.mlp(ln, m1, mb1, m2, mb2)  # reads layer_norm's rebuild
     r = ad.reshape(ad.permute(ln, (0, 3, 1, 2)), (n, 6, 4))
@@ -666,49 +668,52 @@ def conv2d_reference(x, w, b, stride, padding):
     ids=["1x1", "3x3pad1", "5x5pad2", "4x4stride4", "3x3pad1-5x7",
          "3x3valid", "3x3pad2", "2x2stride2-6x4"])
 def test_conv2d_matches_direct_loop(n, k, stride, padding, size):
+    # a stride equal to the kernel is the patch embedding, with no bias: a
+    # 1x1 conv2d over the space-to-depth view of x
     rng = np.random.default_rng(k)
-    x = rng.normal(size=(n, 3, *size))
-    w = rng.normal(size=(4, 3, k, k))
-    b = rng.normal(size=4)
-    out = ad.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
-    ref, ref_grads = conv2d_reference(x, w, b, stride, padding)
+    x = t64(rng.normal(size=(n, 3, *size)))
+    w = t64(rng.normal(size=(4, 3, k, k)))
+    b = t64(rng.normal(size=4) if stride == 1 else np.zeros(4))
+    if stride == 1:
+        out = ad.conv2d(x, w, b, padding=padding)
+    else:
+        out = mx.patch_embed(x, w)
+    ref, ref_grads = conv2d_reference(x.data, w.data, b.data, stride, padding)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
     g = rng.normal(size=ref.shape)
-    gx, gw, gb = vjp(out, g)
+    # backward of sum(out * g) seeds out's gradient with g
+    ad.linear_operator(out, lambda a: np.vdot(a, g), lambda s: s * g).backward()
     rx, rw = ref_grads(g)
-    np.testing.assert_allclose(gx, rx, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gw, rw, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+    np.testing.assert_allclose(x.grad, rx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, rw, rtol=1e-12, atol=1e-12)
+    if stride == 1:
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
 
-def test_conv2d_refuses_a_stride_other_than_1_or_the_kernel():
-    x = t64(np.zeros((1, 2, 9, 9)))
-    for k, stride, padding in ((3, 2, 0), (3, 2, 1), (2, 2, 1), (1, 2, 0)):
-        with pytest.raises(ShapeError, match="conv2d: stride"):
-            ad.conv2d(x, t64(np.zeros((3, 2, k, k))), stride=stride,
-                      padding=padding)
-    with pytest.raises(ShapeError, match="conv2d: stride"):
-        ad.conv2d(x, t64(np.zeros((3, 2, 3, 1))), stride=3)
+def test_patch_embed_refuses_a_weight_it_cannot_apply():
+    x = t64(np.zeros((1, 2, 8, 8)))
+    for shape in ((3, 2, 3, 3), (3, 2, 4, 2), (3, 1, 4, 4), (3, 2, 4)):
+        with pytest.raises(ShapeError, match="patch_embed"):
+            mx.patch_embed(x, t64(np.zeros(shape)))
 
 
-def im2col_conv2d(x, w, b, stride, padding, g):
-    """conv2d as one GEMM over a strided im2col column matrix, with its
-    input gradient added back tap by tap through strided views: output,
-    and the gradients of sum(out * g) for x, w and b. The flat-grid and
-    patch layouts must give these bit for bit."""
+def im2col_conv2d(x, w, b, padding, g):
+    """conv2d as one GEMM over an im2col column matrix, with its input
+    gradient added back tap by tap through views: output, and the
+    gradients of sum(out * g) for x, w and b. The flat-grid layout must
+    give these bit for bit."""
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = wd + 2 * padding - kw + 1
     k, npix = c * kh * kw, oh * ow
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if kh == kw == 1 and stride == 1:
+    if kh == kw == 1:
         cols = xp.reshape(n, c, npix)
     else:
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
                                                        axis=(2, 3))
-        cols = win[:, :, ::stride, ::stride].transpose(
-            0, 1, 4, 5, 2, 3).reshape(n, k, npix)
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, k, npix)
     wmat = w.reshape(oc, k)
     out = (wmat * cols) if k == 1 else wmat @ cols
     out += b[:, None]
@@ -716,15 +721,14 @@ def im2col_conv2d(x, w, b, stride, padding, g):
     gw = (cols.transpose(1, 0, 2).reshape(k, n * npix)
           @ gmat.transpose(1, 0, 2).reshape(oc, n * npix).T).T.reshape(w.shape)
     gcols = (wmat.T * gmat) if oc == 1 else wmat.T @ gmat
-    if kh == kw == 1 and stride == 1:
+    if kh == kw == 1:
         gxp = gcols.reshape(xp.shape)
     else:
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
         for ki in range(kh):
             for kj in range(kw):
-                gxp[:, :, ki:ki + oh * stride:stride,
-                    kj:kj + ow * stride:stride] += gcols[:, :, ki, kj]
+                gxp[:, :, ki:ki + oh, kj:kj + ow] += gcols[:, :, ki, kj]
     gx = gxp[:, :, padding:padding + h, padding:padding + wd]
     return out.reshape(n, oc, oh, ow), gx, gw, gmat.sum(axis=(0, 2))
 
@@ -739,21 +743,21 @@ def _desk_convs():
 
 @pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("n", [1, 2])
+# conv2d has stride 1 only: "s1" in each id
 @pytest.mark.parametrize("case", _desk_convs(),
-                         ids=lambda case: "{}x{}-{}to{}-{}px-s{}p{}".format(
+                         ids=lambda case: "{}x{}-{}to{}-{}px-s1p{}".format(
                              case[1][2], case[1][3], case[0][1], case[1][0],
-                             case[0][2], case[2], case[3]))
+                             case[0][2], case[2]))
 def test_conv2d_is_bitwise_the_strided_im2col_gemm(case, n, dt):
-    xs, ws, stride, padding = case
+    xs, ws, padding = case
     rng = np.random.default_rng(sum(ws) + n)
     x = rng.normal(size=(n, *xs[1:])).astype(dt)
     w = rng.normal(size=ws).astype(dt)
     b = rng.normal(size=ws[0]).astype(dt)
     out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
-                    Tensor(b, requires_grad=True), stride=stride,
-                    padding=padding)
+                    Tensor(b, requires_grad=True), padding=padding)
     g = rng.normal(size=out.shape).astype(dt)
-    ref = im2col_conv2d(x, w, b, stride, padding, g)
+    ref = im2col_conv2d(x, w, b, padding, g)
     got = (out.data, *vjp(out, g))
     for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
         assert a.dtype == dt and np.array_equal(a, r), name

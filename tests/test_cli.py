@@ -572,6 +572,27 @@ def test_nps_reference_shape_mismatch_is_one_error_line(workspace, capsys):
     assert err.startswith("error ShapeError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shapes", [((32, 32), (16, 16)), ((16, 16), (32, 32)),
+                                    ((32, 32), (32, 16)), ((32, 16), (32, 16))],
+                         ids=["smaller", "larger", "non-square", "first"])
+def test_nps_refuses_an_image_off_the_first_ones_square(workspace, capsys,
+                                                       shapes):
+    noise_dir = workspace / "noise"
+    noise_dir.mkdir()
+    for name, shape in zip("ab", shapes):
+        tio.write_tomo(noise_dir / f"{name}.tomo",
+                       np.zeros(shape, np.float32), tio.KIND_IMAGE)
+    out = workspace / "nps.csv"
+    code = run(["nps", "--dir", noise_dir, "--out", out])
+    err = capsys.readouterr().err
+    square = (shapes[0][0],) * 2
+    bad = next(i for i, shape in enumerate(shapes) if shape != square)
+    assert code == 1 and err.startswith("error ShapeError:")
+    assert err.count("\n") == 1 and f"{'ab'[bad]}.tomo" in err
+    assert str(shapes[bad]) in err and str(square) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,name", [
     (["--method", "gd", "--step", "nan"], "step"),
     (["--method", "gd", "--step", "inf"], "step"),
@@ -724,9 +745,11 @@ ood.count = 1
 
 
 def audit_runs(workspace):
-    """(command, method, argv without an output) for one run of each
-    command, and of each --method, on 16² inputs made under AUDIT_CONFIG;
-    the output flag comes last."""
+    """(label, command, argv without an output) for one run of each
+    command, and of each --method, on 16² inputs made under AUDIT_CONFIG,
+    then for the settings that leave keys unread which those runs read: a
+    Shepp-Logan phantom, a parallel beam and --data-dir. The output flag
+    comes last."""
     cfg = workspace / "audit.cfg"
     cfg.write_text(AUDIT_CONFIG)
     images = workspace / "images"
@@ -741,25 +764,37 @@ def audit_runs(workspace):
     def mixer(method):
         return ["--weights", weights] if method == "qn-mixer" else []
 
-    yield "phantom", None, ["--out"]
-    yield "project", None, ["--image", ph, "--out"]
-    yield "fbp", None, ["--sino", sino, "--out"]
-    yield "noise", None, ["--sino", sino, "--out"]
+    runs = {"phantom": ["--out"],
+            "project": ["--image", ph, "--out"],
+            "fbp": ["--sino", sino, "--out"],
+            "noise": ["--sino", sino, "--out"]}
     for method in ("gd", "qn", "qn-mixer"):
-        yield "reconstruct", method, ["--method", method, "--sino", sino,
-                                      *mixer(method), "--out"]
-    yield "train", None, ["--out-dir"]
-    yield "eval", None, ["--recon-dir", images, "--ref-dir", images, "--out"]
-    yield "nps", None, ["--dir", images, "--out"]
+        runs[f"reconstruct/{method}"] = ["--method", method, "--sino", sino,
+                                         *mixer(method), "--out"]
+    runs["train"] = ["--out-dir"]
+    runs["eval"] = ["--recon-dir", images, "--ref-dir", images, "--out"]
+    runs["nps"] = ["--dir", images, "--out"]
     for method in ("fbp", "gd", "qn", "qn-mixer"):
-        yield "ood", method, ["--method", method, *mixer(method), "--out-dir"]
+        runs[f"ood/{method}"] = ["--method", method, *mixer(method),
+                                 "--out-dir"]
+    for label, argv in runs.items():
+        yield label, label.split("/")[0], argv
+    yield "phantom shepp-logan", "phantom", ["--kind", "shepp-logan",
+                                             *runs["phantom"]]
+    for label in ("project", "fbp", "reconstruct/gd", "train", "ood/fbp"):
+        yield f"{label} parallel", label.split("/")[0], \
+            ["--beam", "parallel", *runs[label]]
+    for label in ("train", "ood/fbp"):
+        yield f"{label} --data-dir", label.split("/")[0], \
+            ["--data-dir", images, *runs[label]]
 
 
 def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
                                                      monkeypatch):
-    # one run of each command and --method logs the config keys its body
-    # reads; then each declared flag whose key it did not read must be
-    # refused, with one ConfigError line naming flag and key, and no output
+    # one run of each command, --method and unread-making setting logs the
+    # config keys its body reads; then each declared flag whose key it did
+    # not read must be refused, with one ConfigError line naming flag and
+    # key, and no output
     reads = set()
     resolve, write = cli._resolve, cli._write_resolved
     from_config = cfgmod.geometry_from_config
@@ -776,7 +811,7 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
     outs = (workspace / f"out{n}" for n in itertools.count())
     parsers = subcommands()
     unread = []
-    for command, method, argv in list(audit_runs(workspace)):
+    for label, command, argv in list(audit_runs(workspace)):
         reads.clear()
         assert run([command, "--config", cfg, *argv, next(outs)]) == 0, \
             capsys.readouterr().err
@@ -794,8 +829,7 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
             if not (code == 1 and err.startswith("error ConfigError:")
                     and err.count("\n") == 1 and name in err and key in err
                     and not out.exists()):
-                unread.append(f"{command}{'/' + method if method else ''} "
-                              f"{name}")
+                unread.append(f"{label} {name}")
     assert not unread, f"{len(unread)} flags neither read nor refused: " + \
         ", ".join(unread)
 

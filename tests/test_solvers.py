@@ -1012,6 +1012,16 @@ class TestNonFiniteParameters:
         assert op.projected == []
 
 
+@pytest.mark.parametrize("kind,moves", [("none", False), ("tikhonov", True),
+                                        ("smoothed_tv", True)])
+def test_only_a_regularizer_with_a_mu_term_adds_mu_to_the_step(kind, moves):
+    spec, _ = ct_tikhonov(n=16)
+    step = {mu: solvers.estimate_step(ObjectiveSpec(
+        spec.op, spec.y, spec.lam, Regularizer(kind, mu=mu)), 16)
+        for mu in (0.0, 7.0)}
+    assert (step[7.0] != step[0.0]) == moves
+
+
 def _solve(method, spec, x0, iters):
     if method == "gd":
         return gradient_descent(spec, x0, solvers.estimate_step(spec, 16),

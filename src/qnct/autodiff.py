@@ -31,11 +31,11 @@ Conventions:
   - no primitive calls another, so ``profile`` times each call once;
   - only leaf tensors with ``requires_grad`` receive a ``.grad`` buffer, and
     grads accumulate across backward calls until ``zero_grad``;
-  - a node keeps links, not arrays: ``OpNode.inputs`` holds an ``Edge``
-    (just the producing node) for an input another node made, and the
-    Tensor itself for a leaf (a weight or a constant the caller holds). An
-    activation lives on only while a backward closure reads it and its
-    producer cannot rebuild it;
+  - a node keeps links, not arrays: ``OpNode.inputs`` holds the producing
+    ``OpNode`` for an input another node made, and the Tensor itself for a
+    leaf (a weight or a constant the caller holds). An activation lives on
+    only while a backward closure reads it and its producer cannot rebuild
+    it;
   - an op whose output is a cheap function of what its own backward keeps
     gives its node a ``rebuild``, and its forward computes the output by
     calling that rebuild, so a rebuilt array is bit-equal to the forward's:
@@ -188,9 +188,10 @@ class OpNode:
     """One recorded primitive: links to its inputs, backward closure,
     execution index, and the rebuild of its output, if it has one.
 
-    ``inputs`` holds, per input, an ``Edge`` to the node that made it, or
-    the input itself when it is a leaf (a weight or a constant). Either way
-    the entry's ``.node`` is the producing node, or None for a leaf.
+    ``inputs`` holds, per input, the node that made it, or the input itself
+    when it is a leaf (a weight or a constant). Either way the entry's
+    ``.node`` is the producing node (a node's ``node`` is itself), or None
+    for a leaf.
     ``rebuild`` is None or a function of no arguments that recomputes the
     output from what the node's backward keeps (see ``_reader``)."""
 
@@ -203,15 +204,9 @@ class OpNode:
         self.rebuild = rebuild
         self.seq = _next_seq()
 
-
-class Edge:
-    """The link from a node to an input another node made: that node only,
-    not the input's array, which lives on only if a closure reads it."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node):
-        self.node = node
+    @property
+    def node(self):
+        return self
 
 
 class Tensor:
@@ -268,8 +263,8 @@ def _result(op, out, inputs, backward_fn, rebuild=None):
     t = Tensor(out)
     if _state.grad_enabled and any(i.requires_grad for i in inputs):
         t.requires_grad = True
-        t.node = OpNode(op, tuple(i if i.node is None else Edge(i.node)
-                                  for i in inputs), backward_fn, rebuild)
+        t.node = OpNode(op, tuple(i.node or i for i in inputs),
+                        backward_fn, rebuild)
     prof = _state.profile
     if prof is not None:
         entry = prof.stats[op]

@@ -13,8 +13,10 @@ stream is drawn (phantom, noise, train, ood) and --size only where no
 input image fixes the grid. A given flag that the resolved run does not
 read is refused: under a --method that does not read it (reconstruct and
 ood, _METHOD_FLAGS), --sad and --add under a parallel beam, --phantoms
-and --count with --data-dir, and phantom --seed for a Shepp-Logan
-phantom. A config file may still set any key.
+and --count with --data-dir, phantom --seed for a Shepp-Logan phantom,
+--cap without count noise (noise.poisson 0), noise --seed without any
+noise, --delta unless solver.reg is smoothed_tv, and train --unroll-k
+for the first-order variant. A config file may still set any key.
 """
 
 from __future__ import annotations
@@ -86,16 +88,17 @@ _SOLVER_FLAGS = {
     **_ITERS_FLAGS,
     "step": ("solver.step", "gd step size; 0 estimates 1/L by power iteration"),
     "line_search": ("solver.line_search",
-                    "qn line search: fixed, armijo, strong-wolfe or exact-quadratic"),
+                    "qn line search: strong-wolfe or exact-quadratic"),
     "lam": ("solver.lam", "data fidelity weight"),
-    "reg": ("solver.reg", "regularizer: none, tikhonov or smoothed_tv"),
-    "mu": ("solver.mu", "regularizer weight"),
+    "reg": ("solver.reg", "regularizer: tikhonov or smoothed_tv"),
+    "mu": ("solver.mu", "regularizer weight; 0 means no regularizer"),
     "delta": ("solver.delta", "smoothed TV corner rounding"),
 }
 
 # config key -> the values it accepts, checked for every command
 _CHOICES = {"solver.line_search": tuple(solvers.LINE_SEARCHES),
-            "solver.reg": (solvers.REG_NONE, solvers.REG_TIKHONOV, solvers.REG_SMOOTHED_TV),
+            "solver.reg": solvers.REGULARIZERS,
+            "unroll.fbp_filter": geo.FBP_FILTERS,
             "phantom.kind": ("shepp-logan", "random-ellipses")}
 
 
@@ -126,6 +129,12 @@ def _resolve(args) -> dict:
         _refuse_given(args, ("sad", "add"), "geometry.beam parallel")
     if getattr(args, "data_dir", None):
         _refuse_given(args, ("phantoms", "count"), "--data-dir")
+    if cfg["noise.poisson"] == 0:
+        _refuse_given(args, ("cap",), "noise.poisson 0")
+    if cfg["solver.reg"] != solvers.REG_SMOOTHED_TV:
+        _refuse_given(args, ("delta",), f"solver.reg {cfg['solver.reg']}")
+    if cfg["unroll.variant"] == ur.VARIANT_FIRST_ORDER:
+        _refuse_given(args, ("unroll_k",), "unroll.variant first-order")
     return cfg
 
 
@@ -285,6 +294,9 @@ def cmd_fbp(args):
 
 def cmd_noise(args):
     cfg = _resolve(args)
+    if cfg["noise.poisson"] == 0 and cfg["noise.gauss_frac"] == 0:
+        _refuse_given(args, ("seed",),
+                      "noise.poisson 0 and noise.gauss_frac 0")
     y = _load_sino(args.sino)
     noisy = geo.simulate_measurement(
         geo.Sinogram(y), cfg["noise.poisson"], cfg["noise.gauss_frac"],

@@ -38,12 +38,12 @@ a command's flags set only the keys it reads, but a file may set any key:
   train.phantoms         procedural phantoms without a data dir (20)
   solver.iters           gd/qn iterations (30)
   solver.step            gd step, 0 estimates 1/L (0.0)
-  solver.line_search     qn line search: fixed | armijo | strong-wolfe |
-                         exact-quadratic (strong-wolfe)
+  solver.line_search     qn line search: strong-wolfe | exact-quadratic
+                         (strong-wolfe)
   solver.lam             data fidelity weight (1.0)
-  solver.reg             none | tikhonov | smoothed_tv (tikhonov)
-  solver.mu / solver.delta  regularizer weight / smoothed TV corner
-                         (0.05 / 1e-3)
+  solver.reg             tikhonov | smoothed_tv (tikhonov)
+  solver.mu / solver.delta  regularizer weight, 0 for none / smoothed TV
+                         corner (0.05 / 1e-3)
   phantom.kind           shepp-logan | random-ellipses (shepp-logan)
   ood.count / ood.value  stamped phantoms / disk intensity (5 / 1.0)
   eval.msssim_levels     0 means auto (0)
@@ -111,8 +111,6 @@ def default_config(beam: str = geo.PARALLEL) -> dict:
 
 
 def _coerce(key: str, raw: str, template):
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(template, int):
         try:
             return int(raw)

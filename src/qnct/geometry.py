@@ -531,6 +531,7 @@ def back_project(sino: Sinogram, geometry: Geometry, h: int, w: int) -> Image:
 
 FILTER_RAM_LAK = "ram-lak"
 FILTER_HANN = "hann"
+FBP_FILTERS = (FILTER_RAM_LAK, FILTER_HANN)
 
 
 @functools.lru_cache(maxsize=8)

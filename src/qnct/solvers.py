@@ -61,19 +61,21 @@ def check_pair_budget(updates: int, n: int, where: str, remedy: str):
 # objective specification
 # ---------------------------------------------------------------------------
 
-REG_NONE = "none"
 REG_TIKHONOV = "tikhonov"
 REG_SMOOTHED_TV = "smoothed_tv"
+REGULARIZERS = (REG_TIKHONOV, REG_SMOOTHED_TV)
 
 
 @dataclass(frozen=True)
 class Regularizer:
-    kind: str = REG_NONE
+    """R(x), weighted by mu; mu = 0 is no regularizer, whatever the kind."""
+
+    kind: str = REG_TIKHONOV
     mu: float = 0.0
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.kind not in (REG_NONE, REG_TIKHONOV, REG_SMOOTHED_TV):
+        if self.kind not in REGULARIZERS:
             raise ShapeError(f"unknown regularizer {self.kind!r}")
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ShapeError(
@@ -84,7 +86,7 @@ class Regularizer:
                 f"smoothed TV needs a finite delta > 0, got {self.delta}")
 
     def value(self, x: np.ndarray) -> float:
-        if self.kind == REG_NONE or self.mu == 0.0:
+        if self.mu == 0.0:
             return 0.0
         if self.kind == REG_TIKHONOV:
             return 0.5 * self.mu * float(np.sum(x * x))
@@ -93,7 +95,7 @@ class Regularizer:
                                               + self.delta * self.delta)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == REG_NONE or self.mu == 0.0:
+        if self.mu == 0.0:
             return np.zeros_like(x)
         if self.kind == REG_TIKHONOV:
             return self.mu * x
@@ -119,7 +121,7 @@ def _forward_diff_adjoint(u, v):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
 
@@ -144,14 +146,6 @@ class ObjectiveSpec:
         y = np.array(self.y)
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
-
-    def __eq__(self, other):
-        """Field equality with y compared by value."""
-        if not isinstance(other, ObjectiveSpec):
-            return NotImplemented
-        return ((self.op, self.lam, self.regularizer)
-                == (other.op, other.lam, other.regularizer)
-                and np.array_equal(self.y, other.y))
 
     @classmethod
     def for_geometry(cls, geometry: geo.Geometry, sino: geo.Sinogram,
@@ -306,17 +300,14 @@ def gradient_descent(spec: ObjectiveSpec, x0: np.ndarray, step: float,
 
 
 def estimate_step(spec, size: int) -> float:
-    """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus mu
-    for a Tikhonov or smoothed-TV regularizer (a ``none`` one adds no
-    curvature, whatever its mu)."""
+    """1 / L for gradient_descent: 8 power iterations on lam AᵀA, plus the
+    regularizer's mu."""
     v = substream(0, "init").normal(size=(size, size))
     for _ in range(8):
         v = spec.op.adjoint(spec.op.forward(v))
         v /= _norm(v)
     lip = float(np.vdot(v, spec.op.adjoint(spec.op.forward(v))))
-    reg = spec.regularizer
-    mu = 0.0 if reg.kind == REG_NONE else reg.mu
-    return 1.0 / (spec.lam * lip + mu + 1e-12)
+    return 1.0 / (spec.lam * lip + spec.regularizer.mu + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +407,6 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray,
 # (alpha, None) where it evaluated no trial at alpha; qn_reconstruct then
 # projects x + alpha d itself.
 
-def fixed_step(line, g0d):
-    return 1.0, None
-
-
-def armijo(line, g0d):
-    j0 = line.start.J
-    a = 1.0
-    for _ in range(40):
-        j = line.value(a)
-        if j <= j0 + WOLFE_C1 * a * g0d:
-            return a, line.at(a)
-        a *= 0.5
-    return a, None
-
-
 def strong_wolfe(line, g0d):
     """Bracket and zoom until both strong Wolfe conditions hold.
 
@@ -494,8 +470,6 @@ def exact_quadratic(line, g0d):
     return -g0d / denom, None
 
 LINE_SEARCHES = {
-    "fixed": fixed_step,
-    "armijo": armijo,
     "strong-wolfe": strong_wolfe,
     "exact-quadratic": exact_quadratic,
 }

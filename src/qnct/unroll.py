@@ -84,6 +84,8 @@ class UnrollConfig:
             raise ShapeError("unroll needs T >= 1")
         if self.pseudo_inverse not in ("fbp", "adjoint"):
             raise ShapeError(f"unknown pseudo-inverse {self.pseudo_inverse!r}")
+        if self.fbp_filter not in geo.FBP_FILTERS:
+            raise ShapeError(f"unknown fbp filter {self.fbp_filter!r}")
         if self.variant not in (VARIANT_QN, VARIANT_FIRST_ORDER):
             raise ShapeError(f"unknown unroll variant {self.variant!r}")
 

@@ -251,6 +251,7 @@ def test_checkpoint_for_another_image_size_names_both(workspace, capsys):
     ((), {"unroll.T": "3"}, "CheckpointError"),
     ((), {"unroll.codec_width": "4"}, "CheckpointError"),
     ((), {"mixer.patch": "x"}, "ConfigError"),
+    ((), {"unroll.fbp_filter": "bogus"}, "ShapeError"),
 ])
 def test_bad_checkpoint_is_one_error_line(workspace, capsys, drop,
                                           meta_edits, kind):
@@ -362,6 +363,22 @@ def test_refused_run_leaves_no_output_dir(workspace, capsys, monkeypatch,
     assert run([command, "--out-dir", "run", "--size", "16", "--views", "8",
                 *flags]) == 1
     one_error_line(capsys, kind)
+    assert not (workspace / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--mixer-d", "12", "--phantoms", "1", "--steps", "1"],
+    ["ood", "--count", "1"],
+    ["ood", "--method", "gd", "--count", "1", "--iters", "1"],
+], ids=["train", "ood-fbp", "ood-gd"])
+def test_unknown_fbp_filter_is_refused_before_any_work(workspace, capsys,
+                                                       monkeypatch, argv):
+    monkeypatch.chdir(workspace)
+    (workspace / "bogus.cfg").write_text("unroll.fbp_filter = bogus\n")
+    command, *flags = argv
+    assert run([command, "--out-dir", "run", "--size", "16", "--views", "8",
+                "--config", "bogus.cfg", *flags]) == 1
+    assert "unroll.fbp_filter" in one_error_line(capsys, "ConfigError")
     assert not (workspace / "run").exists()
 
 
@@ -834,6 +851,40 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
         ", ".join(unread)
 
 
+@pytest.mark.parametrize("argv,name,key", [
+    (["noise", "--cap", "2"], "--cap", "noise.attenuation_cap"),
+    (["noise", "--gauss-frac", "0.05", "--cap", "2"], "--cap",
+     "noise.attenuation_cap"),
+    (["train", "--cap", "2"], "--cap", "noise.attenuation_cap"),
+    (["noise", "--seed", "3"], "--seed", "seed"),
+    (["reconstruct", "--method", "gd", "--delta", "0.01"], "--delta",
+     "solver.delta"),
+    (["reconstruct", "--method", "qn", "--delta", "0.01"], "--delta",
+     "solver.delta"),
+    (["train", "--variant", "first-order", "--unroll-k", "3"], "--unroll-k",
+     "unroll.k"),
+], ids=["noise-cap", "noise-gauss-cap", "train-cap", "noise-seed", "gd-delta",
+        "qn-delta", "first-order-k"])
+def test_a_flag_the_run_leaves_unread_is_refused(workspace, capsys, argv,
+                                                 name, key):
+    # the CLI reads these keys, so the read-or-refused guard cannot see
+    # them: without count noise the cap is unused, without any noise the
+    # seed, the TV corner under Tikhonov, and the codec depth without a codec
+    command, *flags = argv
+    out = workspace / "out"
+    setup = {"noise": lambda: ["--sino", scan(workspace), "--out", out],
+             "reconstruct": lambda: ["--sino", scan(workspace), "--views",
+                                     "16", "--iters", "1", "--out", out],
+             "train": lambda: ["--out-dir", out, "--phantoms", "1", "--size",
+                               "16", "--views", "8", "--steps", "1",
+                               "--mixer-d", "12"]}[command]()
+    capsys.readouterr()
+    assert run([command, *setup, *flags]) == 1
+    err = one_error_line(capsys, "ConfigError")
+    assert name in err and key in err
+    assert not out.exists()
+
+
 def outputs(path):
     """name -> bytes of an output file and its resolved config, or of every
     file under an output directory."""
@@ -850,15 +901,15 @@ def outputs(path):
     (["reconstruct", "--iters", "7", "--lam", "2", "--reg", "smoothed_tv",
       "--mu", "0.02", "--delta", "0.01", "--views", "16"],
      "--out", ["--method", "gd", "--sino"]),
-    (["reconstruct", "--iters", "5", "--line-search", "armijo", "--mu", "0.1",
-      "--views", "16"], "--out", ["--method", "qn", "--sino"]),
+    (["reconstruct", "--iters", "5", "--line-search", "exact-quadratic",
+      "--mu", "0.1", "--views", "16"], "--out", ["--method", "qn", "--sino"]),
     (["reconstruct", "--iters", "4", "--step", "1e-5", "--views", "16"],
      "--out", ["--method", "gd", "--sino"]),
     (["ood", "--count", "2", "--value", "0.7", "--iters", "3", "--size", "32",
       "--views", "16"], "--out-dir", ["--method", "qn"]),
     (["train", "--phantoms", "3", "--steps", "2", "--size", "16", "--views",
       "8", "--unroll-T", "2", "--mixer-d", "12"], "--out-dir", []),
-], ids=["phantom", "gd-smoothed-tv", "qn-armijo", "gd-step", "ood-qn",
+], ids=["phantom", "gd-smoothed-tv", "qn-exact-quadratic", "gd-step", "ood-qn",
         "train"])
 def test_every_command_reruns_from_its_resolved_config(workspace, argv,
                                                        out_flag, given):
@@ -882,10 +933,16 @@ def test_every_command_reruns_from_its_resolved_config(workspace, argv,
      "solver.line_search"),
     (["reconstruct", "--method", "qn", "--line-search", "nope"],
      "solver.line_search"),
+    (["reconstruct", "--method", "qn", "--line-search", "fixed"],
+     "solver.line_search"),
+    (["reconstruct", "--method", "qn", "--line-search", "armijo"],
+     "solver.line_search"),
     (["reconstruct", "--method", "gd", "--reg", "nope"], "solver.reg"),
+    (["reconstruct", "--method", "gd", "--reg", "none"], "solver.reg"),
     (["reconstruct", "--method", "gd", "--iters", "abc"], "solver.iters"),
     (["phantom", "--kind", "nope"], "phantom.kind"),
-], ids=["line-search-gd", "line-search-qn", "reg", "iters", "kind"])
+], ids=["line-search-gd", "line-search-qn", "line-search-fixed",
+        "line-search-armijo", "reg", "reg-none", "iters", "kind"])
 def test_bad_solver_or_phantom_value_is_one_error_line(workspace, capsys,
                                                        argv, key):
     out = workspace / "out.tomo"
@@ -916,6 +973,19 @@ def test_solver_keys_come_from_the_config_file_and_flags_override(workspace):
     overridden = reconstruct("over.tomo", "--config", cfg, "--mu", "0.05")
     assert overridden == reconstruct("default.tomo")
     assert overridden != from_file
+
+
+@pytest.mark.parametrize("method", ["gd", "qn"])
+def test_mu_0_is_no_regularizer_whatever_the_kind(workspace, method):
+    sino = scan(workspace)
+    images = set()
+    for reg in cli._CHOICES["solver.reg"]:
+        out = workspace / f"{reg}.tomo"
+        assert run(["reconstruct", "--method", method, "--sino", sino,
+                    "--views", "16", "--iters", "3", "--reg", reg,
+                    "--mu", "0", "--out", out]) == 0
+        images.add(out.read_bytes())
+    assert len(images) == 1
 
 
 def test_ood_gd_estimates_its_step_once(workspace, monkeypatch):

@@ -15,8 +15,9 @@ read is refused: under a --method that does not read it (reconstruct and
 ood, _METHOD_FLAGS), --sad and --add under a parallel beam, --phantoms
 and --count with --data-dir, phantom --seed for a Shepp-Logan phantom,
 --cap without count noise (noise.poisson 0), noise --seed without any
-noise, --delta unless solver.reg is smoothed_tv, and train --unroll-k
-for the first-order variant. A config file may still set any key.
+noise, --reg and --delta under solver.mu 0, --delta unless solver.reg
+is smoothed_tv, and train --unroll-k for the first-order variant. A
+config file may still set any key.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def _resolve(args) -> dict:
         _refuse_given(args, ("phantoms", "count"), "--data-dir")
     if cfg["noise.poisson"] == 0:
         _refuse_given(args, ("cap",), "noise.poisson 0")
+    if cfg["solver.mu"] == 0:
+        _refuse_given(args, ("reg", "delta"), "solver.mu 0")
     if cfg["solver.reg"] != solvers.REG_SMOOTHED_TV:
         _refuse_given(args, ("delta",), f"solver.reg {cfg['solver.reg']}")
     if cfg["unroll.variant"] == ur.VARIANT_FIRST_ORDER:

@@ -29,7 +29,6 @@ a command's flags set only the keys it reads, but a file may set any key:
   noise.attenuation_cap  pre-noise rescale target (4.0)
   mixer.patch / mixer.d / mixer.n_layers   (4 / 48 / 2)
   unroll.T / unroll.k / unroll.codec_width (6 / 2 / 32)
-  unroll.pseudo_inverse  fbp | adjoint (fbp)
   unroll.fbp_filter      ram-lak | hann (ram-lak)
   unroll.variant         qn | first-order (qn)
   train.epochs / train.lr / train.weight_decay (50 / 1e-4 / 1e-2)
@@ -84,7 +83,6 @@ def default_config(beam: str = geo.PARALLEL) -> dict:
         "unroll.T": 6,
         "unroll.k": 2,
         "unroll.codec_width": 32,
-        "unroll.pseudo_inverse": "fbp",
         "unroll.fbp_filter": "ram-lak",
         "unroll.variant": "qn",
         "train.epochs": 50,

@@ -228,7 +228,6 @@ def model_configs(cfg: dict) -> tuple:
     unroll_config = UnrollConfig(
         T=cfg["unroll.T"],
         codec=CodecConfig(cfg["unroll.k"], cfg["unroll.codec_width"]),
-        pseudo_inverse=cfg["unroll.pseudo_inverse"],
         fbp_filter=cfg["unroll.fbp_filter"],
         variant=cfg["unroll.variant"],
     )
@@ -246,7 +245,6 @@ def model_meta(model: QnMixerModel) -> dict:
         "unroll.T": uc.T,
         "unroll.k": uc.codec.k,
         "unroll.codec_width": uc.codec.width,
-        "unroll.pseudo_inverse": uc.pseudo_inverse,
         "unroll.fbp_filter": uc.fbp_filter,
         "unroll.variant": uc.variant,
     }
@@ -257,8 +255,14 @@ def model_from_checkpoint(path) -> QnMixerModel:
 
     The weights must have exactly the names and shapes of the architecture
     the meta describes, at the image size their token MLPs were built for.
+    Older checkpoints also record unroll.pseudo_inverse; every model now
+    starts from FBP, so any value but fbp is refused.
     """
     arrays, meta = ad.load_checkpoint(path)
+    start = meta.get("unroll.pseudo_inverse", "fbp").strip()
+    if start != "fbp":
+        raise CheckpointError(f"{path}: meta key unroll.pseudo_inverse is "
+                              f"{start!r}; only fbp models load")
     try:
         cfg = cfgmod.parse_config("\n".join(f"{key} = {meta[key]}"
                                             for key in MODEL_KEYS))

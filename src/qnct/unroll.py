@@ -8,7 +8,7 @@ solvers.BfgsState: the accepted curvature pairs, applied by the two-loop
 recursion, never a matrix. It lives outside the autodiff tape (the step
 treats it as a constant symmetric operator, and its update runs detached
 in float64); everything else, including the per-iteration data weight and
-the pseudo-inverse path, is differentiable end to end.
+the FBP path, is differentiable end to end.
 
 The first-order variant drops H and the codec and steps x - grad J(x)
 directly, which is the equal-budget baseline for the quasi-Newton model.
@@ -75,15 +75,12 @@ class UnrollConfig:
 
     T: int = 6
     codec: CodecConfig = field(default_factory=CodecConfig)
-    pseudo_inverse: str = "fbp"  # or "adjoint"
     fbp_filter: str = geo.FILTER_RAM_LAK
     variant: str = VARIANT_QN
 
     def __post_init__(self):
         if self.T < 1:
             raise ShapeError("unroll needs T >= 1")
-        if self.pseudo_inverse not in ("fbp", "adjoint"):
-            raise ShapeError(f"unknown pseudo-inverse {self.pseudo_inverse!r}")
         if self.fbp_filter not in geo.FBP_FILTERS:
             raise ShapeError(f"unknown fbp filter {self.fbp_filter!r}")
         if self.variant not in (VARIANT_QN, VARIANT_FIRST_ORDER):
@@ -196,18 +193,13 @@ class QnMixerModel:
 class _Physics:
     """Differentiable scan operators for one geometry and image size.
 
-    The pseudo-inverse (FBP, or Aᵀ when ``pseudo_inverse`` is "adjoint")
-    is chosen once here; x0 is its forward map applied to the data.
+    The pseudo-inverse is FBP with the model's filter.
     """
 
     def __init__(self, geometry: geo.Geometry, h: int, w: int,
-                 pseudo_inverse: str, fbp_filter: str):
+                 fbp_filter: str):
         self.op = geo.ScanOperator(geometry, h, w, fbp_filter)
         self.h, self.w = h, w
-        if pseudo_inverse == "adjoint":
-            self._pinv = (self.op.adjoint, self.op.forward, "back_project")
-        else:
-            self._pinv = (self.op.fbp, self.op.fbp_transpose, "fbp")
 
     def project(self, x: Tensor) -> Tensor:
         return ad.linear_operator(
@@ -215,17 +207,14 @@ class _Physics:
             lambda g: self.op.adjoint(g)[None, None], name="forward_project")
 
     def pinv(self, r: Tensor) -> Tensor:
-        fwd, adj, name = self._pinv
-        return ad.linear_operator(r, lambda v: fwd(v)[None, None],
-                                  lambda g: adj(g[0, 0]), name=name)
-
-    def x0(self, y: np.ndarray) -> np.ndarray:
-        return self._pinv[0](y)
+        return ad.linear_operator(
+            r, lambda v: self.op.fbp(v)[None, None],
+            lambda g: self.op.fbp_transpose(g[0, 0]), name="fbp")
 
 
 def learned_gradient(x: Tensor, y: Tensor, physics: _Physics, model:
                      QnMixerModel, t: int) -> Tensor:
-    """lambda_t * pinv(A x - y) + G(x), differentiable in params and x."""
+    """lambda_t * FBP(A x - y) + G(x), differentiable in params and x."""
     residual = ad.sub(physics.project(x), y)
     data_term = ad.mul(physics.pinv(residual), model.lam(t))
     reg = mx.incept_mixer_forward(x, model.params, model.mixer_config)
@@ -305,7 +294,7 @@ def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
 
 def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
                      model: QnMixerModel, h: int, w: int, collect=None):
-    """Run the unrolled loop from x0 = pinv(y); returns the final image tensor.
+    """Run the unrolled loop from x0 = FBP(y); returns the final image tensor.
 
     collect, when given, receives (t, x_tensor, state_or_None) after every
     iteration for tracing; state is None for the first-order variant.
@@ -315,10 +304,11 @@ def unrolled_forward(y: np.ndarray, geometry: geo.Geometry,
         raise ShapeError(f"model is for {mh}x{mw} images, got {h}x{w}")
     cfg = model.unroll_config
     dtype = model.params["expand.conv.w"].dtype
-    physics = _Physics(geometry, h, w, cfg.pseudo_inverse, cfg.fbp_filter)
+    physics = _Physics(geometry, h, w, cfg.fbp_filter)
     y_arr = np.asarray(y, dtype=dtype)
     y_t = Tensor(y_arr)
-    x = Tensor(np.asarray(physics.x0(y_arr), dtype=dtype).reshape(1, 1, h, w))
+    x0 = physics.op.fbp(y_arr)
+    x = Tensor(np.asarray(x0, dtype=dtype).reshape(1, 1, h, w))
 
     if cfg.variant == VARIANT_FIRST_ORDER:
         for t in range(cfg.T):

@@ -863,13 +863,18 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
      "solver.delta"),
     (["train", "--variant", "first-order", "--unroll-k", "3"], "--unroll-k",
      "unroll.k"),
+    (["reconstruct", "--method", "gd", "--mu", "0", "--reg", "smoothed_tv"],
+     "--reg", "solver.reg"),
+    (["reconstruct", "--method", "qn", "--mu", "0", "--delta", "0.01"],
+     "--delta", "solver.delta"),
 ], ids=["noise-cap", "noise-gauss-cap", "train-cap", "noise-seed", "gd-delta",
-        "qn-delta", "first-order-k"])
+        "qn-delta", "first-order-k", "gd-mu0-reg", "qn-mu0-delta"])
 def test_a_flag_the_run_leaves_unread_is_refused(workspace, capsys, argv,
                                                  name, key):
     # the CLI reads these keys, so the read-or-refused guard cannot see
     # them: without count noise the cap is unused, without any noise the
-    # seed, the TV corner under Tikhonov, and the codec depth without a codec
+    # seed, the TV corner under Tikhonov, the regularizer under mu 0, and
+    # the codec depth without a codec
     command, *flags = argv
     out = workspace / "out"
     setup = {"noise": lambda: ["--sino", scan(workspace), "--out", out],
@@ -980,9 +985,12 @@ def test_mu_0_is_no_regularizer_whatever_the_kind(workspace, method):
     sino = scan(workspace)
     images = set()
     for reg in cli._CHOICES["solver.reg"]:
+        # --reg is refused under --mu 0; a config file may set any key
+        cfg = workspace / f"{reg}.cfg"
+        cfg.write_text(f"solver.reg = {reg}\n")
         out = workspace / f"{reg}.tomo"
         assert run(["reconstruct", "--method", method, "--sino", sino,
-                    "--views", "16", "--iters", "3", "--reg", reg,
+                    "--views", "16", "--iters", "3", "--config", cfg,
                     "--mu", "0", "--out", out]) == 0
         images.add(out.read_bytes())
     assert len(images) == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             cfgmod.parse_config("not.a.key = 1")
+
+    def test_removed_pseudo_inverse_key_rejected(self):
+        # resolved configs once recorded it; every model now starts from FBP
+        with pytest.raises(ConfigError,
+                           match="unknown key 'unroll.pseudo_inverse'"):
+            cfgmod.resolve_config("unroll.pseudo_inverse = fbp\n", {})
+
+    def test_schema_docstring_names_every_key(self):
+        # entry lines start at column 2 and list their keys before the
+        # description, " / " between keys; continuation lines indent further
+        named = []
+        for line in cfgmod.__doc__.splitlines():
+            if line.startswith("  ") and not line.startswith("   "):
+                entry = re.match(r"[\w.]+(?: / [\w.]+)*", line[2:]).group()
+                named.extend(entry.split(" / "))
+        assert sorted(named) == sorted(cfgmod.default_config())
 
     def test_type_coercion_errors(self):
         with pytest.raises(ConfigError, match="integer"):

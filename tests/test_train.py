@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,21 +107,6 @@ class TestTrainLoop:
         _, curve = tr.train_unrolled(items, g, model, cfg)
         x_fbp = geo.fbp(geo.Sinogram(items[0].sino), g, h=32, w=32).values
         expected = float(np.mean((x_fbp - items[0].truth) ** 2))
-        assert curve[0]["loss"] == pytest.approx(expected, rel=1e-6)
-
-    def test_start_image_follows_each_models_pseudo_inverse(self):
-        # a model with another pseudo-inverse, trained on the same items
-        # after an FBP model, must still start from its own A^T y
-        items, g, model = tiny_setup(n_items=1)
-        cfg = tr.TrainConfig(epochs=1, lr=1e-3, lr_decay_after_epoch=10,
-                             seed=0, max_steps=1)
-        tr.train_unrolled(items, g, model, cfg)
-        adjoint = ur.QnMixerModel.build(
-            32, 32, 0, model.mixer_config,
-            replace(model.unroll_config, pseudo_inverse="adjoint"))
-        _, curve = tr.train_unrolled(items, g, adjoint, cfg)
-        x_adj = geo.back_project(geo.Sinogram(items[0].sino), g, 32, 32).values
-        expected = float(np.mean((x_adj - items[0].truth) ** 2))
         assert curve[0]["loss"] == pytest.approx(expected, rel=1e-6)
 
     def test_bit_reproducible_under_seed(self):
@@ -237,8 +222,7 @@ def test_loss_trend_over_first_50_steps():
 NON_DEFAULT_MODEL = {
     "mixer.patch": "2", "mixer.d": "12", "mixer.n_layers": "1",
     "unroll.T": "2", "unroll.k": "3", "unroll.codec_width": "8",
-    "unroll.pseudo_inverse": "adjoint", "unroll.fbp_filter": "hann",
-    "unroll.variant": "first-order",
+    "unroll.fbp_filter": "hann", "unroll.variant": "first-order",
 }
 
 
@@ -272,10 +256,12 @@ def rewrite_checkpoint(path, drop=(), **meta_edits):
 
 
 def test_checkpoint_with_parent_meta_loads(tmp_path):
-    # checkpoints once carried mixer.branch_channels beside epoch and step
+    # checkpoints once carried mixer.branch_channels and
+    # unroll.pseudo_inverse beside epoch and step
     path = tmp_path / "old.ckpt"
     model = tiny_checkpoint(path)
     rewrite_checkpoint(path, **{"mixer.branch_channels": "2,4,4,2",
+                                "unroll.pseudo_inverse": "fbp",
                                 "epoch": "0", "step": "1"})
     reloaded = tr.model_from_checkpoint(path)
     assert reloaded.mixer_config == model.mixer_config
@@ -290,6 +276,8 @@ def test_checkpoint_with_parent_meta_loads(tmp_path):
     (32, (), {"unroll.codec_width": "8"}, r"'encoder.0.conv.w' is \(32,"),
     (8, (), {"mixer.n_layers": "2"}, "'mixer.1.ln1.gamma' is missing"),
     (8, ("mixer.0.width.w1",), {}, "mixer.0.width.w1"),
+    (8, (), {"unroll.pseudo_inverse": "adjoint"},
+     "unroll.pseudo_inverse is 'adjoint'"),
 ])
 def test_checkpoint_weights_must_match_the_meta(tmp_path, codec_width, drop,
                                                 meta_edits, match):

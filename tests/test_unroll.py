@@ -88,7 +88,7 @@ class TestLearnedGradient:
         model = tiny_model()
         ph = shepp_logan(32)
         y = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
-        physics = ur._Physics(g, 32, 32, "fbp", "ram-lak")
+        physics = ur._Physics(g, 32, 32, "ram-lak")
         grad = ur.learned_gradient(Tensor(ph[None, None]),
                                    Tensor(y.values), physics, model, 0)
         np.testing.assert_array_equal(grad.data, 0.0)
@@ -99,7 +99,7 @@ class TestLearnedGradient:
         model.params["lambda.0"].data[:] = 1.0
         ph = shepp_logan(32)
         y = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
-        physics = ur._Physics(g, 32, 32, "fbp", "ram-lak")
+        physics = ur._Physics(g, 32, 32, "ram-lak")
         grad = ur.learned_gradient(Tensor(ph[None, None]),
                                    Tensor(y.values), physics, model, 0)
         np.testing.assert_allclose(grad.data, 0.0, atol=1e-5)
@@ -170,18 +170,6 @@ class TestColdStart:
         x_fbp = geo.fbp(y, g, h=32, w=32)
         img, _, _ = unrolled_reconstruct(y, g, model, 32, 32)
         assert np.array_equal(img.values, x_fbp.values)
-
-    def test_adjoint_pseudo_inverse_cold_start(self):
-        g = small_geometry()
-        cfg = UnrollConfig(T=2, codec=CodecConfig(2, 8),
-                           pseudo_inverse="adjoint")
-        model = QnMixerModel.build(
-            32, 32, 1, mx.MixerConfig(patch=4, d=12, n_layers=1), cfg)
-        ph = shepp_logan(32)
-        y = geo.forward_project(geo.Image(ph, g.pixel_mm(32)), g)
-        x_bp = geo.back_project(y, g, 32, 32)
-        img, _, _ = unrolled_reconstruct(y, g, model, 32, 32)
-        assert np.array_equal(img.values, x_bp.values)
 
 
 def diagnostics(state):
@@ -299,10 +287,6 @@ class TestConfigValidation:
     def test_bad_variant(self):
         with pytest.raises(ShapeError, match="variant"):
             UnrollConfig(variant="newton")
-
-    def test_bad_pseudo_inverse(self):
-        with pytest.raises(ShapeError, match="pseudo-inverse"):
-            UnrollConfig(pseudo_inverse="pinv")
 
     def test_bad_T(self):
         with pytest.raises(ShapeError, match="T >= 1"):

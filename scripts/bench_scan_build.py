@@ -31,7 +31,7 @@ both times.
   - ``setup``: one ``perfbench/run.py --setup-only`` process per workload
     of ``--pairs``, cold and then warm: its set-up seconds and its peak RSS.
   - ``cli``: the wall time of ``qnct reconstruct --method qn`` on a desk
-    fan scan of ``CLI_VIEWS`` views (``--iters`` at its default), cold and
+    fan scan of 32 views (``CLI_SCAN``; ``--iters`` at its default), cold and
     warm, with a hash of the written image.
   - ``paper_inference``: one unrolled inference of a freshly built
     paper-size model (256², d = 96, T = 6) on the paper fan scan of
@@ -89,7 +89,7 @@ CASES = {
     "paper fan 64/512": ("paper", "fan", 512, 64),
     "paper fan 512/512": ("paper", "fan", 512, 512),
 }
-CLI_VIEWS = 32
+CLI_SCAN = "geometry.beam = fan\ngeometry.views = 32\n"
 PAPER_VIEWS = 64
 PAPER_TRAIN_PHANTOMS = 2
 PAPER_TRAIN_STEPS = 2
@@ -268,8 +268,11 @@ def setup_side(checkout: Path, workload: str) -> dict:
 def cli_wall(checkout: Path, env: dict) -> dict:
     """Wall time of one ``qnct reconstruct --method qn`` process."""
     env = {**os.environ, **env, "PYTHONPATH": str(checkout / "src")}
-    geometry = ["--beam", "fan", "--views", str(CLI_VIEWS)]
+    # a config file, which every checkout reads, rather than --views, which
+    # reconstruct took only before it read the view count from --sino
+    geometry = ["--config", "scan.cfg"]
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "scan.cfg").write_text(CLI_SCAN)
         def qnct(*argv, **extra):
             subprocess.run([sys.executable, "-m", "qnct.cli", *argv],
                            cwd=tmp, env={**env, **extra}, check=True,
@@ -349,8 +352,8 @@ def report(parent: Path, change: Path, rounds: int, cache_root: Path,
             parent, change, rounds, cache_root,
             in_child("--setup-side", "--workload", workload))
     sides = rounds_of(parent, change, rounds, cache_root, cli_wall)
-    out["cli"] = {"command": f"reconstruct --method qn --beam fan --views "
-                             f"{CLI_VIEWS}",
+    out["cli"] = {"command": "reconstruct --method qn --config <"
+                             + CLI_SCAN.strip().replace("\n", ", ") + ">",
                   **sides, "same_bytes": same_bytes(sides, ("out_sha256",))}
     out["paper_inference"] = rounds_of(
         parent, change, 1, cache_root,

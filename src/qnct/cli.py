@@ -8,16 +8,20 @@ success or nonzero after printing one machine-parsable line
 sets a config key, so a rerun with the resolved configuration, the same
 paths and --method reproduces the outputs bit for bit.
 
-A command has a flag only for a key it reads: --seed only where a random
-stream is drawn (phantom, noise, train, ood) and --size only where no
-input image fixes the grid. A given flag that the resolved run does not
+A command has a flag only for a key it reads and no input fixes: --seed
+only where a random stream is drawn (phantom, noise, train, ood), --size
+only where no input fixes the grid (the checkpoint under --method
+qn-mixer, the first image with --data-dir, which every other image must
+match), and no --views or --n-det on fbp and reconstruct, whose --sino
+rows are geometry.views (the uniform subset of geometry.n_views_full)
+and columns geometry.n_det. A given flag that the resolved run does not
 read is refused: under a --method that does not read it (reconstruct and
-ood, _METHOD_FLAGS), --sad and --add under a parallel beam, --phantoms
-and --count with --data-dir, phantom --seed for a Shepp-Logan phantom,
---cap without count noise (noise.poisson 0), noise --seed without any
-noise, --reg and --delta under solver.mu 0, --delta unless solver.reg
-is smoothed_tv, and train --unroll-k for the first-order variant. A
-config file may still set any key.
+ood, _METHOD_FLAGS), --sad and --add under a parallel beam, --phantoms,
+--count and --size with --data-dir, phantom --seed for a Shepp-Logan
+phantom, --cap without count noise (noise.poisson 0), noise --seed
+without any noise, --reg and --delta under solver.mu 0, --delta unless
+solver.reg is smoothed_tv, and train --unroll-k for the first-order
+variant. A config file may set any key; a value an input fixes wins.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from . import config as cfgmod
 from . import geometry as geo
 from . import metrics as mt
+from . import mixer as mx
 from . import phantoms
 from . import solvers
 from . import tomo_io as tio
@@ -64,6 +69,8 @@ _GEOMETRY_FLAGS = {
     "sad": ("geometry.sad_mm", "source-to-axis distance in mm (fan)"),
     "add": ("geometry.add_mm", "axis-to-detector distance in mm (fan)"),
 }
+_SCAN_FLAGS = {flag: entry for flag, entry in _GEOMETRY_FLAGS.items()
+               if flag not in ("views", "n_det")}
 
 _NOISE_FLAGS = {
     "poisson": ("noise.poisson", "photon intensity for count noise; 0 disables"),
@@ -129,7 +136,7 @@ def _resolve(args) -> dict:
     if cfg["geometry.beam"] == geo.PARALLEL:
         _refuse_given(args, ("sad", "add"), "geometry.beam parallel")
     if getattr(args, "data_dir", None):
-        _refuse_given(args, ("phantoms", "count"), "--data-dir")
+        _refuse_given(args, ("phantoms", "count", "size"), "--data-dir")
     if cfg["noise.poisson"] == 0:
         _refuse_given(args, ("cap",), "noise.poisson 0")
     if cfg["solver.mu"] == 0:
@@ -169,11 +176,11 @@ def _load_image(path) -> np.ndarray:
     return values
 
 
-def _load_sino(path) -> np.ndarray:
+def _load_sino(path) -> geo.Sinogram:
     values, kind = tio.read_tomo(path)
     if kind != tio.KIND_SINOGRAM:
         raise QnctError(f"{path} holds an image, expected a sinogram")
-    return values
+    return geo.Sinogram(values)
 
 
 def _tomo_files(directory) -> list:
@@ -183,29 +190,44 @@ def _tomo_files(directory) -> list:
     return files
 
 
-def _truths(data_dir, cfg, key: str) -> list:
-    """The .tomo images under data_dir, each image.size square, or else
-    cfg[key] procedural phantoms."""
-    size = cfg["image.size"]
+def _truths(data_dir, cfg, key: str, side=None) -> list:
+    """The .tomo images under data_dir, all side square (side defaults to
+    the first's), or else cfg[key] phantoms; image.size records the side."""
     if data_dir:
         truths = []
         for f in _tomo_files(data_dir):
             image = _load_image(f)
-            if image.shape != (size, size):
-                raise ShapeError(f"{f} is {image.shape}, image.size is {size}")
+            side = side or image.shape[0]
+            if image.shape != (side, side) or not side:
+                raise ShapeError(f"{f} is {image.shape}, image.size is {side}")
             truths.append(image)
+        cfg["image.size"] = side
         return truths
     if cfg[key] < 1:
         raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     rng = substream(cfg["seed"], "data")
-    return [phantoms.random_ellipses(size, rng) for _ in range(cfg[key])]
+    return [phantoms.random_ellipses(cfg["image.size"], rng)
+            for _ in range(cfg[key])]
 
 
-def _load_model(path, cfg) -> ur.QnMixerModel:
-    """Load a checkpoint and record its model keys in the resolved config."""
+def _load_model(path, cfg):
+    """The --weights model and its square grid's side, both recorded in cfg."""
+    if not path:
+        raise QnctError("--method qn-mixer requires --weights")
     model = tr.model_from_checkpoint(path)
+    h, w = mx.image_shape(model.params, model.mixer_config)
+    if h != w:
+        raise ShapeError(f"{path}: model is for {h}x{w} images, not square")
     cfg.update(tr.model_meta(model))
-    return model
+    cfg["image.size"] = h
+    return model, h
+
+
+def _sino_scan(path, cfg):
+    """The sinogram at path and the scan its view and detector counts fix."""
+    y = _load_sino(path)
+    cfg["geometry.views"], cfg["geometry.n_det"] = y.values.shape
+    return y, cfgmod.geometry_from_config(cfg)
 
 
 def _objective(cfg, g: geo.Geometry, sino: geo.Sinogram):
@@ -283,11 +305,9 @@ def cmd_project(args):
 
 def cmd_fbp(args):
     cfg = _resolve(args)
-    g = cfgmod.geometry_from_config(cfg)
-    y = _load_sino(args.sino)
+    y, g = _sino_scan(args.sino, cfg)
     size = cfg["image.size"]
-    _check_views(g, y)
-    rec = geo.fbp(geo.Sinogram(y), g, cfg["unroll.fbp_filter"], h=size, w=size)
+    rec = geo.fbp(y, g, cfg["unroll.fbp_filter"], h=size, w=size)
     out = Path(args.out)
     tio.write_tomo(out, rec.values, tio.KIND_IMAGE)
     _write_resolved(cfg, out, "fbp")
@@ -300,9 +320,8 @@ def cmd_noise(args):
     if cfg["noise.poisson"] == 0 and cfg["noise.gauss_frac"] == 0:
         _refuse_given(args, ("seed",),
                       "noise.poisson 0 and noise.gauss_frac 0")
-    y = _load_sino(args.sino)
     noisy = geo.simulate_measurement(
-        geo.Sinogram(y), cfg["noise.poisson"], cfg["noise.gauss_frac"],
+        _load_sino(args.sino), cfg["noise.poisson"], cfg["noise.gauss_frac"],
         seed=cfg["seed"], attenuation_cap=cfg["noise.attenuation_cap"])
     out = Path(args.out)
     tio.write_tomo(out, noisy.values, tio.KIND_SINOGRAM)
@@ -311,16 +330,8 @@ def cmd_noise(args):
     return 0
 
 
-def _check_views(g: geo.Geometry, y: np.ndarray):
-    if y.shape != (g.n_views, g.n_det):
-        raise QnctError(
-            f"sinogram {y.shape} does not match geometry "
-            f"({g.n_views} views x {g.n_det} detectors); set --views"
-        )
-
-
 # flag -> the --method values that read it; reconstruct and ood refuse a
-# given flag under any other (ood has only --iters and --weights of these)
+# given flag under any other (ood has only --iters, --weights and --size)
 _METHOD_FLAGS = {
     **{flag: ("gd", "qn") for flag in _SOLVER_FLAGS},
     "step": ("gd",),
@@ -328,6 +339,7 @@ _METHOD_FLAGS = {
     "weights": ("qn-mixer",),
     "reference": ("qn-mixer",),
     "intermediates_dir": ("qn-mixer",),
+    "size": ("fbp", "gd", "qn"),
 }
 
 
@@ -342,20 +354,15 @@ def _refuse_unread_flags(args):
 def cmd_reconstruct(args):
     _refuse_unread_flags(args)
     cfg = _resolve(args)
-    g = cfgmod.geometry_from_config(cfg)
-    y = _load_sino(args.sino)
-    _check_views(g, y)
-    size = cfg["image.size"]
+    y, g = _sino_scan(args.sino, cfg)
     out = Path(args.out)
 
     if args.method == "qn-mixer":
-        if not args.weights:
-            raise QnctError("qn-mixer reconstruction requires --weights")
-        model = _load_model(args.weights, cfg)
+        model, size = _load_model(args.weights, cfg)
         reference = (tio.read_tomo(args.reference)[0]
                      if args.reference else None)
         img, trace, inter = ur.unrolled_reconstruct(
-            geo.Sinogram(y), g, model, size, size, reference=reference,
+            y, g, model, size, size, reference=reference,
             keep_intermediates=bool(args.intermediates_dir))
         tio.write_tomo(out, img.values, tio.KIND_IMAGE)
         if args.trace:
@@ -367,7 +374,7 @@ def cmd_reconstruct(args):
                 tio.write_tomo(inter_dir / f"iter{t:03d}.tomo", x_t,
                                tio.KIND_IMAGE)
     else:
-        x, trace = _classical(args.method, cfg, g, geo.Sinogram(y))
+        x, trace = _classical(args.method, cfg, g, y)
         tio.write_tomo(out, x, tio.KIND_IMAGE)
         if args.trace:
             tio.write_csv(args.trace, trace, solvers.TRACE_COLUMNS)
@@ -379,9 +386,9 @@ def cmd_reconstruct(args):
 def cmd_train(args):
     cfg = _resolve(args)
     out_dir = Path(args.out_dir)  # train_unrolled creates it
+    truths = _truths(args.data_dir, cfg, "train.phantoms")
     size = cfg["image.size"]
     seed = cfg["seed"]
-    truths = _truths(args.data_dir, cfg, "train.phantoms")
 
     full_cfg = dict(cfg)
     full_cfg["geometry.views"] = 0  # full-view projection before subsampling
@@ -477,18 +484,15 @@ def cmd_nps(args):
 
 def cmd_ood(args):
     _refuse_unread_flags(args)
-    if args.method == "qn-mixer" and not args.weights:
-        raise QnctError("qn-mixer ood requires --weights")
     cfg = _resolve(args)
     g = cfgmod.geometry_from_config(cfg)
+    model, side = _load_model(args.weights, cfg) \
+        if args.method == "qn-mixer" else (None, None)
+    truths = _truths(args.data_dir, cfg, "ood.count", side)
     size = cfg["image.size"]
-    truths = _truths(args.data_dir, cfg, "ood.count")
-    for truth in truths:  # every image is scored by SSIM
-        if min(truth.shape) < mt.SSIM_WINDOW:
-            raise ShapeError(f"ood: image {truth.shape} is smaller than the "
-                             f"{mt.SSIM_WINDOW}-pixel SSIM window")
-    model = _load_model(args.weights, cfg) \
-        if args.method == "qn-mixer" else None
+    if size < mt.SSIM_WINDOW:  # every image is scored by SSIM
+        raise ShapeError(f"ood: image {truths[0].shape} is smaller than the "
+                         f"{mt.SSIM_WINDOW}-pixel SSIM window")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng_ood = substream(cfg["seed"], "ood")
@@ -552,7 +556,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fbp", help="filtered backprojection")
     p.add_argument("--sino", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _GEOMETRY_FLAGS, _SIZE_FLAGS,
+    _add_config_flags(p, _SCAN_FLAGS, _SIZE_FLAGS,
                       {"filter": ("unroll.fbp_filter", "fbp filter: ram-lak or hann")})
     p.set_defaults(func=cmd_fbp)
 
@@ -572,7 +576,7 @@ def build_parser() -> _Parser:
     p.add_argument("--intermediates-dir",
                    help="dump per-iteration images (qn-mixer)")
     p.add_argument("--reference", help="reference image for trace PSNR")
-    _add_config_flags(p, _GEOMETRY_FLAGS, _SIZE_FLAGS, _SOLVER_FLAGS)
+    _add_config_flags(p, _SCAN_FLAGS, _SIZE_FLAGS, _SOLVER_FLAGS)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("train", help="train the unrolled reconstructor")
@@ -624,7 +628,7 @@ def main(argv=None) -> int:
     except QnctError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

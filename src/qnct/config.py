@@ -11,7 +11,8 @@ also the checkpoint schema: a checkpoint's meta holds exactly these keys
 
 Schema (defaults in parentheses). The scan defaults are those of
 geometry.desk_geometry for the beam, and SAD/ADD those of its fan scan;
-a command's flags set only the keys it reads, but a file may set any key:
+a command's flags set only the keys it reads, but a file may set any key
+(an input that fixes one, such as a sinogram's view count, wins; see cli):
 
   geometry.beam          parallel | fan (parallel)
   geometry.n_views_full  full view count (180)
@@ -151,7 +152,7 @@ def geometry_from_config(cfg: dict) -> geo.Geometry:
     n_full = cfg["geometry.n_views_full"]
     views = cfg["geometry.views"] or n_full
     if views > n_full:
-        raise ConfigError("geometry.views exceeds geometry.n_views_full")
+        raise ConfigError(f"geometry.views {views} exceeds geometry.n_views_full")
     kwargs = dict(
         beam=beam,
         n_views_full=n_full,

@@ -44,7 +44,7 @@ import numpy as np
 import scipy
 from scipy import sparse
 
-from .errors import GeometryError, NonFiniteError
+from .errors import GeometryError, MemoryGuardError, NonFiniteError
 from .init import substream
 
 PARALLEL = "parallel"
@@ -208,6 +208,10 @@ def paper_geometry(view_subset=None) -> Geometry:
 # scan matrices
 # ---------------------------------------------------------------------------
 
+# bytes a scan matrix's arrays may grow to while it is assembled: above the
+# paper-scale full-view A's projected 1.37 GB
+SCAN_MATRIX_BYTE_LIMIT = 2**31
+
 # one scan's A and FBP's B: no training step, unrolled inference, gd/qn
 # solve or CLI command uses more at once, so synthesis's full-view A goes
 # as soon as training resolves its sparse pair; one entry would swap A and
@@ -255,7 +259,9 @@ def _assemble(tables, geometry: Geometry, h: int, w: int):
     running mean's projection plus an eighth and are trimmed at the end, so
     the build peaks near the matrix's own size. Weights are float64;
     indices and indptr are int32 unless the entry or column count needs
-    int64, scipy's rule for stacking CSR blocks.
+    int64, scipy's rule for stacking CSR blocks. A projection whose weights
+    and int32 indices pass SCAN_MATRIX_BYTE_LIMIT is refused before it is
+    allocated.
     """
     n_det, n_views = geometry.n_det, geometry.n_views
     # int64 while filling: the offsets may pass int32 before the end
@@ -270,6 +276,12 @@ def _assemble(tables, geometry: Geometry, h: int, w: int):
         start, end = end, end + block.nnz
         if end > data.size:
             room = end * n_views // (view + 1) * 9 // 8
+            need = room * (data.itemsize + indices.itemsize)
+            if need > SCAN_MATRIX_BYTE_LIMIT:
+                raise MemoryGuardError(
+                    f"the scan matrix of {n_views} views x {n_det} detectors "
+                    f"on a {h}x{w} grid projects to {need} bytes, above "
+                    f"the {SCAN_MATRIX_BYTE_LIMIT}-byte limit")
             for array in (data, indices):
                 array.resize(room, refcheck=False)
         data[start:end] = block.data

@@ -1,5 +1,8 @@
 import argparse
 import itertools
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +122,7 @@ def test_reconstruct_gd_trace_monotone(workspace):
     run(["phantom", "--out", ph])
     run(["project", "--image", ph, "--views", "32", "--out", sino])
     assert run(["reconstruct", "--method", "gd", "--sino", sino,
-                "--views", "32", "--iters", "20", "--reg", "tikhonov",
+                "--iters", "20", "--reg", "tikhonov",
                 "--mu", "0.1", "--out", rec, "--trace", trace]) == 0
     rows = read_rows(trace)
     js = [float(r["J"]) for r in rows]
@@ -140,7 +143,7 @@ def test_reconstruct_qn_trace_has_si_column(workspace):
     run(["phantom", "--out", ph])
     run(["project", "--image", ph, "--views", "16", "--out", sino])
     assert run(["reconstruct", "--method", "qn", "--sino", sino,
-                "--views", "16", "--iters", "8", "--size", "48",
+                "--iters", "8", "--size", "48",
                 "--out", rec, "--trace", trace]) == 0
     rows = read_rows(trace)
     assert "si" in rows[0]
@@ -153,7 +156,7 @@ def test_reconstruct_qn_mixer_requires_weights(workspace, capsys):
     run(["phantom", "--out", ph])
     run(["project", "--image", ph, "--views", "16", "--out", sino])
     code = run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--out", workspace / "r.tomo"])
+                "--out", workspace / "r.tomo"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error QnctError:") and err.count("\n") == 1
@@ -178,10 +181,8 @@ def test_reconstruct_qn_mixer_cold_start_matches_fbp(workspace):
     rec_mixer = workspace / "rm.tomo"
     rec_fbp = workspace / "rf.tomo"
     assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--weights", weights,
-                "--out", rec_mixer]) == 0
-    assert run(["fbp", "--sino", sino, "--views", "16",
-                "--out", rec_fbp]) == 0
+                "--weights", weights, "--out", rec_mixer]) == 0
+    assert run(["fbp", "--sino", sino, "--out", rec_fbp]) == 0
     assert tio.read_tomo(rec_mixer)[0].tobytes() == \
         tio.read_tomo(rec_fbp)[0].tobytes()
 
@@ -196,8 +197,7 @@ def test_truncated_checkpoint_is_one_error_line(workspace, capsys):
     weights.write_bytes(weights.read_bytes()[:-16])
     capsys.readouterr()
     code = run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--weights", weights,
-                "--out", workspace / "r.tomo"])
+                "--weights", weights, "--out", workspace / "r.tomo"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error CheckpointError:") and err.count("\n") == 1
@@ -217,13 +217,89 @@ def one_error_line(capsys, kind):
     return err
 
 
+@pytest.mark.parametrize("method", ["fbp", "gd", "qn", "qn-mixer"])
+def test_the_sinogram_fixes_the_view_and_detector_counts(workspace, method):
+    # a 16-view, 128-detector sinogram, given no count flag, is read on the
+    # uniform 16 of 180 views with 128 detectors, which the config records
+    ph, sino, rec = (workspace / name for name in ("ph.tomo", "s.tomo",
+                                                   "r.tomo"))
+    run(["phantom", "--size", "32", "--out", ph])
+    assert run(["project", "--image", ph, "--views", "16", "--n-det", "128",
+                "--out", sino]) == 0
+    weights = workspace / "cold.ckpt"
+    make_cold_checkpoint(weights, size=32)
+    argv = {"fbp": ["fbp", "--size", "32"],
+            "qn-mixer": ["reconstruct", "--method", method,
+                         "--weights", weights]}.get(
+        method, ["reconstruct", "--method", method, "--size", "32",
+                 "--iters", "2"])
+    assert run([*argv, "--sino", sino, "--out", rec]) == 0
+    text = (workspace / "r.tomo.cfg").read_text()
+    assert "geometry.views = 16\n" in text and "geometry.n_det = 128\n" in text
+
+    views = geo.uniform_view_subset(180, 16)
+    g = replace(geo.desk_geometry(view_subset=views), n_det=128)
+    y = geo.Sinogram(tio.read_tomo(sino)[0])
+    if method == "qn-mixer":
+        model = tr.model_from_checkpoint(weights)
+        want = ur.unrolled_reconstruct(y, g, model, 32, 32)[0].values
+    else:  # "fbp" stops at FBP
+        cfg = cfgmod.resolve_config(None, {"image.size": 32,
+                                           "solver.iters": 2})
+        want = cli._classical(method, cfg, g, y)[0]
+    assert tio.read_tomo(rec)[0].tobytes() == \
+        want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("flag", ["--views", "--n-det"])
+@pytest.mark.parametrize("command", [["fbp"],
+                                     ["reconstruct", "--method", "gd"]],
+                         ids=["fbp", "reconstruct"])
+def test_the_sinograms_counts_are_no_flags(workspace, capsys, command, flag):
+    sino = scan(workspace)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--sino", sino, flag, "16", "--out",
+             workspace / "r.tomo"])
+    assert exc.value.code == 2
+    assert flag in one_error_line(capsys, "usage")
+    assert not (workspace / "r.tomo").exists()
+
+
+@pytest.mark.parametrize("argv,reader", [
+    (["reconstruct", "--method", "qn-mixer", "--out"], "--method qn-mixer"),
+    (["ood", "--method", "qn-mixer", "--out-dir"], "--method qn-mixer"),
+    (["train", "--data-dir", "data", "--out-dir"], "--data-dir"),
+    (["ood", "--data-dir", "data", "--out-dir"], "--data-dir"),
+], ids=["reconstruct-qn-mixer", "ood-qn-mixer", "train-data-dir",
+        "ood-data-dir"])
+def test_size_is_refused_where_an_input_fixes_the_grid(workspace, capsys,
+                                                       monkeypatch, argv,
+                                                       reader):
+    monkeypatch.chdir(workspace)
+    sino = scan(workspace)
+    make_cold_checkpoint(workspace / "w.ckpt", size=32)
+    (workspace / "data").mkdir()
+    tio.write_tomo(workspace / "data" / "a.tomo",
+                   np.ones((32, 32), np.float32), tio.KIND_IMAGE)
+    inputs = ["--sino", sino] if argv[0] == "reconstruct" else []
+    if "qn-mixer" in argv:
+        inputs += ["--weights", "w.ckpt"]
+    capsys.readouterr()
+    before = set(workspace.rglob("*"))
+    assert run([*argv[:-1], *inputs, "--size", "32", argv[-1], "out"]) == 1
+    err = one_error_line(capsys, "ConfigError")
+    assert f"{reader} does not read --size (image.size)" in err
+    assert set(workspace.rglob("*")) == before
+
+
 def test_qn_mixer_records_the_checkpoints_model_keys(workspace):
     sino = scan(workspace)
     weights = workspace / "cold.ckpt"
     make_cold_checkpoint(weights, T=2)
     rec = workspace / "r.tomo"
     assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--weights", weights, "--out", rec]) == 0
+                "--weights", weights, "--out", rec]) == 0
     assert run(["ood", "--out-dir", workspace / "ood", "--method",
                 "qn-mixer", "--weights", weights, "--count", "1",
                 "--views", "16"]) == 0
@@ -235,15 +311,39 @@ def test_qn_mixer_records_the_checkpoints_model_keys(workspace):
 
 
 def test_checkpoint_for_another_image_size_names_both(workspace, capsys):
-    sino = scan(workspace)
+    # the checkpoint fixes the grid, which every --data-dir image must match
+    data = workspace / "data"
+    data.mkdir()
+    tio.write_tomo(data / "a.tomo", np.ones((64, 64), np.float32),
+                   tio.KIND_IMAGE)
     weights = workspace / "small.ckpt"
     make_cold_checkpoint(weights, size=32)
     capsys.readouterr()
-    assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--weights", weights,
-                "--out", workspace / "r.tomo"]) == 1
+    assert run(["ood", "--method", "qn-mixer", "--weights", weights,
+                "--data-dir", data, "--out-dir", workspace / "ood"]) == 1
     err = one_error_line(capsys, "ShapeError")
-    assert "model is for 32x32 images, got 64x64" in err
+    assert "a.tomo is (64, 64), image.size is 32" in err
+    assert not (workspace / "ood").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "ood"])
+def test_a_checkpoint_fixes_the_image_grid(workspace, command):
+    # a 32² checkpoint runs without --size; its resolved config records the
+    # grid, and a rerun from it writes the same bytes
+    weights = workspace / "small.ckpt"
+    make_cold_checkpoint(weights, size=32)
+    given = ["--method", "qn-mixer", "--weights", weights]
+    first, again = workspace / "first", workspace / "again"
+    if command == "reconstruct":
+        given += ["--sino", scan(workspace)]
+        first, again = first.with_suffix(".tomo"), again.with_suffix(".tomo")
+        out_flag, cfg = "--out", workspace / "first.tomo.cfg"
+    else:
+        out_flag, cfg = "--out-dir", first / "resolved.cfg"
+    assert run([command, *given, out_flag, first]) == 0
+    assert "image.size = 32\n" in cfg.read_text()
+    assert run([command, *given, "--config", cfg, out_flag, again]) == 0
+    assert outputs(again) == outputs(first)
 
 
 @pytest.mark.parametrize("drop,meta_edits,kind", [
@@ -264,8 +364,7 @@ def test_bad_checkpoint_is_one_error_line(workspace, capsys, drop,
                     weights, meta)
     capsys.readouterr()
     assert run(["reconstruct", "--method", "qn-mixer", "--sino", sino,
-                "--views", "16", "--weights", weights,
-                "--out", workspace / "r.tomo"]) == 1
+                "--weights", weights, "--out", workspace / "r.tomo"]) == 1
     one_error_line(capsys, kind)
     assert not (workspace / "r.tomo").exists()
 
@@ -276,8 +375,7 @@ def test_garbled_tomo_header_is_one_error_line(workspace, capsys):
     blob[8:16] = b"\xff" * 8
     sino.write_bytes(bytes(blob))
     capsys.readouterr()
-    assert run(["fbp", "--sino", sino, "--views", "16",
-                "--out", workspace / "r.tomo"]) == 1
+    assert run(["fbp", "--sino", sino, "--out", workspace / "r.tomo"]) == 1
     one_error_line(capsys, "QnctError")
 
 
@@ -360,7 +458,9 @@ def test_refused_run_leaves_no_output_dir(workspace, capsys, monkeypatch,
                                           argv, kind):
     monkeypatch.chdir(workspace)
     command, *flags = argv  # a case's own flags come last, so they win
-    assert run([command, "--out-dir", "run", "--size", "16", "--views", "8",
+    # the checkpoint fixes the grid under qn-mixer, which refuses --size
+    size = [] if "qn-mixer" in flags else ["--size", "16"]
+    assert run([command, "--out-dir", "run", *size, "--views", "8",
                 *flags]) == 1
     one_error_line(capsys, kind)
     assert not (workspace / "run").exists()
@@ -411,25 +511,57 @@ def test_train_honours_the_attenuation_cap(workspace):
     assert checkpoint("1.0") != checkpoint("4.0")
 
 
-@pytest.mark.parametrize("sides", [(16, 32), (32, 32)],
-                         ids=["mixed", "other-size"])
+@pytest.mark.parametrize("shapes,bad,side", [
+    (((16, 16), (32, 32)), "b", 16),
+    (((16, 32), (16, 32)), "a", 16),
+    (((0, 0), (0, 0)), "a", 0),
+], ids=["mixed", "non-square", "empty"])
 @pytest.mark.parametrize("command", ["train", "ood"])
 def test_data_dir_image_of_another_size_is_one_error_line(
-        workspace, capsys, monkeypatch, command, sides):
+        workspace, capsys, monkeypatch, command, shapes, bad, side):
+    # the first image fixes the grid, so it must be a non-empty square and
+    # every other image the same square
     data = workspace / "data"
     data.mkdir()
-    for name, n in zip("ab", sides):
-        tio.write_tomo(data / f"{name}.tomo", np.ones((n, n), np.float32),
+    for name, shape in zip("ab", shapes):
+        tio.write_tomo(data / f"{name}.tomo", np.ones(shape, np.float32),
                        tio.KIND_IMAGE)
     projected = []
     monkeypatch.setattr(geo, "forward_project",
                         lambda *args: projected.append(1))
     assert run([command, "--data-dir", data, "--out-dir", workspace / "run",
-                "--size", "16", "--views", "8"]) == 1
-    bad = "a" if sides[0] != 16 else "b"
+                "--views", "8"]) == 1
     err = one_error_line(capsys, "ShapeError")
-    assert f"{bad}.tomo is (32, 32)" in err
+    assert f"{bad}.tomo is (" in err and f"image.size is {side}" in err
     assert not projected and not (workspace / "run").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--steps", "1", "--mixer-d", "12", "--unroll-T", "1"]),
+    ("ood", ["--method", "fbp"]),
+], ids=["train", "ood"])
+def test_data_dir_images_fix_the_image_grid(workspace, command, flags):
+    # 32² images run at 32² without --size; the resolved config records the
+    # grid, and a rerun from it writes the same bytes
+    data = workspace / "data"
+    data.mkdir()
+    rng = np.random.default_rng(5)
+    for name in "ab":
+        tio.write_tomo(data / f"{name}.tomo",
+                       rng.uniform(size=(32, 32)).astype(np.float32),
+                       tio.KIND_IMAGE)
+    first, again = workspace / "first", workspace / "again"
+    assert run([command, "--data-dir", data, "--views", "8", *flags,
+                "--out-dir", first]) == 0
+    cfg = first / "resolved.cfg"
+    assert "image.size = 32\n" in cfg.read_text()
+    method = flags[:2] if command == "ood" else []
+    assert run([command, "--data-dir", data, *method, "--config", cfg,
+                "--out-dir", again]) == 0
+    assert outputs(again) == outputs(first)
+    if command == "train":
+        model = tr.model_from_checkpoint(first / "epoch0000.ckpt")
+        assert mx.image_shape(model.params, model.mixer_config) == (32, 32)
 
 
 def test_eval_identical_dirs_gives_unit_ssim(workspace):
@@ -547,6 +679,45 @@ def test_ood_image_too_small_for_a_disk_is_one_error_line(workspace, capsys,
     assert f"({size}, {size})" in one_error_line(capsys, "ShapeError")
 
 
+@pytest.mark.parametrize("kind", ["MemoryGuardError", "MemoryError"])
+def test_a_build_past_memory_is_one_error_line(workspace, capsys, monkeypatch,
+                                               scan_cache_dir, kind):
+    # fbp builds its FBP matrix in this process: refused by the scan-matrix
+    # guard, or failing for want of memory
+    sino = scan(workspace)
+    geo._scan_matrix.cache_clear()
+    if kind == "MemoryGuardError":
+        monkeypatch.setattr(geo, "SCAN_MATRIX_BYTE_LIMIT", 1)
+    else:
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 54.0 GiB")
+        monkeypatch.setattr(geo, "_assemble", no_memory)
+    capsys.readouterr()
+    out = workspace / "r.tomo"
+    assert run(["fbp", "--sino", sino, "--out", out]) == 1
+    one_error_line(capsys, kind)
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_usage_block_parses():
+    # every qnct line of README's CLI block, continuations joined, parses
+    # with today's flags, and the block shows every command
+    block = README.read_text().split("\n## CLI\n")[1].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line)[1:] for line in lines
+             if line.startswith("qnct ")]
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README's line does not parse: qnct " + " ".join(argv))
+    assert {argv[0] for argv in argvs} == set(subcommands())
+
+
 def test_unknown_flag_exits_nonzero_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phantom", "--nope", "--out", "x.tomo"])
@@ -623,8 +794,8 @@ def test_non_finite_solver_parameter_is_one_error_line(workspace, capsys,
     sino = scan(workspace)
     capsys.readouterr()
     rec = workspace / "r.tomo"
-    assert run(["reconstruct", "--sino", sino, "--views", "16",
-                "--iters", "2", "--out", rec, *argv]) == 1
+    assert run(["reconstruct", "--sino", sino, "--iters", "2",
+                "--out", rec, *argv]) == 1
     assert name in one_error_line(capsys, "ShapeError")
     assert not rec.exists()
 
@@ -641,7 +812,7 @@ def test_classical_reconstruct_refuses_qn_mixer_flags(workspace, capsys,
     # none of the named paths exists, and none may be created
     flags = [a for name in names for a in (f"--{name}", workspace / name)]
     assert run(["reconstruct", "--method", method, "--sino", sino,
-                "--views", "16", "--iters", "1", "--out", rec, *flags]) == 1
+                "--iters", "1", "--out", rec, *flags]) == 1
     err = one_error_line(capsys, "ConfigError")
     assert all(f"--{name}" in err for name in names)
     assert not rec.exists()
@@ -664,11 +835,10 @@ def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     # reconstruct does: one iteration of each from the same truth matches
     cfg = workspace / "hann.cfg"
     cfg.write_text("unroll.fbp_filter = hann\n")
-    flags = ["--size", "32", "--views", "16"]
     iters = [] if method == "fbp" else ["--iters", "1"]
     out = workspace / "ood"
     assert run(["ood", "--out-dir", out, "--method", method, "--count", "1",
-                *iters, "--config", cfg, *flags]) == 0
+                *iters, "--config", cfg, "--size", "32", "--views", "16"]) == 0
     sino = workspace / "s.tomo"
     assert run(["project", "--image", out / "000_truth.tomo", "--out", sino,
                 "--views", "16"]) == 0
@@ -678,7 +848,7 @@ def test_ood_classical_methods_honour_the_fbp_filter(workspace, method):
     else:
         argv = ["reconstruct", "--method", method, "--sino", sino,
                 "--out", rec, "--iters", "1", "--config", cfg]
-    assert run([*argv, *flags]) == 0
+    assert run([*argv, "--size", "32"]) == 0
     assert tio.read_tomo(out / "000_recon.tomo")[0].tobytes() == \
         tio.read_tomo(rec)[0].tobytes()
 
@@ -731,14 +901,21 @@ def test_every_option_sets_a_config_key_or_names_a_path():
 
 
 class ReadLog(dict):
-    """A config that adds each key read from it to reads."""
+    """A config that adds each key read from it to reads, unless the run
+    set that key first (to a value its inputs fix), which adds it to
+    derived."""
 
-    def __init__(self, cfg, reads):
+    def __init__(self, cfg, reads, derived):
         super().__init__(cfg)
-        self.reads = reads
+        self.reads, self.derived = reads, derived
+
+    def __setitem__(self, key, value):
+        self.derived.add(key)
+        super().__setitem__(key, value)
 
     def __getitem__(self, key):
-        self.reads.add(key)
+        if key not in self.derived:
+            self.reads.add(key)
         return super().__getitem__(key)
 
 
@@ -811,18 +988,19 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
     # one run of each command, --method and unread-making setting logs the
     # config keys its body reads; then each declared flag whose key it did
     # not read must be refused, with one ConfigError line naming flag and
-    # key, and no output
-    reads = set()
+    # key, and no output. A key the body sets from an input (the grid of a
+    # checkpoint or of --data-dir) before reading it is not read.
+    reads, derived = set(), set()
     resolve, write = cli._resolve, cli._write_resolved
     from_config = cfgmod.geometry_from_config
     monkeypatch.setattr(cli, "_resolve",
-                        lambda args: ReadLog(resolve(args), reads))
+                        lambda args: ReadLog(resolve(args), reads, derived))
     # writing the resolved config reads every key, so it reads a copy
     monkeypatch.setattr(cli, "_write_resolved",
                         lambda cfg, *rest: write(dict(cfg), *rest))
     # train builds its full-view scan from a copy of its config
     monkeypatch.setattr(cfgmod, "geometry_from_config",
-                        lambda cfg: from_config(ReadLog(cfg, reads)))
+                        lambda cfg: from_config(ReadLog(cfg, reads, derived)))
     cfg = workspace / "audit.cfg"
     values = cfgmod.resolve_config(AUDIT_CONFIG, {})
     outs = (workspace / f"out{n}" for n in itertools.count())
@@ -830,6 +1008,7 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
     unread = []
     for label, command, argv in list(audit_runs(workspace)):
         reads.clear()
+        derived.clear()
         assert run([command, "--config", cfg, *argv, next(outs)]) == 0, \
             capsys.readouterr().err
         read = set(reads)
@@ -878,8 +1057,8 @@ def test_a_flag_the_run_leaves_unread_is_refused(workspace, capsys, argv,
     command, *flags = argv
     out = workspace / "out"
     setup = {"noise": lambda: ["--sino", scan(workspace), "--out", out],
-             "reconstruct": lambda: ["--sino", scan(workspace), "--views",
-                                     "16", "--iters", "1", "--out", out],
+             "reconstruct": lambda: ["--sino", scan(workspace), "--iters",
+                                     "1", "--out", out],
              "train": lambda: ["--out-dir", out, "--phantoms", "1", "--size",
                                "16", "--views", "8", "--steps", "1",
                                "--mixer-d", "12"]}[command]()
@@ -904,11 +1083,11 @@ def outputs(path):
     (["phantom", "--kind", "random-ellipses", "--seed", "7", "--size", "32"],
      "--out", []),
     (["reconstruct", "--iters", "7", "--lam", "2", "--reg", "smoothed_tv",
-      "--mu", "0.02", "--delta", "0.01", "--views", "16"],
+      "--mu", "0.02", "--delta", "0.01"],
      "--out", ["--method", "gd", "--sino"]),
     (["reconstruct", "--iters", "5", "--line-search", "exact-quadratic",
-      "--mu", "0.1", "--views", "16"], "--out", ["--method", "qn", "--sino"]),
-    (["reconstruct", "--iters", "4", "--step", "1e-5", "--views", "16"],
+      "--mu", "0.1"], "--out", ["--method", "qn", "--sino"]),
+    (["reconstruct", "--iters", "4", "--step", "1e-5"],
      "--out", ["--method", "gd", "--sino"]),
     (["ood", "--count", "2", "--value", "0.7", "--iters", "3", "--size", "32",
       "--views", "16"], "--out-dir", ["--method", "qn"]),
@@ -952,7 +1131,7 @@ def test_bad_solver_or_phantom_value_is_one_error_line(workspace, capsys,
                                                        argv, key):
     out = workspace / "out.tomo"
     if argv[0] == "reconstruct":
-        argv = [*argv, "--sino", scan(workspace), "--views", "16"]
+        argv = [*argv, "--sino", scan(workspace)]
     capsys.readouterr()
     assert run([*argv, "--out", out]) == 1
     assert key in one_error_line(capsys, "ConfigError")
@@ -968,8 +1147,7 @@ def test_solver_keys_come_from_the_config_file_and_flags_override(workspace):
     def reconstruct(name, *flags):
         out = workspace / name
         assert run(["reconstruct", "--method", "gd", "--sino", sino,
-                    "--views", "16", "--iters", "3", "--out", out,
-                    *flags]) == 0
+                    "--iters", "3", "--out", out, *flags]) == 0
         return out.read_bytes()
 
     from_file = reconstruct("file.tomo", "--config", cfg)
@@ -990,8 +1168,8 @@ def test_mu_0_is_no_regularizer_whatever_the_kind(workspace, method):
         cfg.write_text(f"solver.reg = {reg}\n")
         out = workspace / f"{reg}.tomo"
         assert run(["reconstruct", "--method", method, "--sino", sino,
-                    "--views", "16", "--iters", "3", "--config", cfg,
-                    "--mu", "0", "--out", out]) == 0
+                    "--iters", "3", "--config", cfg, "--mu", "0",
+                    "--out", out]) == 0
         images.add(out.read_bytes())
     assert len(images) == 1
 

@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.sparse._base import _spbase
 
 from qnct import geometry as geo
-from qnct.errors import GeometryError
+from qnct.errors import GeometryError, MemoryGuardError
 from qnct.phantoms import disk, random_ellipses, shepp_logan
 
 
@@ -300,6 +300,23 @@ def test_subset_build_peaks_near_its_sampling_tables(beam):
         tracemalloc.stop()
     nbytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak <= 3.8 * nbytes
+
+
+@pytest.mark.parametrize("tables", [geo._ray_tables, geo._pixel_tables],
+                         ids=["A", "B"])
+def test_a_scan_matrix_past_the_byte_limit_is_refused(monkeypatch, tables):
+    # the arrays' projected growth (a float64 weight and an int32 index per
+    # entry) is checked before each resize: half the 16² matrix's bytes
+    # refuse the build, twice them let it through
+    g = geo.desk_geometry(view_subset=subset(180, 8))
+    matrix, _ = geo._scan_matrix(fresh(tables), g, 16, 16)
+    nbytes = matrix.nnz * (8 + 4)
+    monkeypatch.setattr(geo, "SCAN_MATRIX_BYTE_LIMIT", nbytes // 2)
+    with pytest.raises(MemoryGuardError,
+                       match="8 views x 96 detectors on a 16x16 grid"):
+        geo._scan_matrix(fresh(tables), g, 16, 16)
+    monkeypatch.setattr(geo, "SCAN_MATRIX_BYTE_LIMIT", 2 * nbytes)
+    assert geo._scan_matrix(fresh(tables), g, 16, 16)[0].nnz == matrix.nnz
 
 
 def test_zero_sinogram_backprojects_to_zero():

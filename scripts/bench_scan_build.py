@@ -81,13 +81,13 @@ from bench_kernels import (_import_side, alternate, bench_parser, checkouts,
                            child, medians, pairs, parse_args, peak_rss_mb,
                            summarize, write_report)
 
-# case -> (scan, beam, full view count, kept views)
+# case -> (scan, beam, kept views)
 CASES = {
-    "desk parallel 16/180": ("desk", "parallel", 180, 16),
-    "desk fan 32/180": ("desk", "fan", 180, 32),
-    "desk fan 180/180": ("desk", "fan", 180, 180),
-    "paper fan 64/512": ("paper", "fan", 512, 64),
-    "paper fan 512/512": ("paper", "fan", 512, 512),
+    "desk parallel 16/180": ("desk", "parallel", 16),
+    "desk fan 32/180": ("desk", "fan", 32),
+    "desk fan 180/180": ("desk", "fan", 180),
+    "paper fan 64/512": ("paper", "fan", 64),
+    "paper fan 512/512": ("paper", "fan", 512),
 }
 CLI_SCAN = "geometry.beam = fan\ngeometry.views = 32\n"
 PAPER_VIEWS = 64
@@ -99,11 +99,10 @@ SETUP_SEED = 1
 
 
 def _scan(geo, case):
-    scan, beam, n_full, n_v = CASES[case]
-    views = geo.uniform_view_subset(n_full, n_v)
+    scan, beam, n_v = CASES[case]
     if scan == "paper":
-        return geo.paper_geometry(views), PAPER_SIZE
-    return geo.desk_geometry(beam, views), DESK_SIZE
+        return geo.paper_geometry(n_v), PAPER_SIZE
+    return geo.desk_geometry(beam, n_v), DESK_SIZE
 
 
 def matrix_sha256(matrix) -> str:
@@ -169,7 +168,7 @@ def build_case(q, case) -> dict:
 
 def paper_inference(q) -> dict:
     geo, ur = q.geometry, q.unroll
-    g = geo.paper_geometry(geo.uniform_view_subset(512, PAPER_VIEWS))
+    g = geo.paper_geometry(PAPER_VIEWS)
     n = PAPER_SIZE
     image = geo.Image(q.phantoms.shepp_logan(n), g.pixel_mm(n))
     model = ur.QnMixerModel.build(n, n, 0, q.mixer.MixerConfig(d=96),

@@ -199,7 +199,7 @@ def step_recipe(q, n: int, d: int):
     geometry with n_det = 1.5 n, and a fresh T = 6, k = 2 model."""
     geo = q.geometry
     g = geo.Geometry(n_det=3 * n // 2, det_spacing_mm=128.0 / n,
-                     view_subset=geo.uniform_view_subset(180, 16))
+                     n_views=16)
     rng = q.init.substream(0, "data")
     items = []
     for idx in range(3):

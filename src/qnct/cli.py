@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -169,18 +170,25 @@ def _write_resolved(cfg: dict, out_path: Path, command: str):
         fh.write(cfgmod.format_config(cfg))
 
 
+def _nonempty(path, values: np.ndarray) -> np.ndarray:
+    """values, refused before any work if a side is empty."""
+    if 0 in values.shape:
+        raise ShapeError(f"{path} is {values.shape}, with an empty side")
+    return values
+
+
 def _load_image(path) -> np.ndarray:
     values, kind = tio.read_tomo(path)
     if kind != tio.KIND_IMAGE:
         raise QnctError(f"{path} holds a sinogram, expected an image")
-    return values
+    return _nonempty(path, values)
 
 
 def _load_sino(path) -> geo.Sinogram:
     values, kind = tio.read_tomo(path)
     if kind != tio.KIND_SINOGRAM:
         raise QnctError(f"{path} holds an image, expected a sinogram")
-    return geo.Sinogram(values)
+    return geo.Sinogram(_nonempty(path, values))
 
 
 def _tomo_files(directory) -> list:
@@ -198,7 +206,7 @@ def _truths(data_dir, cfg, key: str, side=None) -> list:
         for f in _tomo_files(data_dir):
             image = _load_image(f)
             side = side or image.shape[0]
-            if image.shape != (side, side) or not side:
+            if image.shape != (side, side):
                 raise ShapeError(f"{f} is {image.shape}, image.size is {side}")
             truths.append(image)
         cfg["image.size"] = side
@@ -390,12 +398,10 @@ def cmd_train(args):
     size = cfg["image.size"]
     seed = cfg["seed"]
 
-    full_cfg = dict(cfg)
-    full_cfg["geometry.views"] = 0  # full-view projection before subsampling
-    g_full = cfgmod.geometry_from_config(full_cfg)
-    n_views = cfg["geometry.views"] or g_full.n_views_full
-    items, g_sparse = tr.synthesize_dataset(
-        truths, g_full, n_views, cfg["noise.poisson"],
+    g = cfgmod.geometry_from_config(cfg)
+    # projected on every view, then subsampled to g's
+    items, g = tr.synthesize_dataset(
+        truths, replace(g, n_views=None), g.n_views, cfg["noise.poisson"],
         cfg["noise.gauss_frac"], seed, cfg["noise.attenuation_cap"])
 
     model = ur.QnMixerModel.build(size, size, seed, *tr.model_configs(cfg))
@@ -407,7 +413,7 @@ def cmd_train(args):
         seed=seed, max_steps=cfg["train.max_steps"] or None,
         checkpoint_dir=str(out_dir),
     )
-    model, curve = tr.train_unrolled(items, g_sparse, model, train_config)
+    model, curve = tr.train_unrolled(items, g, model, train_config)
     tio.write_csv(out_dir / "loss.csv", curve, ("step", "epoch", "loss", "lr"))
     _write_resolved(cfg, out_dir, "train")
     print(f"trained {len(curve)} steps; checkpoints and loss.csv in {out_dir}")

@@ -23,7 +23,7 @@ a command's flags set only the keys it reads, but a file may set any key
   geometry.image_extent_mm (128.0)
   geometry.sad_mm        fan only (300.0)
   geometry.add_mm        fan only (150.0)
-  geometry.views         kept view count (= n_views_full)
+  geometry.views         kept view count, 0 for all (0)
   image.size             reconstruction grid (64)
   noise.poisson          photon intensity, 0 disables (0.0)
   noise.gauss_frac       relative gaussian level (0.0)
@@ -149,19 +149,15 @@ def geometry_from_config(cfg: dict) -> geo.Geometry:
     beam = cfg["geometry.beam"]
     if beam not in (geo.PARALLEL, geo.FAN):
         raise ConfigError(f"geometry.beam must be parallel or fan, got {beam!r}")
-    n_full = cfg["geometry.n_views_full"]
-    views = cfg["geometry.views"] or n_full
-    if views > n_full:
-        raise ConfigError(f"geometry.views {views} exceeds geometry.n_views_full")
     kwargs = dict(
         beam=beam,
-        n_views_full=n_full,
+        n_views_full=cfg["geometry.n_views_full"],
         n_det=cfg["geometry.n_det"],
         angular_range=(cfg["geometry.angular_start"],
                        cfg["geometry.angular_end"]),
         det_spacing_mm=cfg["geometry.det_spacing_mm"],
         image_extent_mm=cfg["geometry.image_extent_mm"],
-        view_subset=geo.uniform_view_subset(n_full, views),
+        n_views=cfg["geometry.views"] or None,  # 0 keeps every view
     )
     if beam == geo.FAN:
         kwargs.update(sad_mm=cfg["geometry.sad_mm"], add_mm=cfg["geometry.add_mm"])

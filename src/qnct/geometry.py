@@ -2,10 +2,10 @@
 
 The forward projector is ray-driven with Joseph-style bilinear sampling at a
 fixed step of half a pixel. It is assembled once per (scan, image size) as a
-sparse matrix A over the scan's own views (a view subset never builds the
-full-view matrix), in place: view by view into CSR arrays that grow to fit,
-with int32 indices unless the matrix needs int64, so the build peaks near
-A's own size. A is cached with its transposed view Aᵀ, built once per
+sparse matrix A over the scan's own views (a sparse-view scan never builds
+the full-view matrix), in place: view by view into CSR arrays that grow to
+fit, with int32 indices unless the matrix needs int64, so the build peaks
+near A's own size. A is cached with its transposed view Aᵀ, built once per
 cache entry and sharing A's arrays; the adjoint applies that view, so the
 pair is a matched transpose by construction. FBP uses the spatial-domain
 ramp kernel realized over a zero-padded FFT (even kernel, hence a symmetric
@@ -37,7 +37,7 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +51,14 @@ PARALLEL = "parallel"
 FAN = "fan"
 
 
-def _as_view_tuple(views) -> tuple:
-    return tuple(int(v) for v in views)
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Scan description; defines the forward operator.
 
     angular_range is [start, end) in radians over the full view set; a
-    limited-angle scan is just a narrower range. view_subset indexes into
-    the full set of n_views_full uniformly spaced views.
+    limited-angle scan is just a narrower range. The scan keeps n_views of
+    the n_views_full uniformly spaced views, those of uniform_views;
+    None keeps them all.
     """
 
     beam: str = PARALLEL
@@ -72,7 +69,7 @@ class Geometry:
     image_extent_mm: float = 128.0
     sad_mm: float | None = None
     add_mm: float | None = None
-    view_subset: tuple = field(default=None)
+    n_views: int | None = None
 
     def __post_init__(self):
         if self.beam not in (PARALLEL, FAN):
@@ -96,17 +93,12 @@ class Geometry:
             raise GeometryError(
                 f"angular_range must be finite with end > start, got "
                 f"({start}, {end})")
-        subset = self.view_subset
-        if subset is None:
-            subset = range(self.n_views_full)
-        subset = _as_view_tuple(subset)
-        if any(b <= a for a, b in zip(subset, subset[1:])) or not subset:
-            raise GeometryError("view_subset must be non-empty, strictly increasing")
-        if subset[0] < 0 or subset[-1] >= self.n_views_full:
+        n_v = self.n_views_full if self.n_views is None else self.n_views
+        if n_v != int(n_v) or not 1 <= n_v <= self.n_views_full:
             raise GeometryError(
-                f"view_subset out of range [0, {self.n_views_full})"
-            )
-        object.__setattr__(self, "view_subset", subset)
+                f"cannot keep {n_v} of {self.n_views_full} views")
+        # a plain int, so the repr (and the disk-cache key) is canonical
+        object.__setattr__(self, "n_views", int(n_v))
         diagonal = self.image_extent_mm * np.sqrt(2.0)
         coverage = self.n_det * self.det_spacing_mm
         if self.beam == FAN:
@@ -118,14 +110,11 @@ class Geometry:
                 stacklevel=3,  # past the generated __init__ to its caller
             )
 
-    @property
-    def n_views(self) -> int:
-        return len(self.view_subset)
-
     def view_angles(self) -> np.ndarray:
         start, end = self.angular_range
         step = (end - start) / self.n_views_full
-        return start + step * np.asarray(self.view_subset, dtype=np.float64)
+        keep = uniform_views(self.n_views_full, self.n_views)
+        return start + step * np.asarray(keep, dtype=np.float64)
 
     def full_circle(self) -> bool:
         start, end = self.angular_range
@@ -160,7 +149,7 @@ class Image:
 
 @dataclass
 class Sinogram:
-    """Line-integral grid, one row per view in view_subset order."""
+    """Line-integral grid, one row per kept view in angle order."""
 
     values: np.ndarray
 
@@ -182,25 +171,27 @@ class Sinogram:
         return self.values.shape[1]
 
 
-def desk_geometry(beam: str = PARALLEL, view_subset=None) -> Geometry:
-    """Default desk-scale scan: 64x64 image, 96 detectors, 180 full views."""
+def desk_geometry(beam: str = PARALLEL, n_views: int | None = None) -> Geometry:
+    """Default desk-scale scan: 64x64 image, 96 detectors, n_views of 180
+    full views (all by default)."""
     if beam == FAN:
         return Geometry(
             beam=FAN, n_views_full=180, n_det=96,
             angular_range=(0.0, 2.0 * np.pi), det_spacing_mm=3.0,
             image_extent_mm=128.0, sad_mm=300.0, add_mm=150.0,
-            view_subset=view_subset,
+            n_views=n_views,
         )
-    return Geometry(view_subset=view_subset)
+    return Geometry(n_views=n_views)
 
 
-def paper_geometry(view_subset=None) -> Geometry:
-    """Full-scale scan: 256x256 image, 512 detectors, 512 fan views."""
+def paper_geometry(n_views: int | None = None) -> Geometry:
+    """Full-scale scan: 256x256 image, 512 detectors, n_views of 512 fan
+    views (all by default)."""
     return Geometry(
         beam=FAN, n_views_full=512, n_det=512,
         angular_range=(0.0, 2.0 * np.pi), det_spacing_mm=1.2,
         image_extent_mm=256.0, sad_mm=600.0, add_mm=290.0,
-        view_subset=view_subset,
+        n_views=n_views,
     )
 
 
@@ -224,8 +215,8 @@ def _scan_matrix(tables, geometry: Geometry, h: int, w: int):
     ``tables(geometry, h, w)`` yields, for each of the geometry's own views
     in order, (detector, pixel, weight) arrays; repeated (detector, pixel)
     pairs are summed and zero weights dropped. A view's rows depend only on
-    its angle, so a view subset's matrix holds the full-view matrix's rows
-    for those views bit for bit, and no full-view matrix is built for it.
+    its angle, so a sparse-view scan's matrix holds the full-view matrix's
+    rows for its views bit for bit, and no full-view matrix is built for it.
 
     A matrix of one of the module's own builders (``_PERSISTED``) is also
     kept on disk: on a miss here it is loaded from the cache directory when
@@ -316,7 +307,7 @@ def _index_dtype(nnz: int, n_cols: int):
 # build: the cache can make a run faster but never fail.
 
 # bytes on disk, least recently used files evicted first: holds one
-# paper-scale full-view A and B plus subsets
+# paper-scale full-view A and B plus sparse-view scans
 CACHE_BUDGET_BYTES = 4 << 30
 _CSR_ARRAYS = ("indptr", "indices", "data")
 _KEY_NAME = re.compile(r"[0-9a-f]{64}")
@@ -641,7 +632,7 @@ def _fbp_weights(geometry: Geometry):
 def fbp(sino: Sinogram, geometry: Geometry, filter: str = FILTER_RAM_LAK, *,
         h: int, w: int) -> Image:
     """Filtered backprojection onto an h x w image; unbiased in magnitude
-    for sparse subsets."""
+    for sparse-view scans."""
     _check_sino(sino, geometry, "fbp")
     if geometry.n_views < 2:
         raise GeometryError("fbp needs at least 2 views")
@@ -718,23 +709,20 @@ class ScanOperator:
 # view subsampling and measurement noise
 # ---------------------------------------------------------------------------
 
-def uniform_view_subset(n_full: int, n_v: int) -> tuple:
+def uniform_views(n_full: int, n_v: int) -> tuple:
     """Indices of n_v uniformly spread views of n_full: round(i n_full / n_v),
     halves rounded up."""
     return tuple(int(np.floor(i * n_full / n_v + 0.5)) for i in range(n_v))
 
 
 def subsample_views(sino: Sinogram, geometry: Geometry, n_v: int):
-    """Keep the n_v views of uniform_view_subset."""
-    if n_v < 1 or n_v > geometry.n_views_full:
-        raise GeometryError(
-            f"cannot keep {n_v} of {geometry.n_views_full} views"
-        )
+    """Keep the n_v views of uniform_views: the sinogram's rows and
+    the scan of n_v views."""
+    sub_geometry = replace(geometry, n_views=n_v)
     if geometry.n_views != geometry.n_views_full:
         raise GeometryError("subsample_views expects a full-view sinogram")
     _check_sino(sino, geometry, "subsample_views")
-    keep = uniform_view_subset(geometry.n_views_full, n_v)
-    sub_geometry = replace(geometry, view_subset=keep)
+    keep = uniform_views(geometry.n_views_full, n_v)
     return Sinogram(sino.values[list(keep)].copy()), sub_geometry
 
 

@@ -126,7 +126,7 @@ class ObjectiveSpec:
     """J(x) = lam/2 ||A x - y||^2 + R(x) with a pluggable linear operator.
 
     at(x) projects x once and returns its Point, which holds x and the
-    residual r = A x - y; J, grad J and |r| come from that r. line(point,
+    residual r = A x - y; J, grad J and |r| come from that r. Line(point,
     d) projects d once and yields trial Points x + a d whose residual is
     r + a Ad, so a trial costs no projection. The solvers pass Points along
     and never ask again about an x. value(x) and grad(x) are at(x).J and
@@ -163,9 +163,6 @@ class ObjectiveSpec:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.at(x).g
-
-    def line(self, point: Point, d: np.ndarray) -> Line:
-        return Line(point, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +511,7 @@ def qn_reconstruct(spec: ObjectiveSpec, x0: np.ndarray, iters: int,
             si = 0.0
             d = -g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
-        alpha, new = search(spec.line(p, d), g0d)
+        alpha, new = search(Line(p, d), g0d)
         s = alpha * d
         if new is None:
             new = spec.at(p.x + s)  # the point a trial would form, bit for bit

@@ -10,7 +10,7 @@ lambda to zero would erase the data term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +133,8 @@ def synthesize_dataset(truths, full_geometry: geo.Geometry, n_views: int,
     dataset is a pure function of (truths, geometry, noise, seed).
     attenuation_cap is simulate_measurement's.
     """
+    sparse_geometry = replace(full_geometry, n_views=n_views)
     items = []
-    sparse_geometry = None
     for idx, truth in enumerate(truths):
         truth = np.asarray(truth, dtype=np.float32)
         img = geo.Image(truth, full_geometry.pixel_mm(truth.shape[1]))
@@ -142,8 +142,7 @@ def synthesize_dataset(truths, full_geometry: geo.Geometry, n_views: int,
         y_noisy = geo.simulate_measurement(
             y_full, poisson, gaussian_frac, seed=(int(seed) * 100_003 + idx),
             attenuation_cap=attenuation_cap)
-        y_sub, g_sub = geo.subsample_views(y_noisy, full_geometry, n_views)
-        sparse_geometry = g_sub
+        y_sub, _ = geo.subsample_views(y_noisy, full_geometry, n_views)
         items.append(TrainItem(truth, y_sub.values))
     return items, sparse_geometry
 

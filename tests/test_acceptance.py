@@ -44,8 +44,7 @@ def test_criterion_1_adjointness():
         matrix.append(geo.Geometry(beam=beam, angular_range=span,
                                    **fan_kwargs))
         matrix.append(geo.Geometry(beam=beam, angular_range=span,
-                                   view_subset=geo.uniform_view_subset(180, 32),
-                                   **fan_kwargs))
+                                   n_views=32, **fan_kwargs))
         matrix.append(geo.Geometry(beam=beam, angular_range=limited,
                                    n_views_full=45, **fan_kwargs))
     worst = 0.0
@@ -176,7 +175,7 @@ def test_criterion_3_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_cold_start():
-    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 16))
+    g = geo.desk_geometry(n_views=16)
     ph = shepp_logan(64)
     sino = geo.forward_project(geo.Image(ph, g.pixel_mm(64)), g)
     noisy = geo.simulate_measurement(sino, 1e6, 0.05, seed=4)
@@ -237,7 +236,7 @@ def test_criterion_8_protocols():
     forced = int(mask.sum()) == brute == 81
 
     # cropped-region scoring end to end on a reconstruction fixture
-    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
+    g = geo.desk_geometry(n_views=32)
     sino = geo.forward_project(geo.Image(a, g.pixel_mm(64)), g)
     recon = geo.fbp(sino, g, h=64, w=64).values
     crop = mt.eval_ood_crop(recon, a, mask_a)

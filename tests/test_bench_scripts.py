@@ -31,8 +31,7 @@ def bench_metrics(monkeypatch):
 
 def test_count_projections_of_a_small_solve(bench_metrics):
     g = geo.Geometry(n_views_full=60, n_det=48, det_spacing_mm=2.0,
-                     image_extent_mm=48.0,
-                     view_subset=geo.uniform_view_subset(60, 8))
+                     image_extent_mm=48.0, n_views=8)
     sino = geo.forward_project(geo.Image(shepp_logan(16), g.pixel_mm(16)), g)
     spec = solvers.ObjectiveSpec.for_geometry(
         g, sino, 16, 16, regularizer=solvers.Regularizer("tikhonov", mu=0.1))
@@ -74,7 +73,7 @@ def bench_scan_build(monkeypatch):
 def test_scan_build_case_of_a_desk_subset(bench_scan_build):
     q = SimpleNamespace(geometry=geo, phantoms=phantoms)
     report = bench_scan_build.build_case(q, "desk parallel 16/180")
-    g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 16))
+    g = geo.desk_geometry(n_views=16)
     assert report["a_entries"] == \
         geo._scan_matrix(geo._ray_tables, g, 64, 64)[0].nnz
     assert report["forward_project_s"] > 0 and report["fbp_s"] > 0

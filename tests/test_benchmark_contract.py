@@ -60,8 +60,7 @@ def test_solvers_and_unrolled_step_call_the_traced_geometry_functions():
     refactor that calls the matrices directly fails here instead of
     leaving perfbench's geometry.* spans empty."""
     g = geo.Geometry(n_views_full=60, n_det=48, det_spacing_mm=2.0,
-                     image_extent_mm=48.0,
-                     view_subset=geo.uniform_view_subset(60, 8))
+                     image_extent_mm=48.0, n_views=8)
     sino = geo.forward_project(geo.Image(shepp_logan(16), g.pixel_mm(16)), g)
     spec = solvers.ObjectiveSpec.for_geometry(
         g, sino, 16, 16, regularizer=solvers.Regularizer("tikhonov", mu=0.1))

@@ -237,8 +237,7 @@ def test_the_sinogram_fixes_the_view_and_detector_counts(workspace, method):
     text = (workspace / "r.tomo.cfg").read_text()
     assert "geometry.views = 16\n" in text and "geometry.n_det = 128\n" in text
 
-    views = geo.uniform_view_subset(180, 16)
-    g = replace(geo.desk_geometry(view_subset=views), n_det=128)
+    g = replace(geo.desk_geometry(n_views=16), n_det=128)
     y = geo.Sinogram(tio.read_tomo(sino)[0])
     if method == "qn-mixer":
         model = tr.model_from_checkpoint(weights)
@@ -511,16 +510,17 @@ def test_train_honours_the_attenuation_cap(workspace):
     assert checkpoint("1.0") != checkpoint("4.0")
 
 
-@pytest.mark.parametrize("shapes,bad,side", [
-    (((16, 16), (32, 32)), "b", 16),
-    (((16, 32), (16, 32)), "a", 16),
-    (((0, 0), (0, 0)), "a", 0),
+@pytest.mark.parametrize("shapes,bad,reason", [
+    (((16, 16), (32, 32)), "b", "image.size is 16"),
+    (((16, 32), (16, 32)), "a", "image.size is 16"),
+    (((0, 0), (0, 0)), "a", "with an empty side"),
 ], ids=["mixed", "non-square", "empty"])
 @pytest.mark.parametrize("command", ["train", "ood"])
 def test_data_dir_image_of_another_size_is_one_error_line(
-        workspace, capsys, monkeypatch, command, shapes, bad, side):
-    # the first image fixes the grid, so it must be a non-empty square and
-    # every other image the same square
+        workspace, capsys, monkeypatch, command, shapes, bad, reason):
+    # the first image fixes the grid, so it must be a non-empty square (an
+    # empty one is refused as it is read) and every other image the same
+    # square
     data = workspace / "data"
     data.mkdir()
     for name, shape in zip("ab", shapes):
@@ -532,8 +532,51 @@ def test_data_dir_image_of_another_size_is_one_error_line(
     assert run([command, "--data-dir", data, "--out-dir", workspace / "run",
                 "--views", "8"]) == 1
     err = one_error_line(capsys, "ShapeError")
-    assert f"{bad}.tomo is (" in err and f"image.size is {side}" in err
+    assert f"{bad}.tomo is (" in err and reason in err
     assert not projected and not (workspace / "run").exists()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("project", ["--image", "{file}", "--out", "{out}"]),
+    ("noise", ["--sino", "{file}", "--gauss-frac", "0.05", "--out", "{out}"]),
+    ("noise", ["--sino", "{file}", "--poisson", "1e6", "--out", "{out}"]),
+    ("fbp", ["--sino", "{file}", "--out", "{out}"]),
+    ("reconstruct", ["--method", "gd", "--sino", "{file}", "--out", "{out}"]),
+    ("eval", ["--recon-dir", "{dir}", "--ref-dir", "{dir}", "--out",
+              "{out}"]),
+    ("nps", ["--dir", "{dir}", "--out", "{out}"]),
+    ("train", ["--data-dir", "{dir}", "--out-dir", "{out}"]),
+    ("ood", ["--data-dir", "{dir}", "--out-dir", "{out}"]),
+], ids=["project", "noise-gauss", "noise-poisson", "fbp", "reconstruct",
+        "eval", "nps", "train", "ood"])
+def test_an_empty_input_is_one_error_line(workspace, capsys, command, argv):
+    # an array with a zero-length side is refused as it is read, before
+    # any work: a 0x0 image, a sinogram of 0 views x 96 detectors
+    data = workspace / "data"
+    data.mkdir()
+    empty = data / "e.tomo"
+    if "--sino" in argv:
+        tio.write_tomo(empty, np.zeros((0, 96), np.float32),
+                       tio.KIND_SINOGRAM)
+    else:
+        tio.write_tomo(empty, np.zeros((0, 0), np.float32), tio.KIND_IMAGE)
+    names = {"{file}": empty, "{dir}": data, "{out}": workspace / "out"}
+    assert run([command, *(names.get(a, a) for a in argv)]) == 1
+    assert f"{empty} is (0, " in one_error_line(capsys, "ShapeError")
+    assert sorted(workspace.rglob("*")) == [data, empty]
+
+
+@pytest.mark.parametrize("views", ["-1", "181"])
+def test_a_view_count_out_of_range_is_one_error_line(workspace, capsys,
+                                                     views):
+    ph, out = workspace / "ph.tomo", workspace / "s.tomo"
+    run(["phantom", "--out", ph])
+    capsys.readouterr()
+    assert run(["project", "--image", ph, "--views", views,
+                "--out", out]) == 1
+    err = one_error_line(capsys, "GeometryError")
+    assert f"cannot keep {views} of 180 views" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -992,15 +1035,11 @@ def test_every_flag_is_read_or_refused_by_its_method(workspace, capsys,
     # checkpoint or of --data-dir) before reading it is not read.
     reads, derived = set(), set()
     resolve, write = cli._resolve, cli._write_resolved
-    from_config = cfgmod.geometry_from_config
     monkeypatch.setattr(cli, "_resolve",
                         lambda args: ReadLog(resolve(args), reads, derived))
     # writing the resolved config reads every key, so it reads a copy
     monkeypatch.setattr(cli, "_write_resolved",
                         lambda cfg, *rest: write(dict(cfg), *rest))
-    # train builds its full-view scan from a copy of its config
-    monkeypatch.setattr(cfgmod, "geometry_from_config",
-                        lambda cfg: from_config(ReadLog(cfg, reads, derived)))
     cfg = workspace / "audit.cfg"
     values = cfgmod.resolve_config(AUDIT_CONFIG, {})
     outs = (workspace / f"out{n}" for n in itertools.count())

@@ -6,7 +6,7 @@ import pytest
 from qnct import config as cfgmod
 from qnct import geometry as geo
 from qnct import tomo_io as tio
-from qnct.errors import ConfigError, QnctError
+from qnct.errors import ConfigError, GeometryError, QnctError
 
 
 class TestTomoFormat:
@@ -122,15 +122,39 @@ class TestConfig:
         cfg["geometry.views"] = 32
         g = cfgmod.geometry_from_config(cfg)
         assert g.n_views == 32
-        assert g.view_subset[:3] == (0, 6, 11)
-        # the same subset subsample_views keeps from a full-view scan
+        np.testing.assert_array_equal(g.view_angles()[:3],
+                                      np.pi / 180 * np.array([0, 6, 11]))
+        # the same scan subsample_views keeps from a full-view scan
         full = cfgmod.geometry_from_config({**cfg, "geometry.views": 0})
         _, sub = geo.subsample_views(
             geo.Sinogram(np.zeros((180, 96), dtype=np.float32)), full, 32)
         assert g == sub
         cfg["geometry.views"] = 300
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(GeometryError, match="cannot keep 300 of 180"):
             cfgmod.geometry_from_config(cfg)
+
+    @pytest.mark.parametrize("views", [1, 7, 23, None])
+    @pytest.mark.parametrize("scan", [
+        geo.desk_geometry, lambda n: geo.desk_geometry(geo.FAN, n),
+        lambda n: geo.Geometry(angular_range=(0.0, np.pi / 2.0),
+                               n_views_full=45, n_views=n),
+        geo.paper_geometry,
+    ], ids=["parallel", "fan", "limited-angle", "paper"])
+    def test_a_scan_round_trips_through_the_config(self, scan, views):
+        # every field written as its geometry.* key and read back gives the
+        # same scan, with the same disk-cache key
+        g = scan(views)
+        start, end = g.angular_range
+        keys = {"beam": g.beam, "n_views_full": g.n_views_full,
+                "n_det": g.n_det, "angular_start": start, "angular_end": end,
+                "det_spacing_mm": g.det_spacing_mm,
+                "image_extent_mm": g.image_extent_mm, "views": g.n_views}
+        if g.beam == geo.FAN:
+            keys.update(sad_mm=g.sad_mm, add_mm=g.add_mm)
+        text = "".join(f"geometry.{k} = {v}\n" for k, v in keys.items())
+        back = cfgmod.geometry_from_config(cfgmod.resolve_config(text, {}))
+        assert back == g
+        assert geo._cache_key("b", back, 8, 8) == geo._cache_key("b", g, 8, 8)
 
     def test_fan_geometry_from_config(self):
         cfg = cfgmod.resolve_config(None, {"geometry.beam": "fan"})

@@ -26,7 +26,7 @@ from qnct import unroll as ur
 from qnct.cli import main
 from qnct.init import substream
 from qnct.phantoms import random_ellipses
-from test_geometry import assert_same_csr, fresh, subset
+from test_geometry import assert_same_csr, fresh, view_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 N = 12
@@ -37,9 +37,9 @@ def tiny(beam=geo.PARALLEL, views=None) -> geo.Geometry:
         return geo.Geometry(beam=geo.FAN, n_views_full=8, n_det=24,
                             angular_range=(0.0, 2.0 * np.pi),
                             det_spacing_mm=3.0, image_extent_mm=24.0,
-                            sad_mm=60.0, add_mm=30.0, view_subset=views)
+                            sad_mm=60.0, add_mm=30.0, n_views=views)
     return geo.Geometry(n_views_full=8, n_det=24, det_spacing_mm=2.0,
-                        image_extent_mm=24.0, view_subset=views)
+                        image_extent_mm=24.0, n_views=views)
 
 
 def matrix(tables, g, n=N):
@@ -66,12 +66,11 @@ def builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("views", [None, subset(180, 16), subset(180, 32),
-                                   (0, 3, 7, 50, 51, 179)])
+@pytest.mark.parametrize("views", view_counts(None, 16, 32, 7, 23))
 @pytest.mark.parametrize("beam", ["parallel", "fan"])
 def test_loaded_matrix_equals_the_built_one(beam, views, builds,
                                             scan_cache_dir):
-    g = geo.desk_geometry(beam, view_subset=views)
+    g = geo.desk_geometry(beam, views)
     for tables in (geo._ray_tables, geo._pixel_tables):
         built = matrix(tables, g, 64)
         assert_same_csr(matrix(tables, g, 64), built)
@@ -182,7 +181,7 @@ def decreasing_indptr(path):
 
 def other_scan(path):
     """A valid file of another scan (fewer views), so the wrong shape."""
-    other = tiny(views=(0, 1, 2))
+    other = tiny(views=3)
     indptr, indices, data = (getattr(matrix(fresh(geo._ray_tables), other),
                                      name) for name in geo._CSR_ARRAYS)
     write_records(path, indptr, indices, data)
@@ -304,7 +303,7 @@ def test_key_moves_with_every_input_of_the_bytes(monkeypatch):
         "n_det": geo._cache_key("_ray_tables", replace(g, n_det=25), N, N),
         "spacing": geo._cache_key(
             "_ray_tables", replace(g, det_spacing_mm=2.5), N, N),
-        "views": geo._cache_key("_ray_tables", tiny(views=(0, 1)), N, N),
+        "views": geo._cache_key("_ray_tables", tiny(views=2), N, N),
         "beam": geo._cache_key("_ray_tables", tiny(geo.FAN), N, N),
         "h": geo._cache_key("_ray_tables", g, N + 1, N),
         "w": geo._cache_key("_ray_tables", g, N, N + 1),
@@ -327,7 +326,7 @@ def test_host_probe_is_the_same_twice():
 
 def test_eviction_drops_the_least_recently_used_first(builds, monkeypatch,
                                                       scan_cache_dir):
-    scans = [tiny(views=(2 * k, 2 * k + 1)) for k in range(4)]
+    scans = [tiny(views=k + 1) for k in range(4)]
     paths = [path_of(geo._ray_tables, g) for g in scans]
     for g in scans:
         matrix(geo._ray_tables, g)
@@ -351,12 +350,12 @@ def test_eviction_drops_the_least_recently_used_first(builds, monkeypatch,
 def test_matrix_above_the_budget_is_not_written(builds, monkeypatch,
                                                 scan_cache_dir):
     g = tiny()
-    matrix(geo._ray_tables, tiny(views=(0,)))
+    matrix(geo._ray_tables, tiny(views=1))
     monkeypatch.setattr(geo, "CACHE_BUDGET_BYTES", 1000)
     matrix(geo._ray_tables, g)
     assert len(builds) == 2
     assert [p.name for p in scan_cache_dir.iterdir()] \
-        == [path_of(geo._ray_tables, tiny(views=(0,))).name]
+        == [path_of(geo._ray_tables, tiny(views=1)).name]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def classical(method):
     (classical("gd"), geo.FAN, 32), (classical("qn"), geo.FAN, 32)],
     ids=["train step", "inference", "gd", "qn"])
 def test_a_warm_op_loads_and_builds_no_matrix(op, beam, views, resolves):
-    g = geo.desk_geometry(beam, geo.uniform_view_subset(180, views))
+    g = geo.desk_geometry(beam, views)
     item = desk_item(g)
     model = ur.QnMixerModel.build(
         64, 64, 0, mx.MixerConfig(patch=4, d=12, n_layers=1),

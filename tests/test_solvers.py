@@ -11,6 +11,7 @@ from qnct.errors import DivergenceError, MemoryGuardError, ShapeError
 from qnct.phantoms import shepp_logan
 from qnct.solvers import (
     BfgsState,
+    Line,
     ObjectiveSpec,
     Regularizer,
     bfgs_update,
@@ -190,7 +191,7 @@ class TestGradientDescent:
         np.testing.assert_array_equal(x, x0)
 
     def test_ct_monotone_run(self):
-        g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
+        g = geo.desk_geometry(n_views=32)
         ph = shepp_logan(64)
         sino = geo.forward_project(geo.Image(ph, g.pixel_mm(64)), g)
         spec = ObjectiveSpec.for_geometry(
@@ -478,7 +479,7 @@ class TestStrongWolfe:
             made.clear()
             computed.clear()
             d = -scale * g
-            a, point = strong_wolfe(spec.line(start, d),
+            a, point = strong_wolfe(Line(start, d),
                                     float(g.reshape(-1) @ d.reshape(-1)))
             assert len(made) == len(set(made)) > 0
             assert len(computed) == len(set(computed))
@@ -493,8 +494,7 @@ class TestStrongWolfe:
 def ct_tikhonov(n=32, views=16):
     """(spec, FBP start) of a parallel-beam Tikhonov problem on n² pixels."""
     g = geo.Geometry(n_views_full=90, n_det=48, det_spacing_mm=2.0,
-                     image_extent_mm=64.0,
-                     view_subset=geo.uniform_view_subset(90, views))
+                     image_extent_mm=64.0, n_views=views)
     sino = geo.forward_project(geo.Image(shepp_logan(n), g.pixel_mm(n)), g)
     spec = ObjectiveSpec.for_geometry(
         g, sino, n, n, lam=1.0, regularizer=Regularizer("tikhonov", mu=0.05))
@@ -517,7 +517,7 @@ def reevaluating_qn(spec, x0, iters, line_search):
         d = -Hg
         g0d = float(g.reshape(-1) @ d.reshape(-1))
         assert g0d < 0
-        alpha, point = search(spec.line(solvers.Point(spec, x, r), d), g0d)
+        alpha, point = search(Line(solvers.Point(spec, x, r), d), g0d)
         s = alpha * d
         x_new = x + s
         r = spec.op.forward(x_new) - spec.y if point is None else point.r
@@ -653,7 +653,7 @@ class TestQnReconstruct:
         assert op.projected == []
 
     def test_state_memory_at_64(self):
-        g = geo.desk_geometry(view_subset=geo.uniform_view_subset(180, 32))
+        g = geo.desk_geometry(n_views=32)
         sino = geo.forward_project(geo.Image(shepp_logan(64), g.pixel_mm(64)),
                                    g)
         spec = ObjectiveSpec.for_geometry(
@@ -706,7 +706,7 @@ class TestPoints:
         spec, op, x0 = counting_ct_tikhonov()
         start = spec.at(x0)
         d = -start.g
-        line = spec.line(start, d)
+        line = Line(start, d)
         assert len(op.projected) == 1  # d waits for the first trial
         Ad = spec.op.op.forward(d)
         for a in (1.0, 0.25, 3.5):
@@ -720,7 +720,7 @@ class TestPoints:
 
     def test_a_line_reuses_its_last_trial_only(self):
         spec, op, x0 = counting_ct_tikhonov()
-        line = spec.line(spec.at(x0), np.ones_like(x0))
+        line = Line(spec.at(x0), np.ones_like(x0))
         j = line.value(0.5)
         sl, point = line.slope(0.5)
         assert point is line.at(0.5) and point.J == j
@@ -904,7 +904,7 @@ class TestLineRestriction:
         start = spec.at(x0)
         d = -start.g
         op.projected.clear()
-        a, point = search(spec.line(start, d),
+        a, point = search(Line(start, d),
                           float(start.g.reshape(-1) @ d.reshape(-1)))
         assert a > 0 and point is not None
         assert point.x.tobytes() == (x0 + a * d).tobytes()
@@ -952,7 +952,7 @@ class TestLineRestriction:
         for scale in (1e-5, 0.05, 0.4, 3.0, 30.0):
             d = -scale * g
             g0d = float(g.reshape(-1) @ d.reshape(-1))
-            strong_wolfe(spec.line(start, d), g0d)
+            strong_wolfe(Line(start, d), g0d)
         assert zooms and len(trials) > 20
         # gradients relative to the one at x: a search can land where the
         # gradient cancels to round-off

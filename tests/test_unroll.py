@@ -24,8 +24,7 @@ from qnct.unroll import (
 
 def small_geometry(n_v=12):
     return geo.Geometry(n_views_full=48, n_det=48, det_spacing_mm=2.0,
-                        image_extent_mm=64.0,
-                        view_subset=geo.uniform_view_subset(48, n_v))
+                        image_extent_mm=64.0, n_views=n_v)
 
 
 def tiny_model(h=32, w=32, seed=1, variant="qn", T=3, dtype=np.float32):

@@ -1083,6 +1083,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: manifest lists {len(entries)} of {n} entries")
     out = {}
     for name, shape, off in entries:
+        if name in out:
+            raise CheckpointError(f"{path}: manifest lists {name} twice")
         count = math.prod(shape)
         if min(shape) < 0 or off < 0 or off + 4 * count > len(payload):
             raise CheckpointError(

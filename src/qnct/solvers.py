@@ -386,9 +386,9 @@ def secant_diagnostics(apply, s: np.ndarray, z: np.ndarray, g: np.ndarray,
     apply(v) = H v, after H was updated with (s, z). The secant residual
     |Hz - s| / |s| is 0 when H z = s holds. Both read round-off for a
     correct H and cost two products; qn_reconstruct reuses Hg as its next
-    direction, the latent model as its next step. index, when given, is
-    called in symmetry_index's place: the latent model passes its own
-    import of it, so perfbench times the latent probe under its layer.
+    direction. index, when given, is called in symmetry_index's place: the
+    latent model passes its own import of it, so perfbench times the latent
+    probe under its layer.
     """
     Hz, Hg = apply(z), apply(g)
     secant = _norm(Hz - s) / max(_norm(s), 1e-300)

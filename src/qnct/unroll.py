@@ -162,14 +162,13 @@ class QnMixerModel:
     @classmethod
     def build(cls, h: int, w: int, seed: int,
               mixer_config: mx.MixerConfig | None = None,
-              unroll_config: UnrollConfig | None = None,
-              dtype=np.float32) -> "QnMixerModel":
+              unroll_config: UnrollConfig | None = None) -> "QnMixerModel":
         mixer_config = mixer_config or mx.desk_mixer_config()
         unroll_config = unroll_config or UnrollConfig()
         rng = pinit.substream(seed, "init")
         layout = cls.layout(h, w, mixer_config, unroll_config)
         return cls(mixer_config, unroll_config,
-                   pinit.materialize(layout, rng, dtype))
+                   pinit.materialize(layout, rng))
 
     @staticmethod
     def layout(h: int, w: int, mixer_config: mx.MixerConfig,
@@ -224,15 +223,13 @@ def learned_gradient(x: Tensor, y: Tensor, physics: _Physics, model:
 @dataclass
 class LatentBfgsState:
     """Latent inverse Hessian (curvature pairs), the current latent r, and
-    the diagnostics of the last update (TRACE_COLUMNS). Hr is H r in
-    float64 when the last update formed it for the si probe, else None."""
+    the diagnostics of the last update (TRACE_COLUMNS)."""
 
     bfgs: BfgsState
     r: Tensor
     si: float = 0.0
     secant_residual: float = 0.0
     frobenius_step: float = 0.0
-    Hr: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, r: Tensor, updates: int):
@@ -248,11 +245,11 @@ class LatentBfgsState:
         if not accepted:
             # a skipped update leaves H, and so its symmetry index, unchanged
             return LatentBfgsState(bfgs, r_next, self.si, np.nan, 0.0)
-        Hr, secant, si = secant_diagnostics(
+        _, secant, si = secant_diagnostics(
             bfgs.apply, s64, z64, r_next.data.astype(np.float64),
             index=symmetry_index)
         step = _update_norm(s64, z64, self.bfgs.apply(z64), bfgs.pairs[-1][2])
-        return LatentBfgsState(bfgs, r_next, si, secant, step, Hr)
+        return LatentBfgsState(bfgs, r_next, si, secant, step)
 
 
 def _update_norm(s, z, u, rho) -> float:
@@ -265,13 +262,11 @@ def _update_norm(s, z, u, rho) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def _latent_step(bfgs: BfgsState, r: Tensor, Hr=None) -> Tensor:
+def _latent_step(bfgs: BfgsState, r: Tensor) -> Tensor:
     # H is a constant symmetric operator in the differentiation graph; only
-    # r carries grads, and the adjoint of -H is -H. The forward reuses Hr,
-    # the H r an accepted update already formed, when there is one.
-    return ad.linear_operator(
-        r, lambda v: -(bfgs.apply(v) if Hr is None else Hr),
-        lambda g: -bfgs.apply(g), name="latent_step")
+    # r carries grads, and the adjoint of -H is -H
+    return ad.linear_operator(r, lambda v: -bfgs.apply(v),
+                              lambda g: -bfgs.apply(g), name="latent_step")
 
 
 def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
@@ -279,7 +274,7 @@ def qn_mixer_iterate(state: LatentBfgsState, x: Tensor, y: Tensor,
                      is_last: bool):
     """One unrolled iteration; skips the H update on the last iteration."""
     codec = model.unroll_config.codec
-    s = _latent_step(state.bfgs, state.r, state.Hr)
+    s = _latent_step(state.bfgs, state.r)
     step_img = decode_direction(s, model.params, codec, physics.h, physics.w)
     x_next = ad.add(x, step_img)
     if is_last:

@@ -290,6 +290,16 @@ def test_checkpoint_truncated_or_malformed(tmp_path):
             ad.load_checkpoint(path)
 
 
+def test_checkpoint_repeated_name(tmp_path):
+    # the header count matches; a second "a" would silently take b's bytes
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(b"NDCKPT1 3\na 2 0\nb 2 8\na 2 8\nEND\n"
+                     + np.arange(4, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError,
+                       match="twice.ckpt: manifest lists a twice"):
+        ad.load_checkpoint(path)
+
+
 def test_profile_counts_calls_and_times_both_passes():
     x = t64(np.random.default_rng(1).normal(size=(1, 2, 6, 6)))
     affine = [t64([1.0, 2.0]), t64([0.0, 0.5]), t64([0.25, 0.25])]

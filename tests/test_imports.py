@@ -122,6 +122,8 @@ ONE_CALLER_KNOBS = {
                            "gradient tolerance",
     "main.argv": "the console entry point calls main() with no arguments; "
                  "tests pass argv",
+    "materialize.dtype": "the finite-difference checks of acceptance "
+                         "criterion 3 draw float64 weights",
 }
 
 
@@ -138,11 +140,13 @@ def defaults(fn) -> list:
 
 
 def passes(call, position, name) -> bool:
-    """Whether a call passes the parameter, by keyword or by position;
-    *args and **kwargs pass everything."""
-    return (any(k.arg in (None, name) for k in call.keywords)
-            or any(isinstance(a, ast.Starred) for a in call.args)
-            or (position is not None and len(call.args) > position))
+    """Whether a call passes the parameter, by keyword or by a position
+    before its first *args; an unpacked *args or **kwargs passes nothing,
+    since the finder cannot see what it holds."""
+    shown = next((i for i, a in enumerate(call.args)
+                  if isinstance(a, ast.Starred)), len(call.args))
+    return (any(k.arg == name for k in call.keywords)
+            or (position is not None and shown > position))
 
 
 def unset_knobs(sources: dict, package: str) -> list:
@@ -155,10 +159,10 @@ def unset_knobs(sources: dict, package: str) -> list:
     parameter after self or cls, except a staticmethod's. The match is by
     name alone, so a call of another function of the same name counts
     too and can hide a knob. A call through another name (a dict of
-    functions, a callback) is not seen, so a knob only such a call sets is
-    flagged. Nor can the finder see a knob that every call passes its
-    default value (layer_norm's eps, always given the 1e-5 it defaulted
-    to, was one)."""
+    functions, a callback) is not seen, nor what an unpacked *args or
+    **kwargs holds, so a knob only such a call sets is flagged. Nor can
+    the finder see a knob that every call passes its default value
+    (layer_norm's eps, always given the 1e-5 it defaulted to, was one)."""
     calls = collections.defaultdict(list)
     defs = []
     for path, text in sources.items():
@@ -198,19 +202,23 @@ def test_knob_finder_flags_only_defaults_no_call_passes():
                           "    def __init__(self, x=0, y=0): ...\n"
                           "    def method(self, p=1, q=2): ...\n"
                           "    @staticmethod\n"
-                          "    def static(s=1, t=2): ...\n"),
+                          "    def static(s=1, t=2): ...\n"
+                          "def pack(u=1, v=2): ...\n"),
         "perfbench/run.py": ("from qnct import m\n"
                              "m.f(0, 5, d=6)\n"
                              "m.spread(*[1, 2])\n"
                              "k = m.K(1)\n"
                              "k.method(q=3)\n"
-                             "m.K.static(1)\n"),
+                             "m.K.static(1)\n"
+                             "m.pack(**{'u': 1}, v=2)\n"),
     }
     assert unset_knobs(sources, "src/") == [
         ("src/qnct/m.py", 1, "f.c"), ("src/qnct/m.py", 1, "f.e"),
+        ("src/qnct/m.py", 2, "spread.a"), ("src/qnct/m.py", 2, "spread.b"),
         ("src/qnct/m.py", 4, "K.__init__.y"),
         ("src/qnct/m.py", 5, "K.method.p"),
-        ("src/qnct/m.py", 7, "K.static.t")]
+        ("src/qnct/m.py", 7, "K.static.t"),
+        ("src/qnct/m.py", 8, "pack.u")]
 
 
 def test_every_default_in_src_is_passed_by_some_call():
